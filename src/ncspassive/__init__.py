@@ -36,7 +36,6 @@ from .model import (
     ClosedLoopFamily,
     Gain,
     LossModel,
-    Mode,
     ModeDistribution,
     Plant,
     Schedule,
@@ -44,14 +43,12 @@ from .model import (
     full_packet_schedule,
     mode_distribution,
     selector_matrices,
-    validate_plant,
 )
 from .lmi import (
     AffineExpr,
     Indeterminate,
     LmiCertificate,
     LmiProblem,
-    LmiVariable,
     SolveOptions,
     solve,
     verify,
@@ -111,16 +108,13 @@ __all__ = [
     "Schedule",
     "full_packet_schedule",
     "LossModel",
-    "Mode",
     "ModeDistribution",
     "Gain",
     "ClosedLoopFamily",
     "selector_matrices",
     "mode_distribution",
     "closed_loop",
-    "validate_plant",
     # lmi
-    "LmiVariable",
     "AffineExpr",
     "LmiProblem",
     "LmiCertificate",

@@ -53,7 +53,9 @@ __all__ = [
     "StabilityCertificate",
     "PassivityCertificate",
     "sms_oracle",
+    "stability_problem",
     "stability_lmi",
+    "passivity_problem",
     "passivity_lmi",
     "max_dissipation",
     "dissipation_upper_bound",
@@ -117,33 +119,27 @@ class StabilityCertificate:
         return self.ps[0]
 
 
-def stability_lmi(
+def stability_problem(
     plant: Plant,
     gain: Gain,
     schedule: Schedule,
     dist: ModeDistribution,
     margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
-):
-    """Certify second-moment stability via the coupled periodic Lyapunov LMIs.
+) -> lmi.LmiProblem:
+    """The coupled periodic Lyapunov LMIs over P0, ..., P{N-1}.
 
-    Poses, for every slot k of the period,
+    For every slot k of the period,
 
-        sum_m a_m A_{k,m}' P_{k+1 mod N} A_{k,m} - P_k < 0,   P_k > 0,
-
-    and solves for the N symmetric variables. Returns a verified
-    :class:`StabilityCertificate` or the solver's Indeterminate.
+        sum_m a_m A_{k,m}' P_{k+1 mod N} A_{k,m} - P_k < 0,   P_k > 0.
     """
-    margin = margin or DEFAULT_MARGIN
     n = plant.n
     period = schedule.period
-    families = [closed_loop(plant, gain, k, schedule) for k in range(period)]
-
-    prob = lmi.LmiProblem(margin=margin)
+    prob = lmi.LmiProblem(margin=margin or DEFAULT_MARGIN)
     for k in range(period):
         prob.add_symmetric(f"P{k}", n, positive_definite=True)
     eye = np.eye(n)
-    for k, fam in enumerate(families):
+    for k in range(period):
+        fam = closed_loop(plant, gain, k, schedule)
         expr = lmi.AffineExpr([n], name=f"lyapunov_k{k}")
         nxt = f"P{(k + 1) % period}"
         for (i, j), p in dist.items():
@@ -153,12 +149,29 @@ def stability_lmi(
             expr.add_term(0, 0, a.T, nxt, a, weight=p)
         expr.add_term(0, 0, -eye, f"P{k}", eye)
         prob.add_constraint(expr)
+    return prob
 
+
+def stability_lmi(
+    plant: Plant,
+    gain: Gain,
+    schedule: Schedule,
+    dist: ModeDistribution,
+    margin: DefinitenessMargin | None = None,
+    options: lmi.SolveOptions | None = None,
+):
+    """Certify second-moment stability by solving :func:`stability_problem`.
+
+    Returns a verified :class:`StabilityCertificate` or the solver's
+    Indeterminate.
+    """
+    margin = margin or DEFAULT_MARGIN
+    prob = stability_problem(plant, gain, schedule, dist, margin)
     opts = (options or lmi.SolveOptions()).with_margin(margin)
     result = lmi.solve(prob, opts)
     if not result.feasible:
         return result
-    ps = tuple(result.assignment[f"P{k}"] for k in range(period))
+    ps = tuple(result.assignment[f"P{k}"] for k in range(schedule.period))
     return StabilityCertificate(ps=ps, margin=margin, report=result.report)
 
 
@@ -172,26 +185,17 @@ def check_assumption(plant: Plant, margin: DefinitenessMargin | None = None) -> 
         )
 
 
-def averaged_output_matrix(
-    fam: ClosedLoopFamily,
-    dist: ModeDistribution,
-    weighting: str = "averaged",
-) -> np.ndarray:
+def averaged_output_matrix(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
     """Mode-averaged output matrix C~.
 
-    ``averaged`` weights each mode's C by its probability, which is what
-    the expected per-step dissipation produces (the gain term then
-    carries the both-links-arrive probability). ``unweighted`` keeps the
-    full gain term regardless of the loss rates.
+    Each mode's C is weighted by its probability, which is what the
+    expected per-step dissipation produces (the gain term then carries
+    the both-links-arrive probability).
     """
-    if weighting == "averaged":
-        c = np.zeros_like(fam.c(0, 0))
-        for (i, j), p in dist.items():
-            c = c + p * fam.c(i, j)
-        return c
-    if weighting == "unweighted":
-        return fam.c(1, 1)
-    raise ValueError(f"unknown weighting {weighting!r}")
+    c = np.zeros_like(fam.c(0, 0))
+    for (i, j), p in dist.items():
+        c = c + p * fam.c(i, j)
+    return c
 
 
 @dataclass(frozen=True)
@@ -208,64 +212,44 @@ class PassivityCertificate:
 
     @property
     def p(self) -> np.ndarray:
-        if "P" in self.assignment:
-            return self.assignment["P"]
-        # per-mode certificate: report the averaged matrix
-        raise KeyError("per-mode certificate has no single P; see assignment")
+        return self.assignment["P"]
 
 
-def _passivity_problem(
+def passivity_problem(
     plant: Plant,
-    fam: ClosedLoopFamily,
+    gain: Gain,
     dist: ModeDistribution,
     eta: float,
-    margin: DefinitenessMargin,
-    weighting: str,
-    per_mode: bool,
+    margin: DefinitenessMargin | None = None,
 ) -> lmi.LmiProblem:
+    """The averaged dissipation LMI over one P > 0 (full-packet loop).
+
+    Requires eta >= 0 and D11 + D11' > 0; raises ValueError or
+    AssumptionViolated otherwise.
+    """
+    if eta < 0:
+        raise ValueError(f"dissipation must be >= 0, got {eta}")
+    margin = margin or DEFAULT_MARGIN
+    check_assumption(plant, margin)
+    fam = closed_loop(plant, gain, 0, full_packet_schedule())
     n, m1 = plant.n, plant.m1
     b = fam.b
     d = fam.d
-    const22 = 2.0 * eta * np.eye(m1) - d.T - d
     prob = lmi.LmiProblem(margin=margin)
-
-    if not per_mode:
-        prob.add_symmetric("P", n, positive_definite=True)
-        expr = lmi.AffineExpr([n, m1], name="dissipation")
-        eye = np.eye(n)
-        for (i, j), p in dist.items():
-            if p == 0.0:
-                continue
-            a = fam.a(i, j)
-            expr.add_term(0, 0, a.T, "P", a, weight=p)
-            expr.add_term(0, 1, a.T, "P", b, weight=p)
-        expr.add_term(0, 0, -eye, "P", eye)
-        expr.add_term(1, 1, b.T, "P", b)
-        c_avg = averaged_output_matrix(fam, dist, weighting)
-        expr.add_const(0, 1, -c_avg.T)
-        expr.add_const(1, 1, const22)
-        prob.add_constraint(expr)
-        return prob
-
-    # Stricter per-mode variant: four coupled P_ij with the i.i.d. average
-    # P_bar = sum_j a_j P_j appearing in every mode's quadratic term.
-    names = {}
-    for i, j in MODES:
-        names[(i, j)] = prob.add_symmetric(f"P{i}{j}", n, positive_definite=True)
+    prob.add_symmetric("P", n, positive_definite=True)
+    expr = lmi.AffineExpr([n, m1], name="dissipation")
     eye = np.eye(n)
-    for i, j in MODES:
-        expr = lmi.AffineExpr([n, m1], name=f"dissipation_{i}{j}")
+    for (i, j), p in dist.items():
+        if p == 0.0:
+            continue
         a = fam.a(i, j)
-        for (it, jt), p in dist.items():
-            if p == 0.0:
-                continue
-            expr.add_term(0, 0, a.T, names[(it, jt)], a, weight=p)
-            expr.add_term(0, 1, a.T, names[(it, jt)], b, weight=p)
-            expr.add_term(1, 1, b.T, names[(it, jt)], b, weight=p)
-        expr.add_term(0, 0, -eye, names[(i, j)], eye)
-        expr.add_const(0, 1, -fam.c(i, j).T)
-        expr.add_const(1, 1, const22)
-        prob.add_constraint(expr)
+        expr.add_term(0, 0, a.T, "P", a, weight=p)
+        expr.add_term(0, 1, a.T, "P", b, weight=p)
+    expr.add_term(0, 0, -eye, "P", eye)
+    expr.add_term(1, 1, b.T, "P", b)
+    expr.add_const(0, 1, -averaged_output_matrix(fam, dist).T)
+    expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - d.T - d)
+    prob.add_constraint(expr)
     return prob
 
 
@@ -276,27 +260,20 @@ def passivity_lmi(
     eta: float,
     margin: DefinitenessMargin | None = None,
     options: lmi.SolveOptions | None = None,
-    *,
-    weighting: str = "averaged",
-    per_mode: bool = False,
 ):
-    """Certify strict passivity with dissipation eta (full-packet loop).
+    """Certify strict passivity with dissipation eta by solving :func:`passivity_problem`.
 
-    Requires D11 + D11' > 0 and eta >= 0. Returns a verified
-    :class:`PassivityCertificate` (which always implies rho < 1 through
-    its own top-left block) or the solver's Indeterminate.
+    Returns a verified :class:`PassivityCertificate` (which always
+    implies rho < 1 through its own top-left block) or the solver's
+    Indeterminate.
     """
-    if eta < 0:
-        raise ValueError(f"dissipation must be >= 0, got {eta}")
     margin = margin or DEFAULT_MARGIN
-    check_assumption(plant, margin)
-    fam = closed_loop(plant, gain, 0, full_packet_schedule())
-    prob = _passivity_problem(plant, fam, dist, eta, margin, weighting, per_mode)
+    prob = passivity_problem(plant, gain, dist, eta, margin)
     opts = (options or lmi.SolveOptions()).with_margin(margin)
     result = lmi.solve(prob, opts)
     if not result.feasible:
         return result
-    rho = sms_oracle(fam, dist).rho
+    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
         raise VerificationFailed(
             f"passivity certificate with second-moment radius {rho}; "
@@ -316,6 +293,27 @@ def dissipation_upper_bound(plant: Plant) -> float:
     return float(sym_eigvals(plant.D11 + plant.D11.T)[0]) / 2.0
 
 
+def _bisect_eta(probe, hi: float, tol: float):
+    """Bisect [0, hi] for the largest eta that ``probe`` certifies.
+
+    ``probe(eta)`` returns a certificate or an Indeterminate. Returns
+    (eta, certificate) for the last certified probe, or (None, the
+    Indeterminate) when eta = 0 itself does not certify.
+    """
+    best = probe(0.0)
+    if not best.feasible:
+        return None, best
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        res = probe(mid)
+        if res.feasible:
+            lo, best = mid, res
+        else:
+            hi = mid
+    return lo, best
+
+
 def max_dissipation(
     plant: Plant,
     gain: Gain,
@@ -323,8 +321,6 @@ def max_dissipation(
     tol: float = 1e-3,
     margin: DefinitenessMargin | None = None,
     options: lmi.SolveOptions | None = None,
-    *,
-    weighting: str = "averaged",
 ):
     """Largest certified dissipation, by bisection over eta.
 
@@ -332,19 +328,12 @@ def max_dissipation(
     from that first solve is returned unchanged. The search interval is
     [0, min eig(D11 + D11')/2], whose upper end is always infeasible.
     """
-    base = passivity_lmi(plant, gain, dist, 0.0, margin, options, weighting=weighting)
-    if not base.feasible:
-        return base
-    lo = 0.0
-    hi = dissipation_upper_bound(plant)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        res = passivity_lmi(plant, gain, dist, mid, margin, options, weighting=weighting)
-        if res.feasible:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    eta, cert = _bisect_eta(
+        lambda e: passivity_lmi(plant, gain, dist, e, margin, options),
+        dissipation_upper_bound(plant),
+        tol,
+    )
+    return cert if eta is None else eta
 
 
 def dissipation_form_matrix(
@@ -401,7 +390,6 @@ def expanded_passivity_block(
     dist: ModeDistribution,
     eta: float,
     p: np.ndarray,
-    weighting: str = "averaged",
 ) -> np.ndarray:
     """Schur-expanded six-block form of the averaged passivity inequality at P.
 
@@ -424,7 +412,7 @@ def expanded_passivity_block(
         out[offs[r]:offs[r + 1], offs[c]:offs[c + 1]] = val
 
     block(0, 0, -p)
-    c_avg = averaged_output_matrix(fam, dist, weighting)
+    c_avg = averaged_output_matrix(fam, dist)
     block(1, 0, -c_avg)
     block(0, 1, -c_avg.T)
     block(1, 1, 2.0 * eta * np.eye(m1) - fam.d.T - fam.d)

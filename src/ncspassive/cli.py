@@ -1,8 +1,8 @@
 """Command-line front end: analyze, synthesize, simulate, report.
 
-Scenario configs and run reports are JSON (schema in config_schema.json,
-shipped with the package); matrices are nested row arrays of numbers at
-full round-trip precision so certificates stay auditable. Exit codes:
+Scenario configs and run reports are JSON, checked field by field in
+``parse_config``; matrices are nested row arrays of numbers at full
+round-trip precision so certificates stay auditable. Exit codes:
 0 certified / success, 1 input error, 2 indeterminate, 3 verification
 failure.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,40 +42,39 @@ EXIT_VERIFY = 3
 
 _TOP_KEYS = {"plant", "schedule", "loss", "eta", "gain", "solver", "simulation"}
 _PLANT_KEYS = {"A", "B1", "B2", "C1", "D11", "D12"}
-_SOLVER_KEYS = {"margin", "budget", "restarts", "seed"}
-_SIM_KEYS = {"signal", "horizon", "trials", "seed", "x0", "terminal_threshold"}
-_SIGNAL_KEYS = {"kind", "sigma", "amplitude", "period", "magnitude", "step"}
-
-
-@dataclass
-class SolverSettings:
-    margin: float = 1e-8
-    budget: int = 300
-    restarts: int = 8
-    seed: int = 0
-
-    def options(self) -> lmi.SolveOptions:
-        return lmi.SolveOptions(
-            max_iters=self.budget,
-            restarts=self.restarts,
-            seed=self.seed,
-            margin=DefinitenessMargin(self.margin),
-        )
+# Numeric fields: key -> (default, bounds passed to _number).
+_INT_FROM_0 = {"integer": True, "minimum": 0}
+_INT_FROM_1 = {"integer": True, "minimum": 1}
+_SOLVER_FIELDS = {
+    "margin": (1e-8, {"above": 0.0}),
+    "budget": (300, _INT_FROM_1),
+    "restarts": (8, _INT_FROM_1),
+    "seed": (0, _INT_FROM_0),
+}
+_SIM_FIELDS = {
+    "horizon": (200, _INT_FROM_1),
+    "trials": (100, _INT_FROM_1),
+    "seed": (1234, _INT_FROM_0),
+    "terminal_threshold": (1e-3, {"above": 0.0}),
+}
+_SIM_KEYS = set(_SIM_FIELDS) | {"signal", "x0"}
+_SIGNAL_FIELDS = {
+    "sigma": {},
+    "amplitude": {},
+    "magnitude": {},
+    "period": _INT_FROM_1,
+    "step": _INT_FROM_0,
+}
 
 
 @dataclass
 class SimSettings:
-    signal: dict
-    horizon: int = 200
-    trials: int = 100
-    seed: int = 1234
+    signal: sim.InputSignal
+    horizon: int
+    trials: int
+    seed: int
+    terminal_threshold: float
     x0: list | None = None
-    terminal_threshold: float = 1e-3
-
-    def input_signal(self, m1: int) -> sim.InputSignal:
-        spec = dict(self.signal)
-        kind = spec.pop("kind")
-        return sim.InputSignal(kind=kind, dimension=m1, **spec)
 
 
 @dataclass
@@ -84,7 +84,7 @@ class ScenarioConfig:
     loss: LossModel
     eta: float | str | None
     gain: Gain | None
-    solver: SolverSettings
+    solver: lmi.SolveOptions
     simulation: SimSettings
     raw: dict
 
@@ -95,16 +95,39 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {unknown}")
 
 
-def _matrix(value, where: str) -> list:
-    if not (
-        isinstance(value, list)
-        and value
-        and all(isinstance(r, list) and r and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in r) for r in value)
+def _number(value, where: str, *, integer=False, minimum=None, above=None):
+    """``value`` as an int or float within bounds, else ConfigError naming ``where``."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or (isinstance(value, float) and not math.isfinite(value))
+        or (integer and value != int(value))
     ):
+        expected = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value!r}")
+    if above is not None and value <= above:
+        raise ConfigError(f"{where}: must be > {above}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _fields(spec: dict, fields: dict, where: str) -> dict:
+    return {
+        key: _number(spec.get(key, default), f"{where}.{key}", **bounds)
+        for key, (default, bounds) in fields.items()
+    }
+
+
+def _matrix(value, where: str) -> list:
+    if not (isinstance(value, list) and value and all(isinstance(r, list) and r for r in value)):
         raise ConfigError(f"{where}: expected a non-empty nested array of numbers")
     width = len(value[0])
     if any(len(r) != width for r in value):
         raise ConfigError(f"{where}: rows have inconsistent lengths")
+    for i, row in enumerate(value):
+        for j, v in enumerate(row):
+            _number(v, f"{where}[{i}][{j}]")
     return value
 
 
@@ -136,10 +159,16 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
                 s1=tuple(sched_spec.get("s1", ())),
                 s2=tuple(sched_spec.get("s2", ())),
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{where}.schedule: {exc}") from exc
     else:
         raise ConfigError(f'{where}.schedule: expected "full-packet" or an object')
+    for key, count, what in (("s1", plant.n, "sensor"), ("s2", plant.m2, "actuator")):
+        worst = max(getattr(schedule, key))
+        if worst > count:
+            raise ConfigError(
+                f"{where}.schedule.{key}: {what} index {worst} exceeds the plant's {count} {what}(s)"
+            )
 
     loss_spec = data.get("loss")
     if not isinstance(loss_spec, dict):
@@ -152,8 +181,8 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
 
     eta = data.get("eta")
     if eta is not None and eta != "maximize":
-        if not isinstance(eta, (int, float)) or isinstance(eta, bool) or eta < 0:
-            raise ConfigError(f'{where}.eta: expected a number >= 0 or "maximize"')
+        if isinstance(eta, bool) or not (isinstance(eta, (int, float)) and 0 <= eta < math.inf):
+            raise ConfigError(f'{where}.eta: expected a number >= 0 or "maximize", got {eta!r}')
         eta = float(eta)
 
     gain = None
@@ -167,16 +196,14 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     solver_spec = data.get("solver", {})
     if not isinstance(solver_spec, dict):
         raise ConfigError(f"{where}.solver: expected an object")
-    _reject_unknown(solver_spec, _SOLVER_KEYS, f"{where}.solver")
-    try:
-        solver = SolverSettings(
-            margin=float(solver_spec.get("margin", 1e-8)),
-            budget=int(solver_spec.get("budget", 300)),
-            restarts=int(solver_spec.get("restarts", 8)),
-            seed=int(solver_spec.get("seed", 0)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}.solver: {exc}") from exc
+    _reject_unknown(solver_spec, set(_SOLVER_FIELDS), f"{where}.solver")
+    fields = _fields(solver_spec, _SOLVER_FIELDS, f"{where}.solver")
+    solver = lmi.SolveOptions(
+        max_iters=fields["budget"],
+        restarts=fields["restarts"],
+        seed=fields["seed"],
+        margin=DefinitenessMargin(fields["margin"]),
+    )
 
     sim_spec = data.get("simulation", {})
     if not isinstance(sim_spec, dict):
@@ -185,18 +212,24 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     signal_spec = sim_spec.get("signal", {"kind": "white-noise", "sigma": 1.0})
     if not isinstance(signal_spec, dict) or "kind" not in signal_spec:
         raise ConfigError(f'{where}.simulation.signal: expected an object with "kind"')
-    _reject_unknown(signal_spec, _SIGNAL_KEYS, f"{where}.simulation.signal")
-    try:
-        simulation = SimSettings(
-            signal=dict(signal_spec),
-            horizon=int(sim_spec.get("horizon", 200)),
-            trials=int(sim_spec.get("trials", 100)),
-            seed=int(sim_spec.get("seed", 1234)),
-            x0=sim_spec.get("x0"),
-            terminal_threshold=float(sim_spec.get("terminal_threshold", 1e-3)),
+    _reject_unknown(signal_spec, set(_SIGNAL_FIELDS) | {"kind"}, f"{where}.simulation.signal")
+    kind = signal_spec["kind"]
+    if kind not in sim.SIGNAL_KINDS:
+        raise ConfigError(
+            f"{where}.simulation.signal.kind: expected one of {list(sim.SIGNAL_KINDS)}, got {kind!r}"
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}.simulation: {exc}") from exc
+    signal = sim.InputSignal(kind=kind, dimension=plant.m1, **{
+        key: _number(value, f"{where}.simulation.signal.{key}", **_SIGNAL_FIELDS[key])
+        for key, value in signal_spec.items() if key != "kind"
+    })
+    x0 = sim_spec.get("x0")
+    if x0 is not None:
+        if not isinstance(x0, list) or len(x0) != plant.n:
+            raise ConfigError(f"{where}.simulation.x0: expected an array of {plant.n} numbers")
+        x0 = [_number(v, f"{where}.simulation.x0[{i}]") for i, v in enumerate(x0)]
+    simulation = SimSettings(
+        signal=signal, x0=x0, **_fields(sim_spec, _SIM_FIELDS, f"{where}.simulation")
+    )
 
     return ScenarioConfig(
         plant=plant,
@@ -265,13 +298,12 @@ def _write_report(out_path, command: str, config: ScenarioConfig, results: dict,
 # commands
 
 
-def cmd_analyze(config_path, out_path) -> int:
+def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     started = time.time()
-    config = load_config(config_path)
     gain = config.gain or Gain.zero(config.plant.m2, config.plant.n)
     dist = mode_distribution(config.loss)
-    opts = config.solver.options()
-    margin = DefinitenessMargin(config.solver.margin)
+    opts = config.solver
+    margin = opts.margin
 
     results: dict = {"gain": _mat(gain.K)}
     certified = True
@@ -301,16 +333,12 @@ def cmd_analyze(config_path, out_path) -> int:
     if config.eta is not None:
         if not config.schedule.full_packet:
             raise ConfigError("passivity analysis requires the full-packet schedule")
-        if config.eta == "maximize":
-            got = analysis.max_dissipation(config.plant, gain, dist, margin=margin, options=opts)
-            if isinstance(got, float):
-                eta_val = got
-                pas = analysis.passivity_lmi(config.plant, gain, dist, eta_val, margin, opts)
-            else:
-                pas = got
-                eta_val = None
-        else:
-            eta_val = float(config.eta)
+        eta_val = config.eta
+        if eta_val == "maximize":
+            pas = analysis.max_dissipation(config.plant, gain, dist, margin=margin, options=opts)
+            eta_val = pas if isinstance(pas, float) else None
+        if eta_val is not None:
+            # a margin found by bisection is solved once more for its certificate
             pas = analysis.passivity_lmi(config.plant, gain, dist, eta_val, margin, opts)
         if pas.feasible:
             results["passivity"] = {
@@ -333,14 +361,13 @@ def cmd_analyze(config_path, out_path) -> int:
     return EXIT_OK if certified else EXIT_INDETERMINATE
 
 
-def cmd_synthesize(config_path, out_path) -> int:
+def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
     started = time.time()
-    config = load_config(config_path)
     if not config.schedule.full_packet:
         raise ConfigError("synthesis requires full-packet: set schedule to \"full-packet\"")
     eta = config.eta if config.eta is not None else 0.0
-    opts = config.solver.options()
-    margin = DefinitenessMargin(config.solver.margin)
+    opts = config.solver
+    margin = opts.margin
 
     result = synthesis.synthesize(config.plant, config.loss, eta, margin, opts)
     if not result.feasible:
@@ -388,10 +415,10 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--gain: {spec}:{exc.lineno}: {exc.msg}") from exc
     if isinstance(data, dict):
-        k = data.get("results", {}).get("synthesis", {}).get("K")
-        if k is None:
-            raise ConfigError(f"--gain: report {spec!r} carries no synthesized K")
-        data = k
+        try:
+            data = data["results"]["synthesis"]["K"]
+        except (KeyError, TypeError):
+            raise ConfigError(f"--gain: report {spec!r} carries no synthesized K") from None
     gain = Gain(_matrix(data, "--gain"))
     if gain.K.shape != (plant.m2, plant.n):
         raise ConfigError(
@@ -400,9 +427,8 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
     return gain
 
 
-def cmd_simulate(config_path, out_path, gain_spec: str | None, dump_traces: bool) -> int:
+def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_traces: bool) -> int:
     started = time.time()
-    config = load_config(config_path)
     if gain_spec is not None:
         gain = _gain_from_spec(gain_spec, config.plant)
     elif config.gain is not None:
@@ -411,7 +437,7 @@ def cmd_simulate(config_path, out_path, gain_spec: str | None, dump_traces: bool
         raise ConfigError("simulate needs a gain: set config.gain or pass --gain")
 
     s = config.simulation
-    signal = s.input_signal(config.plant.m1)
+    signal = s.signal
     eta = config.eta if isinstance(config.eta, float) else 0.0
     stats = sim.ensemble(
         config.plant,
@@ -466,58 +492,22 @@ def _reverify_analysis(config: ScenarioConfig, results: dict) -> list[str]:
     problems = []
     gain = Gain(_matrix(results["gain"], "report.results.gain"))
     dist = mode_distribution(config.loss)
-    margin = DefinitenessMargin(config.solver.margin)
+    margin = config.solver.margin
     stab = results.get("stability", {})
     if stab.get("status") == "certified":
-        period = config.schedule.period
-        ps = [np.asarray(p, dtype=float) for p in stab["P"]]
-        if len(ps) != period:
+        if len(stab["P"]) != config.schedule.period:
             problems.append("stability: stored P count does not match schedule period")
         else:
-            ok = _verify_stability_assignment(config.plant, gain, config.schedule, dist, ps, margin)
-            if not ok:
+            prob = analysis.stability_problem(config.plant, gain, config.schedule, dist, margin)
+            ps = {f"P{k}": np.asarray(p, dtype=float) for k, p in enumerate(stab["P"])}
+            if not lmi.verify(prob, ps, margin).passed:
                 problems.append("stability: stored certificate no longer verifies")
     pas = results.get("passivity", {})
     if pas.get("status") == "certified":
-        p = np.asarray(pas["P"], dtype=float)
-        eta = float(pas["eta"])
-        ok = _verify_passivity_assignment(config.plant, gain, dist, p, eta, margin)
-        if not ok:
+        prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
+        if not lmi.verify(prob, {"P": np.asarray(pas["P"], dtype=float)}, margin).passed:
             problems.append("passivity: stored certificate no longer verifies")
     return problems
-
-
-def _verify_stability_assignment(plant, gain, schedule, dist, ps, margin) -> bool:
-    from .numerics import is_neg_definite, is_pos_definite
-
-    period = schedule.period
-    for k in range(period):
-        fam = closed_loop(plant, gain, k, schedule)
-        nxt = ps[(k + 1) % period]
-        m = -ps[k]
-        for (i, j), p in dist.items():
-            a = fam.a(i, j)
-            m = m + p * (a.T @ nxt @ a)
-        if not is_neg_definite(m, margin) or not is_pos_definite(ps[k], margin):
-            return False
-    return True
-
-
-def _verify_passivity_assignment(plant, gain, dist, p, eta, margin) -> bool:
-    from .numerics import is_neg_definite, is_pos_definite
-
-    fam = closed_loop(plant, gain, 0, full_packet_schedule())
-    n, m1 = plant.n, plant.m1
-    top_left = -p.copy()
-    top_right = np.zeros((n, m1))
-    for (i, j), w in dist.items():
-        a = fam.a(i, j)
-        top_left = top_left + w * (a.T @ p @ a)
-        top_right = top_right + w * (a.T @ p @ fam.b)
-    top_right = top_right - analysis.averaged_output_matrix(fam, dist).T
-    bottom = fam.b.T @ p @ fam.b + 2.0 * eta * np.eye(m1) - fam.d.T - fam.d
-    form = np.block([[top_left, top_right], [top_right.T, bottom]])
-    return is_neg_definite(form, margin) and is_pos_definite(p, margin)
 
 
 def _reverify_synthesis(config: ScenarioConfig, results: dict) -> list[str]:
@@ -525,18 +515,14 @@ def _reverify_synthesis(config: ScenarioConfig, results: dict) -> list[str]:
     synth = results.get("synthesis", {})
     if synth.get("status") != "certified":
         return problems
-    margin = DefinitenessMargin(config.solver.margin)
+    margin = config.solver.margin
     dist = mode_distribution(config.loss)
     eta = float(synth["eta"])
     x = np.asarray(synth["X"], dtype=float)
     y = np.asarray(synth["Y"], dtype=float)
     k = np.asarray(synth["K"], dtype=float)
     prob = synthesis.build_synthesis_lmi(config.plant, dist, eta, margin)
-    assignment = {"X": x}
-    if "Y" in prob.variables:
-        assignment["Y"] = y
-    report = lmi.verify(prob, assignment, margin)
-    if not report.passed:
+    if not lmi.verify(prob, {"X": x, "Y": y}, margin).passed:
         problems.append("synthesis: stored (X, Y) no longer verifies the block LMI")
     recovered = synthesis.recover_gain(x, y).K
     if not np.allclose(recovered, k, rtol=1e-8, atol=1e-10):
@@ -656,12 +642,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.report)
-        config_path = _apply_overrides(args)
+        config = _apply_overrides(args)
         if args.command == "analyze":
-            return cmd_analyze(config_path, args.out)
+            return cmd_analyze(config, args.out)
         if args.command == "synthesize":
-            return cmd_synthesize(config_path, args.out)
-        return cmd_simulate(config_path, args.out, args.gain, args.dump_traces)
+            return cmd_synthesize(config, args.out)
+        return cmd_simulate(config, args.out, args.gain, args.dump_traces)
     except (ConfigError, AssumptionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -670,31 +656,31 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
 
 
-def _apply_overrides(args):
-    """Fold CLI overrides into the config by writing a patched copy if needed."""
-    overrides = {}
-    if args.eta is not None:
-        overrides["eta"] = "maximize" if args.eta in ("max", "maximize") else float(args.eta)
-    solver_over = {}
-    if args.seed is not None:
-        solver_over["seed"] = args.seed
-    if args.margin is not None:
-        solver_over["margin"] = args.margin
-    if args.budget is not None:
-        solver_over["budget"] = args.budget
-    if not overrides and not solver_over:
-        return args.config
+def _apply_overrides(args) -> ScenarioConfig:
+    """The config file with --eta/--seed/--margin/--budget merged in.
 
-    config = load_config(args.config)  # validates before patching
+    Each flag is checked against its config field's bounds, so an error
+    names the flag; the merged config is then parsed again, in memory.
+    """
+    config = load_config(args.config)
     data = dict(config.raw)
-    data.update(overrides)
-    if solver_over:
-        solver = dict(data.get("solver", {}))
-        solver.update(solver_over)
-        data["solver"] = solver
-    patched = Path(args.out).with_suffix(".config-patched.json")
-    patched.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return patched
+    if args.eta is not None:
+        if args.eta in ("max", "maximize"):
+            data["eta"] = "maximize"
+        else:
+            try:
+                eta = float(args.eta)
+            except ValueError:
+                eta = args.eta
+            data["eta"] = _number(eta, "--eta", minimum=0.0)
+    solver = {
+        key: _number(getattr(args, key), f"--{key}", **_SOLVER_FIELDS[key][1])
+        for key in ("seed", "margin", "budget")
+        if getattr(args, key) is not None
+    }
+    if solver:
+        data["solver"] = {**data.get("solver", {}), **solver}
+    return config if data == config.raw else parse_config(data, where=str(args.config))
 
 
 if __name__ == "__main__":

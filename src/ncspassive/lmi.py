@@ -26,7 +26,6 @@ from .errors import DimensionMismatch, UnboundVariable, VerificationFailed
 from .numerics import DEFAULT_MARGIN, DefinitenessMargin, as_matrix, sym_eigvals
 
 __all__ = [
-    "LmiVariable",
     "AffineExpr",
     "LmiProblem",
     "ConstraintCheck",
@@ -43,9 +42,8 @@ __all__ = [
 class LmiVariable:
     """A matrix decision variable.
 
-    ``mask``, when given, marks entries structurally pinned to zero
-    (True = pinned). Symmetric variables are square and iterated over the
-    symmetric subspace only.
+    Symmetric variables are square and iterated over the symmetric
+    subspace only.
     """
 
     name: str
@@ -53,7 +51,6 @@ class LmiVariable:
     rows: int
     cols: int
     positive_definite: bool = False
-    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("symmetric", "rectangular"):
@@ -62,11 +59,6 @@ class LmiVariable:
             raise ValueError(f"symmetric variable {self.name!r} must be square")
         if self.positive_definite and self.kind != "symmetric":
             raise ValueError(f"only symmetric variables can be positive definite ({self.name!r})")
-        if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
-            if mask.shape != (self.rows, self.cols):
-                raise ValueError(f"mask shape {mask.shape} does not match variable {self.name!r}")
-            object.__setattr__(self, "mask", mask)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -204,16 +196,9 @@ class LmiProblem:
         self.variables[var.name] = var
         return var.name
 
-    def add_symmetric(
-        self,
-        name: str,
-        dim: int,
-        *,
-        positive_definite: bool = False,
-        mask=None,
-    ) -> str:
+    def add_symmetric(self, name: str, dim: int, *, positive_definite: bool = False) -> str:
         self._add_variable(
-            LmiVariable(name, "symmetric", dim, dim, positive_definite=positive_definite, mask=mask)
+            LmiVariable(name, "symmetric", dim, dim, positive_definite=positive_definite)
         )
         if positive_definite:
             expr = AffineExpr([dim], name=f"{name}_pos_def")
@@ -221,8 +206,8 @@ class LmiProblem:
             self.add_constraint(expr, name=f"{name}_pos_def")
         return name
 
-    def add_rectangular(self, name: str, rows: int, cols: int, *, mask=None) -> str:
-        return self._add_variable(LmiVariable(name, "rectangular", rows, cols, mask=mask))
+    def add_rectangular(self, name: str, rows: int, cols: int) -> str:
+        return self._add_variable(LmiVariable(name, "rectangular", rows, cols))
 
     def add_constraint(self, expr: AffineExpr, name: str | None = None) -> str:
         name = name or expr.name or f"c{len(self.constraints)}"
@@ -273,12 +258,6 @@ class VerifyReport:
 
     def worst(self) -> ConstraintCheck:
         return max(self.checks, key=lambda c: c.lambda_max - c.threshold)
-
-    def lambda_max(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.lambda_max
-        raise KeyError(name)
 
 
 def verify(
@@ -368,18 +347,23 @@ class SolveOptions:
     restarts: int = 8
     seed: int = 0
     margin: DefinitenessMargin | None = None
-    init_scales: tuple[float, ...] = (1.0, 0.1, 10.0, 0.01, 100.0)
-    stall_iters: int = 40
-    tie_rtol: float = 1e-7
 
     def with_margin(self, margin: DefinitenessMargin | None) -> "SolveOptions":
         return replace(self, margin=margin) if margin is not None else self
 
 
+# Identity scalings of the first restarts; later restarts reuse them with jitter.
+INIT_SCALES = (1.0, 0.1, 10.0, 0.01, 100.0)
+# Iterations without improvement before the Polyak target gap shrinks.
+STALL_ITERS = 40
+# Relative band of eigenvalues averaged into the subgradient at a tie.
+TIE_RTOL = 1e-7
+
+
 def _initial_assignment(problem: LmiProblem, restart: int, opts: SolveOptions) -> dict:
     rng = np.random.default_rng([opts.seed, restart])
-    scale = opts.init_scales[restart % len(opts.init_scales)]
-    jitter = restart >= len(opts.init_scales)
+    scale = INIT_SCALES[restart % len(INIT_SCALES)]
+    jitter = restart >= len(INIT_SCALES)
     assignment = {}
     for name, var in problem.variables.items():
         if var.kind == "symmetric":
@@ -391,9 +375,6 @@ def _initial_assignment(problem: LmiProblem, restart: int, opts: SolveOptions) -
             v = np.zeros(var.shape)
             if jitter:
                 v = 0.2 * scale * rng.standard_normal(var.shape) / np.sqrt(max(var.rows, 1))
-        if var.mask is not None:
-            v = v.copy()
-            v[var.mask] = 0.0
         assignment[name] = v
     return assignment
 
@@ -411,9 +392,9 @@ def _evaluate(problem: LmiProblem, assignment: dict, margin: DefinitenessMargin)
     return rows
 
 
-def _weight_matrix(vals: np.ndarray, vecs: np.ndarray, tie_rtol: float) -> np.ndarray:
+def _weight_matrix(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     lam = vals[-1]
-    sel = vals >= lam - tie_rtol * (1.0 + abs(lam))
+    sel = vals >= lam - TIE_RTOL * (1.0 + abs(lam))
     cols = vecs[:, sel]
     return (cols @ cols.T) / cols.shape[1]
 
@@ -437,14 +418,14 @@ def _descend(problem: LmiProblem, assignment: dict, opts: SolveOptions, margin: 
             since_improve = 0
         else:
             since_improve += 1
-        if since_improve > opts.stall_iters:
+        if since_improve > STALL_ITERS:
             if delta is not None and delta <= 1e-12 * (1.0 + abs(f_best)):
                 break
             delta = (delta or 1.0) * 0.25
             since_improve = 0
 
         name, expr, lam, thr, vals, vecs = max(rows, key=lambda r: r[2])
-        w = _weight_matrix(vals, vecs, opts.tie_rtol)
+        w = _weight_matrix(vals, vecs)
         grads = {}
         gnorm2 = 0.0
         for vname in sorted(expr.variables()):
@@ -452,13 +433,10 @@ def _descend(problem: LmiProblem, assignment: dict, opts: SolveOptions, margin: 
             g = expr.grad(vname, w, var.shape)
             if var.kind == "symmetric":
                 g = 0.5 * (g + g.T)
-            if var.mask is not None:
-                g = g.copy()
-                g[var.mask] = 0.0
             grads[vname] = g
             gnorm2 += float(np.sum(g * g))
         if gnorm2 < 1e-30:
-            break  # active constraint does not depend on any free entry
+            break  # active constraint has a zero subgradient
 
         if delta is None:
             delta = 0.5 * (1.0 + abs(f))
@@ -466,11 +444,8 @@ def _descend(problem: LmiProblem, assignment: dict, opts: SolveOptions, margin: 
         step = (f - target) / gnorm2
         for vname, g in grads.items():
             v = assignment[vname] - step * g
-            var = problem.variables[vname]
-            if var.kind == "symmetric":
+            if problem.variables[vname].kind == "symmetric":
                 v = 0.5 * (v + v.T)
-            if var.mask is not None:
-                v[var.mask] = 0.0
             assignment[vname] = v
     return None, f_best, it
 

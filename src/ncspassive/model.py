@@ -12,18 +12,12 @@ family with i.i.d. mode process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import (
-    DEFAULT_MARGIN,
-    DefinitenessMargin,
-    as_matrix,
-    is_pos_definite,
-    sym_eigvals,
-)
+from .numerics import as_matrix
 
 __all__ = [
     "MODES",
@@ -31,15 +25,12 @@ __all__ = [
     "Schedule",
     "full_packet_schedule",
     "LossModel",
-    "Mode",
     "ModeDistribution",
     "Gain",
     "ClosedLoopFamily",
     "selector_matrices",
     "mode_distribution",
     "closed_loop",
-    "validate_plant",
-    "PlantDiagnostics",
 ]
 
 # Mode ordering used everywhere a mode-indexed family or LMI row appears.
@@ -165,18 +156,6 @@ class LossModel:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class Mode:
-    """Arrival indicator pair; 1 = message arrives, 0 = lost."""
-
-    theta1: int
-    theta2: int
-
-    def __post_init__(self) -> None:
-        if self.theta1 not in (0, 1) or self.theta2 not in (0, 1):
-            raise ValueError(f"mode bits must be 0 or 1, got ({self.theta1}, {self.theta2})")
 
 
 @dataclass(frozen=True)
@@ -311,63 +290,3 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
         a_modes[(i, j)] = plant.A + w * feed
         c_modes[(i, j)] = plant.C1 + w * feed_z
     return ClosedLoopFamily(k=k, a_modes=a_modes, c_modes=c_modes, b=plant.B1, d=plant.D11)
-
-
-@dataclass(frozen=True)
-class PlantDiagnostics:
-    """Non-fatal report from validate_plant."""
-
-    feedthrough_positive: bool
-    feedthrough_min_eigenvalue: float
-    controllable: bool
-    controllability_rank: int
-    finite: bool
-    notes: tuple[str, ...] = field(default=())
-
-    def summary(self) -> str:
-        lines = [
-            f"D11 + D11' > 0: {'yes' if self.feedthrough_positive else 'NO'} "
-            f"(min eigenvalue {self.feedthrough_min_eigenvalue:.3e})",
-            f"(A, B2) controllability rank: {self.controllability_rank} "
-            f"({'full' if self.controllable else 'deficient'})",
-            f"finite entries: {'yes' if self.finite else 'NO'}",
-        ]
-        lines.extend(self.notes)
-        return "\n".join(lines)
-
-
-def validate_plant(plant: Plant, margin: DefinitenessMargin | None = None) -> PlantDiagnostics:
-    """Diagnostics ahead of analysis: feedthrough positivity and controllability.
-
-    Passivity analysis requires D11 + D11' > 0 (strictly, under the
-    margin); a failure here is reported, not raised, so callers can decide.
-    """
-    margin = margin or DEFAULT_MARGIN
-    d = plant.D11 + plant.D11.T
-    positive = is_pos_definite(d, margin)
-    min_eig = float(sym_eigvals(d)[0])
-
-    n = plant.n
-    blocks = [plant.B2]
-    for _ in range(n - 1):
-        blocks.append(plant.A @ blocks[-1])
-    ctrb = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    rank = int(np.linalg.matrix_rank(ctrb)) if ctrb.size else 0
-
-    finite = all(
-        np.isfinite(getattr(plant, name)).all()
-        for name in ("A", "B1", "B2", "C1", "D11", "D12")
-    )
-    notes = []
-    if not positive:
-        notes.append("passivity analysis will refuse this plant (feedthrough not positive)")
-    if rank < n:
-        notes.append("state feedback may not place all second-moment dynamics")
-    return PlantDiagnostics(
-        feedthrough_positive=positive,
-        feedthrough_min_eigenvalue=min_eig,
-        controllable=rank == n,
-        controllability_rank=rank,
-        finite=finite,
-        notes=tuple(notes),
-    )

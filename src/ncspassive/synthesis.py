@@ -25,6 +25,7 @@ import numpy as np
 
 from . import lmi
 from .analysis import (
+    _bisect_eta,
     check_assumption,
     dissipation_upper_bound,
     expanded_passivity_block,
@@ -66,7 +67,6 @@ def build_synthesis_lmi(
     dist: ModeDistribution,
     eta: float,
     margin: DefinitenessMargin | None = None,
-    weighting: str = "averaged",
 ) -> lmi.LmiProblem:
     """Pose the synthesis block LMI over X > 0 (n x n) and Y (m2 x n).
 
@@ -92,10 +92,7 @@ def build_synthesis_lmi(
     # output row: -[C1 X + a11 D12 Y] against 2 eta I - D11' - D11
     expr.add_term(1, 0, -plant.C1, "X", eye)
     if have_y:
-        c_weight = a11 if weighting == "averaged" else 1.0
-        if weighting not in ("averaged", "unweighted"):
-            raise ValueError(f"unknown weighting {weighting!r}")
-        expr.add_term(1, 0, -plant.D12, "Y", eye, weight=c_weight)
+        expr.add_term(1, 0, -plant.D12, "Y", eye, weight=a11)
     expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - plant.D11.T - plant.D11)
 
     for t, (i, j) in enumerate(MODES):
@@ -171,7 +168,6 @@ def congruence_residual(
     x: np.ndarray,
     y: np.ndarray,
     gain: Gain,
-    weighting: str = "averaged",
 ) -> tuple[float, bool]:
     """Relative eigenvalue gap between the synthesis form at (X, Y) and the
     congruence-mapped analysis form at P = X^{-1}.
@@ -180,18 +176,13 @@ def congruence_residual(
     a sharp consistency check on both constructions. Also reports whether
     their definiteness verdicts coincide.
     """
-    prob = build_synthesis_lmi(plant, dist, eta, weighting=weighting)
-    expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
-    assignment = {"X": x}
-    if "Y" in prob.variables:
-        assignment["Y"] = y
-    m_xy = expr.assemble(assignment)
+    prob = build_synthesis_lmi(plant, dist, eta)
+    m_xy = dict(prob.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
 
     p = np.linalg.inv(x)
-    m_p = expanded_passivity_block(plant, gain, dist, eta, p, weighting)
-    n, m1 = plant.n, plant.m1
-    t_blocks = [x, np.eye(m1)] + [np.eye(n)] * len(MODES)
-    t = _block_diag(t_blocks)
+    m_p = expanded_passivity_block(plant, gain, dist, eta, p)
+    t = np.eye(m_p.shape[0])  # diag(X, I, ..., I)
+    t[:plant.n, :plant.n] = x
     m_mapped = t @ m_p @ t
 
     e_xy = sym_eigvals(m_xy)
@@ -202,42 +193,30 @@ def congruence_residual(
     return rel, verdicts_match
 
 
-def _block_diag(blocks) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    at = 0
-    for b in blocks:
-        d = b.shape[0]
-        out[at:at + d, at:at + d] = b
-        at += d
-    return out
-
-
 def round_trip_verify(
     plant: Plant,
-    result: "SynthesisResult",
     dist: ModeDistribution,
+    eta: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    gain: Gain,
     margin: DefinitenessMargin | None = None,
     options: lmi.SolveOptions | None = None,
 ) -> RoundTripReport:
-    """Independent validation of a synthesis result.
+    """Independent validation of a synthesized (X, Y) and its gain at eta.
 
     (a) re-certify passivity of the closed loop at the claimed eta with a
     fresh LMI solve; (b) second-moment radius < 1 by the oracle; (c) the
     congruence identity between the synthesis and analysis block forms.
     """
     margin = margin or DEFAULT_MARGIN
-    fresh = passivity_lmi(
-        plant, result.gain, dist, result.eta, margin, options, weighting=result.weighting
-    )
+    fresh = passivity_lmi(plant, gain, dist, eta, margin, options)
     passivity_ok = bool(fresh.feasible)
 
-    fam = closed_loop(plant, result.gain, 0, full_packet_schedule())
+    fam = closed_loop(plant, gain, 0, full_packet_schedule())
     rho = sms_oracle(fam, dist).rho
 
-    rel, verdicts = congruence_residual(
-        plant, dist, result.eta, result.x, result.y, result.gain, result.weighting
-    )
+    rel, verdicts = congruence_residual(plant, dist, eta, x, y, gain)
     detail = "" if passivity_ok else "fresh passivity solve did not certify"
     return RoundTripReport(
         passivity_certified=passivity_ok,
@@ -261,15 +240,8 @@ class SynthesisResult:
     certificate: lmi.LmiCertificate
     verification: RoundTripReport
     rho: float
-    weighting: str = "averaged"
 
     feasible = True
-
-
-def _solve_at_eta(plant, dist, eta, margin, options, weighting):
-    prob = build_synthesis_lmi(plant, dist, eta, margin, weighting)
-    opts = (options or lmi.SolveOptions()).with_margin(margin)
-    return lmi.solve(prob, opts)
 
 
 def synthesize(
@@ -280,7 +252,6 @@ def synthesize(
     options: lmi.SolveOptions | None = None,
     *,
     eta_tol: float = 1e-3,
-    weighting: str = "averaged",
 ):
     """Solve the synthesis LMI and return a round-trip-verified gain.
 
@@ -293,46 +264,25 @@ def synthesize(
     margin = margin or DEFAULT_MARGIN
     check_assumption(plant, margin)
     dist = mode_distribution(loss)
+    opts = (options or lmi.SolveOptions()).with_margin(margin)
+
+    def solve_at(e: float):
+        return lmi.solve(build_synthesis_lmi(plant, dist, e, margin), opts)
 
     if eta == "maximize":
-        result = _solve_at_eta(plant, dist, 0.0, margin, options, weighting)
-        if not result.feasible:
-            return result
-        best = (0.0, result)
-        lo, hi = 0.0, dissipation_upper_bound(plant)
-        while hi - lo > eta_tol:
-            mid = 0.5 * (lo + hi)
-            res = _solve_at_eta(plant, dist, mid, margin, options, weighting)
-            if res.feasible:
-                best = (mid, res)
-                lo = mid
-            else:
-                hi = mid
-        eta_val, certificate = best
+        eta_val, certificate = _bisect_eta(solve_at, dissipation_upper_bound(plant), eta_tol)
     else:
         eta_val = float(eta)
-        certificate = _solve_at_eta(plant, dist, eta_val, margin, options, weighting)
-        if not certificate.feasible:
-            return certificate
+        certificate = solve_at(eta_val)
+    if not certificate.feasible:
+        return certificate
 
     x = certificate.assignment["X"]
     y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
     gain = recover_gain(x, y)
-    partial = SynthesisResult(
-        x=x,
-        y=y,
-        gain=gain,
-        eta=eta_val,
-        certificate=certificate,
-        verification=None,  # placeholder until the round trip runs
-        rho=float("nan"),
-        weighting=weighting,
-    )
-    report = round_trip_verify(plant, partial, dist, margin, options)
+    report = round_trip_verify(plant, dist, eta_val, x, y, gain, margin, options)
     if not report.passed:
-        raise VerificationFailed(
-            f"synthesis round trip failed: {report.summary()}"
-        )
+        raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
     return SynthesisResult(
         x=x,
         y=y,
@@ -341,5 +291,4 @@ def synthesize(
         certificate=certificate,
         verification=report,
         rho=report.rho,
-        weighting=weighting,
     )

@@ -140,12 +140,6 @@ class TestPassivityLmi:
             result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, eta)
             assert result.feasible == (eta < eta_star), f"eta = {eta} vs grid {eta_star}"
 
-    def test_per_mode_variant_certifies(self, lossy_feedback_plant):
-        dist = mode_distribution(LossModel(0.0, 0.2))
-        cert = passivity_lmi(lossy_feedback_plant, Gain([[-0.9]]), dist, 0.05, per_mode=True)
-        assert cert.feasible
-        assert set(cert.assignment) == {"P00", "P01", "P10", "P11"}
-
     def test_negative_eta_rejected(self, scalar_passive_plant, lossless):
         with pytest.raises(ValueError):
             passivity_lmi(scalar_passive_plant, Gain.zero(1, 1),

@@ -44,6 +44,40 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
+def with_field(config: dict, path: str, value) -> dict:
+    """Deep copy of ``config`` with the dotted ``path`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *parents, last = path.split(".")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return config
+
+
+def rewrite_results(report_path: Path, dest: Path, edit) -> Path:
+    """Apply ``edit`` to a report's results and store it with a matching digest.
+
+    Only re-verification, not the digest check, can then catch the edit.
+    """
+    report = json.loads(report_path.read_text())
+    edit(report["results"])
+    report["results_digest"] = cli._digest(report["results"])
+    dest.write_text(json.dumps(report))
+    return dest
+
+
+# A stable two-state loop on a 2-periodic schedule: slot 0 sends the
+# first sensor, slot 1 drives the only actuator.
+PERIODIC = dict(
+    scenario(gain=[[-0.3, 0.1]]),
+    plant={"A": [[0.5, 0.1], [0.0, 0.6]], "B1": [[1.0], [0.0]], "B2": [[1.0], [0.5]],
+           "C1": [[0.5, 0.0]], "D11": [[1.0]], "D12": [[0.0]]},
+    schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]},
+)
+PERIODIC.pop("eta")
+
+
 class TestAnalyze:
     def test_certified_scenario_exits_zero(self, tmp_path):
         config = scenario(gain=[[-0.9]])
@@ -198,6 +232,37 @@ class TestReport:
         assert cli.main(["report", str(bad)]) == 3
         assert "VERIFICATION FAILURE" in capsys.readouterr().err
 
+    def test_tampered_passivity_certificate_detected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario(gain=[[-0.9]]))
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def negate_p(results):
+            results["passivity"]["P"] = [[-v for v in row] for row in results["passivity"]["P"]]
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", negate_p)
+        assert cli.main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "passivity: stored certificate no longer verifies" in err
+        assert "digest" not in err
+
+    def test_periodic_analyze_report_reverifies(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PERIODIC)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["results"]["stability"]["P"]) == 2
+        assert cli.main(["report", str(out)]) == 0
+        assert "certificates re-verified" in capsys.readouterr().out
+
+    def test_dropped_periodic_p_detected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PERIODIC)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        bad = rewrite_results(out, tmp_path / "dropped.json",
+                              lambda results: results["stability"]["P"].pop())
+        assert cli.main(["report", str(bad)]) == 3
+        assert "stored P count" in capsys.readouterr().err
+
     def test_empty_file_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
@@ -234,6 +299,50 @@ class TestPipelineDeterminism:
         assert report["config"]["solver"]["budget"] == 200
         assert report["config"]["eta"] == 0.05
         assert report["results"]["synthesis"]["eta"] == 0.05
+        assert not list(tmp_path.glob("*.config-patched.json"))
+
+
+# (case, dotted config field to set or None, its value, extra argv, text the error must name)
+BAD_INPUTS = [
+    ("solver-margin-zero", "solver.margin", 0, [], "solver.margin"),
+    ("solver-margin-negative", "solver.margin", -1, [], "solver.margin"),
+    ("solver-seed-negative", "solver.seed", -1, [], "solver.seed"),
+    ("solver-budget-zero", "solver.budget", 0, [], "solver.budget"),
+    ("solver-restarts-zero", "solver.restarts", 0, [], "solver.restarts"),
+    ("trials-zero", "simulation.trials", 0, [], "simulation.trials"),
+    ("horizon-negative", "simulation.horizon", -3, [], "simulation.horizon"),
+    ("horizon-zero", "simulation.horizon", 0, [], "simulation.horizon"),
+    ("sim-seed-negative", "simulation.seed", -1, [], "simulation.seed"),
+    ("x0-wrong-length", "simulation.x0", [0.0, 1.0], [], "simulation.x0"),
+    ("x0-non-numeric", "simulation.x0", ["a"], [], "simulation.x0"),
+    ("signal-kind-unknown", "simulation.signal.kind", "square", [], "simulation.signal.kind"),
+    ("signal-sigma-text", "simulation.signal.sigma", "x", [], "simulation.signal.sigma"),
+    ("schedule-sensor-out-of-range", "schedule", {"period": 2, "s1": [2, 0], "s2": [0, 1]},
+     [], "schedule.s1"),
+    ("schedule-actuator-out-of-range", "schedule", {"period": 2, "s1": [1, 0], "s2": [0, 2]},
+     [], "schedule.s2"),
+    ("flag-eta-text", None, None, ["--eta", "abc"], "--eta"),
+    ("flag-eta-negative", None, None, ["--eta", "-1"], "--eta"),
+    ("flag-seed-negative", None, None, ["--seed", "-4"], "--seed"),
+    ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
+    ("flag-gain-not-a-report", None, None, ["--gain", '{"results": 3}'], "--gain"),
+    ("flag-gain-non-finite", None, None, ["--gain", "[[NaN]]"], "--gain[0][0]"),
+    ("gain-non-finite", "gain", [[float("nan")]], [], "gain[0][0]"),
+    ("schedule-period-overflow", "schedule", {"period": 1e400, "s1": [0], "s2": [0]}, [], "schedule"),
+]
+
+
+@pytest.mark.parametrize("case,field,value,extra,names", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exits_one_naming_its_location(tmp_path, capsys, case, field, value, extra, names):
+    config = scenario() if field is None else with_field(scenario(), field, value)
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--gain", "[[-0.9]]"] + extra
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert names in err
+    assert "config-patched" not in err
+    assert not out.exists()
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -157,20 +157,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="never referenced"):
             solve(prob)
 
-    def test_mask_pins_entries_to_zero(self):
-        prob = LmiProblem()
-        mask = np.array([[False, True], [True, False]])
-        prob.add_symmetric("P", 2, positive_definite=True, mask=mask)
-        expr = AffineExpr([2], name="lyapunov")
-        a = np.array([[0.5, 0.2], [0.0, 0.6]])
-        expr.add_term(0, 0, a.T, "P", a)
-        expr.add_term(0, 0, -np.eye(2), "P", np.eye(2))
-        prob.add_constraint(expr)
-        result = solve(prob)
-        assert result.feasible
-        assert result.assignment["P"][0, 1] == 0.0
-        assert result.assignment["P"][1, 0] == 0.0
-
 
 def random_feasible_problem(seed: int) -> LmiProblem:
     """Instance built around a sampled ground truth with slack >= 0.1."""

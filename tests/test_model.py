@@ -6,7 +6,6 @@ from ncspassive.model import (
     MODES,
     Gain,
     LossModel,
-    Mode,
     ModeDistribution,
     Plant,
     Schedule,
@@ -14,7 +13,6 @@ from ncspassive.model import (
     full_packet_schedule,
     mode_distribution,
     selector_matrices,
-    validate_plant,
 )
 
 
@@ -160,33 +158,6 @@ class TestClosedLoop:
         np.testing.assert_allclose(fam0.a(1, 1), plant.A)
         fam1 = closed_loop(plant, Gain(k), 1, sched)
         np.testing.assert_allclose(fam1.a(1, 1), plant.A)
-
-
-class TestValidatePlant:
-    def test_scalar_unit_feedthrough_passes(self):
-        plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
-        diag = validate_plant(plant)
-        assert diag.feedthrough_positive
-        assert diag.controllable
-        assert diag.finite
-
-    def test_zero_feedthrough_fails(self):
-        plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[0.0]], D12=[[0.0]])
-        assert not validate_plant(plant).feedthrough_positive
-
-    def test_singular_symmetric_part_fails_strictness(self):
-        plant = Plant(
-            A=np.eye(2) * 0.5, B1=np.eye(2), B2=np.ones((2, 1)),
-            C1=np.eye(2), D11=[[1.0, 2.0], [0.0, 1.0]], D12=np.zeros((2, 1)),
-        )
-        diag = validate_plant(plant)
-        assert not diag.feedthrough_positive
-        assert diag.feedthrough_min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mode_bits_validated():
-    with pytest.raises(ValueError):
-        Mode(2, 0)
 
 
 def test_plant_dimension_checks():
