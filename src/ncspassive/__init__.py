@@ -52,6 +52,7 @@ from .lmi import (
     SolveOptions,
     solve,
     verify,
+    verify_dual,
 )
 from .analysis import (
     PassivityCertificate,
@@ -122,6 +123,7 @@ __all__ = [
     "SolveOptions",
     "solve",
     "verify",
+    "verify_dual",
     # analysis
     "SmsReport",
     "StabilityCertificate",

@@ -3,10 +3,19 @@
 Two independent routes are kept deliberately separate:
 
 * the LMI route poses the coupled Lyapunov / passivity inequalities and
-  certifies feasibility through the solver plus eigenvalue verification;
+  certifies feasibility through eigenvalue verification (``lmi.verify``);
 * the second-moment-spectral (SMS) oracle computes the spectral radius
   of the mode-averaged Kronecker operator, which characterizes
   second-moment stability exactly and never touches the LMI machinery.
+
+Second-moment stability needs no search. For a fixed gain it holds
+exactly when rho < 1, and then the coupled Lyapunov equation
+P_k - L_k(P_{k+1}) = I has a positive definite solution (Costa, Fragoso
+& Marques, *Discrete-Time Markov Jump Linear Systems*, Springer 2005).
+``stability_lmi`` solves that linear equation and verifies the solution
+against the coupled Lyapunov LMIs. When it does not verify, the Perron
+eigenvector of the period's adjoint operator gives multipliers that
+``lmi.verify_dual`` checks as a proof that no P exists.
 
 Strict passivity with dissipation eta is certified through the averaged
 dissipation form
@@ -93,15 +102,24 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
     n = families[0].a(0, 0).shape[0]
     product = np.eye(n * n)
     for fam in families:
-        op = np.zeros((n * n, n * n))
-        for (i, j), p in dist.items():
-            if p == 0.0:
-                continue
-            a = fam.a(i, j)
-            op += p * kron(a, a)
-        product = op @ product
+        product = _second_moment_operator(fam, dist) @ product
     rho = spectral_radius(product) ** (1.0 / len(families))
     return SmsReport(rho=rho, stable=rho < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
+
+
+def _second_moment_operator(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
+    """sum_m a_m kron(A_m, A_m): Z -> sum_m a_m A_m Z A_m' on row-major vec(Z).
+
+    Its transpose acts as the Lyapunov map P -> sum_m a_m A_m' P A_m.
+    """
+    n = fam.a(0, 0).shape[0]
+    op = np.zeros((n * n, n * n))
+    for (i, j), p in dist.items():
+        if p == 0.0:
+            continue
+        a = fam.a(i, j)
+        op += p * kron(a, a)
+    return op
 
 
 @dataclass(frozen=True)
@@ -158,21 +176,123 @@ def stability_lmi(
     schedule: Schedule,
     dist: ModeDistribution,
     margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
 ):
-    """Certify second-moment stability by solving :func:`stability_problem`.
+    """Decide :func:`stability_problem` by linear algebra, without a search.
 
-    Returns a verified :class:`StabilityCertificate` or the solver's
-    Indeterminate.
+    Solves the coupled Lyapunov equation P_k - L_k(P_{k+1 mod N}) = I and
+    returns a :class:`StabilityCertificate` when the solution verifies.
+    Otherwise returns an Indeterminate whose ``dual`` holds multipliers
+    that passed ``lmi.verify_dual`` when rho >= 1 lets it build them.
+    Never raises for a singular or ill-conditioned system.
     """
     margin = margin or DEFAULT_MARGIN
+    period = schedule.period
+    n = plant.n
     prob = stability_problem(plant, gain, schedule, dist, margin)
-    opts = (options or lmi.SolveOptions()).with_margin(margin)
-    result = lmi.solve(prob, opts)
-    if not result.feasible:
-        return result
-    ps = tuple(result.assignment[f"P{k}"] for k in range(schedule.period))
-    return StabilityCertificate(ps=ps, margin=margin, report=result.report)
+    # adjoint[k] maps Z_k to Z_{k+1}; adjoint[k].T is the Lyapunov map L_k
+    adjoint = [
+        _second_moment_operator(closed_loop(plant, gain, k, schedule), dist)
+        for k in range(period)
+    ]
+    # Close the cycle at P_0: P_0 = c + T P_0, with T = L_0 L_1 ... L_{N-1}.
+    vec_i = np.eye(n).ravel()
+    t = np.eye(n * n)
+    c = np.zeros(n * n)
+    for op in adjoint:
+        c += t @ vec_i
+        t = t @ op.T
+    try:
+        p0 = np.linalg.solve(np.eye(n * n) - t, c)
+    except np.linalg.LinAlgError:
+        p0 = np.full(n * n, np.nan)
+    reason = "the coupled Lyapunov equation has no finite solution"
+    if np.isfinite(p0).all():
+        ps = {"P0": _sym(p0.reshape(n, n))}
+        nxt = p0
+        for k in range(period - 1, 0, -1):  # P_k = I + L_k(P_{k+1})
+            nxt = vec_i + adjoint[k].T @ nxt
+            ps[f"P{k}"] = _sym(nxt.reshape(n, n))
+        try:
+            cert = lmi.LmiCertificate.build(prob, ps, margin)
+        except VerificationFailed as exc:
+            reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
+        else:
+            return StabilityCertificate(
+                ps=tuple(cert.assignment[f"P{k}"] for k in range(period)),
+                margin=margin,
+                report=cert.report,
+            )
+    # The adjoint period operator is T'; its Perron eigenvalue is rho^N.
+    for z0 in _perron_candidates(t.T, n):
+        dual = _stability_dual(adjoint, z0)
+        if dual is not None and lmi.verify_dual(prob, dual, margin).passed:
+            return lmi.Indeterminate(
+                message="refuted: the Perron multiplier of the period's second-moment "
+                "operator proves that no P satisfies the coupled Lyapunov LMIs",
+                dual=dual,
+            )
+    return lmi.Indeterminate(message=f"{reason}; no dual certificate found")
+
+
+# Squarings in the fallback power iteration: op + s I raised to 2**40.
+POWER_SQUARINGS = 40
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.T)
+
+
+def _perron_candidates(op: np.ndarray, n: int):
+    """Trace-one candidates for the Perron eigenvector of ``op``, as n x n.
+
+    First the symmetrized eigenvector of the eigenvalue with the largest
+    real part. In case that one is not PSD (the caller checks), power
+    iteration from I, which stays in the PSD cone because ``op`` maps
+    the cone into itself. It runs on op + s I, with s the largest real
+    eigenvalue (at least 1), so that the Perron eigenvalue strictly dominates even
+    when other eigenvalues share its modulus (as on periodic schedules),
+    and by repeated squaring, so that a slow ratio still converges.
+    """
+    if not np.isfinite(op).all():
+        return
+    vals, vecs = np.linalg.eig(op)
+    top = int(np.argmax(vals.real))
+    z = _sym(vecs[:, top].real.reshape(n, n))
+    if np.trace(z) != 0.0:
+        yield z / np.trace(z)
+    power = op + max(float(vals[top].real), 1.0) * np.eye(n * n)
+    for _ in range(POWER_SQUARINGS):
+        power = power @ power
+        scale = float(np.abs(power).max())
+        if not (np.isfinite(scale) and scale > 0.0):
+            return
+        power /= scale
+    z = _sym((power @ np.eye(n).ravel()).reshape(n, n))
+    if np.trace(z) > 0.0:
+        yield z / np.trace(z)
+
+
+def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
+    """Multipliers of :func:`stability_problem` from a Perron candidate Z_0.
+
+    Z_{k+1} = L_k*(Z_k) weighs lyapunov_k, and P{k}_pos_def gets
+    L_{k-1}*(Z_{k-1}) - Z_k: zero except at k = 0, where it is
+    (rho^N - 1) Z_0 for an exact eigenvector. The variables then cancel,
+    and every multiplier is PSD exactly when rho >= 1.
+    """
+    n = z0.shape[0]
+    period = len(adjoint)
+    zs = [z0]
+    for op in adjoint:
+        zs.append(_sym((op @ zs[-1].ravel()).reshape(n, n)))
+    dual = {f"lyapunov_k{k}": zs[k] for k in range(period)}
+    dual["P0_pos_def"] = zs[period] - z0
+    for k in range(1, period):
+        dual[f"P{k}_pos_def"] = np.zeros((n, n))
+    total = sum(float(np.trace(z)) for z in dual.values())
+    if not (np.isfinite(total) and total > 0.0):
+        return None
+    return {name: z / total for name, z in dual.items()}
 
 
 def check_assumption(plant: Plant, margin: DefinitenessMargin | None = None) -> None:

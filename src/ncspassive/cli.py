@@ -3,7 +3,8 @@
 Scenario configs and run reports are JSON, checked field by field in
 ``parse_config``; matrices are nested row arrays of numbers at full
 round-trip precision so certificates stay auditable. Exit codes:
-0 certified / success, 1 input error, 2 indeterminate, 3 verification
+0 certified / success, 1 input error, 2 no certificate found (a dual
+certificate is attached when one proves none exists), 3 verification
 failure.
 """
 
@@ -315,7 +316,7 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     sms = analysis.sms_oracle(families, dist)
     results["sms"] = {"rho": sms.rho, "stable": sms.stable, "borderline": sms.borderline}
 
-    stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, margin, opts)
+    stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, margin)
     if stab.feasible:
         results["stability"] = {
             "status": "certified",
@@ -326,8 +327,8 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
         certified = False
         results["stability"] = {
             "status": "indeterminate",
-            "best_value": stab.best_value,
-            "iterations": stab.iterations,
+            "reason": stab.message,
+            "dual": None if stab.dual is None else {k: _mat(z) for k, z in stab.dual.items()},
         }
 
     if config.eta is not None:
@@ -375,6 +376,7 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
             "synthesis": {
                 "status": "indeterminate",
                 "eta": None if eta == "maximize" else float(eta),
+                "reason": result.message,
                 "best_value": result.best_value,
                 "iterations": result.iterations,
             }
@@ -494,14 +496,17 @@ def _reverify_analysis(config: ScenarioConfig, results: dict) -> list[str]:
     dist = mode_distribution(config.loss)
     margin = config.solver.margin
     stab = results.get("stability", {})
+    prob = analysis.stability_problem(config.plant, gain, config.schedule, dist, margin)
     if stab.get("status") == "certified":
         if len(stab["P"]) != config.schedule.period:
             problems.append("stability: stored P count does not match schedule period")
         else:
-            prob = analysis.stability_problem(config.plant, gain, config.schedule, dist, margin)
             ps = {f"P{k}": np.asarray(p, dtype=float) for k, p in enumerate(stab["P"])}
             if not lmi.verify(prob, ps, margin).passed:
                 problems.append("stability: stored certificate no longer verifies")
+    elif stab.get("dual") is not None:
+        if not lmi.verify_dual(prob, stab["dual"], margin).passed:
+            problems.append("stability: stored dual certificate no longer verifies")
     pas = results.get("passivity", {})
     if pas.get("status") == "certified":
         prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
@@ -579,12 +584,16 @@ def cmd_report(report_path) -> int:
                             for c in entry["verify"]["constraints"]
                         )
                         lines.append(f"  worst margin slack: {-worst:.3e}")
+                    if entry.get("reason"):
+                        lines.append(f"  reason: {entry['reason']}")
                     if section == "passivity" and entry.get("eta") is not None:
                         lines.append(f"  eta = {entry['eta']}")
         elif command == "synthesize":
             problems += _reverify_synthesis(config, results)
             synth = results.get("synthesis", {})
             lines.append(f"synthesis: {synth.get('status')}")
+            if synth.get("reason"):
+                lines.append(f"  reason: {synth['reason']}")
             if synth.get("status") == "certified":
                 lines.append(f"  eta = {synth['eta']}")
                 lines.append(f"  K = {synth['K']}")
@@ -625,9 +634,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="ncspassive-report.json", help="report output path")
         p.add_argument("--eta", help='override config eta (number or "max")')
-        p.add_argument("--seed", type=int, help="override solver seed")
-        p.add_argument("--margin", type=float, help="override margin epsilon")
-        p.add_argument("--budget", type=int, help="override solver iteration budget")
+        p.add_argument("--seed", help="override solver seed")
+        p.add_argument("--margin", help="override margin epsilon")
+        p.add_argument("--budget", help="override solver iteration budget")
 
     add_common(sub.add_parser("analyze", help="certify stability and passivity of a given gain"))
     add_common(sub.add_parser("synthesize", help="solve for a passivating gain"))
@@ -656,6 +665,16 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
 
 
+def _flag_value(text: str):
+    """A flag's text as an int, else a float, else unchanged for _number to reject."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _apply_overrides(args) -> ScenarioConfig:
     """The config file with --eta/--seed/--margin/--budget merged in.
 
@@ -668,13 +687,9 @@ def _apply_overrides(args) -> ScenarioConfig:
         if args.eta in ("max", "maximize"):
             data["eta"] = "maximize"
         else:
-            try:
-                eta = float(args.eta)
-            except ValueError:
-                eta = args.eta
-            data["eta"] = _number(eta, "--eta", minimum=0.0)
+            data["eta"] = _number(_flag_value(args.eta), "--eta", minimum=0.0)
     solver = {
-        key: _number(getattr(args, key), f"--{key}", **_SOLVER_FIELDS[key][1])
+        key: _number(_flag_value(getattr(args, key)), f"--{key}", **_SOLVER_FIELDS[key][1])
         for key in ("seed", "margin", "budget")
         if getattr(args, key) is not None
     }

@@ -10,10 +10,17 @@ constraint eigenvalue
 by subgradient descent with Polyak-style steps (the subgradient of
 lambda_max is the top-eigenvector outer product mapped back through each
 term's coefficient matrices), restarting from a ladder of scaled-identity
-initializations. It is a pure feasibility engine: it never proves
-infeasibility, it only returns a verified certificate or Indeterminate.
-Certificates are constructed exclusively through the eigenvalue-based
-``verify``, which shares no state with the descent loop.
+initializations. The search never proves infeasibility: it returns a
+verified certificate or Indeterminate. Certificates are constructed
+exclusively through the eigenvalue-based ``verify``, which shares no
+state with the descent loop.
+
+``verify_dual`` is the other half of the theorem of alternatives (Boyd
+et al., *Linear Matrix Inequalities in System and Control Theory*, SIAM
+1994, sec. 2.2): positive semidefinite multipliers, one per constraint,
+whose weighted sum of the constraints is a nonnegative constant prove
+that no assignment is feasible. A caller that can build such
+multipliers attaches them to its Indeterminate as ``dual``.
 """
 
 from __future__ import annotations
@@ -23,17 +30,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, UnboundVariable, VerificationFailed
-from .numerics import DEFAULT_MARGIN, DefinitenessMargin, as_matrix, sym_eigvals
+from .numerics import (
+    DEFAULT_MARGIN,
+    DefinitenessMargin,
+    as_matrix,
+    fro_norm,
+    sym_eigvals,
+    symmetrize,
+)
 
 __all__ = [
     "AffineExpr",
     "LmiProblem",
     "ConstraintCheck",
     "VerifyReport",
+    "DualReport",
     "LmiCertificate",
     "Indeterminate",
     "SolveOptions",
     "verify",
+    "verify_dual",
     "solve",
 ]
 
@@ -280,6 +296,76 @@ def verify(
 
 
 @dataclass(frozen=True)
+class DualReport:
+    """Outcome of :func:`verify_dual`; each field passes as commented."""
+
+    psd_slack: float  # min over c of lambda_min(Z_c) + allowance: >= 0
+    trace: float  # sum_c tr Z_c: 1 within epsilon_rel
+    gradient_slack: float  # min over variables of allowance - ||gradient||: >= 0
+    constant: float  # sum_c <Z_c, M_c(0)>: >= 0
+    margin: DefinitenessMargin
+
+    @property
+    def passed(self) -> bool:
+        return (
+            self.psd_slack >= 0.0
+            and abs(self.trace - 1.0) <= self.margin.epsilon_rel
+            and self.gradient_slack >= 0.0
+            and self.constant >= 0.0
+        )
+
+
+def verify_dual(
+    problem: LmiProblem,
+    multipliers: dict,
+    margin: DefinitenessMargin | None = None,
+) -> DualReport:
+    """Check multipliers Z_c, one per constraint name, that refute ``problem``.
+
+    If every Z_c >= 0, sum_c tr Z_c = 1, sum_c <Z_c, M_c(V)> does not
+    depend on any variable V, and its constant part sum_c <Z_c, M_c(0)>
+    is >= 0, then no assignment makes every M_c negative definite: the
+    sum would then be negative. Semidefiniteness allows
+    epsilon_rel * (1 + ||Z_c||_F); a variable's summed gradient allows
+    epsilon_rel * (1 + the sum of its per-constraint gradient norms).
+    Like :func:`verify`, this recomputes everything from the problem data.
+    """
+    margin = margin or problem.margin
+    eps = margin.epsilon_rel
+    zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
+    psd_slack = np.inf
+    trace = constant = 0.0
+    grads: dict[str, list] = {}
+    for name, expr in problem.constraints:
+        z = symmetrize(multipliers[name], f"multiplier {name!r}")
+        if z.shape != (expr.dim, expr.dim):
+            raise DimensionMismatch(
+                f"multiplier {name!r} must be {expr.dim}x{expr.dim}, got {z.shape}"
+            )
+        psd_slack = min(psd_slack, float(sym_eigvals(z)[0]) + eps * (1.0 + fro_norm(z)))
+        trace += float(np.trace(z))
+        constant += float(np.sum(z * expr.assemble(zero)))
+        for vname in expr.variables():
+            grads.setdefault(vname, []).append(
+                expr.grad(vname, z, problem.variables[vname].shape)
+            )
+    gradient_slack = np.inf
+    for vname, parts in grads.items():
+        total = sum(parts)
+        if problem.variables[vname].kind == "symmetric":
+            total = 0.5 * (total + total.T)
+        allowance = eps * (1.0 + sum(fro_norm(g) for g in parts))
+        gradient_slack = min(gradient_slack, allowance - fro_norm(total))
+    return DualReport(
+        psd_slack=float(psd_slack),
+        trace=trace,
+        gradient_slack=float(gradient_slack),
+        constant=constant,
+        margin=margin,
+    )
+
+
+@dataclass(frozen=True)
 class LmiCertificate:
     """A strictly feasible assignment, constructed only through verification."""
 
@@ -324,12 +410,19 @@ class LmiCertificate:
 
 @dataclass(frozen=True)
 class Indeterminate:
-    """No certificate found within budget; not a proof of infeasibility."""
+    """No certificate found.
 
-    best_value: float
-    iterations: int
-    restarts: int
+    On its own not a proof of infeasibility. ``best_value`` is the
+    smallest worst-eigenvalue a search reached (None when no search ran);
+    ``dual``, when present, maps each constraint name to a multiplier
+    that passed :func:`verify_dual`, which does prove infeasibility.
+    """
+
+    best_value: float | None = None
+    iterations: int = 0
+    restarts: int = 0
     message: str = ""
+    dual: dict | None = None
 
     feasible = False
 

@@ -47,6 +47,8 @@ from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
     is_neg_definite,
+    kron,
+    spectral_radius,
     sym_eigvals,
 )
 
@@ -260,10 +262,21 @@ def synthesize(
     :class:`SynthesisResult`, or Indeterminate when no certificate was
     found. A certificate whose round trip fails raises VerificationFailed:
     that means a bug, not an infeasible problem.
+
+    No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
+    holds. Only the both-links-arrive mode sees the gain, so every gain
+    has L_K(P) >= (1 - a11) A'PA, and a passivity certificate would give
+    L_K(P) < P, which needs that bound below 1.
     """
     margin = margin or DEFAULT_MARGIN
     check_assumption(plant, margin)
     dist = mode_distribution(loss)
+    loss_only = spectral_radius((1.0 - dist.prob(1, 1)) * kron(plant.A, plant.A))
+    if loss_only >= 1.0:
+        return lmi.Indeterminate(
+            message=f"loss-only bound rho((1 - a11) A (x) A) = {loss_only:.6g} >= 1: "
+            "no gain makes the loop second-moment stable",
+        )
     opts = (options or lmi.SolveOptions()).with_margin(margin)
 
     def solve_at(e: float):

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import random_loss, random_plant, scalar_grid_eta_star
-from ncspassive import sim
+from ncspassive import lmi, sim
 from ncspassive.analysis import (
     dissipation_identity_check,
     max_dissipation,
     passivity_lmi,
     sms_oracle,
     stability_lmi,
+    stability_problem,
     dissipation_form_matrix,
 )
 from ncspassive.errors import AssumptionViolated
-from ncspassive.lmi import Indeterminate, SolveOptions
+from ncspassive.lmi import Indeterminate, verify_dual
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -62,6 +63,13 @@ class TestSmsOracle:
         assert report.rho == pytest.approx(4.0)
 
 
+def assert_refuted(result, plant, gain, schedule, dist):
+    """An Indeterminate whose dual passes verify_dual on the same LMIs."""
+    assert isinstance(result, Indeterminate)
+    assert result.dual is not None, result.message
+    assert verify_dual(stability_problem(plant, gain, schedule, dist), result.dual).passed
+
+
 class TestStabilityLmi:
     def test_scalar_open_loop_contraction(self):
         plant, gain, _, dist = scalar_family(0.5, 0.5, LossModel(0.0, 0.0))
@@ -81,6 +89,45 @@ class TestStabilityLmi:
         result = stability_lmi(plant, gain, full_packet_schedule(), dist)
         assert isinstance(result, Indeterminate)
         assert sms_oracle(fam, dist).rho == pytest.approx(4.0)
+        assert_refuted(result, plant, gain, full_packet_schedule(), dist)
+
+    def test_two_periodic_expanding_loop_carries_a_dual(self):
+        # the rho = 4 fixture of test_periodic_family_geometric_mean
+        plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[1.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
+        dist = mode_distribution(LossModel(0.0, 0.0))
+        sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
+        result = stability_lmi(plant, Gain.zero(1, 1), sched, dist)
+        assert_refuted(result, plant, Gain.zero(1, 1), sched, dist)
+
+    def test_never_calls_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("stability_lmi ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_search)
+        for a_closed in (0.5, 2.0):
+            plant, gain, _, dist = scalar_family(1.2, a_closed, LossModel(0.0, 0.2))
+            assert stability_lmi(plant, gain, full_packet_schedule(), dist).feasible == (
+                a_closed < 1.0)
+
+    def test_every_unstable_loop_of_the_c2_population_is_refuted(self):
+        # replays the draws of acceptance criterion 2 (seed 77)
+        rng = np.random.default_rng(77)
+        checked = unstable = 0
+        while checked < 100:
+            n = int(rng.integers(1, 4))
+            plant = random_plant(rng, n, spectral_scale=float(0.2 + 1.5 * rng.random()))
+            gain = Gain(0.5 * rng.standard_normal((1, n)))
+            dist = mode_distribution(random_loss(rng))
+            fam = closed_loop(plant, gain, 0, full_packet_schedule())
+            rho = sms_oracle(fam, dist).rho
+            if 0.98 < rho < 1.02:
+                continue
+            checked += 1
+            if rho > 1.02:
+                unstable += 1
+                result = stability_lmi(plant, gain, full_packet_schedule(), dist)
+                assert_refuted(result, plant, gain, full_packet_schedule(), dist)
+        assert unstable > 10
 
     def test_periodic_schedule_certificate(self):
         plant = Plant(A=[[0.0, 0.9], [-0.3, 0.2]], B1=[[1.0], [0.0]], B2=[[0.0], [1.0]],
@@ -105,8 +152,7 @@ class TestStabilityLmi:
             rho = sms_oracle(fam, dist).rho
             if 0.98 < rho < 1.02:
                 continue
-            result = stability_lmi(plant, gain, full_packet_schedule(), dist,
-                                   options=SolveOptions(max_iters=200, restarts=4))
+            result = stability_lmi(plant, gain, full_packet_schedule(), dist)
             if result.feasible:
                 assert rho < 1.0, f"certificate for rho = {rho}"
             elif rho < 0.95:

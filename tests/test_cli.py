@@ -98,7 +98,12 @@ class TestAnalyze:
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
         report = json.loads(out.read_text())
         assert report["results"]["sms"]["rho"] == pytest.approx(4.0)
-        assert report["results"]["stability"]["status"] == "indeterminate"
+        stab = report["results"]["stability"]
+        assert stab["status"] == "indeterminate"
+        assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
+        assert set(stab) == {"status", "reason", "dual"}
+        assert stab["reason"].startswith("refuted")
+        assert sorted(stab["dual"]) == ["P0_pos_def", "lyapunov_k0"]
 
     def test_zero_feedthrough_with_passivity_is_input_error(self, tmp_path, capsys):
         config = scenario()
@@ -254,6 +259,26 @@ class TestReport:
         assert cli.main(["report", str(out)]) == 0
         assert "certificates re-verified" in capsys.readouterr().out
 
+    def test_tampered_stability_dual_detected(self, tmp_path, capsys):
+        config = scenario()
+        config["plant"]["A"] = [[2.0]]
+        config.pop("eta")
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        assert cli.main(["report", str(out)]) == 0
+        capsys.readouterr()
+
+        def negate_dual(results):
+            dual = results["stability"]["dual"]
+            dual["lyapunov_k0"] = [[-v for v in row] for row in dual["lyapunov_k0"]]
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", negate_dual)
+        assert cli.main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "stability: stored dual certificate no longer verifies" in err
+        assert "digest" not in err
+
     def test_dropped_periodic_p_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PERIODIC)
         out = tmp_path / "analyze.json"
@@ -324,7 +349,10 @@ BAD_INPUTS = [
     ("flag-eta-text", None, None, ["--eta", "abc"], "--eta"),
     ("flag-eta-negative", None, None, ["--eta", "-1"], "--eta"),
     ("flag-seed-negative", None, None, ["--seed", "-4"], "--seed"),
+    ("flag-seed-text", None, None, ["--seed", "abc"], "--seed"),
     ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
+    ("flag-margin-text", None, None, ["--margin", "abc"], "--margin"),
+    ("flag-budget-fraction", None, None, ["--budget", "1.5"], "--budget"),
     ("flag-gain-not-a-report", None, None, ["--gain", '{"results": 3}'], "--gain"),
     ("flag-gain-non-finite", None, None, ["--gain", "[[NaN]]"], "--gain[0][0]"),
     ("gain-non-finite", "gain", [[float("nan")]], [], "gain[0][0]"),

@@ -10,6 +10,7 @@ from ncspassive.lmi import (
     SolveOptions,
     solve,
     verify,
+    verify_dual,
 )
 from ncspassive.numerics import DefinitenessMargin, sym_eigvals
 
@@ -248,3 +249,52 @@ class TestVerify:
         expr.add_term(0, 0, [[1.0]], "P", [[1.0]])
         with pytest.raises(DimensionMismatch):
             prob.add_constraint(expr)
+
+
+def lyapunov_problem(a) -> LmiProblem:
+    """A' P A - P < 0, P > 0 for a square A."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    prob = LmiProblem()
+    prob.add_symmetric("P", n, positive_definite=True)
+    expr = AffineExpr([n], name="lyapunov")
+    expr.add_term(0, 0, a.T, "P", a)
+    expr.add_term(0, 0, -np.eye(n), "P", np.eye(n))
+    prob.add_constraint(expr)
+    return prob
+
+
+class TestVerifyDual:
+    # For A = 2I the P-gradient of <W, 4P - P> + <S, -P> vanishes when S = 3W.
+    def test_perron_multipliers_refute_an_expanding_loop(self):
+        w = np.eye(2) / 8.0
+        report = verify_dual(lyapunov_problem(2.0 * np.eye(2)),
+                             {"lyapunov": w, "P_pos_def": 3.0 * w})
+        assert report.passed
+
+    def test_negative_eigenvalue_rejected(self):
+        w = np.diag([0.5, -0.25])  # trace 1/4; every other check still holds
+        report = verify_dual(lyapunov_problem(2.0 * np.eye(2)),
+                             {"lyapunov": w, "P_pos_def": 3.0 * w})
+        assert report.trace == pytest.approx(1.0)
+        assert report.gradient_slack >= 0.0 and report.constant >= 0.0
+        assert report.psd_slack < 0.0
+        assert not report.passed
+
+    def test_variables_must_cancel(self):
+        # a contracting loop: the weighted constraints still depend on P
+        report = verify_dual(scalar_lyapunov_problem(0.5),
+                             {"lyapunov": [[0.25]], "P_pos_def": [[0.75]]})
+        assert report.gradient_slack < 0.0
+        assert not report.passed
+
+    def test_zero_multipliers_rejected(self):
+        report = verify_dual(scalar_lyapunov_problem(2.0),
+                             {"lyapunov": [[0.0]], "P_pos_def": [[0.0]]})
+        assert report.trace == 0.0
+        assert not report.passed
+
+    def test_multiplier_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            verify_dual(scalar_lyapunov_problem(2.0),
+                        {"lyapunov": np.eye(2), "P_pos_def": [[0.75]]})

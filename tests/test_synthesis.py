@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_plant
+from ncspassive import lmi
 from ncspassive.analysis import passivity_lmi, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
 from ncspassive.lmi import Indeterminate, SolveOptions
@@ -136,6 +137,19 @@ class TestSynthesize:
             result = synthesize(plant, LossModel(0.0, 0.25), eta=0.0,
                                 options=SolveOptions(seed=seed))
             assert isinstance(result, Indeterminate)
+
+    def test_loss_only_bound_skips_the_search(self, monkeypatch):
+        # (1 - a11) * A^2 = 0.3 * 4 > 1 for every gain
+        def no_search(*args, **kwargs):
+            raise AssertionError("synthesize ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_search)
+        plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+        for eta in (0.0, "maximize"):
+            result = synthesize(plant, LossModel(0.0, 0.3), eta=eta)
+            assert isinstance(result, Indeterminate)
+            assert result.iterations == 0
+            assert "rho((1 - a11) A (x) A) = 1.2" in result.message
 
     def test_maximize_eta_bisects(self, lossy_feedback_plant):
         result = synthesize(lossy_feedback_plant, LossModel(0.0, 0.2), eta="maximize",
