@@ -383,22 +383,22 @@ def passivity_lmi(
 ):
     """Certify strict passivity with dissipation eta by solving :func:`passivity_problem`.
 
-    Returns a verified :class:`PassivityCertificate` (which always
-    implies rho < 1 through its own top-left block) or the solver's
-    Indeterminate.
+    Returns a verified :class:`PassivityCertificate` or an Indeterminate.
+    A certificate's top-left block sum_m a_m A_m' P A_m - P < 0 forces
+    rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate
+    names that bound and no search runs.
     """
     margin = margin or DEFAULT_MARGIN
     prob = passivity_problem(plant, gain, dist, eta, margin)
-    opts = (options or lmi.SolveOptions()).with_margin(margin)
-    result = lmi.solve(prob, opts)
-    if not result.feasible:
-        return result
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
-        raise VerificationFailed(
-            f"passivity certificate with second-moment radius {rho}; "
-            "the dissipation form's top-left block should make this impossible"
+        return lmi.Indeterminate(
+            message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
+            "top-left block needs rho < 1",
         )
+    result = lmi.solve(prob, (options or lmi.SolveOptions()).with_margin(margin))
+    if not result.feasible:
+        return result
     return PassivityCertificate(
         assignment=dict(result.assignment),
         eta=float(eta),
@@ -483,25 +483,24 @@ def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:
     the identity is pointwise in the realized mode.
     """
     del dist
+    if trace.horizon == 0:
+        return 0.0
     p = np.asarray(p, dtype=float)
+    x, x_next, w = trace.x[:-1], trace.x[1:], trace.w
+    # one form per realized (slot, theta1, theta2), gathered back to the steps
+    realized, step_form = np.unique(
+        np.column_stack([trace.slots, trace.theta1, trace.theta2]), axis=0, return_inverse=True)
     families: dict[int, ClosedLoopFamily] = {}
-    worst = 0.0
-    for k in range(trace.horizon):
-        slot = int(trace.slots[k])
+    forms = []
+    for slot, theta1, theta2 in realized.tolist():
         if slot not in families:
             families[slot] = closed_loop(plant, gain, slot, trace.schedule)
-        fam = families[slot]
-        x = trace.x[k]
-        x_next = trace.x[k + 1]
-        w = trace.w[k]
-        z = trace.z[k]
-        form = dissipation_form_matrix(fam, int(trace.theta1[k]), int(trace.theta2[k]), p, eta)
-        dv = float(x_next @ p @ x_next - x @ p @ x)
-        ledger = dv - 2.0 * float(w @ z) + 2.0 * eta * float(w @ w)
-        zeta = np.concatenate([x, w])
-        quad = float(zeta @ form @ zeta)
-        worst = max(worst, abs(ledger - quad))
-    return worst
+        forms.append(dissipation_form_matrix(families[slot], theta1, theta2, p, eta))
+    zeta = np.hstack([x, w])
+    quad = np.einsum("ki,kij,kj->k", zeta, np.stack(forms)[step_form.ravel()], zeta)
+    dv = np.einsum("ki,ij,kj->k", x_next, p, x_next) - np.einsum("ki,ij,kj->k", x, p, x)
+    ledger = dv - 2.0 * np.einsum("ki,ki->k", w, trace.z) + 2.0 * eta * np.einsum("ki,ki->k", w, w)
+    return float(np.max(np.abs(ledger - quad)))
 
 
 def expanded_passivity_block(

@@ -354,6 +354,7 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
             results["passivity"] = {
                 "status": "indeterminate",
                 "eta": eta_val,
+                "reason": pas.message,
                 "best_value": pas.best_value,
                 "iterations": pas.iterations,
             }
@@ -490,14 +491,16 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
     return EXIT_OK
 
 
-def _reverify_analysis(config: ScenarioConfig, results: dict) -> list[str]:
-    problems = []
+def _reverify_analysis(config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
+    """Re-verify an analyze report's certificates and duals: (problems, what was checked)."""
+    problems, checked = [], []
     gain = Gain(_matrix(results["gain"], "report.results.gain"))
     dist = mode_distribution(config.loss)
     margin = config.solver.margin
     stab = results.get("stability", {})
     prob = analysis.stability_problem(config.plant, gain, config.schedule, dist, margin)
     if stab.get("status") == "certified":
+        checked.append("stability")
         if len(stab["P"]) != config.schedule.period:
             problems.append("stability: stored P count does not match schedule period")
         else:
@@ -505,21 +508,24 @@ def _reverify_analysis(config: ScenarioConfig, results: dict) -> list[str]:
             if not lmi.verify(prob, ps, margin).passed:
                 problems.append("stability: stored certificate no longer verifies")
     elif stab.get("dual") is not None:
+        checked.append("stability dual")
         if not lmi.verify_dual(prob, stab["dual"], margin).passed:
             problems.append("stability: stored dual certificate no longer verifies")
     pas = results.get("passivity", {})
     if pas.get("status") == "certified":
+        checked.append("passivity")
         prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
         if not lmi.verify(prob, {"P": np.asarray(pas["P"], dtype=float)}, margin).passed:
             problems.append("passivity: stored certificate no longer verifies")
-    return problems
+    return problems, checked
 
 
-def _reverify_synthesis(config: ScenarioConfig, results: dict) -> list[str]:
+def _reverify_synthesis(config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
+    """Re-verify a synthesize report's certificate: (problems, what was checked)."""
     problems = []
     synth = results.get("synthesis", {})
     if synth.get("status") != "certified":
-        return problems
+        return problems, []
     margin = config.solver.margin
     dist = mode_distribution(config.loss)
     eta = float(synth["eta"])
@@ -532,7 +538,7 @@ def _reverify_synthesis(config: ScenarioConfig, results: dict) -> list[str]:
     recovered = synthesis.recover_gain(x, y).K
     if not np.allclose(recovered, k, rtol=1e-8, atol=1e-10):
         problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
-    return problems
+    return problems, ["synthesis"]
 
 
 def cmd_report(report_path) -> int:
@@ -565,13 +571,15 @@ def cmd_report(report_path) -> int:
     lines = [f"command: {command}", f"tool: {report.get('tool', {})}"]
 
     problems: list[str] = []
+    checked: list[str] = []
     if report.get("config_digest") != _digest(report["config"]):
         problems.append("config digest mismatch")
     if report.get("results_digest") != _digest(results):
         problems.append("results digest mismatch")
     try:
         if command == "analyze":
-            problems += _reverify_analysis(config, results)
+            found, checked = _reverify_analysis(config, results)
+            problems += found
             sms = results.get("sms", {})
             lines.append(f"rho = {sms.get('rho'):.6f} (stable: {sms.get('stable')})")
             for section in ("stability", "passivity"):
@@ -589,7 +597,8 @@ def cmd_report(report_path) -> int:
                     if section == "passivity" and entry.get("eta") is not None:
                         lines.append(f"  eta = {entry['eta']}")
         elif command == "synthesize":
-            problems += _reverify_synthesis(config, results)
+            found, checked = _reverify_synthesis(config, results)
+            problems += found
             synth = results.get("synthesis", {})
             lines.append(f"synthesis: {synth.get('status')}")
             if synth.get("reason"):
@@ -618,7 +627,12 @@ def cmd_report(report_path) -> int:
         for p in problems:
             print(f"VERIFICATION FAILURE: {p}", file=sys.stderr)
         return EXIT_VERIFY
-    print("certificates re-verified" if command in ("analyze", "synthesize") else "ok")
+    if command == "simulate":
+        print("ok")
+    elif checked:
+        print(f"certificates re-verified: {', '.join(checked)}")
+    else:
+        print("nothing to re-verify: the report holds no certificate or dual (digests match)")
     return EXIT_OK
 
 

@@ -3,9 +3,14 @@
 Each step draws the two arrival bits, routes the scheduled state
 component through the gain to the scheduled actuator, and advances the
 plant. Traces carry the dissipation ledger sums so empirical passivity
-can be read off directly. Trials use explicit per-trial seeds
-(base, base+1, ...) so ensembles are reproducible regardless of
-execution order.
+can be read off directly.
+
+Trial t runs on its own ``np.random.default_rng(base + t)``, so results
+do not depend on how trials are grouped. Each trial first draws
+uniforms of shape (horizon, 2): a message arrives when its uniform
+clears the drop rate, column 0 giving theta1 and column 1 theta2. A
+white-noise input then draws ``sigma * standard_normal((horizon, m1))``;
+zero, sinusoid and impulse inputs draw nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FitUnavailable
-from .model import Gain, LossModel, Plant, Schedule, selector_matrices
+from .model import Gain, LossModel, Plant, Schedule, closed_loop, selector_matrices
 
 __all__ = [
     "InputSignal",
@@ -29,6 +34,11 @@ __all__ = [
 ]
 
 SIGNAL_KINDS = ("zero", "white-noise", "sinusoid", "impulse")
+
+# Trials ``ensemble`` advances together. A block holds every draw and state
+# of its trials, so long horizons get fewer trials: at most _BLOCK_STEPS steps.
+TRIAL_BLOCK = 1024
+_BLOCK_STEPS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,14 +80,24 @@ class InputSignal:
     def impulse(cls, dimension: int, magnitude: float = 1.0, step: int = 0) -> "InputSignal":
         return cls("impulse", dimension, magnitude=magnitude, step=step)
 
-    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(self.dimension)
+    def block(self, horizon: int, rngs) -> np.ndarray:
+        """Inputs of one trial per generator, shape (horizon, len(rngs), dimension).
+
+        White noise draws ``sigma * standard_normal((horizon, dimension))``
+        from each trial's generator; the other kinds draw nothing and
+        give every trial the same rows.
+        """
         if self.kind == "white-noise":
-            return self.sigma * rng.standard_normal(self.dimension)
+            return self.sigma * np.stack(
+                [rng.standard_normal((horizon, self.dimension)) for rng in rngs], axis=1)
+        k = np.arange(horizon)
         if self.kind == "sinusoid":
-            return np.full(self.dimension, self.amplitude * np.sin(2.0 * np.pi * k / self.period))
-        return np.full(self.dimension, self.magnitude if k == self.step else 0.0)
+            column = self.amplitude * np.sin(2.0 * np.pi * k / self.period)
+        elif self.kind == "impulse":
+            column = np.where(k == self.step, self.magnitude, 0.0)
+        else:
+            column = np.zeros(horizon)
+        return np.tile(column[:, None, None], (1, len(rngs), self.dimension))
 
 
 @dataclass(frozen=True)
@@ -107,6 +127,50 @@ class SimTrace:
         return self.sum_wz - eta * self.sum_ww
 
 
+def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
+    """Advance one trial per seed together, one (M, n) state array per step.
+
+    The received measurement is theta1 * S1'S1 x and the applied actuation
+    theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
+    (1, 1) matrices or the open loop. Returns x (T+1, M, n), w, z, v
+    (T, M, .), theta1, theta2 (T, M) and each trial's sums w'z and w'w.
+    """
+    if signal.dimension != plant.m1:
+        raise DimensionMismatch(
+            f"signal dimension {signal.dimension} != plant exogenous width {plant.m1}"
+        )
+    # slot 0 always, so the gain's shape is checked even for an empty horizon
+    used = range(max(1, min(schedule.period, horizon)))
+    fams = [closed_loop(plant, gain, s, schedule) for s in used]
+    a_on = np.stack([f.a(1, 1).T for f in fams])
+    c_on = np.stack([f.c(1, 1).T for f in fams])
+    k_in = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in
+                     (selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])
+
+    n, trials = plant.n, len(seeds)
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = np.stack([rng.random((horizon, 2)) for rng in rngs], axis=1)
+    w = signal.block(horizon, rngs)
+    theta1 = (u[..., 0] >= loss.alpha1).astype(np.int64)
+    theta2 = (u[..., 1] >= loss.alpha2).astype(np.int64)
+    on = (theta1 & theta2).astype(bool)[..., None]
+
+    slots = np.arange(horizon) % schedule.period
+    xs = np.empty((horizon + 1, trials, n))
+    xs[0] = x0
+    wb = w @ plant.B1.T
+    for k, s in enumerate(slots.tolist()):
+        xs[k + 1] = np.where(on[k], xs[k] @ a_on[s], xs[k] @ plant.A.T) + wb[k]
+
+    x = xs[:-1]
+    z = np.where(on, x @ c_on[slots], x @ plant.C1.T) + w @ plant.D11.T
+    v = theta1[..., None] * (x @ k_in[slots])
+    # the dissipation pairing w'z needs a square channel (p1 == m1)
+    sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
+    return xs, w, z, v, theta1, theta2, sum_wz, np.sum(w * w, axis=(0, 2))
+
+
 def simulate(
     plant: Plant,
     gain: Gain,
@@ -119,77 +183,15 @@ def simulate(
 ) -> SimTrace:
     """Run the lossy loop for ``horizon`` steps, deterministically per seed.
 
-    Per step: draw theta1 then theta2 (message arrives when the uniform
-    draw clears the drop rate), then sample w; the received measurement
-    is theta1 * S1'S1 x, the applied actuation theta2 * S2S2' K yhat.
-    The initial state defaults to zero, matching the zero-initial-state
-    passivity experiments.
+    The random stream of ``seed`` is laid out as the module docstring
+    describes. The initial state defaults to zero, matching the
+    zero-initial-state passivity experiments.
     """
-    if signal.dimension != plant.m1:
-        raise DimensionMismatch(
-            f"signal dimension {signal.dimension} != plant exogenous width {plant.m1}"
-        )
-    if gain.K.shape != (plant.m2, plant.n):
-        raise DimensionMismatch(
-            f"gain must be {plant.m2}x{plant.n} for this plant, got {gain.K.shape}"
-        )
-    n = plant.n
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-
-    rng = np.random.default_rng(seed)
-    xs = np.empty((horizon + 1, n))
-    ws = np.empty((horizon, plant.m1))
-    zs = np.empty((horizon, plant.p1))
-    vs = np.empty((horizon, plant.m2))
-    t1s = np.empty(horizon, dtype=np.int64)
-    t2s = np.empty(horizon, dtype=np.int64)
-    slots = np.empty(horizon, dtype=np.int64)
-
-    projections = {}
-    x = x0.copy()
-    xs[0] = x
-    for k in range(horizon):
-        slot = k % schedule.period
-        if slot not in projections:
-            s1k, s2k = selector_matrices(schedule, slot, plant.p2, plant.m2)
-            projections[slot] = (s1k.T @ s1k, s2k @ s2k.T)
-        proj_in, proj_out = projections[slot]
-
-        theta1 = int(rng.random() >= loss.alpha1)
-        theta2 = int(rng.random() >= loss.alpha2)
-        w = signal.sample(k, rng)
-
-        y_hat = theta1 * (proj_in @ x)
-        v = gain.K @ y_hat
-        applied = theta2 * (proj_out @ v)
-        z = plant.C1 @ x + plant.D11 @ w + plant.D12 @ applied
-        x = plant.A @ x + plant.B1 @ w + plant.B2 @ applied
-
-        xs[k + 1] = x
-        ws[k] = w
-        zs[k] = z
-        vs[k] = v
-        t1s[k] = theta1
-        t2s[k] = theta2
-        slots[k] = slot
-
-    # the dissipation pairing w'z needs a square channel (p1 == m1)
-    sum_wz = float(np.sum(ws * zs)) if plant.p1 == plant.m1 else float("nan")
-    sum_ww = float(np.sum(ws * ws))
-    return SimTrace(
-        horizon=horizon,
-        x=xs,
-        w=ws,
-        z=zs,
-        v=vs,
-        theta1=t1s,
-        theta2=t2s,
-        slots=slots,
-        seed=seed,
-        schedule=schedule,
-        sum_wz=sum_wz,
-        sum_ww=sum_ww,
-    )
+    x, w, z, v, theta1, theta2, sum_wz, sum_ww = _run_block(
+        plant, gain, schedule, loss, signal, horizon, [seed], x0)
+    return SimTrace(horizon, x[:, 0], w[:, 0], z[:, 0], v[:, 0], theta1[:, 0], theta2[:, 0],
+                    np.arange(horizon) % schedule.period, seed, schedule,
+                    float(sum_wz[0]), float(sum_ww[0]))
 
 
 @dataclass(frozen=True)
@@ -221,24 +223,34 @@ def ensemble(
     eta: float = 0.0,
     terminal_threshold: float = 1e-3,
 ) -> EnsembleStats:
-    """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ..."""
+    """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ...
+
+    Trials run in blocks of at most ``TRIAL_BLOCK``; only running sums
+    outlive a block, so memory does not grow with ``trials``.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    size = max(1, min(TRIAL_BLOCK, _BLOCK_STEPS // max(horizon, 1)))
     sq_sum = np.zeros(horizon + 1)
-    dissipation = np.empty(trials)
     terminal_hits = 0
-    mode_counts = np.zeros((2, 2), dtype=np.int64)
-    for trial in range(trials):
-        trace = simulate(plant, gain, schedule, loss, signal, horizon, base_seed + trial, x0)
-        sq_sum += np.sum(trace.x * trace.x, axis=1)
-        dissipation[trial] = trace.dissipation_sum(eta)
-        if float(np.linalg.norm(trace.x[-1])) < terminal_threshold:
-            terminal_hits += 1
-        for i in (0, 1):
-            for j in (0, 1):
-                mode_counts[i, j] += int(np.sum((trace.theta1 == i) & (trace.theta2 == j)))
-    mean = float(np.mean(dissipation))
-    se = float(np.std(dissipation, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    mode_counts = np.zeros(4, dtype=np.int64)
+    done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
+    for start in range(0, trials, size):
+        seeds = range(base_seed + start, base_seed + min(start + size, trials))
+        x, w, z, v, theta1, theta2, sum_wz, sum_ww = _run_block(
+            plant, gain, schedule, loss, signal, horizon, seeds, x0)
+        sq_sum += np.einsum("kmi,kmi->k", x, x)
+        terminal_hits += int(np.count_nonzero(np.linalg.norm(x[-1], axis=1) < terminal_threshold))
+        mode_counts += np.bincount((2 * theta1 + theta2).ravel(), minlength=4)
+        # merge the block's dissipation sums (Chan et al.'s pairwise update)
+        d = sum_wz - eta * sum_ww
+        d_mean = float(np.mean(d))
+        delta = d_mean - mean
+        sq_dev += float(np.sum((d - d_mean) ** 2)) + delta * delta * done * d.size / (done + d.size)
+        done += d.size
+        mean += delta * (d.size / done)
+        del x, w, z, v, theta1, theta2  # free this block's records before the next is drawn
+    se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,
         horizon=horizon,
@@ -249,7 +261,7 @@ def ensemble(
         terminal_threshold=terminal_threshold,
         dissipation_mean=mean,
         dissipation_se=se,
-        mode_counts=mode_counts,
+        mode_counts=mode_counts.reshape(2, 2),
     )
 
 
@@ -277,26 +289,14 @@ def trace_to_csv(trace: SimTrace, path) -> None:
     The state column holds x(k), the state the step started from; the
     terminal state appears only through the following row's dynamics and
     the ensemble statistics. Floats are written with full round-trip
-    precision.
+    precision (``repr``).
     """
-    n = trace.x.shape[1]
-    m1 = trace.w.shape[1]
-    p1 = trace.z.shape[1]
-    m2 = trace.v.shape[1]
-    header = (
-        ["k", "slot", "theta1", "theta2"]
-        + [f"x{i}" for i in range(n)]
-        + [f"w{i}" for i in range(m1)]
-        + [f"z{i}" for i in range(p1)]
-        + [f"v{i}" for i in range(m2)]
-    )
+    columns = {"x": trace.x[: trace.horizon], "w": trace.w, "z": trace.z, "v": trace.v}
+    header = ["k", "slot", "theta1", "theta2"] + [
+        f"{name}{i}" for name, col in columns.items() for i in range(col.shape[1])]
+    ints = np.column_stack([np.arange(trace.horizon), trace.slots, trace.theta1, trace.theta2])
+    floats = np.hstack(list(columns.values())).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(trace.horizon):
-            row = [k, int(trace.slots[k]), int(trace.theta1[k]), int(trace.theta2[k])]
-            row += [repr(float(v)) for v in trace.x[k]]
-            row += [repr(float(v)) for v in trace.w[k]]
-            row += [repr(float(v)) for v in trace.z[k]]
-            row += [repr(float(v)) for v in trace.v[k]]
-            writer.writerow(row)
+        writer.writerows(lead + [repr(v) for v in vals] for lead, vals in zip(ints.tolist(), floats))

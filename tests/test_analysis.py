@@ -186,6 +186,19 @@ class TestPassivityLmi:
             result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, eta)
             assert result.feasible == (eta < eta_star), f"eta = {eta} vs grid {eta_star}"
 
+    def test_unstable_loop_skips_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("passivity_lmi ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_search)
+        plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+        dist = mode_distribution(LossModel(0.0, 0.2))
+        result = passivity_lmi(plant, Gain.zero(1, 1), dist, 0.1)
+        assert isinstance(result, Indeterminate)
+        assert result.iterations == 0
+        assert "rho = 4 >= 1" in result.message
+        assert isinstance(max_dissipation(plant, Gain.zero(1, 1), dist), Indeterminate)
+
     def test_negative_eta_rejected(self, scalar_passive_plant, lossless):
         with pytest.raises(ValueError):
             passivity_lmi(scalar_passive_plant, Gain.zero(1, 1),

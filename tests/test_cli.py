@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ncspassive import cli
+from ncspassive import cli, lmi
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -104,6 +104,22 @@ class TestAnalyze:
         assert set(stab) == {"status", "reason", "dual"}
         assert stab["reason"].startswith("refuted")
         assert sorted(stab["dual"]) == ["P0_pos_def", "lyapunov_k0"]
+
+    def test_unstable_loop_with_eta_skips_the_passivity_search(self, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("analyze ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_search)
+        config = scenario()
+        config["plant"]["A"] = [[2.0]]
+        config.pop("eta")
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out), "--eta", "0.1"]) == 2
+        pas = json.loads(out.read_text())["results"]["passivity"]
+        assert pas["status"] == "indeterminate"
+        assert pas["iterations"] == 0
+        assert "rho = 4 >= 1" in pas["reason"]
 
     def test_zero_feedthrough_with_passivity_is_input_error(self, tmp_path, capsys):
         config = scenario()
@@ -226,6 +242,19 @@ class TestReport:
         assert cli.main(["report", str(out)]) == 0
         assert "re-verified" in capsys.readouterr().out
 
+    def test_indeterminate_synthesis_report_claims_nothing_reverified(self, tmp_path, capsys):
+        config = scenario(eta=0.0)
+        config["plant"]["A"] = [[2.0]]
+        config["loss"] = {"alpha1": 0.0, "alpha2": 0.5}
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "re-verified" not in stdout
+        assert "nothing to re-verify" in stdout
+
     def test_tampered_certificate_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario(gain=[[-0.9]]))
         out = tmp_path / "analyze.json"
@@ -267,7 +296,7 @@ class TestReport:
         out = tmp_path / "analyze.json"
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
         assert cli.main(["report", str(out)]) == 0
-        capsys.readouterr()
+        assert "certificates re-verified: stability dual" in capsys.readouterr().out
 
         def negate_dual(results):
             dual = results["stability"]["dual"]

@@ -1,9 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncspassive.errors import DimensionMismatch, FitUnavailable
-from ncspassive.model import Gain, LossModel, Plant, Schedule, full_packet_schedule, mode_distribution
-from ncspassive.sim import InputSignal, decay_fit, ensemble, simulate, trace_to_csv
+from ncspassive.model import (
+    Gain,
+    LossModel,
+    Plant,
+    Schedule,
+    full_packet_schedule,
+    mode_distribution,
+    selector_matrices,
+)
+from ncspassive.sim import TRIAL_BLOCK, InputSignal, decay_fit, ensemble, simulate, trace_to_csv
+
+TWO_STATE = Plant(A=[[0.9, 0.2], [-0.1, 0.7]], B1=[[1.0], [0.3]], B2=[[1.0], [0.5]],
+                  C1=[[0.5, -0.2]], D11=[[1.0]], D12=[[0.4]])
+SCHEDULES = [full_packet_schedule(), Schedule(period=2, s1=(1, 0), s2=(0, 1))]
 
 
 @pytest.fixture
@@ -107,6 +121,101 @@ class TestEnsemble:
         assert s1.dissipation_mean == s2.dissipation_mean
 
 
+class TestKernel:
+    """The batched kernel against a per-step replay and against one trial at a time."""
+
+    @staticmethod
+    def replay(plant, gain, schedule, trace, x0):
+        """The lossy loop's per-step recursion, fed the trace's own draws."""
+        x = np.asarray(x0, dtype=float)
+        xs, zs, vs = [x], [], []
+        for k in range(trace.horizon):
+            s1, s2 = selector_matrices(schedule, k, plant.p2, plant.m2)
+            v = gain.K @ (trace.theta1[k] * (s1.T @ s1 @ x))
+            applied = trace.theta2[k] * (s2 @ s2.T @ v)
+            zs.append(plant.C1 @ x + plant.D11 @ trace.w[k] + plant.D12 @ applied)
+            x = plant.A @ x + plant.B1 @ trace.w[k] + plant.B2 @ applied
+            xs.append(x)
+            vs.append(v)
+        return np.array(xs), np.array(zs), np.array(vs)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_trace_matches_the_per_step_recursion(self, schedule):
+        gain = Gain([[-0.4, 0.3]])
+        trace = simulate(TWO_STATE, gain, schedule, LossModel(0.2, 0.3),
+                         InputSignal.white_noise(1, 0.5), 40, seed=4, x0=[1.0, -0.5])
+        xs, zs, vs = self.replay(TWO_STATE, gain, schedule, trace, [1.0, -0.5])
+        np.testing.assert_allclose(trace.x, xs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.z, zs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.v, vs, rtol=0, atol=1e-12)
+        assert trace.sum_wz == pytest.approx(float(np.sum(trace.w * zs)), rel=1e-12)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_ensemble_equals_one_simulate_per_seed(self, schedule):
+        gain, loss, signal = Gain([[-0.4, 0.3]]), LossModel(0.2, 0.3), InputSignal.white_noise(1, 0.5)
+        horizon, trials, base, eta, x0 = 30, 40, 300, 0.2, [1.0, -0.5]
+        stats = ensemble(TWO_STATE, gain, schedule, loss, signal, horizon, trials, base,
+                         x0=x0, eta=eta, terminal_threshold=0.5)
+        traces = [simulate(TWO_STATE, gain, schedule, loss, signal, horizon, base + t, x0)
+                  for t in range(trials)]
+        d = np.array([tr.dissipation_sum(eta) for tr in traces])
+        counts = np.zeros((2, 2), dtype=np.int64)
+        for tr in traces:
+            np.add.at(counts, (tr.theta1, tr.theta2), 1)
+        np.testing.assert_array_equal(stats.mode_counts, counts)
+        np.testing.assert_allclose(
+            stats.mean_sq_norm, np.mean([np.sum(tr.x * tr.x, axis=1) for tr in traces], axis=0),
+            rtol=1e-12, atol=0)
+        assert stats.dissipation_mean == pytest.approx(float(np.mean(d)), rel=1e-12)
+        assert stats.dissipation_se == pytest.approx(float(np.std(d, ddof=1) / np.sqrt(trials)),
+                                                     rel=1e-12)
+        assert stats.terminal_fraction == np.mean(
+            [np.linalg.norm(tr.x[-1]) < 0.5 for tr in traces])
+
+    def test_blocks_merge_like_two_calls(self, mixing_plant):
+        args = (mixing_plant, Gain([[-0.7]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                InputSignal.white_noise(1), 8)
+        n1, n2, base = TRIAL_BLOCK, 100, 50
+        whole = ensemble(*args, n1 + n2, base, x0=[1.0], eta=0.1, terminal_threshold=0.5)
+        a = ensemble(*args, n1, base, x0=[1.0], eta=0.1, terminal_threshold=0.5)
+        b = ensemble(*args, n2, base + n1, x0=[1.0], eta=0.1, terminal_threshold=0.5)
+        total = n1 + n2
+        mean = (n1 * a.dissipation_mean + n2 * b.dissipation_mean) / total
+        sq_dev = sum((k - 1) * k * part.dissipation_se ** 2 + k * (part.dissipation_mean - mean) ** 2
+                     for k, part in ((n1, a), (n2, b)))
+        np.testing.assert_array_equal(whole.mode_counts, a.mode_counts + b.mode_counts)
+        np.testing.assert_allclose(
+            whole.mean_sq_norm, (n1 * a.mean_sq_norm + n2 * b.mean_sq_norm) / total, rtol=1e-12)
+        assert whole.terminal_fraction == pytest.approx(
+            (n1 * a.terminal_fraction + n2 * b.terminal_fraction) / total, rel=1e-12)
+        assert whole.dissipation_mean == pytest.approx(mean, rel=1e-12)
+        assert whole.dissipation_se == pytest.approx(np.sqrt(sq_dev / (total - 1) / total), rel=1e-12)
+
+    def test_stream_layout_is_pinned(self):
+        plant = Plant(A=[[0.5]], B1=[[1.0, 0.5]], B2=[[1.0]], C1=[[0.5], [0.1]],
+                      D11=np.eye(2), D12=[[0.0], [0.0]])
+        horizon, seed, sigma = 50, 123, 0.7
+        trace = simulate(plant, Gain([[-0.3]]), full_packet_schedule(), LossModel(0.3, 0.6),
+                         InputSignal.white_noise(2, sigma), horizon, seed)
+        rng = np.random.default_rng(seed)
+        u = rng.random((horizon, 2))
+        np.testing.assert_array_equal(trace.theta1, u[:, 0] >= 0.3)
+        np.testing.assert_array_equal(trace.theta2, u[:, 1] >= 0.6)
+        np.testing.assert_array_equal(trace.w, sigma * rng.standard_normal((horizon, 2)))
+
+    def test_memory_does_not_grow_with_trials(self, mixing_plant):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                ensemble(mixing_plant, Gain([[-0.7]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                         InputSignal.white_noise(1), 50, trials, base_seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * TRIAL_BLOCK) <= 1.5 * peak(TRIAL_BLOCK)
+
+
 class TestDecayFit:
     def test_exact_geometric(self):
         plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
@@ -176,16 +285,16 @@ class TestCsvExport:
 class TestInputSignal:
     def test_sinusoid_is_deterministic_and_periodic(self):
         sig = InputSignal.sinusoid(2, amplitude=1.5, period=8)
-        rng = np.random.default_rng(0)
-        np.testing.assert_allclose(sig.sample(0, rng), [0.0, 0.0])
-        np.testing.assert_allclose(sig.sample(2, rng), [1.5, 1.5])
-        np.testing.assert_allclose(sig.sample(10, rng), sig.sample(2, rng))
+        block = sig.block(11, [np.random.default_rng(0)])[:, 0]
+        np.testing.assert_allclose(block[0], [0.0, 0.0])
+        np.testing.assert_allclose(block[2], [1.5, 1.5])
+        np.testing.assert_allclose(block[10], block[2])
 
     def test_impulse_fires_once(self):
         sig = InputSignal.impulse(1, magnitude=3.0, step=4)
-        rng = np.random.default_rng(0)
-        assert sig.sample(4, rng)[0] == 3.0
-        assert sig.sample(5, rng)[0] == 0.0
+        block = sig.block(6, [np.random.default_rng(0)])[:, 0]
+        assert block[4][0] == 3.0
+        assert block[5][0] == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
