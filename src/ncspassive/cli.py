@@ -199,11 +199,9 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
         raise ConfigError(f"{where}.solver: expected an object")
     _reject_unknown(solver_spec, set(_SOLVER_FIELDS), f"{where}.solver")
     fields = _fields(solver_spec, _SOLVER_FIELDS, f"{where}.solver")
+    # restarts and seed are still bound-checked, but the barrier solver uses neither
     solver = lmi.SolveOptions(
-        max_iters=fields["budget"],
-        restarts=fields["restarts"],
-        seed=fields["seed"],
-        margin=DefinitenessMargin(fields["margin"]),
+        max_iters=fields["budget"], margin=DefinitenessMargin(fields["margin"])
     )
 
     sim_spec = data.get("simulation", {})
@@ -280,6 +278,10 @@ def _verify_report_dict(report: lmi.VerifyReport) -> dict:
     }
 
 
+def _dual_dict(dual: dict | None) -> dict | None:
+    return None if dual is None else {name: _mat(z) for name, z in dual.items()}
+
+
 def _write_report(out_path, command: str, config: ScenarioConfig, results: dict, started: float) -> dict:
     report = {
         "tool": {"name": "ncspassive", "version": __version__},
@@ -328,7 +330,7 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
         results["stability"] = {
             "status": "indeterminate",
             "reason": stab.message,
-            "dual": None if stab.dual is None else {k: _mat(z) for k, z in stab.dual.items()},
+            "dual": _dual_dict(stab.dual),
         }
 
     if config.eta is not None:
@@ -353,10 +355,12 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
             certified = False
             results["passivity"] = {
                 "status": "indeterminate",
-                "eta": eta_val,
+                # a maximize search that fails fails at eta = 0, which a dual refutes
+                "eta": 0.0 if eta_val is None and pas.dual is not None else eta_val,
                 "reason": pas.message,
                 "best_value": pas.best_value,
                 "iterations": pas.iterations,
+                "dual": _dual_dict(pas.dual),
             }
 
     _write_report(out_path, "analyze", config, results, started)
@@ -373,13 +377,16 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
 
     result = synthesis.synthesize(config.plant, config.loss, eta, margin, opts)
     if not result.feasible:
+        refuted = result.dual is not None
         results = {
             "synthesis": {
                 "status": "indeterminate",
-                "eta": None if eta == "maximize" else float(eta),
+                # a maximize search that fails fails at eta = 0, which a dual refutes
+                "eta": (0.0 if refuted else None) if eta == "maximize" else float(eta),
                 "reason": result.message,
                 "best_value": result.best_value,
                 "iterations": result.iterations,
+                "dual": _dual_dict(result.dual),
             }
         }
         _write_report(out_path, "synthesize", config, results, started)
@@ -396,6 +403,7 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
             "verify": _verify_report_dict(result.certificate.report),
             "round_trip": {
                 "passivity_certified": result.verification.passivity_certified,
+                "direct_certified": result.verification.direct_certified,
                 "rho_ok": result.verification.rho_ok,
                 "congruence_rel_err": result.verification.congruence_rel_err,
                 "verdicts_match": result.verification.verdicts_match,
@@ -440,20 +448,28 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
         raise ConfigError("simulate needs a gain: set config.gain or pass --gain")
 
     s = config.simulation
-    signal = s.signal
     eta = config.eta if isinstance(config.eta, float) else 0.0
+    on_trace = None
+    if dump_traces:
+        trace_dir = Path(str(out_path) + ".traces")
+        trace_dir.mkdir(parents=True, exist_ok=True)
+
+        def on_trace(trace):
+            sim.trace_to_csv(trace, trace_dir / f"trace_{trace.seed - s.seed:04d}.csv")
+
     stats = sim.ensemble(
         config.plant,
         gain,
         config.schedule,
         config.loss,
-        signal,
+        s.signal,
         s.horizon,
         s.trials,
         s.seed,
         x0=s.x0,
         eta=eta,
         terminal_threshold=s.terminal_threshold,
+        on_trace=on_trace,
     )
     results = {
         "gain": _mat(gain.K),
@@ -477,14 +493,6 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
         results["ensemble"]["decay_fit"] = None
 
     if dump_traces:
-        trace_dir = Path(str(out_path) + ".traces")
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for trial in range(s.trials):
-            trace = sim.simulate(
-                config.plant, gain, config.schedule, config.loss, signal,
-                s.horizon, s.seed + trial, x0=s.x0,
-            )
-            sim.trace_to_csv(trace, trace_dir / f"trace_{trial:04d}.csv")
         results["traces_dir"] = trace_dir.name
 
     _write_report(out_path, "simulate", config, results, started)
@@ -517,17 +525,27 @@ def _reverify_analysis(config: ScenarioConfig, results: dict) -> tuple[list[str]
         prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
         if not lmi.verify(prob, {"P": np.asarray(pas["P"], dtype=float)}, margin).passed:
             problems.append("passivity: stored certificate no longer verifies")
+    elif pas.get("dual") is not None:
+        checked.append("passivity dual")
+        prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
+        if not lmi.verify_dual(prob, pas["dual"], margin).passed:
+            problems.append("passivity: stored dual certificate no longer verifies")
     return problems, checked
 
 
 def _reverify_synthesis(config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
-    """Re-verify a synthesize report's certificate: (problems, what was checked)."""
+    """Re-verify a synthesize report's certificate or dual: (problems, what was checked)."""
     problems = []
     synth = results.get("synthesis", {})
-    if synth.get("status") != "certified":
-        return problems, []
     margin = config.solver.margin
     dist = mode_distribution(config.loss)
+    if synth.get("status") != "certified":
+        if synth.get("dual") is None:
+            return problems, []
+        prob = synthesis.build_synthesis_lmi(config.plant, dist, float(synth["eta"]), margin)
+        if not lmi.verify_dual(prob, synth["dual"], margin).passed:
+            problems.append("synthesis: stored dual certificate no longer verifies")
+        return problems, ["synthesis dual"]
     eta = float(synth["eta"])
     x = np.asarray(synth["X"], dtype=float)
     y = np.asarray(synth["Y"], dtype=float)
@@ -603,6 +621,8 @@ def cmd_report(report_path) -> int:
             lines.append(f"synthesis: {synth.get('status')}")
             if synth.get("reason"):
                 lines.append(f"  reason: {synth['reason']}")
+            if synth.get("dual") is not None:
+                lines.append(f"  refuted eta = {synth['eta']}")
             if synth.get("status") == "certified":
                 lines.append(f"  eta = {synth['eta']}")
                 lines.append(f"  K = {synth['K']}")
@@ -648,7 +668,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="ncspassive-report.json", help="report output path")
         p.add_argument("--eta", help='override config eta (number or "max")')
-        p.add_argument("--seed", help="override solver seed")
+        p.add_argument("--seed", help="override solver seed (checked, then ignored)")
         p.add_argument("--margin", help="override margin epsilon")
         p.add_argument("--budget", help="override solver iteration budget")
 

@@ -2,25 +2,25 @@
 
 Variables are symmetric or rectangular real matrices. A constraint is a
 block-structured affine symmetric expression required to be negative
-definite under a relative margin. The solver minimizes the worst
-constraint eigenvalue
+definite under a relative margin. ``solve`` runs a log-det barrier
+method (Boyd & Vandenberghe, *Convex Optimization*, CUP 2004, sec. 11;
+Vandenberghe & Boyd, "Semidefinite programming", *SIAM Review* 38,
+1996) on
 
-    f(v) = max over constraints of lambda_max(assemble(c, v))
+    min t  subject to  M_c(v) <= t I  for every constraint c,
 
-by subgradient descent with Polyak-style steps (the subgradient of
-lambda_max is the top-eigenvector outer product mapped back through each
-term's coefficient matrices), restarting from a ladder of scaled-identity
-initializations. The search never proves infeasibility: it returns a
-verified certificate or Indeterminate. Certificates are constructed
-exclusively through the eigenvalue-based ``verify``, which shares no
-state with the descent loop.
+and ends in one of three ways: a certificate, once a point passes the
+eigenvalue-based ``verify``, which shares no state with the solver; an
+Indeterminate whose ``dual`` refutes the problem, once the barrier's
+multipliers pass ``verify_dual``; or an Indeterminate without a dual,
+once the Newton-step budget runs out or t stops moving.
 
 ``verify_dual`` is the other half of the theorem of alternatives (Boyd
 et al., *Linear Matrix Inequalities in System and Control Theory*, SIAM
 1994, sec. 2.2): positive semidefinite multipliers, one per constraint,
 whose weighted sum of the constraints is a nonnegative constant prove
-that no assignment is feasible. A caller that can build such
-multipliers attaches them to its Indeterminate as ``dual``.
+that no assignment is feasible. Every ``dual`` on an Indeterminate has
+passed it.
 """
 
 from __future__ import annotations
@@ -367,13 +367,15 @@ def verify_dual(
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """A strictly feasible assignment, constructed only through verification."""
+    """A strictly feasible assignment, constructed only through verification.
+
+    ``iterations`` counts the Newton steps that found it.
+    """
 
     assignment: dict
     report: VerifyReport
     margin: DefinitenessMargin
     iterations: int = 0
-    restarts: int = 0
 
     feasible = True
 
@@ -384,7 +386,6 @@ class LmiCertificate:
         assignment: dict,
         margin: DefinitenessMargin | None = None,
         iterations: int = 0,
-        restarts: int = 0,
     ) -> "LmiCertificate":
         margin = margin or problem.margin
         frozen = {}
@@ -399,28 +400,22 @@ class LmiCertificate:
                 f"assignment does not satisfy constraint {worst.name!r}: "
                 f"lambda_max {worst.lambda_max:.6e} > threshold {worst.threshold:.6e}"
             )
-        return cls(
-            assignment=frozen,
-            report=report,
-            margin=margin,
-            iterations=iterations,
-            restarts=restarts,
-        )
+        return cls(assignment=frozen, report=report, margin=margin, iterations=iterations)
 
 
 @dataclass(frozen=True)
 class Indeterminate:
     """No certificate found.
 
-    On its own not a proof of infeasibility. ``best_value`` is the
-    smallest worst-eigenvalue a search reached (None when no search ran);
-    ``dual``, when present, maps each constraint name to a multiplier
-    that passed :func:`verify_dual`, which does prove infeasibility.
+    On its own not a proof of infeasibility. ``best_value`` is the worst
+    constraint eigenvalue at the solver's last point (None when no solve
+    ran); ``dual``, when present, maps each constraint name to a
+    multiplier that passed :func:`verify_dual`, which does prove
+    infeasibility. ``iterations`` counts Newton steps.
     """
 
     best_value: float | None = None
     iterations: int = 0
-    restarts: int = 0
     message: str = ""
     dual: dict | None = None
 
@@ -429,144 +424,248 @@ class Indeterminate:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Budget and determinism knobs for ``solve``.
-
-    ``max_iters`` is the per-restart iteration budget. Restarts walk a
-    ladder of identity scalings first, then add seeded jitter. The same
-    problem, seed, and budget always produce the same certificate.
-    """
+    """Knobs for ``solve``: ``max_iters`` is the total Newton-step budget."""
 
     max_iters: int = 300
-    restarts: int = 8
-    seed: int = 0
     margin: DefinitenessMargin | None = None
 
     def with_margin(self, margin: DefinitenessMargin | None) -> "SolveOptions":
         return replace(self, margin=margin) if margin is not None else self
 
 
-# Identity scalings of the first restarts; later restarts reuse them with jitter.
-INIT_SCALES = (1.0, 0.1, 10.0, 0.01, 100.0)
-# Iterations without improvement before the Polyak target gap shrinks.
-STALL_ITERS = 40
-# Relative band of eigenvalues averaged into the subgradient at a tie.
-TIE_RTOL = 1e-7
+# Factor by which the barrier weight grows once a point is centered.
+TAU_GROWTH = 8.0
+# A point counts as centered when half its squared Newton decrement is
+# below CENTERED, or below CENTERED_DUAL while its multipliers have a
+# nonnegative constant: those may refute the problem once their
+# gradient residual is within verify_dual's allowance.
+CENTERED = 1e-6
+CENTERED_DUAL = 1e-18
+# Newton decrement below which the full step is taken without a line search.
+FULL_STEP = 0.25
+# Backtracking line search: sufficient-decrease fraction and smallest step.
+ARMIJO = 0.01
+MIN_STEP = 1e-10
+# The solve stops once the central path's duality gap dim / tau is below
+# this share of 1 + |t|: t then cannot move by as much as a margin.
+STALL_GAP = 1e-11
+# Singular values below this share of the largest span no slack direction.
+RANK_RTOL = 1e-12
 
 
-def _initial_assignment(problem: LmiProblem, restart: int, opts: SolveOptions) -> dict:
-    rng = np.random.default_rng([opts.seed, restart])
-    scale = INIT_SCALES[restart % len(INIT_SCALES)]
-    jitter = restart >= len(INIT_SCALES)
-    assignment = {}
-    for name, var in problem.variables.items():
-        if var.kind == "symmetric":
-            v = scale * np.eye(var.rows)
-            if jitter:
-                noise = rng.standard_normal((var.rows, var.cols))
-                v = v + 0.2 * scale * (noise + noise.T) / (2.0 * np.sqrt(var.rows))
-        else:
-            v = np.zeros(var.shape)
-            if jitter:
-                v = 0.2 * scale * rng.standard_normal(var.shape) / np.sqrt(max(var.rows, 1))
-        assignment[name] = v
-    return assignment
+class _Barrier:
+    """min t subject to M_c(v) <= t I for every constraint, in coordinates.
 
-
-def _evaluate(problem: LmiProblem, assignment: dict, margin: DefinitenessMargin):
-    """Per-constraint (lambda_max, threshold, top-eigvec weight matrix)."""
-    rows = []
-    for name, expr in problem.constraints:
-        m = expr.assemble(assignment)
-        m = 0.5 * (m + m.T)
-        vals, vecs = np.linalg.eigh(m)
-        lam = float(vals[-1])
-        thr = margin.threshold(m)
-        rows.append((name, expr, lam, thr, vals, vecs))
-    return rows
-
-
-def _weight_matrix(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    lam = vals[-1]
-    sel = vals >= lam - TIE_RTOL * (1.0 + abs(lam))
-    cols = vecs[:, sel]
-    return (cols @ cols.T) / cols.shape[1]
-
-
-def _descend(problem: LmiProblem, assignment: dict, opts: SolveOptions, margin: DefinitenessMargin):
-    """One restart of Polyak-stepped subgradient descent.
-
-    Returns (feasible_assignment | None, best f seen, iterations used).
+    A symmetric variable has one coordinate per upper-triangle entry, a
+    rectangular one per entry; x stacks them and then t. The basis
+    matrices A_{c,i} are read off ``AffineExpr.assemble`` at unit
+    assignments, so the slacks S_c = t I - M_c(v) are affine in x. Newton
+    steps move x = x0 + Q y, where the columns of Q span the directions
+    that change some slack: moving along any other leaves the barrier
+    flat and its Hessian singular, unless it lowers t (then the start
+    moves along it). Row j of ``flats[c]`` is the change of S_c, flattened,
+    per unit of y_j.
     """
-    f_best = np.inf
-    delta = None
-    since_improve = 0
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        rows = _evaluate(problem, assignment, margin)
-        f = max(lam for _, _, lam, _, _, _ in rows)
-        if all(lam <= thr for _, _, lam, thr, _, _ in rows):
-            return assignment, min(f, f_best), it
-        if not np.isfinite(f_best) or f < f_best - 1e-12 * (1.0 + abs(f_best)):
-            f_best = f
-            since_improve = 0
-        else:
-            since_improve += 1
-        if since_improve > STALL_ITERS:
-            if delta is not None and delta <= 1e-12 * (1.0 + abs(f_best)):
-                break
-            delta = (delta or 1.0) * 0.25
-            since_improve = 0
 
-        name, expr, lam, thr, vals, vecs = max(rows, key=lambda r: r[2])
-        w = _weight_matrix(vals, vecs)
-        grads = {}
-        gnorm2 = 0.0
-        for vname in sorted(expr.variables()):
-            var = problem.variables[vname]
-            g = expr.grad(vname, w, var.shape)
-            if var.kind == "symmetric":
-                g = 0.5 * (g + g.T)
-            grads[vname] = g
-            gnorm2 += float(np.sum(g * g))
-        if gnorm2 < 1e-30:
-            break  # active constraint has a zero subgradient
+    def __init__(self, problem: LmiProblem, t0: float):
+        self.layout = {}
+        units, v0 = [], []
+        for name, var in problem.variables.items():
+            first = len(units)
+            for i, j in (zip(*np.triu_indices(var.rows)) if var.kind == "symmetric"
+                         else np.ndindex(var.shape)):
+                u = np.zeros(var.shape)
+                u[i, j] = 1.0
+                if var.kind == "symmetric":
+                    u[j, i] = 1.0
+                units.append((name, u))
+                v0.append(float(var.kind == "symmetric" and i == j))
+            self.layout[name] = (slice(first, len(units)), np.stack([u for _, u in units[first:]]))
+        self.x0 = np.array(v0 + [t0])
 
-        if delta is None:
-            delta = 0.5 * (1.0 + abs(f))
-        target = min(f_best, f) - delta
-        step = (f - target) / gnorm2
-        for vname, g in grads.items():
-            v = assignment[vname] - step * g
-            if problem.variables[vname].kind == "symmetric":
-                v = 0.5 * (v + v.T)
-            assignment[vname] = v
-    return None, f_best, it
+        zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
+        self.consts, coeffs = [], []
+        for _, expr in problem.constraints:
+            const = expr.assemble(zero)
+            seen = expr.variables()
+            self.consts.append(const)
+            coeffs.append(np.stack([
+                const - expr.assemble({**zero, name: u}) if name in seen else np.zeros_like(const)
+                for name, u in units
+            ] + [np.eye(len(const))]))
+        flat = np.hstack([f.reshape(len(f), -1) for f in coeffs])
+        u, sv, _ = np.linalg.svd(flat, full_matrices=False)
+        self.q = u[:, sv > RANK_RTOL * sv[0]]
+        # The part of the t axis outside range(Q) lowers t and keeps every
+        # slack: when there is one, slide the start along it to t = 0.
+        free = -self.q @ self.q[-1]
+        free[-1] += 1.0
+        if free[-1] > RANK_RTOL:
+            self.x0 = self.x0 - (t0 / free[-1]) * free
+        self.flats = [self.q.T @ f.reshape(len(f), -1) for f in coeffs]
+        self.base = [self.x0 @ f.reshape(len(f), -1) - c.ravel()
+                     for f, c in zip(coeffs, self.consts)]
+        self.eyes = [np.eye(len(c)) for c in self.consts]
+        self.dim = sum(len(c) for c in self.consts)  # duality gap on the central path, times tau
+
+    def x(self, y: np.ndarray) -> np.ndarray:
+        return self.x0 + self.q @ y
+
+    def assignment(self, y: np.ndarray) -> dict:
+        v = self.x(y)[:-1]
+        return {name: np.tensordot(v[sl], basis, 1) for name, (sl, basis) in self.layout.items()}
+
+    def factor(self, y: np.ndarray):
+        """(slacks, their Cholesky factors) at y, or None when a slack is not positive definite."""
+        slacks = [(b + y @ f).reshape(e.shape) for b, f, e in zip(self.base, self.flats, self.eyes)]
+        try:
+            return slacks, [np.linalg.cholesky(s) for s in slacks]
+        except np.linalg.LinAlgError:
+            return None
+
+    def certifies(self, y: np.ndarray, slacks: list, margin: DefinitenessMargin) -> bool:
+        """Every M_c = t I - S_c clears its margin threshold (a Cholesky test)."""
+        t = self.x(y)[-1]
+        for s, eye in zip(slacks, self.eyes):
+            m = t * eye - s
+            try:
+                np.linalg.cholesky(margin.threshold(m) * eye - m)
+            except np.linalg.LinAlgError:
+                return False
+        return True
+
+    def derivatives(self, chols: list):
+        """Gradient and Hessian in y of -sum_c log det S_c, and every S_c^{-1}."""
+        k = self.q.shape[1]
+        grad = np.zeros(k)
+        hess = np.zeros((k, k))
+        inverses = []
+        for f, chol in zip(self.flats, chols):
+            li = np.linalg.inv(chol)
+            g = (li @ f.reshape(k, *chol.shape) @ li.T).reshape(k, -1)  # L^-1 F_j L^-T
+            grad -= g[:, :: len(chol) + 1].sum(axis=1)  # their traces
+            hess += g @ g.T
+            inverses.append(li.T @ li)
+        return grad, hess, inverses
+
+
+def _log_det(chols: list) -> float:
+    return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
 
 
 def solve(problem: LmiProblem, options: SolveOptions | None = None):
-    """Search for a strictly feasible point; return it as a verified certificate.
+    """Decide strict feasibility of ``problem`` by a log-det barrier method.
 
-    Returns an :class:`LmiCertificate` on success or :class:`Indeterminate`
-    when the budget runs out. Indeterminate is not an infeasibility proof;
-    the report carries the smallest worst-eigenvalue reached.
+    Minimizes t subject to M_c(v) <= t I for every constraint (Boyd &
+    Vandenberghe, *Convex Optimization*, CUP 2004, sec. 11), by Newton
+    steps on tau t - sum_c log det(t I - M_c(v)) with tau raised by
+    TAU_GROWTH at each centered point. There are three outcomes:
+
+    * an :class:`LmiCertificate`, as soon as a point passes
+      ``LmiCertificate.build``, which re-verifies it by eigenvalues;
+    * an :class:`Indeterminate` whose ``dual`` refutes the problem, as
+      soon as the multipliers Z_c = (t I - M_c(v))^{-1}, scaled to total
+      trace 1, pass :func:`verify_dual` (sec. 5.9 there: at a centered
+      point they cancel every variable, and their constant is t minus
+      the duality gap);
+    * an :class:`Indeterminate` without a dual when ``max_iters`` Newton
+      steps decide neither, or when t stops moving (the central path's
+      gap falls below STALL_GAP) first.
+
+    The start point is X = I for symmetric variables and 0 for the
+    others; when it verifies, it is returned after 0 steps.
     """
     problem.validate()
     opts = options or SolveOptions()
     margin = opts.margin or problem.margin
-    best = np.inf
-    total_iters = 0
-    for restart in range(opts.restarts):
-        assignment = _initial_assignment(problem, restart, opts)
-        found, f_best, used = _descend(problem, assignment, opts, margin)
-        total_iters += used
-        best = min(best, f_best)
-        if found is not None:
-            return LmiCertificate.build(
-                problem, found, margin, iterations=total_iters, restarts=restart + 1
+    start = {name: np.eye(var.rows) if var.kind == "symmetric" else np.zeros(var.shape)
+             for name, var in problem.variables.items()}
+    report = verify(problem, start, margin)
+    if report.passed:
+        return LmiCertificate.build(problem, start, margin)
+
+    barrier = _Barrier(problem, max(c.lambda_max for c in report.checks) + 1.0)
+    t_of = barrier.q[-1]  # dt/dy
+    y = np.zeros(barrier.q.shape[1])
+    slacks, chols = barrier.factor(y)
+    tau = None
+    step = 0
+    while True:
+        if barrier.certifies(y, slacks, margin):
+            try:
+                return LmiCertificate.build(problem, barrier.assignment(y), margin, iterations=step)
+            except VerificationFailed:
+                pass  # rounding between the basis and assemble; keep going
+        grad, hess, inverses = barrier.derivatives(chols)
+        total = float(sum(z.trace() for z in inverses))
+        if tau is None:
+            tau = total  # the start is then centered in t
+        constant = sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
+        # the gradient along y is the multipliers' residual, times total
+        residual = np.linalg.norm(grad + total * t_of) / total
+        if constant >= 0.0 and residual <= margin.epsilon_rel:
+            dual = {name: z / total for (name, _), z in zip(problem.constraints, inverses)}
+            if verify_dual(problem, dual, margin).passed:
+                return Indeterminate(
+                    best_value=_worst(problem, barrier.assignment(y), margin),
+                    iterations=step,
+                    message="refuted: the barrier's multipliers pass verify_dual, "
+                    "so no assignment is strictly feasible",
+                    dual=dual,
+                )
+        t = barrier.x(y)[-1]
+        if step == opts.max_iters or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
+            reason = (f"within {step} Newton steps" if step == opts.max_iters else
+                      f"after {step} Newton steps: t = {t:.6g} is within "
+                      f"{barrier.dim / tau:.1e} of its infimum")
+            return Indeterminate(
+                best_value=_worst(problem, barrier.assignment(y), margin),
+                iterations=step,
+                message=f"no certificate or refutation {reason}",
             )
-    return Indeterminate(
-        best_value=float(best),
-        iterations=total_iters,
-        restarts=opts.restarts,
-        message="no strictly feasible point found within budget",
-    )
+        step += 1
+
+        dy = _newton_direction(hess, grad + tau * t_of)
+        decrement = float(-(grad + tau * t_of) @ dy)
+        if 0.5 * decrement <= (CENTERED_DUAL if constant >= 0.0 else CENTERED):
+            tau *= TAU_GROWTH
+            dy = _newton_direction(hess, grad + tau * t_of)
+            decrement = float(-(grad + tau * t_of) @ dy)
+        found = _line_search(barrier, y, dy, tau * t_of, -decrement,
+                             tau * (t_of @ y) - _log_det(chols), np.sqrt(max(decrement, 0.0)))
+        if found is None:
+            tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
+            continue
+        y, slacks, chols = found
+
+
+def _worst(problem: LmiProblem, assignment: dict, margin: DefinitenessMargin) -> float:
+    return verify(problem, assignment, margin).worst().lambda_max
+
+
+def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(hess, -g)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hess, -g, rcond=None)[0]
+
+
+def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float,
+                 decrement: float):
+    """(y, slacks, Cholesky factors) after a damped Newton step, or None.
+
+    A short step (decrement below FULL_STEP) is taken in full while the
+    slacks stay positive definite; otherwise backtracking halves the
+    step until the barrier drops by ARMIJO of its linear prediction.
+    """
+    s = 1.0
+    while s >= MIN_STEP:
+        trial = y + s * dy
+        factored = barrier.factor(trial)
+        if factored is not None and (
+            decrement < FULL_STEP
+            or objective @ trial - _log_det(factored[1]) <= value + ARMIJO * s * slope
+        ):
+            return (trial, *factored)
+        s *= 0.5
+    return None

@@ -187,11 +187,17 @@ def simulate(
     describes. The initial state defaults to zero, matching the
     zero-initial-state passivity experiments.
     """
-    x, w, z, v, theta1, theta2, sum_wz, sum_ww = _run_block(
-        plant, gain, schedule, loss, signal, horizon, [seed], x0)
-    return SimTrace(horizon, x[:, 0], w[:, 0], z[:, 0], v[:, 0], theta1[:, 0], theta2[:, 0],
+    records = _run_block(plant, gain, schedule, loss, signal, horizon, [seed], x0)
+    return _trace(records, 0, seed, schedule)
+
+
+def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
+    """Trial ``m`` of a ``_run_block`` result as a SimTrace."""
+    x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
+    horizon = len(w)
+    return SimTrace(horizon, x[:, m], w[:, m], z[:, m], v[:, m], theta1[:, m], theta2[:, m],
                     np.arange(horizon) % schedule.period, seed, schedule,
-                    float(sum_wz[0]), float(sum_ww[0]))
+                    float(sum_wz[m]), float(sum_ww[m]))
 
 
 @dataclass(frozen=True)
@@ -222,11 +228,14 @@ def ensemble(
     x0=None,
     eta: float = 0.0,
     terminal_threshold: float = 1e-3,
+    on_trace=None,
 ) -> EnsembleStats:
     """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ...
 
     Trials run in blocks of at most ``TRIAL_BLOCK``; only running sums
-    outlive a block, so memory does not grow with ``trials``.
+    outlive a block, so memory does not grow with ``trials``. When given,
+    ``on_trace`` is called with each trial's :class:`SimTrace`, in seed
+    order, while its block is alive.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -237,8 +246,11 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        x, w, z, v, theta1, theta2, sum_wz, sum_ww = _run_block(
-            plant, gain, schedule, loss, signal, horizon, seeds, x0)
+        records = _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0)
+        if on_trace is not None:
+            for m, seed in enumerate(seeds):
+                on_trace(_trace(records, m, seed, schedule))
+        x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
         sq_sum += np.einsum("kmi,kmi->k", x, x)
         terminal_hits += int(np.count_nonzero(np.linalg.norm(x[-1], axis=1) < terminal_threshold))
         mode_counts += np.bincount((2 * theta1 + theta2).ravel(), minlength=4)
@@ -249,7 +261,7 @@ def ensemble(
         sq_dev += float(np.sum((d - d_mean) ** 2)) + delta * delta * done * d.size / (done + d.size)
         done += d.size
         mean += delta * (d.size / done)
-        del x, w, z, v, theta1, theta2  # free this block's records before the next is drawn
+        del records, x, w, z, v, theta1, theta2  # free this block before the next is drawn
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,

@@ -30,6 +30,7 @@ from .analysis import (
     dissipation_upper_bound,
     expanded_passivity_block,
     passivity_lmi,
+    passivity_problem,
     sms_oracle,
 )
 from .errors import SingularTransform, VerificationFailed
@@ -132,9 +133,10 @@ def recover_gain(x: np.ndarray, y: np.ndarray) -> Gain:
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Three independent legs validating a synthesized gain."""
+    """Four independent legs validating a synthesized gain."""
 
     passivity_certified: bool
+    direct_certified: bool
     rho: float
     rho_ok: bool
     congruence_rel_err: float
@@ -146,6 +148,7 @@ class RoundTripReport:
     def passed(self) -> bool:
         return (
             self.passivity_certified
+            and self.direct_certified
             and self.rho_ok
             and self.congruence_ok
             and self.verdicts_match
@@ -154,6 +157,7 @@ class RoundTripReport:
     def summary(self) -> str:
         return (
             f"passivity re-certified: {self.passivity_certified}; "
+            f"P = X^-1 verifies: {self.direct_certified}; "
             f"rho = {self.rho:.6f} (<1: {self.rho_ok}); "
             f"congruence rel err = {self.congruence_rel_err:.3e} "
             f"(ok: {self.congruence_ok}, verdicts match: {self.verdicts_match})"
@@ -208,12 +212,15 @@ def round_trip_verify(
     """Independent validation of a synthesized (X, Y) and its gain at eta.
 
     (a) re-certify passivity of the closed loop at the claimed eta with a
-    fresh LMI solve; (b) second-moment radius < 1 by the oracle; (c) the
+    fresh LMI solve; (b) verify P = X^{-1} directly against the same
+    dissipation LMI; (c) second-moment radius < 1 by the oracle; (d) the
     congruence identity between the synthesis and analysis block forms.
     """
     margin = margin or DEFAULT_MARGIN
     fresh = passivity_lmi(plant, gain, dist, eta, margin, options)
     passivity_ok = bool(fresh.feasible)
+    direct = lmi.verify(passivity_problem(plant, gain, dist, eta, margin),
+                        {"P": np.linalg.inv(x)}, margin)
 
     fam = closed_loop(plant, gain, 0, full_packet_schedule())
     rho = sms_oracle(fam, dist).rho
@@ -222,6 +229,7 @@ def round_trip_verify(
     detail = "" if passivity_ok else "fresh passivity solve did not certify"
     return RoundTripReport(
         passivity_certified=passivity_ok,
+        direct_certified=direct.passed,
         rho=rho,
         rho_ok=rho < 1.0,
         congruence_rel_err=rel,

@@ -23,7 +23,7 @@ from ncspassive.analysis import (
     sms_oracle,
     stability_lmi,
 )
-from ncspassive.lmi import Indeterminate, SolveOptions
+from ncspassive.lmi import Indeterminate
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -227,10 +227,7 @@ def test_c5_no_false_certificates_for_structural_infeasibility():
     false_certificates = 0
     for seed in range(20):
         alpha2 = 0.25 if seed % 2 == 0 else 0.3  # a11 = 0.75 and 0.7
-        result = synthesize(
-            plant, LossModel(0.0, alpha2), eta=0.0,
-            options=SolveOptions(seed=seed),
-        )
+        result = synthesize(plant, LossModel(0.0, alpha2), eta=0.0)
         if not isinstance(result, Indeterminate):
             false_certificates += 1
     elapsed = time.perf_counter() - start

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ncspassive import cli, lmi
+from ncspassive import cli, lmi, sim
+from ncspassive.model import Gain, LossModel, full_packet_schedule
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -76,6 +77,15 @@ PERIODIC = dict(
     schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]},
 )
 PERIODIC.pop("eta")
+
+# Acceptance c3's loop: x+ = 0.5 x + w, z = 0.5 x + w, lossless, no actuator.
+# Its dissipation margin is exactly 2/3, so eta = 0.667 is infeasible.
+C3_LOOP = scenario(
+    plant={"A": [[0.5]], "B1": [[1.0]], "B2": [[0.0]],
+           "C1": [[0.5]], "D11": [[1.0]], "D12": [[0.0]]},
+    loss={"alpha1": 0.0, "alpha2": 0.0},
+    eta=0.667,
+)
 
 
 class TestAnalyze:
@@ -228,6 +238,27 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out.read_text())["results"]["gain"] == [[-0.9]]
 
+    def test_dump_traces_reuse_the_ensemble_records(self, tmp_path, monkeypatch):
+        config = scenario()
+        config["simulation"]["trials"] = 3
+        cfg = write_config(tmp_path, config)
+        lone = tmp_path / "lone.csv"
+        plant = cli.load_config(cfg).plant
+        sim.trace_to_csv(sim.simulate(plant, Gain([[-0.9]]), full_packet_schedule(),
+                                      LossModel(0.0, 0.2), sim.InputSignal.white_noise(1),
+                                      100, 77 + 2), lone)
+
+        def no_resimulation(*args, **kwargs):
+            raise AssertionError("simulate re-ran a trial of the ensemble")
+
+        monkeypatch.setattr(sim, "simulate", no_resimulation)
+        out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--gain", "[[-0.9]]", "--dump-traces"]) == 0
+        traces = sorted((tmp_path / "sim.json.traces").glob("*.csv"))
+        assert [t.name for t in traces] == ["trace_0000.csv", "trace_0001.csv", "trace_0002.csv"]
+        assert traces[2].read_bytes() == lone.read_bytes()
+
     def test_missing_gain_is_input_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario())
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 1
@@ -307,6 +338,45 @@ class TestReport:
         err = capsys.readouterr().err
         assert "stability: stored dual certificate no longer verifies" in err
         assert "digest" not in err
+
+    def test_refuted_passivity_keeps_a_dual_that_reverifies(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, C3_LOOP)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        pas = json.loads(out.read_text())["results"]["passivity"]
+        assert pas["status"] == "indeterminate"
+        assert pas["eta"] == 0.667
+        assert pas["reason"].startswith("refuted")
+        assert sorted(pas["dual"]) == ["P_pos_def", "dissipation"]
+        assert cli.main(["report", str(out)]) == 0
+        assert "certificates re-verified: stability, passivity dual" in capsys.readouterr().out
+
+        def negate_dual(results):
+            dual = results["passivity"]["dual"]
+            dual["dissipation"] = [[-v for v in row] for row in dual["dissipation"]]
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", negate_dual)
+        assert cli.main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "passivity: stored dual certificate no longer verifies" in err
+        assert "digest" not in err
+
+    def test_refuted_synthesis_keeps_a_dual_that_reverifies(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, C3_LOOP)
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
+        synth = json.loads(out.read_text())["results"]["synthesis"]
+        assert synth["eta"] == 0.667
+        assert sorted(synth["dual"]) == ["X_pos_def", "synthesis"]
+        assert cli.main(["report", str(out)]) == 0
+        assert "certificates re-verified: synthesis dual" in capsys.readouterr().out
+
+        def shift_eta(results):
+            results["synthesis"]["eta"] = 0.5  # feasible there: nothing can refute it
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", shift_eta)
+        assert cli.main(["report", str(bad)]) == 3
+        assert "synthesis: stored dual certificate no longer verifies" in capsys.readouterr().err
 
     def test_dropped_periodic_p_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PERIODIC)

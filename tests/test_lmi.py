@@ -134,6 +134,40 @@ class TestSolve:
         # best effort is nonnegative: no feasible point exists
         assert result.best_value > -1e-9
 
+    def test_refutation_carries_a_verified_dual(self):
+        prob = scalar_lyapunov_problem(2.0)
+        result = solve(prob)
+        assert isinstance(result, Indeterminate)
+        assert result.message.startswith("refuted")
+        assert sorted(result.dual) == ["P_pos_def", "lyapunov"]
+        assert verify_dual(prob, result.dual).passed
+
+    def test_feasible_start_returns_after_zero_steps(self):
+        # P = I already verifies 0.25 P - P < 0
+        result = solve(scalar_lyapunov_problem(0.5))
+        assert result.feasible
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.assignment["P"], [[1.0]])
+
+    def test_variable_that_lowers_every_constraint(self):
+        # V + 5 < 0: moving V and t together leaves the slack t - V - 5 fixed,
+        # a direction along which the barrier is flat but t falls
+        prob = LmiProblem()
+        prob.add_symmetric("V", 1)
+        expr = AffineExpr([1], name="shifted")
+        expr.add_term(0, 0, [[1.0]], "V", [[1.0]])
+        expr.add_const(0, 0, [[5.0]])
+        prob.add_constraint(expr)
+        result = solve(prob)
+        assert result.feasible
+        assert result.assignment["V"][0, 0] < -5.0
+
+    def test_budget_exhaustion_gives_no_dual(self):
+        result = solve(scalar_lyapunov_problem(2.0), SolveOptions(max_iters=1))
+        assert isinstance(result, Indeterminate)
+        assert result.iterations == 1
+        assert result.dual is None
+
     def test_certificates_verify_by_construction(self):
         result = solve(scalar_lyapunov_problem(0.9))
         assert result.feasible
@@ -141,9 +175,8 @@ class TestSolve:
         assert report.passed
 
     def test_determinism_identical_bytes(self):
-        opts = SolveOptions(seed=123)
-        r1 = solve(scalar_lyapunov_problem(0.8), opts)
-        r2 = solve(scalar_lyapunov_problem(0.8), opts)
+        r1 = solve(scalar_lyapunov_problem(0.8))
+        r2 = solve(scalar_lyapunov_problem(0.8))
         assert r1.feasible and r2.feasible
         assert r1.assignment["P"].tobytes() == r2.assignment["P"].tobytes()
         assert r1.iterations == r2.iterations
