@@ -49,7 +49,6 @@ from .lmi import (
     Indeterminate,
     LmiCertificate,
     LmiProblem,
-    SolveOptions,
     solve,
     verify,
     verify_dual,
@@ -120,7 +119,6 @@ __all__ = [
     "LmiProblem",
     "LmiCertificate",
     "Indeterminate",
-    "SolveOptions",
     "solve",
     "verify",
     "verify_dual",

@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 BORDERLINE_BAND = 0.02
+# Width of the eta interval at which a maximize bisection stops.
+ETA_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,6 @@ class StabilityCertificate:
     """N-periodic positive definite P_k verifying the coupled Lyapunov LMIs."""
 
     ps: tuple[np.ndarray, ...]
-    margin: DefinitenessMargin
     report: lmi.VerifyReport
 
     feasible = True
@@ -142,7 +143,7 @@ def stability_problem(
     gain: Gain,
     schedule: Schedule,
     dist: ModeDistribution,
-    margin: DefinitenessMargin | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
 ) -> lmi.LmiProblem:
     """The coupled periodic Lyapunov LMIs over P0, ..., P{N-1}.
 
@@ -150,14 +151,21 @@ def stability_problem(
 
         sum_m a_m A_{k,m}' P_{k+1 mod N} A_{k,m} - P_k < 0,   P_k > 0.
     """
-    n = plant.n
-    period = schedule.period
-    prob = lmi.LmiProblem(margin=margin or DEFAULT_MARGIN)
+    families = [closed_loop(plant, gain, k, schedule) for k in range(schedule.period)]
+    return _lyapunov_problem(families, dist, margin)
+
+
+def _lyapunov_problem(
+    families: list, dist: ModeDistribution, margin: DefinitenessMargin
+) -> lmi.LmiProblem:
+    """:func:`stability_problem` on the period's closed loops, already built."""
+    n = families[0].a(0, 0).shape[0]
+    period = len(families)
+    prob = lmi.LmiProblem(margin=margin)
     for k in range(period):
         prob.add_symmetric(f"P{k}", n, positive_definite=True)
     eye = np.eye(n)
-    for k in range(period):
-        fam = closed_loop(plant, gain, k, schedule)
+    for k, fam in enumerate(families):
         expr = lmi.AffineExpr([n], name=f"lyapunov_k{k}")
         nxt = f"P{(k + 1) % period}"
         for (i, j), p in dist.items():
@@ -175,7 +183,7 @@ def stability_lmi(
     gain: Gain,
     schedule: Schedule,
     dist: ModeDistribution,
-    margin: DefinitenessMargin | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
 ):
     """Decide :func:`stability_problem` by linear algebra, without a search.
 
@@ -185,15 +193,12 @@ def stability_lmi(
     that passed ``lmi.verify_dual`` when rho >= 1 lets it build them.
     Never raises for a singular or ill-conditioned system.
     """
-    margin = margin or DEFAULT_MARGIN
     period = schedule.period
     n = plant.n
-    prob = stability_problem(plant, gain, schedule, dist, margin)
+    families = [closed_loop(plant, gain, k, schedule) for k in range(period)]
+    prob = _lyapunov_problem(families, dist, margin)
     # adjoint[k] maps Z_k to Z_{k+1}; adjoint[k].T is the Lyapunov map L_k
-    adjoint = [
-        _second_moment_operator(closed_loop(plant, gain, k, schedule), dist)
-        for k in range(period)
-    ]
+    adjoint = [_second_moment_operator(fam, dist) for fam in families]
     # Close the cycle at P_0: P_0 = c + T P_0, with T = L_0 L_1 ... L_{N-1}.
     vec_i = np.eye(n).ravel()
     t = np.eye(n * n)
@@ -213,19 +218,18 @@ def stability_lmi(
             nxt = vec_i + adjoint[k].T @ nxt
             ps[f"P{k}"] = _sym(nxt.reshape(n, n))
         try:
-            cert = lmi.LmiCertificate.build(prob, ps, margin)
+            cert = lmi.LmiCertificate.build(prob, ps)
         except VerificationFailed as exc:
             reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
         else:
             return StabilityCertificate(
                 ps=tuple(cert.assignment[f"P{k}"] for k in range(period)),
-                margin=margin,
                 report=cert.report,
             )
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N.
     for z0 in _perron_candidates(t.T, n):
         dual = _stability_dual(adjoint, z0)
-        if dual is not None and lmi.verify_dual(prob, dual, margin).passed:
+        if dual is not None and lmi.verify_dual(prob, dual).passed:
             return lmi.Indeterminate(
                 message="refuted: the Perron multiplier of the period's second-moment "
                 "operator proves that no P satisfies the coupled Lyapunov LMIs",
@@ -295,10 +299,10 @@ def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
     return {name: z / total for name, z in dual.items()}
 
 
-def check_assumption(plant: Plant, margin: DefinitenessMargin | None = None) -> None:
+def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) -> None:
     """Raise AssumptionViolated unless D11 + D11' > 0 (margin-strict)."""
     d = plant.D11 + plant.D11.T
-    if not is_pos_definite(d, margin or DEFAULT_MARGIN):
+    if not is_pos_definite(d, margin):
         raise AssumptionViolated(
             "passivity analysis requires D11 + D11' > 0; "
             f"min eigenvalue is {float(sym_eigvals(d)[0]):.3e}"
@@ -324,7 +328,6 @@ class PassivityCertificate:
 
     assignment: dict
     eta: float
-    margin: DefinitenessMargin
     report: lmi.VerifyReport
     rho: float
 
@@ -340,7 +343,7 @@ def passivity_problem(
     gain: Gain,
     dist: ModeDistribution,
     eta: float,
-    margin: DefinitenessMargin | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
 ) -> lmi.LmiProblem:
     """The averaged dissipation LMI over one P > 0 (full-packet loop).
 
@@ -349,7 +352,6 @@ def passivity_problem(
     """
     if eta < 0:
         raise ValueError(f"dissipation must be >= 0, got {eta}")
-    margin = margin or DEFAULT_MARGIN
     check_assumption(plant, margin)
     fam = closed_loop(plant, gain, 0, full_packet_schedule())
     n, m1 = plant.n, plant.m1
@@ -378,8 +380,8 @@ def passivity_lmi(
     gain: Gain,
     dist: ModeDistribution,
     eta: float,
-    margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
+    max_iters: int = lmi.MAX_ITERS,
 ):
     """Certify strict passivity with dissipation eta by solving :func:`passivity_problem`.
 
@@ -388,7 +390,6 @@ def passivity_lmi(
     rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate
     names that bound and no search runs.
     """
-    margin = margin or DEFAULT_MARGIN
     prob = passivity_problem(plant, gain, dist, eta, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
@@ -396,13 +397,12 @@ def passivity_lmi(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    result = lmi.solve(prob, (options or lmi.SolveOptions()).with_margin(margin))
+    result = lmi.solve(prob, max_iters)
     if not result.feasible:
         return result
     return PassivityCertificate(
         assignment=dict(result.assignment),
         eta=float(eta),
-        margin=margin,
         report=result.report,
         rho=rho,
     )
@@ -413,18 +413,15 @@ def dissipation_upper_bound(plant: Plant) -> float:
     return float(sym_eigvals(plant.D11 + plant.D11.T)[0]) / 2.0
 
 
-def _bisect_eta(probe, hi: float, tol: float):
-    """Bisect [0, hi] for the largest eta that ``probe`` certifies.
+def _bisect_eta(probe, hi: float):
+    """Bisect [0, hi] to ETA_TOL for the largest eta that ``probe`` certifies.
 
     ``probe(eta)`` returns a certificate or an Indeterminate. Returns
-    (eta, certificate) for the last certified probe, or (None, the
+    (eta, certificate) for the last certified probe, or (0.0, the
     Indeterminate) when eta = 0 itself does not certify.
     """
-    best = probe(0.0)
-    if not best.feasible:
-        return None, best
-    lo = 0.0
-    while hi - lo > tol:
+    lo, best = 0.0, probe(0.0)
+    while best.feasible and hi - lo > ETA_TOL:
         mid = 0.5 * (lo + hi)
         res = probe(mid)
         if res.feasible:
@@ -438,22 +435,21 @@ def max_dissipation(
     plant: Plant,
     gain: Gain,
     dist: ModeDistribution,
-    tol: float = 1e-3,
-    margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
+    max_iters: int = lmi.MAX_ITERS,
 ):
-    """Largest certified dissipation, by bisection over eta.
+    """Largest certified dissipation, by bisection over eta to ETA_TOL.
 
-    The loop must be certifiable at eta = 0; otherwise the Indeterminate
-    from that first solve is returned unchanged. The search interval is
+    Returns the :class:`PassivityCertificate` of the last certified
+    probe, whose ``eta`` is the margin found. The loop must be
+    certifiable at eta = 0; otherwise the Indeterminate from that first
+    solve is returned unchanged. The search interval is
     [0, min eig(D11 + D11')/2], whose upper end is always infeasible.
     """
-    eta, cert = _bisect_eta(
-        lambda e: passivity_lmi(plant, gain, dist, e, margin, options),
+    return _bisect_eta(
+        lambda e: passivity_lmi(plant, gain, dist, e, margin, max_iters),
         dissipation_upper_bound(plant),
-        tol,
-    )
-    return cert if eta is None else eta
+    )[1]
 
 
 def dissipation_form_matrix(

@@ -32,7 +32,7 @@ from .model import (
     full_packet_schedule,
     mode_distribution,
 )
-from .numerics import DefinitenessMargin
+from .numerics import DEFAULT_MARGIN, DefinitenessMargin
 
 __all__ = ["main", "load_config", "ScenarioConfig", "EXIT_OK", "EXIT_INPUT", "EXIT_INDETERMINATE", "EXIT_VERIFY"]
 
@@ -47,8 +47,8 @@ _PLANT_KEYS = {"A", "B1", "B2", "C1", "D11", "D12"}
 _INT_FROM_0 = {"integer": True, "minimum": 0}
 _INT_FROM_1 = {"integer": True, "minimum": 1}
 _SOLVER_FIELDS = {
-    "margin": (1e-8, {"above": 0.0}),
-    "budget": (300, _INT_FROM_1),
+    "margin": (DEFAULT_MARGIN.epsilon_rel, {"above": 0.0}),
+    "budget": (lmi.MAX_ITERS, _INT_FROM_1),
     "restarts": (8, _INT_FROM_1),
     "seed": (0, _INT_FROM_0),
 }
@@ -85,7 +85,8 @@ class ScenarioConfig:
     loss: LossModel
     eta: float | str | None
     gain: Gain | None
-    solver: lmi.SolveOptions
+    margin: DefinitenessMargin
+    budget: int  # Newton steps per solve
     simulation: SimSettings
     raw: dict
 
@@ -198,11 +199,8 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     if not isinstance(solver_spec, dict):
         raise ConfigError(f"{where}.solver: expected an object")
     _reject_unknown(solver_spec, set(_SOLVER_FIELDS), f"{where}.solver")
-    fields = _fields(solver_spec, _SOLVER_FIELDS, f"{where}.solver")
     # restarts and seed are still bound-checked, but the barrier solver uses neither
-    solver = lmi.SolveOptions(
-        max_iters=fields["budget"], margin=DefinitenessMargin(fields["margin"])
-    )
+    solver = _fields(solver_spec, _SOLVER_FIELDS, f"{where}.solver")
 
     sim_spec = data.get("simulation", {})
     if not isinstance(sim_spec, dict):
@@ -236,7 +234,8 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
         loss=loss,
         eta=eta,
         gain=gain,
-        solver=solver,
+        margin=DefinitenessMargin(solver["margin"]),
+        budget=solver["budget"],
         simulation=simulation,
         raw=data,
     )
@@ -282,6 +281,21 @@ def _dual_dict(dual: dict | None) -> dict | None:
     return None if dual is None else {name: _mat(z) for name, z in dual.items()}
 
 
+def _refusal(result: lmi.Indeterminate, eta) -> dict:
+    """The report section of an Indeterminate at ``eta``, a number or "maximize"."""
+    if eta == "maximize":
+        # a maximize search that fails fails at eta = 0, which a dual refutes
+        eta = 0.0 if result.dual is not None else None
+    return {
+        "status": "indeterminate",
+        "eta": eta,
+        "reason": result.message,
+        "best_value": result.best_value,
+        "iterations": result.iterations,
+        "dual": _dual_dict(result.dual),
+    }
+
+
 def _write_report(out_path, command: str, config: ScenarioConfig, results: dict, started: float) -> dict:
     report = {
         "tool": {"name": "ncspassive", "version": __version__},
@@ -305,9 +319,6 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     started = time.time()
     gain = config.gain or Gain.zero(config.plant.m2, config.plant.n)
     dist = mode_distribution(config.loss)
-    opts = config.solver
-    margin = opts.margin
-
     results: dict = {"gain": _mat(gain.K)}
     certified = True
 
@@ -318,7 +329,7 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     sms = analysis.sms_oracle(families, dist)
     results["sms"] = {"rho": sms.rho, "stable": sms.stable, "borderline": sms.borderline}
 
-    stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, margin)
+    stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, config.margin)
     if stab.feasible:
         results["stability"] = {
             "status": "certified",
@@ -336,32 +347,22 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     if config.eta is not None:
         if not config.schedule.full_packet:
             raise ConfigError("passivity analysis requires the full-packet schedule")
-        eta_val = config.eta
-        if eta_val == "maximize":
-            pas = analysis.max_dissipation(config.plant, gain, dist, margin=margin, options=opts)
-            eta_val = pas if isinstance(pas, float) else None
-        if eta_val is not None:
-            # a margin found by bisection is solved once more for its certificate
-            pas = analysis.passivity_lmi(config.plant, gain, dist, eta_val, margin, opts)
+        if config.eta == "maximize":
+            pas = analysis.max_dissipation(config.plant, gain, dist, config.margin, config.budget)
+        else:
+            pas = analysis.passivity_lmi(
+                config.plant, gain, dist, config.eta, config.margin, config.budget)
         if pas.feasible:
             results["passivity"] = {
                 "status": "certified",
-                "eta": eta_val,
+                "eta": pas.eta,
                 "P": _mat(pas.p),
                 "rho": pas.rho,
                 "verify": _verify_report_dict(pas.report),
             }
         else:
             certified = False
-            results["passivity"] = {
-                "status": "indeterminate",
-                # a maximize search that fails fails at eta = 0, which a dual refutes
-                "eta": 0.0 if eta_val is None and pas.dual is not None else eta_val,
-                "reason": pas.message,
-                "best_value": pas.best_value,
-                "iterations": pas.iterations,
-                "dual": _dual_dict(pas.dual),
-            }
+            results["passivity"] = _refusal(pas, config.eta)
 
     _write_report(out_path, "analyze", config, results, started)
     return EXIT_OK if certified else EXIT_INDETERMINATE
@@ -372,24 +373,9 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
     if not config.schedule.full_packet:
         raise ConfigError("synthesis requires full-packet: set schedule to \"full-packet\"")
     eta = config.eta if config.eta is not None else 0.0
-    opts = config.solver
-    margin = opts.margin
-
-    result = synthesis.synthesize(config.plant, config.loss, eta, margin, opts)
+    result = synthesis.synthesize(config.plant, config.loss, eta, config.margin, config.budget)
     if not result.feasible:
-        refuted = result.dual is not None
-        results = {
-            "synthesis": {
-                "status": "indeterminate",
-                # a maximize search that fails fails at eta = 0, which a dual refutes
-                "eta": (0.0 if refuted else None) if eta == "maximize" else float(eta),
-                "reason": result.message,
-                "best_value": result.best_value,
-                "iterations": result.iterations,
-                "dual": _dual_dict(result.dual),
-            }
-        }
-        _write_report(out_path, "synthesize", config, results, started)
+        _write_report(out_path, "synthesize", config, {"synthesis": _refusal(result, eta)}, started)
         return EXIT_INDETERMINATE
 
     results = {
@@ -499,64 +485,54 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
     return EXIT_OK
 
 
-def _reverify_analysis(config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
-    """Re-verify an analyze report's certificates and duals: (problems, what was checked)."""
-    problems, checked = [], []
+def _recheck(label: str, entry: dict, build, assignment: dict) -> tuple[list[str], list[str]]:
+    """Re-verify one report section: (problems, what was checked).
+
+    A certified section's ``assignment`` goes through ``lmi.verify`` on
+    the problem ``build()`` poses, any other section's stored dual through
+    ``lmi.verify_dual``; a section holding neither has nothing to check.
+    """
+    if entry.get("status") == "certified":
+        if lmi.verify(build(), assignment).passed:
+            return [], [label]
+        return [f"{label}: stored certificate no longer verifies"], [label]
+    if entry.get("dual") is None:
+        return [], []
+    if lmi.verify_dual(build(), entry["dual"]).passed:
+        return [], [f"{label} dual"]
+    return [f"{label}: stored dual certificate no longer verifies"], [f"{label} dual"]
+
+
+def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
+    """Re-verify a report's certificates and duals: (problems, what was checked)."""
+    plant, dist, margin = config.plant, mode_distribution(config.loss), config.margin
+    if command == "synthesize":
+        synth = results.get("synthesis", {})
+        problems, checked = _recheck(
+            "synthesis", synth,
+            lambda: synthesis.build_synthesis_lmi(plant, dist, float(synth["eta"]), margin),
+            {"X": synth.get("X"), "Y": synth.get("Y")})
+        if synth.get("status") == "certified":
+            recovered = synthesis.recover_gain(synth["X"], synth["Y"]).K
+            if not np.allclose(recovered, np.asarray(synth["K"], dtype=float),
+                               rtol=1e-8, atol=1e-10):
+                problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
+        return problems, checked
     gain = Gain(_matrix(results["gain"], "report.results.gain"))
-    dist = mode_distribution(config.loss)
-    margin = config.solver.margin
-    stab = results.get("stability", {})
-    prob = analysis.stability_problem(config.plant, gain, config.schedule, dist, margin)
-    if stab.get("status") == "certified":
-        checked.append("stability")
-        if len(stab["P"]) != config.schedule.period:
-            problems.append("stability: stored P count does not match schedule period")
-        else:
-            ps = {f"P{k}": np.asarray(p, dtype=float) for k, p in enumerate(stab["P"])}
-            if not lmi.verify(prob, ps, margin).passed:
-                problems.append("stability: stored certificate no longer verifies")
-    elif stab.get("dual") is not None:
-        checked.append("stability dual")
-        if not lmi.verify_dual(prob, stab["dual"], margin).passed:
-            problems.append("stability: stored dual certificate no longer verifies")
-    pas = results.get("passivity", {})
-    if pas.get("status") == "certified":
-        checked.append("passivity")
-        prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
-        if not lmi.verify(prob, {"P": np.asarray(pas["P"], dtype=float)}, margin).passed:
-            problems.append("passivity: stored certificate no longer verifies")
-    elif pas.get("dual") is not None:
-        checked.append("passivity dual")
-        prob = analysis.passivity_problem(config.plant, gain, dist, float(pas["eta"]), margin)
-        if not lmi.verify_dual(prob, pas["dual"], margin).passed:
-            problems.append("passivity: stored dual certificate no longer verifies")
-    return problems, checked
-
-
-def _reverify_synthesis(config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
-    """Re-verify a synthesize report's certificate or dual: (problems, what was checked)."""
-    problems = []
-    synth = results.get("synthesis", {})
-    margin = config.solver.margin
-    dist = mode_distribution(config.loss)
-    if synth.get("status") != "certified":
-        if synth.get("dual") is None:
-            return problems, []
-        prob = synthesis.build_synthesis_lmi(config.plant, dist, float(synth["eta"]), margin)
-        if not lmi.verify_dual(prob, synth["dual"], margin).passed:
-            problems.append("synthesis: stored dual certificate no longer verifies")
-        return problems, ["synthesis dual"]
-    eta = float(synth["eta"])
-    x = np.asarray(synth["X"], dtype=float)
-    y = np.asarray(synth["Y"], dtype=float)
-    k = np.asarray(synth["K"], dtype=float)
-    prob = synthesis.build_synthesis_lmi(config.plant, dist, eta, margin)
-    if not lmi.verify(prob, {"X": x, "Y": y}, margin).passed:
-        problems.append("synthesis: stored (X, Y) no longer verifies the block LMI")
-    recovered = synthesis.recover_gain(x, y).K
-    if not np.allclose(recovered, k, rtol=1e-8, atol=1e-10):
-        problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
-    return problems, ["synthesis"]
+    stab, pas = results.get("stability", {}), results.get("passivity", {})
+    if stab.get("status") == "certified" and len(stab["P"]) != config.schedule.period:
+        problems = ["stability: stored P count does not match schedule period"]
+        checked = ["stability"]
+    else:
+        problems, checked = _recheck(
+            "stability", stab,
+            lambda: analysis.stability_problem(plant, gain, config.schedule, dist, margin),
+            {f"P{k}": p for k, p in enumerate(stab.get("P", []))})
+    found, seen = _recheck(
+        "passivity", pas,
+        lambda: analysis.passivity_problem(plant, gain, dist, float(pas["eta"]), margin),
+        {"P": pas.get("P")})
+    return problems + found, checked + seen
 
 
 def cmd_report(report_path) -> int:
@@ -595,9 +571,10 @@ def cmd_report(report_path) -> int:
     if report.get("results_digest") != _digest(results):
         problems.append("results digest mismatch")
     try:
-        if command == "analyze":
-            found, checked = _reverify_analysis(config, results)
+        if command in ("analyze", "synthesize"):
+            found, checked = _reverify(command, config, results)
             problems += found
+        if command == "analyze":
             sms = results.get("sms", {})
             lines.append(f"rho = {sms.get('rho'):.6f} (stable: {sms.get('stable')})")
             for section in ("stability", "passivity"):
@@ -615,8 +592,6 @@ def cmd_report(report_path) -> int:
                     if section == "passivity" and entry.get("eta") is not None:
                         lines.append(f"  eta = {entry['eta']}")
         elif command == "synthesize":
-            found, checked = _reverify_synthesis(config, results)
-            problems += found
             synth = results.get("synthesis", {})
             lines.append(f"synthesis: {synth.get('status')}")
             if synth.get("reason"):

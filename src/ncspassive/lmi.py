@@ -13,7 +13,12 @@ and ends in one of three ways: a certificate, once a point passes the
 eigenvalue-based ``verify``, which shares no state with the solver; an
 Indeterminate whose ``dual`` refutes the problem, once the barrier's
 multipliers pass ``verify_dual``; or an Indeterminate without a dual,
-once the Newton-step budget runs out or t stops moving.
+once the Newton-step budget (``max_iters``, MAX_ITERS by default) runs
+out or t stops moving.
+
+A problem owns its definiteness margin: ``verify``, ``verify_dual``,
+``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
+certificate is always checked at the margin its problem was posed with.
 
 ``verify_dual`` is the other half of the theorem of alternatives (Boyd
 et al., *Linear Matrix Inequalities in System and Control Theory*, SIAM
@@ -25,7 +30,7 @@ passed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +52,6 @@ __all__ = [
     "DualReport",
     "LmiCertificate",
     "Indeterminate",
-    "SolveOptions",
     "verify",
     "verify_dual",
     "solve",
@@ -201,10 +205,10 @@ class LmiProblem:
     ``positive_definite=True``.
     """
 
-    def __init__(self, margin: DefinitenessMargin | None = None):
+    def __init__(self, margin: DefinitenessMargin = DEFAULT_MARGIN):
         self.variables: dict[str, LmiVariable] = {}
         self.constraints: list[tuple[str, AffineExpr]] = []
-        self.margin = margin or DEFAULT_MARGIN
+        self.margin = margin
 
     def _add_variable(self, var: LmiVariable) -> str:
         if var.name in self.variables:
@@ -276,23 +280,19 @@ class VerifyReport:
         return max(self.checks, key=lambda c: c.lambda_max - c.threshold)
 
 
-def verify(
-    problem: LmiProblem,
-    assignment: dict,
-    margin: DefinitenessMargin | None = None,
-) -> VerifyReport:
+def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
     """Independent certificate check: eigenvalues of every assembled constraint.
 
-    Pure recomputation from the problem data; shares no state with the
-    solver.
+    Pure recomputation from the problem data, at ``problem.margin``;
+    shares no state with the solver.
     """
-    margin = margin or problem.margin
     checks = []
     for name, expr in problem.constraints:
         m = expr.assemble(assignment)
         lam = float(sym_eigvals(m)[-1])
-        checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=margin.threshold(m)))
-    return VerifyReport(checks=tuple(checks), margin=margin)
+        threshold = problem.margin.threshold(m)
+        checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=threshold))
+    return VerifyReport(checks=tuple(checks), margin=problem.margin)
 
 
 @dataclass(frozen=True)
@@ -315,11 +315,7 @@ class DualReport:
         )
 
 
-def verify_dual(
-    problem: LmiProblem,
-    multipliers: dict,
-    margin: DefinitenessMargin | None = None,
-) -> DualReport:
+def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
     """Check multipliers Z_c, one per constraint name, that refute ``problem``.
 
     If every Z_c >= 0, sum_c tr Z_c = 1, sum_c <Z_c, M_c(V)> does not
@@ -328,10 +324,10 @@ def verify_dual(
     sum would then be negative. Semidefiniteness allows
     epsilon_rel * (1 + ||Z_c||_F); a variable's summed gradient allows
     epsilon_rel * (1 + the sum of its per-constraint gradient norms).
-    Like :func:`verify`, this recomputes everything from the problem data.
+    Like :func:`verify`, this recomputes everything from the problem data,
+    at ``problem.margin``.
     """
-    margin = margin or problem.margin
-    eps = margin.epsilon_rel
+    eps = problem.margin.epsilon_rel
     zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
     psd_slack = np.inf
     trace = constant = 0.0
@@ -361,7 +357,7 @@ def verify_dual(
         trace=trace,
         gradient_slack=float(gradient_slack),
         constant=constant,
-        margin=margin,
+        margin=problem.margin,
     )
 
 
@@ -374,33 +370,25 @@ class LmiCertificate:
 
     assignment: dict
     report: VerifyReport
-    margin: DefinitenessMargin
     iterations: int = 0
 
     feasible = True
 
     @classmethod
-    def build(
-        cls,
-        problem: LmiProblem,
-        assignment: dict,
-        margin: DefinitenessMargin | None = None,
-        iterations: int = 0,
-    ) -> "LmiCertificate":
-        margin = margin or problem.margin
+    def build(cls, problem: LmiProblem, assignment: dict, iterations: int = 0) -> "LmiCertificate":
         frozen = {}
         for name, value in assignment.items():
             arr = np.array(value, dtype=float)
             arr.setflags(write=False)
             frozen[name] = arr
-        report = verify(problem, frozen, margin)
+        report = verify(problem, frozen)
         if not report.passed:
             worst = report.worst()
             raise VerificationFailed(
                 f"assignment does not satisfy constraint {worst.name!r}: "
                 f"lambda_max {worst.lambda_max:.6e} > threshold {worst.threshold:.6e}"
             )
-        return cls(assignment=frozen, report=report, margin=margin, iterations=iterations)
+        return cls(assignment=frozen, report=report, iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -422,17 +410,8 @@ class Indeterminate:
     feasible = False
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for ``solve``: ``max_iters`` is the total Newton-step budget."""
-
-    max_iters: int = 300
-    margin: DefinitenessMargin | None = None
-
-    def with_margin(self, margin: DefinitenessMargin | None) -> "SolveOptions":
-        return replace(self, margin=margin) if margin is not None else self
-
-
+# Default total Newton-step budget of one ``solve``.
+MAX_ITERS = 300
 # Factor by which the barrier weight grows once a point is centered.
 TAU_GROWTH = 8.0
 # A point counts as centered when half its squared Newton decrement is
@@ -553,7 +532,7 @@ def _log_det(chols: list) -> float:
     return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
 
 
-def solve(problem: LmiProblem, options: SolveOptions | None = None):
+def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     """Decide strict feasibility of ``problem`` by a log-det barrier method.
 
     Minimizes t subject to M_c(v) <= t I for every constraint (Boyd &
@@ -576,13 +555,11 @@ def solve(problem: LmiProblem, options: SolveOptions | None = None):
     others; when it verifies, it is returned after 0 steps.
     """
     problem.validate()
-    opts = options or SolveOptions()
-    margin = opts.margin or problem.margin
     start = {name: np.eye(var.rows) if var.kind == "symmetric" else np.zeros(var.shape)
              for name, var in problem.variables.items()}
-    report = verify(problem, start, margin)
+    report = verify(problem, start)
     if report.passed:
-        return LmiCertificate.build(problem, start, margin)
+        return LmiCertificate.build(problem, start)
 
     barrier = _Barrier(problem, max(c.lambda_max for c in report.checks) + 1.0)
     t_of = barrier.q[-1]  # dt/dy
@@ -591,9 +568,9 @@ def solve(problem: LmiProblem, options: SolveOptions | None = None):
     tau = None
     step = 0
     while True:
-        if barrier.certifies(y, slacks, margin):
+        if barrier.certifies(y, slacks, problem.margin):
             try:
-                return LmiCertificate.build(problem, barrier.assignment(y), margin, iterations=step)
+                return LmiCertificate.build(problem, barrier.assignment(y), iterations=step)
             except VerificationFailed:
                 pass  # rounding between the basis and assemble; keep going
         grad, hess, inverses = barrier.derivatives(chols)
@@ -603,23 +580,23 @@ def solve(problem: LmiProblem, options: SolveOptions | None = None):
         constant = sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
         # the gradient along y is the multipliers' residual, times total
         residual = np.linalg.norm(grad + total * t_of) / total
-        if constant >= 0.0 and residual <= margin.epsilon_rel:
+        if constant >= 0.0 and residual <= problem.margin.epsilon_rel:
             dual = {name: z / total for (name, _), z in zip(problem.constraints, inverses)}
-            if verify_dual(problem, dual, margin).passed:
+            if verify_dual(problem, dual).passed:
                 return Indeterminate(
-                    best_value=_worst(problem, barrier.assignment(y), margin),
+                    best_value=_worst(problem, barrier.assignment(y)),
                     iterations=step,
                     message="refuted: the barrier's multipliers pass verify_dual, "
                     "so no assignment is strictly feasible",
                     dual=dual,
                 )
         t = barrier.x(y)[-1]
-        if step == opts.max_iters or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
-            reason = (f"within {step} Newton steps" if step == opts.max_iters else
+        if step == max_iters or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
+            reason = (f"within {step} Newton steps" if step == max_iters else
                       f"after {step} Newton steps: t = {t:.6g} is within "
                       f"{barrier.dim / tau:.1e} of its infimum")
             return Indeterminate(
-                best_value=_worst(problem, barrier.assignment(y), margin),
+                best_value=_worst(problem, barrier.assignment(y)),
                 iterations=step,
                 message=f"no certificate or refutation {reason}",
             )
@@ -639,8 +616,8 @@ def solve(problem: LmiProblem, options: SolveOptions | None = None):
         y, slacks, chols = found
 
 
-def _worst(problem: LmiProblem, assignment: dict, margin: DefinitenessMargin) -> float:
-    return verify(problem, assignment, margin).worst().lambda_max
+def _worst(problem: LmiProblem, assignment: dict) -> float:
+    return verify(problem, assignment).worst().lambda_max
 
 
 def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -274,6 +274,12 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
     projection pairing S2 S2' / S1' S1 routes the single scheduled sensor
     reading through the matching entry of K to the single scheduled
     actuator, and reduces to B2 K in the full-packet configuration.
+
+    A periodic :class:`Schedule` never selects a sensor and an actuator in
+    the same slot, so one of the two selectors is zero and the feedback
+    term vanishes in every slot: on a periodic schedule the family is the
+    open loop whatever K is, and so is what ``analyze`` and ``simulate``
+    report. Held measurements and commands (ROADMAP item 2) would close it.
     """
     K = gain.K
     if K.shape != (plant.m2, plant.n):

@@ -69,7 +69,7 @@ def build_synthesis_lmi(
     plant: Plant,
     dist: ModeDistribution,
     eta: float,
-    margin: DefinitenessMargin | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
 ) -> lmi.LmiProblem:
     """Pose the synthesis block LMI over X > 0 (n x n) and Y (m2 x n).
 
@@ -82,7 +82,7 @@ def build_synthesis_lmi(
     a11 = dist.prob(1, 1)
     have_y = a11 > 0.0
 
-    prob = lmi.LmiProblem(margin=margin or DEFAULT_MARGIN)
+    prob = lmi.LmiProblem(margin=margin)
     prob.add_symmetric("X", n, positive_definite=True)
     if have_y:
         prob.add_rectangular("Y", m2, n)
@@ -206,8 +206,8 @@ def round_trip_verify(
     x: np.ndarray,
     y: np.ndarray,
     gain: Gain,
-    margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
+    max_iters: int = lmi.MAX_ITERS,
 ) -> RoundTripReport:
     """Independent validation of a synthesized (X, Y) and its gain at eta.
 
@@ -216,11 +216,9 @@ def round_trip_verify(
     dissipation LMI; (c) second-moment radius < 1 by the oracle; (d) the
     congruence identity between the synthesis and analysis block forms.
     """
-    margin = margin or DEFAULT_MARGIN
-    fresh = passivity_lmi(plant, gain, dist, eta, margin, options)
+    fresh = passivity_lmi(plant, gain, dist, eta, margin, max_iters)
     passivity_ok = bool(fresh.feasible)
-    direct = lmi.verify(passivity_problem(plant, gain, dist, eta, margin),
-                        {"P": np.linalg.inv(x)}, margin)
+    direct = lmi.verify(passivity_problem(plant, gain, dist, eta, margin), {"P": np.linalg.inv(x)})
 
     fam = closed_loop(plant, gain, 0, full_packet_schedule())
     rho = sms_oracle(fam, dist).rho
@@ -258,15 +256,13 @@ def synthesize(
     plant: Plant,
     loss: LossModel,
     eta,
-    margin: DefinitenessMargin | None = None,
-    options: lmi.SolveOptions | None = None,
-    *,
-    eta_tol: float = 1e-3,
+    margin: DefinitenessMargin = DEFAULT_MARGIN,
+    max_iters: int = lmi.MAX_ITERS,
 ):
     """Solve the synthesis LMI and return a round-trip-verified gain.
 
     ``eta`` is a fixed dissipation level or ``"maximize"``, which bisects
-    over [0, min eig(D11 + D11')/2] to the given tolerance. Returns a
+    over [0, min eig(D11 + D11')/2] to ``analysis.ETA_TOL``. Returns a
     :class:`SynthesisResult`, or Indeterminate when no certificate was
     found. A certificate whose round trip fails raises VerificationFailed:
     that means a bug, not an infeasible problem.
@@ -276,7 +272,6 @@ def synthesize(
     has L_K(P) >= (1 - a11) A'PA, and a passivity certificate would give
     L_K(P) < P, which needs that bound below 1.
     """
-    margin = margin or DEFAULT_MARGIN
     check_assumption(plant, margin)
     dist = mode_distribution(loss)
     loss_only = spectral_radius((1.0 - dist.prob(1, 1)) * kron(plant.A, plant.A))
@@ -285,13 +280,12 @@ def synthesize(
             message=f"loss-only bound rho((1 - a11) A (x) A) = {loss_only:.6g} >= 1: "
             "no gain makes the loop second-moment stable",
         )
-    opts = (options or lmi.SolveOptions()).with_margin(margin)
 
     def solve_at(e: float):
-        return lmi.solve(build_synthesis_lmi(plant, dist, e, margin), opts)
+        return lmi.solve(build_synthesis_lmi(plant, dist, e, margin), max_iters)
 
     if eta == "maximize":
-        eta_val, certificate = _bisect_eta(solve_at, dissipation_upper_bound(plant), eta_tol)
+        eta_val, certificate = _bisect_eta(solve_at, dissipation_upper_bound(plant))
     else:
         eta_val = float(eta)
         certificate = solve_at(eta_val)
@@ -301,7 +295,7 @@ def synthesize(
     x = certificate.assignment["X"]
     y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
     gain = recover_gain(x, y)
-    report = round_trip_verify(plant, dist, eta_val, x, y, gain, margin, options)
+    report = round_trip_verify(plant, dist, eta_val, x, y, gain, margin, max_iters)
     if not report.passed:
         raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
     return SynthesisResult(

@@ -134,7 +134,7 @@ def scalar_dissipation_measurements():
     plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
     dist = mode_distribution(LossModel(0.0, 0.0))
     start = time.perf_counter()
-    eta_star = max_dissipation(plant, Gain.zero(1, 1), dist, tol=1e-3)
+    eta_star = max_dissipation(plant, Gain.zero(1, 1), dist).eta
     grid = scalar_grid_eta_star(0.5, 1.0, 0.5, 1.0, p_max=10.0, resolution=1e-3)
     elapsed = time.perf_counter() - start
     return float(eta_star), float(grid), elapsed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_loss, random_plant, scalar_grid_eta_star
-from ncspassive import lmi, sim
+from ncspassive import analysis, lmi, sim
 from ncspassive.analysis import (
     dissipation_identity_check,
     max_dissipation,
@@ -98,6 +98,21 @@ class TestStabilityLmi:
         sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
         result = stability_lmi(plant, Gain.zero(1, 1), sched, dist)
         assert_refuted(result, plant, Gain.zero(1, 1), sched, dist)
+
+    def test_builds_each_closed_loop_once(self, monkeypatch):
+        slots = []
+
+        def counting(plant, gain, k, schedule):
+            slots.append(k)
+            return closed_loop(plant, gain, k, schedule)
+
+        monkeypatch.setattr(analysis, "closed_loop", counting)
+        plant = Plant(A=[[0.5, 0.1], [0.0, 0.6]], B1=[[1.0], [0.0]], B2=[[1.0], [0.5]],
+                      C1=[[0.5, 0.0]], D11=[[1.0]], D12=[[0.0]])
+        sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
+        dist = mode_distribution(LossModel(0.0, 0.2))
+        assert stability_lmi(plant, Gain([[-0.3, 0.1]]), sched, dist).feasible
+        assert slots == [0, 1]
 
     def test_never_calls_the_search(self, monkeypatch):
         def no_search(*args, **kwargs):
@@ -208,26 +223,26 @@ class TestPassivityLmi:
 class TestMaxDissipation:
     def test_scalar_matches_grid_oracle(self, scalar_passive_plant, lossless):
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, tol=1e-3)
+        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist).eta
         grid = scalar_grid_eta_star(0.5, 1.0, 0.5, 1.0, p_max=5.0, resolution=2e-3)
         assert eta_star == pytest.approx(grid, abs=5e-3)
 
     def test_memoryless_unit_feedthrough(self, lossless):
         plant = Plant(A=[[0.0]], B1=[[0.0]], B2=[[0.0]], C1=[[0.0]], D11=[[1.0]], D12=[[0.0]])
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(plant, Gain.zero(1, 1), dist, tol=1e-3)
+        eta_star = max_dissipation(plant, Gain.zero(1, 1), dist).eta
         assert eta_star == pytest.approx(1.0, abs=5e-3)
 
     def test_two_channel_identity_feedthrough(self, lossless):
         plant = Plant(A=np.zeros((2, 2)), B1=np.zeros((2, 2)), B2=np.zeros((2, 1)),
                       C1=np.zeros((2, 2)), D11=np.eye(2), D12=np.zeros((2, 1)))
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(plant, Gain.zero(1, 2), dist, tol=1e-3)
+        eta_star = max_dissipation(plant, Gain.zero(1, 2), dist).eta
         assert eta_star == pytest.approx(1.0, abs=5e-3)
 
     def test_monotone_feasibility_below_the_margin(self, scalar_passive_plant, lossless):
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, tol=1e-3)
+        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist).eta
         for frac in (0.25, 0.5, 0.75, 0.95):
             result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, frac * eta_star)
             assert result.feasible, f"monotonicity broken at {frac} * eta_star"
@@ -235,7 +250,7 @@ class TestMaxDissipation:
     def test_infeasible_base_propagates(self, lossless):
         # open loop rho = 4: no passivity certificate at any eta
         plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
-        result = max_dissipation(plant, Gain.zero(1, 1), mode_distribution(lossless), tol=1e-2)
+        result = max_dissipation(plant, Gain.zero(1, 1), mode_distribution(lossless))
         assert isinstance(result, Indeterminate)
 
 

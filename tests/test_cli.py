@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ncspassive import cli, lmi, sim
-from ncspassive.model import Gain, LossModel, full_packet_schedule
+from ncspassive import analysis, cli, lmi, sim
+from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -160,6 +160,23 @@ class TestAnalyze:
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["results"]["passivity"]["eta"] > 0.0
+
+    def test_eta_maximize_solves_only_what_the_bisection_needs(self, tmp_path, monkeypatch):
+        solve, calls = lmi.solve, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lmi, "solve", counting)
+        config = scenario(gain=[[-0.9]], eta="maximize")
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+        from_cli = len(calls)
+        analysis.max_dissipation(Plant(**config["plant"]), Gain([[-0.9]]),
+                                 mode_distribution(LossModel(0.0, 0.2)))
+        assert from_cli > 0
+        assert len(calls) == 2 * from_cli
 
 
 class TestSynthesize:
@@ -424,6 +441,18 @@ class TestPipelineDeterminism:
         assert report["config"]["eta"] == 0.05
         assert report["results"]["synthesis"]["eta"] == 0.05
         assert not list(tmp_path.glob("*.config-patched.json"))
+
+    def test_margin_flag_reaches_every_check(self, tmp_path):
+        # c3's loop certifies eta = 0.6 at the default margin, not at 0.1
+        cfg = write_config(tmp_path, dict(C3_LOOP, eta=0.6))
+        loose, tight = tmp_path / "default.json", tmp_path / "tight.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(loose)]) == 0
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tight),
+                         "--margin", "0.1"]) == 2
+        stab = json.loads(tight.read_text())["results"]["stability"]
+        assert stab["verify"]["margin_epsilon_rel"] == 0.1
+        assert cli.main(["report", str(loose)]) == 0
+        assert cli.main(["report", str(tight)]) == 0
 
 
 # (case, dotted config field to set or None, its value, extra argv, text the error must name)

@@ -7,7 +7,6 @@ from ncspassive.lmi import (
     Indeterminate,
     LmiCertificate,
     LmiProblem,
-    SolveOptions,
     solve,
     verify,
     verify_dual,
@@ -163,7 +162,7 @@ class TestSolve:
         assert result.assignment["V"][0, 0] < -5.0
 
     def test_budget_exhaustion_gives_no_dual(self):
-        result = solve(scalar_lyapunov_problem(2.0), SolveOptions(max_iters=1))
+        result = solve(scalar_lyapunov_problem(2.0), max_iters=1)
         assert isinstance(result, Indeterminate)
         assert result.iterations == 1
         assert result.dual is None

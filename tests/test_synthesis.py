@@ -5,7 +5,7 @@ from conftest import random_plant
 from ncspassive import lmi
 from ncspassive.analysis import passivity_lmi, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
-from ncspassive.lmi import Indeterminate, SolveOptions
+from ncspassive.lmi import Indeterminate
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -150,8 +150,7 @@ class TestSynthesize:
             assert "rho((1 - a11) A (x) A) = 1.2" in result.message
 
     def test_maximize_eta_bisects(self, lossy_feedback_plant):
-        result = synthesize(lossy_feedback_plant, LossModel(0.0, 0.2), eta="maximize",
-                            eta_tol=5e-3)
+        result = synthesize(lossy_feedback_plant, LossModel(0.0, 0.2), eta="maximize")
         assert result.feasible
         assert result.eta > 0.1
         # one notch above the certified level must not be certifiable
@@ -241,8 +240,7 @@ class TestRoundTrip:
             attempts += 1
             plant = random_plant(rng, int(rng.integers(1, 3)), spectral_scale=0.9)
             loss = LossModel(float(rng.random() * 0.2), float(rng.random() * 0.2))
-            result = synthesize(plant, loss, eta=0.01,
-                                options=SolveOptions(max_iters=250))
+            result = synthesize(plant, loss, eta=0.01, max_iters=250)
             if not result.feasible:
                 continue
             assert result.verification.congruence_rel_err <= 1e-6
