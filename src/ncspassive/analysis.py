@@ -25,9 +25,10 @@ dissipation form
 
 required negative definite over a single P > 0, where C~ averages the
 per-mode output matrices (the gain term picks up the both-links-arrive
-probability). The same quadratic form equals the per-step dissipation
-defect along any simulated path, which ``dissipation_identity_check``
-exploits as an exact algebraic test.
+probability). One builder, ``_dissipation_form``, writes it for any mode
+weights: ``passivity_problem`` uses the probabilities, and
+``dissipation_identity_check`` the realized mode at weight 1, where the
+form equals the per-step dissipation defect along a simulated path.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from . import lmi
 from .errors import AssumptionViolated, VerificationFailed
 from .model import (
-    MODES,
     ClosedLoopFamily,
     Gain,
     ModeDistribution,
@@ -68,10 +68,7 @@ __all__ = [
     "passivity_lmi",
     "max_dissipation",
     "dissipation_upper_bound",
-    "dissipation_form_matrix",
     "dissipation_identity_check",
-    "averaged_output_matrix",
-    "expanded_passivity_block",
     "check_assumption",
 ]
 
@@ -309,19 +306,6 @@ def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) 
         )
 
 
-def averaged_output_matrix(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
-    """Mode-averaged output matrix C~.
-
-    Each mode's C is weighted by its probability, which is what the
-    expected per-step dissipation produces (the gain term then carries
-    the both-links-arrive probability).
-    """
-    c = np.zeros_like(fam.c(0, 0))
-    for (i, j), p in dist.items():
-        c = c + p * fam.c(i, j)
-    return c
-
-
 @dataclass(frozen=True)
 class PassivityCertificate:
     """P > 0 and eta >= 0 making the averaged dissipation form negative definite."""
@@ -353,26 +337,36 @@ def passivity_problem(
     if eta < 0:
         raise ValueError(f"dissipation must be >= 0, got {eta}")
     check_assumption(plant, margin)
-    fam = closed_loop(plant, gain, 0, full_packet_schedule())
-    n, m1 = plant.n, plant.m1
-    b = fam.b
-    d = fam.d
     prob = lmi.LmiProblem(margin=margin)
-    prob.add_symmetric("P", n, positive_definite=True)
+    prob.add_symmetric("P", plant.n, positive_definite=True)
+    fam = closed_loop(plant, gain, 0, full_packet_schedule())
+    prob.add_constraint(_dissipation_form(fam, dist.items(), eta))
+    return prob
+
+
+def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineExpr:
+    """The dissipation form over P, its modes weighted by (mode, weight) pairs.
+
+    Modes of weight zero are skipped. With the mode probabilities it is
+    the averaged form of :func:`passivity_problem`; with the realized mode
+    at weight 1 it is that step's ledger form.
+    """
+    n, m1 = fam.b.shape
+    b, d = fam.b, fam.d
     expr = lmi.AffineExpr([n, m1], name="dissipation")
-    eye = np.eye(n)
-    for (i, j), p in dist.items():
+    c = np.zeros_like(fam.c(0, 0))
+    for (i, j), p in weights:
         if p == 0.0:
             continue
         a = fam.a(i, j)
         expr.add_term(0, 0, a.T, "P", a, weight=p)
         expr.add_term(0, 1, a.T, "P", b, weight=p)
-    expr.add_term(0, 0, -eye, "P", eye)
+        c = c + p * fam.c(i, j)
+    expr.add_term(0, 0, -np.eye(n), "P", np.eye(n))
     expr.add_term(1, 1, b.T, "P", b)
-    expr.add_const(0, 1, -averaged_output_matrix(fam, dist).T)
+    expr.add_const(0, 1, -c.T)
     expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - d.T - d)
-    prob.add_constraint(expr)
-    return prob
+    return expr
 
 
 def passivity_lmi(
@@ -452,20 +446,6 @@ def max_dissipation(
     )[1]
 
 
-def dissipation_form_matrix(
-    fam: ClosedLoopFamily, theta1: int, theta2: int, p: np.ndarray, eta: float
-) -> np.ndarray:
-    """Numeric per-mode dissipation form at storage matrix P (single-P case)."""
-    a = fam.a(theta1, theta2)
-    c = fam.c(theta1, theta2)
-    b, d = fam.b, fam.d
-    m1 = b.shape[1]
-    top_left = a.T @ p @ a - p
-    top_right = a.T @ p @ b - c.T
-    bottom = b.T @ p @ b + 2.0 * eta * np.eye(m1) - d.T - d
-    return np.block([[top_left, top_right], [top_right.T, bottom]])
-
-
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:
     """Exact per-step identity between the dissipation ledger and the quadratic form.
 
@@ -473,7 +453,8 @@ def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:
 
         V(x+) - V(x) - 2 w'z + 2 eta w'w  ==  zeta' M_mode(P) zeta
 
-    holds algebraically for every P and every realized mode, so the
+    holds algebraically for every P and every realized mode, where M_mode
+    is ``passivity_problem``'s form with the realized mode at weight 1, so the
     returned max |difference| over the trace is numerical noise. ``dist``
     is part of the jump-system context but inert here: with a single P
     the identity is pointwise in the realized mode.
@@ -491,52 +472,10 @@ def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:
     for slot, theta1, theta2 in realized.tolist():
         if slot not in families:
             families[slot] = closed_loop(plant, gain, slot, trace.schedule)
-        forms.append(dissipation_form_matrix(families[slot], theta1, theta2, p, eta))
+        form = _dissipation_form(families[slot], [((theta1, theta2), 1.0)], eta)
+        forms.append(form.assemble({"P": p}))
     zeta = np.hstack([x, w])
     quad = np.einsum("ki,kij,kj->k", zeta, np.stack(forms)[step_form.ravel()], zeta)
     dv = np.einsum("ki,ij,kj->k", x_next, p, x_next) - np.einsum("ki,ij,kj->k", x, p, x)
     ledger = dv - 2.0 * np.einsum("ki,ki->k", w, trace.z) + 2.0 * eta * np.einsum("ki,ki->k", w, w)
     return float(np.max(np.abs(ledger - quad)))
-
-
-def expanded_passivity_block(
-    plant: Plant,
-    gain: Gain,
-    dist: ModeDistribution,
-    eta: float,
-    p: np.ndarray,
-) -> np.ndarray:
-    """Schur-expanded six-block form of the averaged passivity inequality at P.
-
-    Block rows: [-P], [-C~, 2 eta I - D' - D], then one row per mode with
-    sqrt(a_m) [A_m, B] against a diagonal -P^{-1} block. Negative
-    definiteness of this matrix is equivalent to that of the dissipation
-    form, and the
-    congruence by diag(P^{-1}, I, ..., I) maps it onto the synthesis form.
-    """
-    p = np.asarray(p, dtype=float)
-    fam = closed_loop(plant, gain, 0, full_packet_schedule())
-    n, m1 = plant.n, plant.m1
-    p_inv = np.linalg.inv(p)
-    dims = [n, m1] + [n] * len(MODES)
-    total = sum(dims)
-    out = np.zeros((total, total))
-    offs = np.concatenate([[0], np.cumsum(dims)])
-
-    def block(r, c, val):
-        out[offs[r]:offs[r + 1], offs[c]:offs[c + 1]] = val
-
-    block(0, 0, -p)
-    c_avg = averaged_output_matrix(fam, dist)
-    block(1, 0, -c_avg)
-    block(0, 1, -c_avg.T)
-    block(1, 1, 2.0 * eta * np.eye(m1) - fam.d.T - fam.d)
-    for t, (i, j) in enumerate(MODES):
-        r = 2 + t
-        w = np.sqrt(dist.prob(i, j))
-        block(r, 0, w * fam.a(i, j))
-        block(0, r, (w * fam.a(i, j)).T)
-        block(r, 1, w * fam.b)
-        block(1, r, (w * fam.b).T)
-        block(r, r, -p_inv)
-    return 0.5 * (out + out.T)

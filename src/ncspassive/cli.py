@@ -155,13 +155,17 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
         schedule = full_packet_schedule()
     elif isinstance(sched_spec, dict):
         _reject_unknown(sched_spec, {"period", "s1", "s2"}, f"{where}.schedule")
+        period = _number(sched_spec.get("period"), f"{where}.schedule.period", **_INT_FROM_1)
+        patterns = {}
+        for key in ("s1", "s2"):
+            pattern = sched_spec.get(key)
+            if not isinstance(pattern, list):
+                raise ConfigError(f"{where}.schedule.{key}: expected an array of integers")
+            patterns[key] = tuple(_number(v, f"{where}.schedule.{key}[{i}]", **_INT_FROM_0)
+                                  for i, v in enumerate(pattern))
         try:
-            schedule = Schedule(
-                period=int(sched_spec.get("period", 0)),
-                s1=tuple(sched_spec.get("s1", ())),
-                s2=tuple(sched_spec.get("s2", ())),
-            )
-        except (ValueError, TypeError, OverflowError) as exc:
+            schedule = Schedule(period=period, **patterns)
+        except ValueError as exc:
             raise ConfigError(f"{where}.schedule: {exc}") from exc
     else:
         raise ConfigError(f'{where}.schedule: expected "full-packet" or an object')
@@ -177,8 +181,9 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
         raise ConfigError(f"{where}.loss: required object missing")
     _reject_unknown(loss_spec, {"alpha1", "alpha2"}, f"{where}.loss")
     try:
-        loss = LossModel(float(loss_spec.get("alpha1", -1)), float(loss_spec.get("alpha2", -1)))
-    except (ValueError, TypeError) as exc:
+        loss = LossModel(**{key: _number(loss_spec.get(key), f"{where}.loss.{key}")
+                            for key in ("alpha1", "alpha2")})
+    except ValueError as exc:
         raise ConfigError(f"{where}.loss: {exc}") from exc
 
     eta = data.get("eta")
@@ -535,6 +540,10 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
     return problems + found, checked + seen
 
 
+# Report sections that are objects when present; report reads them by key.
+_REPORT_SECTIONS = ("synthesis", "stability", "passivity", "sms", "ensemble")
+
+
 def cmd_report(report_path) -> int:
     try:
         text = Path(report_path).read_text()
@@ -549,10 +558,19 @@ def cmd_report(report_path) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {report_path}:{exc.lineno}: {exc.msg}", file=sys.stderr)
         return EXIT_INPUT
+    if not isinstance(report, dict):
+        print(f"error: malformed report: {report_path}: top level is not an object", file=sys.stderr)
+        return EXIT_INPUT
     for key in ("command", "config", "results"):
         if key not in report:
             print(f"error: {report_path}: missing {key!r}", file=sys.stderr)
             return EXIT_INPUT
+    results = report["results"]
+    bad = "results" if not isinstance(results, dict) else next(
+        (key for key in _REPORT_SECTIONS if not isinstance(results.get(key, {}), dict)), None)
+    if bad:
+        print(f"error: malformed report: {bad!r} is not an object", file=sys.stderr)
+        return EXIT_INPUT
 
     try:
         config = parse_config(report["config"], where=f"{report_path}#config")
@@ -561,7 +579,6 @@ def cmd_report(report_path) -> int:
         return EXIT_INPUT
 
     command = report["command"]
-    results = report["results"]
     lines = [f"command: {command}", f"tool: {report.get('tool', {})}"]
 
     problems: list[str] = []

@@ -92,7 +92,6 @@ class _Term:
     left: np.ndarray
     var: str
     right: np.ndarray
-    transpose: bool
     weight: float
 
 
@@ -143,14 +142,13 @@ class AffineExpr:
         var: str,
         right,
         *,
-        transpose: bool = False,
         weight: float = 1.0,
     ) -> None:
-        """Add weight * left @ V @ right (or V') at block (row, col)."""
+        """Add weight * left @ V @ right at block (row, col)."""
         left = as_matrix(left, "left")
         right = as_matrix(right, "right")
         self._check_block(row, col, (left.shape[0], right.shape[1]), f"term on {var!r}")
-        self._terms.append(_Term(row, col, left, var, right, bool(transpose), float(weight)))
+        self._terms.append(_Term(row, col, left, var, right, float(weight)))
 
     def variables(self) -> set[str]:
         return {t.var for t in self._terms}
@@ -171,8 +169,6 @@ class AffineExpr:
                     f"expression {self.name!r} references unbound variable {t.var!r}"
                 )
             v = np.asarray(assignment[t.var], dtype=float)
-            if t.transpose:
-                v = v.T
             value = t.weight * (t.left @ v @ t.right)
             self._place(out, t.row, t.col, value)
         return 0.5 * (out + out.T)
@@ -190,10 +186,7 @@ class AffineExpr:
                 continue
             wblock = weight_matrix[self._slice(t.row), self._slice(t.col)]
             mult = (2.0 if t.row != t.col else 1.0) * t.weight
-            if t.transpose:
-                g += mult * (t.right @ wblock.T @ t.left)
-            else:
-                g += mult * (t.left.T @ wblock @ t.right.T)
+            g += mult * (t.left.T @ wblock @ t.right.T)
         return g
 
 
@@ -237,8 +230,7 @@ class LmiProblem:
                     f"constraint {name!r} references undeclared variable {t.var!r}"
                 )
             want = self.variables[t.var].shape
-            inner = (t.left.shape[1], t.right.shape[0])
-            tshape = (inner[1], inner[0]) if t.transpose else inner
+            tshape = (t.left.shape[1], t.right.shape[0])
             if tshape != want:
                 raise DimensionMismatch(
                     f"constraint {name!r}: term expects {t.var!r} of shape {tshape}, "

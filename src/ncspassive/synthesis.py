@@ -1,20 +1,21 @@
 """Passivating state-feedback synthesis in the (X, Y) variables.
 
-The analysis inequality is bilinear in (P, K); substituting X = P^{-1},
-Y = K X after a Schur expansion and a congruence by diag(P^{-1}, I, ...)
-makes it affine. The resulting block LMI has
+The analysis inequality (``analysis.passivity_problem``) is bilinear in
+(P, K); a Schur expansion of its mode terms, a congruence by
+diag(P^{-1}, I, ...) and X = P^{-1}, Y = K X make it affine. The one
+builder of that LMI, ``build_synthesis_lmi``, poses
 
     row 0:            -X
     row 1:            -[C1 X + a11 D12 Y]   |   2 eta I - D11' - D11
     rows 2..5, mode m: sqrt(a_m) [A X + (m == (1,1)) B2 Y,  B1]
     diagonal blocks:  -X
 
-with the gain term present only in the both-links-arrive row, because
-the closed-loop A of every other mode is the open loop. The whole row,
-including the B1 column, carries the sqrt(a_m) factor; both placements
-follow from expanding the mode family inside the Schur-expanded
-analysis form. Synthesis is restricted to the full-packet configuration,
-where K = Y X^{-1} is well-posed.
+with the gain term only in the both-links-arrive row, because the
+closed-loop A of every other mode is the open loop; the whole row, B1
+column included, carries sqrt(a_m). The round trip's congruence leg
+Schur-complements the mode rows out again and compares the result with
+the passivity form at P = X^{-1}. Synthesis is restricted to the
+full-packet configuration, where K = Y X^{-1} is well-posed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .analysis import (
     _bisect_eta,
     check_assumption,
     dissipation_upper_bound,
-    expanded_passivity_block,
     passivity_lmi,
     passivity_problem,
     sms_oracle,
@@ -142,7 +142,6 @@ class RoundTripReport:
     congruence_rel_err: float
     congruence_ok: bool
     verdicts_match: bool
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -175,23 +174,26 @@ def congruence_residual(
     y: np.ndarray,
     gain: Gain,
 ) -> tuple[float, bool]:
-    """Relative eigenvalue gap between the synthesis form at (X, Y) and the
-    congruence-mapped analysis form at P = X^{-1}.
+    """Relative eigenvalue gap between the synthesis form at (X, Y), its mode
+    rows Schur-complemented out as top - R' D^{-1} R, and diag(X, I) M(X^{-1})
+    diag(X, I), with M the :func:`passivity_problem` form at ``gain``.
 
-    The two assembled matrices are equal up to rounding, so agreement is
-    a sharp consistency check on both constructions. Also reports whether
-    their definiteness verdicts coincide.
+    D is the assembled mode block, not X^{-1}, so a wrong -X there shows.
+    For Y = K X the two are equal up to rounding. Also reports whether the
+    whole synthesis form and the mapped form agree on definiteness.
     """
     prob = build_synthesis_lmi(plant, dist, eta)
     m_xy = dict(prob.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
+    split = plant.n + plant.m1
+    top, r, d = m_xy[:split, :split], m_xy[split:, :split], m_xy[split:, split:]
+    schur = top - r.T @ np.linalg.solve(d, r)
 
-    p = np.linalg.inv(x)
-    m_p = expanded_passivity_block(plant, gain, dist, eta, p)
-    t = np.eye(m_p.shape[0])  # diag(X, I, ..., I)
+    analysis_form = dict(passivity_problem(plant, gain, dist, eta).constraints)["dissipation"]
+    t = np.eye(split)  # diag(X, I)
     t[:plant.n, :plant.n] = x
-    m_mapped = t @ m_p @ t
+    m_mapped = t @ analysis_form.assemble({"P": np.linalg.inv(x)}) @ t
 
-    e_xy = sym_eigvals(m_xy)
+    e_xy = sym_eigvals(schur)
     e_mapped = sym_eigvals(m_mapped)
     scale = 1.0 + float(np.abs(e_xy).max())
     rel = float(np.abs(e_xy - e_mapped).max()) / scale
@@ -224,7 +226,6 @@ def round_trip_verify(
     rho = sms_oracle(fam, dist).rho
 
     rel, verdicts = congruence_residual(plant, dist, eta, x, y, gain)
-    detail = "" if passivity_ok else "fresh passivity solve did not certify"
     return RoundTripReport(
         passivity_certified=passivity_ok,
         direct_certified=direct.passed,
@@ -233,7 +234,6 @@ def round_trip_verify(
         congruence_rel_err=rel,
         congruence_ok=rel <= CONGRUENCE_RTOL,
         verdicts_match=verdicts,
-        detail=detail,
     )
 
 

@@ -7,10 +7,10 @@ from ncspassive.analysis import (
     dissipation_identity_check,
     max_dissipation,
     passivity_lmi,
+    passivity_problem,
     sms_oracle,
     stability_lmi,
     stability_problem,
-    dissipation_form_matrix,
 )
 from ncspassive.errors import AssumptionViolated
 from ncspassive.lmi import Indeterminate, verify_dual
@@ -185,9 +185,31 @@ class TestPassivityLmi:
         assert cert.feasible
         assert cert.rho < 1.0
         # hand-checkable witness: P = 1 assembles to diag(-0.75, -0.2)
-        fam = closed_loop(scalar_passive_plant, Gain.zero(1, 1), 0, full_packet_schedule())
-        form = dissipation_form_matrix(fam, 1, 1, np.array([[1.0]]), 0.4)
+        prob = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4)
+        form = dict(prob.constraints)["dissipation"].assemble({"P": np.array([[1.0]])})
         np.testing.assert_allclose(form, np.diag([-0.75, -0.2]), atol=1e-15)
+
+    def test_averaged_form_is_the_weighted_sum_of_ledger_forms(self):
+        # passivity_problem and dissipation_identity_check share one builder:
+        # the averaged form is the probability-weighted sum of the per-mode
+        # forms the ledger identity assembles.
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            plant = random_plant(rng, n)
+            gain = Gain(rng.standard_normal((1, n)))
+            dist = mode_distribution(random_loss(rng))
+            p = rng.standard_normal((n, n))
+            p = p @ p.T + np.eye(n)
+            eta = float(rng.random())
+            prob = passivity_problem(plant, gain, dist, eta)
+            averaged = dict(prob.constraints)["dissipation"].assemble({"P": p})
+            fam = closed_loop(plant, gain, 0, full_packet_schedule())
+            weighted = sum(
+                prob_m * analysis._dissipation_form(fam, [(mode, 1.0)], eta).assemble({"P": p})
+                for mode, prob_m in dist.items()
+            )
+            np.testing.assert_allclose(averaged, weighted, rtol=1e-12, atol=1e-10)
 
     def test_zero_feedthrough_refused(self, lossless):
         plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[0.0]], D12=[[0.0]])

@@ -404,6 +404,33 @@ class TestReport:
         assert cli.main(["report", str(bad)]) == 3
         assert "stored P count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("synthesize", None, 5),
+        ("synthesize", "results", []),
+        ("synthesize", "synthesis", "certified"),
+        ("analyze", "stability", []),
+        ("analyze", "passivity", "certified"),
+        ("analyze", "sms", 0.5),
+        ("simulate", "ensemble", None),
+    ], ids=["top-level", "results", "synthesis", "stability", "passivity", "sms", "ensemble"])
+    def test_non_object_part_is_input_error(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path, scenario(gain=[[-0.9]]))
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if key is None:
+            report = value
+        elif key == "results":
+            report["results"] = value
+        else:
+            report["results"][key] = value
+        out.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: malformed report" in err
+        assert ("top level" if key is None else repr(key)) in err
+
     def test_empty_file_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
@@ -485,6 +512,13 @@ BAD_INPUTS = [
     ("flag-gain-non-finite", None, None, ["--gain", "[[NaN]]"], "--gain[0][0]"),
     ("gain-non-finite", "gain", [[float("nan")]], [], "gain[0][0]"),
     ("schedule-period-overflow", "schedule", {"period": 1e400, "s1": [0], "s2": [0]}, [], "schedule"),
+    ("schedule-period-fraction", "schedule", {"period": 2.7, "s1": [1, 0], "s2": [0, 1]},
+     [], "schedule.period"),
+    ("schedule-s1-text", "schedule", {"period": 2, "s1": "10", "s2": [0, 1]}, [], "schedule.s1"),
+    ("schedule-s1-fraction", "schedule", {"period": 2, "s1": [1.9, 0], "s2": [0, 1]},
+     [], "schedule.s1"),
+    ("loss-alpha1-bool", "loss.alpha1", True, [], "loss.alpha1"),
+    ("loss-alpha1-text", "loss.alpha1", "0.5", [], "loss.alpha1"),
 ]
 
 

@@ -81,7 +81,7 @@ class TestAffineExpr:
             expr.add_const(0, 0, rng.standard_normal((3, 3)))
             expr.add_term(0, 0, rng.standard_normal((3, 2)), "V", rng.standard_normal((2, 3)))
             expr.add_term(0, 0, rng.standard_normal((3, 2)), "V", rng.standard_normal((2, 3)),
-                          transpose=True, weight=0.7)
+                          weight=0.7)
             va = rng.standard_normal((2, 2))
             vb = rng.standard_normal((2, 2))
             base = expr.assemble({"V": np.zeros((2, 2))})
@@ -94,8 +94,7 @@ class TestAffineExpr:
         for _ in range(20):
             expr = AffineExpr([2, 2])
             expr.add_term(0, 0, rng.standard_normal((2, 3)), "V", rng.standard_normal((4, 2)))
-            expr.add_term(0, 1, rng.standard_normal((2, 4)), "V", rng.standard_normal((3, 2)),
-                          transpose=True)
+            expr.add_term(0, 1, rng.standard_normal((2, 3)), "V", rng.standard_normal((4, 2)))
             expr.add_term(1, 1, rng.standard_normal((2, 3)), "V", rng.standard_normal((4, 2)),
                           weight=-1.3)
             v0 = rng.standard_normal((3, 4))

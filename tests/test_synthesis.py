@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_plant
-from ncspassive import lmi
+from ncspassive import lmi, synthesis
 from ncspassive.analysis import passivity_lmi, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
+from ncspassive.numerics import DEFAULT_MARGIN
 from ncspassive.lmi import Indeterminate
 from ncspassive.model import (
     Gain,
@@ -15,6 +16,7 @@ from ncspassive.model import (
     mode_distribution,
 )
 from ncspassive.synthesis import (
+    CONGRUENCE_RTOL,
     SYNTHESIS_CONSTRAINT,
     build_synthesis_lmi,
     congruence_residual,
@@ -272,6 +274,37 @@ class TestRoundTrip:
                 plant, dist, 0.05, x, np.zeros((1, 2)), Gain.zero(1, 2))
             assert rel <= 1e-6
             assert verdict
+
+    @pytest.mark.parametrize("drift", ["b1-without-sqrt", "d12-weight-minus-one",
+                                       "mode-diagonal-0.9"])
+    def test_congruence_leg_catches_a_drifted_synthesis_form(self, monkeypatch, drift):
+        # Each drift edits one block of the synthesis form; the Schur
+        # complement of its mode rows then no longer matches the passivity
+        # form at P = X^-1.
+        build = synthesis.build_synthesis_lmi
+
+        def drifted(plant, dist, eta, margin=DEFAULT_MARGIN):
+            prob = build(plant, dist, eta, margin)
+            expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
+            if drift == "b1-without-sqrt":
+                expr._consts = [(r, c, plant.B1 if r >= 2 else v) for r, c, v in expr._consts]
+            for term in expr._terms:
+                if drift == "d12-weight-minus-one" and term.var == "Y" and term.row == 1:
+                    term.weight = 1.0  # -D12 Y in place of -a11 D12 Y
+                if drift == "mode-diagonal-0.9" and term.row == term.col >= 2:
+                    term.weight = 0.9
+            return prob
+
+        plant = Plant(A=[[0.6, 0.3], [-0.2, 0.9]], B1=[[1.0], [0.4]], B2=[[0.5], [1.0]],
+                      C1=[[0.5, -0.3]], D11=[[1.5]], D12=[[0.7]])
+        dist = mode_distribution(LossModel(0.1, 0.25))
+        gain = Gain([[-0.2, -0.5]])
+        x = np.array([[2.0, 0.3], [0.3, 1.0]])
+        rel, _ = congruence_residual(plant, dist, 0.1, x, gain.K @ x, gain)
+        assert rel <= CONGRUENCE_RTOL
+        monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted)
+        rel, _ = congruence_residual(plant, dist, 0.1, x, gain.K @ x, gain)
+        assert rel > CONGRUENCE_RTOL
 
     def test_zero_gain_feasibility_equivalence(self):
         # a plant whose open loop is passive at eta: pinning Y to zero keeps
