@@ -224,18 +224,18 @@ def stability_lmi(
                 report=cert.report,
             )
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N.
-    for z0 in _perron_candidates(t.T, n):
-        dual = _stability_dual(adjoint, z0)
-        if dual is not None and lmi.verify_dual(prob, dual).passed:
-            return lmi.Indeterminate(
-                message="refuted: the Perron multiplier of the period's second-moment "
-                "operator proves that no P satisfies the coupled Lyapunov LMIs",
-                dual=dual,
-            )
+    z0 = _perron_vector(t.T, n)
+    dual = None if z0 is None else _stability_dual(adjoint, z0)
+    if dual is not None and lmi.verify_dual(prob, dual).passed:
+        return lmi.Indeterminate(
+            message="refuted: the Perron multiplier of the period's second-moment "
+            "operator proves that no P satisfies the coupled Lyapunov LMIs",
+            dual=dual,
+        )
     return lmi.Indeterminate(message=f"{reason}; no dual certificate found")
 
 
-# Squarings in the fallback power iteration: op + s I raised to 2**40.
+# Squarings in the power iteration: op / s + I raised to 2**40.
 POWER_SQUARINGS = 40
 
 
@@ -243,38 +243,28 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _perron_candidates(op: np.ndarray, n: int):
-    """Trace-one candidates for the Perron eigenvector of ``op``, as n x n.
+def _perron_vector(op: np.ndarray, n: int) -> np.ndarray | None:
+    """Trace-one Perron eigenvector of ``op``, as n x n, or None.
 
-    First the symmetrized eigenvector of the eigenvalue with the largest
-    real part. In case that one is not PSD (the caller checks), power
-    iteration from I, which stays in the PSD cone because ``op`` maps
-    the cone into itself. It runs on op + s I, with s the largest real
-    eigenvalue (at least 1), so that the Perron eigenvalue strictly dominates even
-    when other eigenvalues share its modulus (as on periodic schedules),
-    and by repeated squaring, so that a slow ratio still converges.
+    Power iteration from I, which stays in the PSD cone because ``op``
+    maps the cone into itself. It runs on op / s + I, with s the largest
+    absolute row sum (at least 1), which bounds every eigenvalue's
+    modulus: the Perron eigenvalue then strictly dominates even when
+    others share its modulus (as on periodic schedules). Repeated
+    squaring lets a slow ratio still converge.
     """
     if not np.isfinite(op).all():
-        return
-    vals, vecs = np.linalg.eig(op)
-    top = int(np.argmax(vals.real))
-    z = _sym(vecs[:, top].real.reshape(n, n))
-    if np.trace(z) != 0.0:
-        yield z / np.trace(z)
-    power = op + max(float(vals[top].real), 1.0) * np.eye(n * n)
+        return None
+    power = op / max(float(np.abs(op).sum(axis=1).max()), 1.0) + np.eye(n * n)
     for _ in range(POWER_SQUARINGS):
         power = power @ power
-        scale = float(np.abs(power).max())
-        if not (np.isfinite(scale) and scale > 0.0):
-            return
-        power /= scale
+        power /= np.abs(power).max()  # nonzero: power has a positive eigenvalue
     z = _sym((power @ np.eye(n).ravel()).reshape(n, n))
-    if np.trace(z) > 0.0:
-        yield z / np.trace(z)
+    return z / np.trace(z) if np.trace(z) > 0.0 else None
 
 
 def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
-    """Multipliers of :func:`stability_problem` from a Perron candidate Z_0.
+    """Multipliers of :func:`stability_problem` from the Perron eigenvector Z_0.
 
     Z_{k+1} = L_k*(Z_k) weighs lyapunov_k, and P{k}_pos_def gets
     L_{k-1}*(Z_{k-1}) - Z_k: zero except at k = 0, where it is

@@ -3,7 +3,7 @@
 Scenario configs and run reports are JSON, checked field by field in
 ``parse_config``; matrices are nested row arrays of numbers at full
 round-trip precision so certificates stay auditable. Exit codes:
-0 certified / success, 1 input error, 2 no certificate found (a dual
+0 certified / success, 1 input or usage error, 2 no certificate found (a dual
 certificate is attached when one proves none exists), 3 verification
 failure.
 """
@@ -97,15 +97,18 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {unknown}")
 
 
-def _number(value, where: str, *, integer=False, minimum=None, above=None):
-    """``value`` as an int or float within bounds, else ConfigError naming ``where``."""
+def _number(value, where: str, *, integer=False, minimum=None, above=None, finite=True):
+    """``value`` as an int or float within bounds, else ConfigError naming ``where``.
+
+    ``finite=False`` also takes inf and nan, which a diverging run stores.
+    """
     if (
         not isinstance(value, (int, float))
         or isinstance(value, bool)
-        or (isinstance(value, float) and not math.isfinite(value))
+        or (finite and isinstance(value, float) and not math.isfinite(value))
         or (integer and value != int(value))
     ):
-        expected = "an integer" if integer else "a finite number"
+        expected = "an integer" if integer else "a finite number" if finite else "a number"
         raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value!r}")
@@ -490,15 +493,15 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
     return EXIT_OK
 
 
-def _recheck(label: str, entry: dict, build, assignment: dict) -> tuple[list[str], list[str]]:
+def _recheck(label: str, entry: dict, build, assignment) -> tuple[list[str], list[str]]:
     """Re-verify one report section: (problems, what was checked).
 
-    A certified section's ``assignment`` goes through ``lmi.verify`` on
+    A certified section's ``assignment()`` goes through ``lmi.verify`` on
     the problem ``build()`` poses, any other section's stored dual through
     ``lmi.verify_dual``; a section holding neither has nothing to check.
     """
     if entry.get("status") == "certified":
-        if lmi.verify(build(), assignment).passed:
+        if lmi.verify(build(), assignment()).passed:
             return [], [label]
         return [f"{label}: stored certificate no longer verifies"], [label]
     if entry.get("dual") is None:
@@ -513,30 +516,39 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
     plant, dist, margin = config.plant, mode_distribution(config.loss), config.margin
     if command == "synthesize":
         synth = results.get("synthesis", {})
+
+        def stored(key):
+            return _matrix(synth.get(key), f"results.synthesis.{key}")
+
         problems, checked = _recheck(
             "synthesis", synth,
-            lambda: synthesis.build_synthesis_lmi(plant, dist, float(synth["eta"]), margin),
-            {"X": synth.get("X"), "Y": synth.get("Y")})
+            lambda: synthesis.build_synthesis_lmi(
+                plant, dist, _number(synth.get("eta"), "results.synthesis.eta", minimum=0), margin),
+            lambda: {"X": stored("X"), "Y": stored("Y")})
         if synth.get("status") == "certified":
-            recovered = synthesis.recover_gain(synth["X"], synth["Y"]).K
-            if not np.allclose(recovered, np.asarray(synth["K"], dtype=float),
+            recovered = synthesis.recover_gain(stored("X"), stored("Y")).K
+            if not np.allclose(recovered, np.asarray(stored("K"), dtype=float),
                                rtol=1e-8, atol=1e-10):
                 problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
         return problems, checked
-    gain = Gain(_matrix(results["gain"], "report.results.gain"))
+    gain = Gain(_matrix(results.get("gain"), "results.gain"))
     stab, pas = results.get("stability", {}), results.get("passivity", {})
-    if stab.get("status") == "certified" and len(stab["P"]) != config.schedule.period:
+    ps = stab.get("P", [])
+    if not isinstance(ps, list):
+        raise ConfigError("results.stability.P: expected an array of matrices")
+    if stab.get("status") == "certified" and len(ps) != config.schedule.period:
         problems = ["stability: stored P count does not match schedule period"]
         checked = ["stability"]
     else:
         problems, checked = _recheck(
             "stability", stab,
             lambda: analysis.stability_problem(plant, gain, config.schedule, dist, margin),
-            {f"P{k}": p for k, p in enumerate(stab.get("P", []))})
+            lambda: {f"P{k}": _matrix(p, f"results.stability.P[{k}]") for k, p in enumerate(ps)})
     found, seen = _recheck(
         "passivity", pas,
-        lambda: analysis.passivity_problem(plant, gain, dist, float(pas["eta"]), margin),
-        {"P": pas.get("P")})
+        lambda: analysis.passivity_problem(
+            plant, gain, dist, _number(pas.get("eta"), "results.passivity.eta", minimum=0), margin),
+        lambda: {"P": _matrix(pas.get("P"), "results.passivity.P")})
     return problems + found, checked + seen
 
 
@@ -593,7 +605,8 @@ def cmd_report(report_path) -> int:
             problems += found
         if command == "analyze":
             sms = results.get("sms", {})
-            lines.append(f"rho = {sms.get('rho'):.6f} (stable: {sms.get('stable')})")
+            rho = _number(sms.get("rho"), "results.sms.rho", finite=False)
+            lines.append(f"rho = {rho:.6f} (stable: {sms.get('stable')})")
             for section in ("stability", "passivity"):
                 if section in results:
                     entry = results[section]
@@ -607,7 +620,7 @@ def cmd_report(report_path) -> int:
                     if entry.get("reason"):
                         lines.append(f"  reason: {entry['reason']}")
                     if section == "passivity" and entry.get("eta") is not None:
-                        lines.append(f"  eta = {entry['eta']}")
+                        lines.append(f"  eta = {_number(entry['eta'], 'results.passivity.eta')}")
         elif command == "synthesize":
             synth = results.get("synthesis", {})
             lines.append(f"synthesis: {synth.get('status')}")
@@ -618,15 +631,18 @@ def cmd_report(report_path) -> int:
             if synth.get("status") == "certified":
                 lines.append(f"  eta = {synth['eta']}")
                 lines.append(f"  K = {synth['K']}")
-                lines.append(f"  rho = {synth['rho']:.6f}")
+                lines.append(f"  rho = {_number(synth.get('rho'), 'results.synthesis.rho'):.6f}")
         elif command == "simulate":
             ens = results.get("ensemble", {})
-            lines.append(
-                f"ensemble: {ens.get('trials')} trials x {ens.get('horizon')} steps, "
-                f"dissipation {ens.get('dissipation_mean'):.4f} +- {ens.get('dissipation_se'):.4f}"
-            )
-            if ens.get("decay_fit"):
-                lines.append(f"  decay fit alpha = {ens['decay_fit']['alpha']:.4f}")
+            mean, se = (_number(ens.get(key), f"results.ensemble.{key}", finite=False)
+                        for key in ("dissipation_mean", "dissipation_se"))
+            lines.append(f"ensemble: {ens.get('trials')} trials x {ens.get('horizon')} steps, "
+                         f"dissipation {mean:.4f} +- {se:.4f}")
+            fit = ens.get("decay_fit")
+            if fit:
+                alpha = _number(fit.get("alpha") if isinstance(fit, dict) else None,
+                                "results.ensemble.decay_fit.alpha", finite=False)
+                lines.append(f"  decay fit alpha = {alpha:.4f}")
         else:
             print(f"error: unknown command {command!r} in report", file=sys.stderr)
             return EXIT_INPUT
@@ -648,8 +664,16 @@ def cmd_report(report_path) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that exits EXIT_INPUT, not 2, on a usage error; 2 means no certificate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncspassive",
         description="Passivity analysis and synthesis for lossy networked control loops.",
     )

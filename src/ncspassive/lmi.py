@@ -70,15 +70,6 @@ class LmiVariable:
     kind: str  # "symmetric" | "rectangular"
     rows: int
     cols: int
-    positive_definite: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("symmetric", "rectangular"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind == "symmetric" and self.rows != self.cols:
-            raise ValueError(f"symmetric variable {self.name!r} must be square")
-        if self.positive_definite and self.kind != "symmetric":
-            raise ValueError(f"only symmetric variables can be positive definite ({self.name!r})")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,8 +167,8 @@ class AffineExpr:
     def grad(self, var: str, weight_matrix: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
         """Gradient of <W, assemble(.)> with respect to ``var``.
 
-        W must be symmetric (it is an eigenvector outer product in the
-        solver). Off-diagonal blocks count twice, once for the implied
+        W must be symmetric (``verify_dual`` passes a constraint's
+        multiplier). Off-diagonal blocks count twice, once for the implied
         transpose partner.
         """
         g = np.zeros(shape)
@@ -210,9 +201,7 @@ class LmiProblem:
         return var.name
 
     def add_symmetric(self, name: str, dim: int, *, positive_definite: bool = False) -> str:
-        self._add_variable(
-            LmiVariable(name, "symmetric", dim, dim, positive_definite=positive_definite)
-        )
+        self._add_variable(LmiVariable(name, "symmetric", dim, dim))
         if positive_definite:
             expr = AffineExpr([dim], name=f"{name}_pos_def")
             expr.add_term(0, 0, -np.eye(dim), name, np.eye(dim))

@@ -210,7 +210,6 @@ class ClosedLoopFamily:
     B, D are mode-independent.
     """
 
-    k: int
     a_modes: dict
     c_modes: dict
     b: np.ndarray
@@ -295,4 +294,4 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
         w = float(i * j)
         a_modes[(i, j)] = plant.A + w * feed
         c_modes[(i, j)] = plant.C1 + w * feed_z
-    return ClosedLoopFamily(k=k, a_modes=a_modes, c_modes=c_modes, b=plant.B1, d=plant.D11)
+    return ClosedLoopFamily(a_modes=a_modes, c_modes=c_modes, b=plant.B1, d=plant.D11)

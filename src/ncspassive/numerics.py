@@ -90,14 +90,13 @@ def sym_eigvals(m) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(m))
 
 
-def is_neg_definite(m, margin: DefinitenessMargin | None = None) -> bool:
+def is_neg_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     """True iff lambda_max(sym(M)) clears the margin threshold."""
-    margin = margin or DEFAULT_MARGIN
     s = symmetrize(m)
     return bool(sym_eigvals(s)[-1] <= margin.threshold(s))
 
 
-def is_pos_definite(m, margin: DefinitenessMargin | None = None) -> bool:
+def is_pos_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     return is_neg_definite(-as_matrix(m), margin)
 
 
@@ -128,14 +127,13 @@ def schur_block(p, m, q) -> np.ndarray:
     return np.block([[p, m], [m.T, q]])
 
 
-def schur_neg_def(p, m, q, margin: DefinitenessMargin | None = None) -> bool:
+def schur_neg_def(p, m, q, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     """Block-matrix negative definiteness via the Schur complement.
 
     True iff Q < 0 and P - M Q^{-1} M' < 0 (both margin-strict), which is
     equivalent to [[P, M], [M', Q]] < 0. A Q that is singular without
     being negative definite yields False rather than an error.
     """
-    margin = margin or DEFAULT_MARGIN
     p = symmetrize(p, "p")
     q = symmetrize(q, "q")
     m = as_matrix(m, "m")

@@ -144,6 +144,35 @@ class TestStabilityLmi:
                 assert_refuted(result, plant, gain, full_packet_schedule(), dist)
         assert unstable > 10
 
+    def test_periodic_population_is_decided_by_rho(self):
+        # Periodic loops repeat eigenvalue moduli in the period operator;
+        # loops with rho just above 1 are kept, not skipped.
+        rng = np.random.default_rng(41)
+        unstable = borderline = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            period = int(rng.integers(1, 5))
+            plant = random_plant(rng, n, spectral_scale=float(np.sqrt(0.5 + rng.random())))
+            gain = Gain(0.5 * rng.standard_normal((1, n)))
+            dist = mode_distribution(random_loss(rng))
+            # each slot sends one sensor reading, drives the actuator, or idles
+            kinds = rng.integers(0, 3, size=period)
+            sched = Schedule(period=period,
+                             s1=tuple(int(rng.integers(1, n + 1)) if k == 0 else 0 for k in kinds),
+                             s2=tuple(int(k == 1) for k in kinds))
+            families = [closed_loop(plant, gain, k, sched) for k in range(period)]
+            rho = sms_oracle(families, dist).rho
+            result = stability_lmi(plant, gain, sched, dist)
+            if rho >= 1.0:
+                unstable += 1
+                borderline += rho < 1.02
+                assert_refuted(result, plant, gain, sched, dist)
+            elif rho < 0.98:
+                assert result.feasible, f"no certificate for rho = {rho}"
+            if result.feasible:
+                assert rho < 1.0, f"certificate for rho = {rho}"
+        assert unstable > 100 and borderline > 0
+
     def test_periodic_schedule_certificate(self):
         plant = Plant(A=[[0.0, 0.9], [-0.3, 0.2]], B1=[[1.0], [0.0]], B2=[[0.0], [1.0]],
                       C1=[[1.0, 0.0]], D11=[[1.0]], D12=[[0.0]])

@@ -431,6 +431,56 @@ class TestReport:
         assert "error: malformed report" in err
         assert ("top level" if key is None else repr(key)) in err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("analyze", "sms.rho", None),
+        ("analyze", "passivity.eta", None),
+        ("analyze", "passivity.eta", -1.0),
+        ("analyze", "stability.P", [[["a"]]]),
+        ("analyze", "stability.P", 5),
+        ("analyze", "passivity.P", [["a"]]),
+        ("synthesize", "synthesis.rho", None),
+        ("synthesize", "synthesis.eta", None),
+        ("synthesize", "synthesis.X", [["a"]]),
+        ("synthesize", "synthesis.Y", [["a"]]),
+        ("synthesize", "synthesis.K", [["a"]]),
+        ("simulate", "ensemble.dissipation_mean", None),
+        ("simulate", "ensemble.dissipation_se", None),
+        ("simulate", "ensemble.decay_fit.alpha", None),
+        ("simulate", "ensemble.decay_fit", 5),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_malformed_field_is_input_error_naming_its_key(self, tmp_path, capsys, command, key, value):
+        # x0 != 0 gives the ensemble a decay fit
+        cfg = write_config(tmp_path, with_field(scenario(gain=[[-0.9]]), "simulation.x0", [1.0]))
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+        def set_field(results):
+            *parents, last = key.split(".")
+            node = results
+            for part in parents:
+                node = node[part]
+            node[last] = value
+
+        bad = rewrite_results(out, tmp_path / "malformed.json", set_field)
+        capsys.readouterr()
+        assert cli.main(["report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error: malformed report" in err
+        assert f"results.{key}" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_ensemble_report_still_reads(self, tmp_path, capsys):
+        # an overflowing run stores NaN statistics, which report prints as they are
+        config = scenario(gain=[[0.0]])
+        config["plant"]["A"] = [[1e30]]
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "NaN" in out.read_text()
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        assert "dissipation nan +- nan" in capsys.readouterr().out
+
     def test_empty_file_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
@@ -546,3 +596,23 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "scenario.json", "--bogus"],
+    ["analyze"],
+    ["frobnicate"],
+], ids=["unknown-flag", "missing-config", "unknown-subcommand"])
+def test_usage_error_exits_one_with_argparse_message(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
+    assert "ncspassive" in capsys.readouterr().out
