@@ -29,6 +29,8 @@ probability). One builder, ``_dissipation_form``, writes it for any mode
 weights: ``passivity_problem`` uses the probabilities, and
 ``dissipation_identity_check`` the realized mode at weight 1, where the
 form equals the per-step dissipation defect along a simulated path.
+The form is affine in eta, so ``max_dissipation`` finds the largest
+certifiable eta in one barrier run (``lmi._maximize``).
 """
 
 from __future__ import annotations
@@ -67,13 +69,12 @@ __all__ = [
     "passivity_problem",
     "passivity_lmi",
     "max_dissipation",
-    "dissipation_upper_bound",
     "dissipation_identity_check",
     "check_assumption",
 ]
 
 BORDERLINE_BAND = 0.02
-# Width of the eta interval at which a maximize bisection stops.
+# Central-path gap at which the second phase of an eta maximize stops.
 ETA_TOL = 1e-3
 
 
@@ -304,6 +305,7 @@ class PassivityCertificate:
     eta: float
     report: lmi.VerifyReport
     rho: float
+    iterations: int  # Newton steps that found it, both phases of a max_dissipation
 
     feasible = True
 
@@ -389,30 +391,8 @@ def passivity_lmi(
         eta=float(eta),
         report=result.report,
         rho=rho,
+        iterations=result.iterations,
     )
-
-
-def dissipation_upper_bound(plant: Plant) -> float:
-    """min eig(D11 + D11')/2: past this the feedthrough block cannot go negative."""
-    return float(sym_eigvals(plant.D11 + plant.D11.T)[0]) / 2.0
-
-
-def _bisect_eta(probe, hi: float):
-    """Bisect [0, hi] to ETA_TOL for the largest eta that ``probe`` certifies.
-
-    ``probe(eta)`` returns a certificate or an Indeterminate. Returns
-    (eta, certificate) for the last certified probe, or (0.0, the
-    Indeterminate) when eta = 0 itself does not certify.
-    """
-    lo, best = 0.0, probe(0.0)
-    while best.feasible and hi - lo > ETA_TOL:
-        mid = 0.5 * (lo + hi)
-        res = probe(mid)
-        if res.feasible:
-            lo, best = mid, res
-        else:
-            hi = mid
-    return lo, best
 
 
 def max_dissipation(
@@ -422,18 +402,20 @@ def max_dissipation(
     margin: DefinitenessMargin = DEFAULT_MARGIN,
     max_iters: int = lmi.MAX_ITERS,
 ):
-    """Largest certified dissipation, by bisection over eta to ETA_TOL.
+    """Largest certified dissipation, to within ETA_TOL, in two barrier phases.
 
-    Returns the :class:`PassivityCertificate` of the last certified
-    probe, whose ``eta`` is the margin found. The loop must be
-    certifiable at eta = 0; otherwise the Indeterminate from that first
-    solve is returned unchanged. The search interval is
-    [0, min eig(D11 + D11')/2], whose upper end is always infeasible.
+    Phase I is :func:`passivity_lmi` at eta = 0, whose Indeterminate is
+    returned unchanged; phase II (``lmi._maximize``) maximizes eta over
+    :func:`passivity_problem` from its point and returns the
+    :class:`PassivityCertificate` at the eta it reaches.
     """
-    return _bisect_eta(
-        lambda e: passivity_lmi(plant, gain, dist, e, margin, max_iters),
-        dissipation_upper_bound(plant),
-    )[1]
+    first = passivity_lmi(plant, gain, dist, 0.0, margin, max_iters)
+    eta, cert = lmi._maximize(
+        lambda e: passivity_problem(plant, gain, dist, e, margin), first, ETA_TOL, max_iters)
+    if not cert.feasible:
+        return cert
+    return PassivityCertificate(assignment=dict(cert.assignment), eta=eta, report=cert.report,
+                                rho=first.rho, iterations=cert.iterations)
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

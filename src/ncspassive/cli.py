@@ -100,7 +100,8 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 def _number(value, where: str, *, integer=False, minimum=None, above=None, finite=True):
     """``value`` as an int or float within bounds, else ConfigError naming ``where``.
 
-    ``finite=False`` also takes inf and nan, which a diverging run stores.
+    ``finite=False`` also takes inf and nan, which reports hold that were
+    written before non-finite values became null.
     """
     if (
         not isinstance(value, (int, float))
@@ -304,7 +305,24 @@ def _refusal(result: lmi.Indeterminate, eta) -> dict:
     }
 
 
+def _finite(value, path: str, nulled: list):
+    """``value`` with each non-finite float (a diverging run's statistic) as
+    None, its dotted path, or its array's, appended to ``nulled``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        nulled.append(path)
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{path}.{k}" if path else k, nulled) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v, path, nulled) for v in value]
+    return value
+
+
 def _write_report(out_path, command: str, config: ScenarioConfig, results: dict, started: float) -> dict:
+    nulled: list = []
+    results = _finite(results, "", nulled)
+    if nulled:
+        results["non_finite"] = sorted(set(nulled))
     report = {
         "tool": {"name": "ncspassive", "version": __version__},
         "command": command,
@@ -315,7 +333,7 @@ def _write_report(out_path, command: str, config: ScenarioConfig, results: dict,
         "timing": {"seconds": time.time() - started},
     }
     out_path = Path(out_path)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return report
 
 
@@ -552,6 +570,14 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
     return problems + found, checked + seen
 
 
+def _shown(entry: dict, path: str, spec: str, nulled) -> str:
+    """The display number at ``path``, or n/a where the writer nulled a non-finite value."""
+    value = entry.get(path.rpartition(".")[2])
+    if value is None and isinstance(nulled, list) and path in nulled:
+        return "n/a"
+    return format(_number(value, f"results.{path}", finite=False), spec)
+
+
 # Report sections that are objects when present; report reads them by key.
 _REPORT_SECTIONS = ("synthesis", "stability", "passivity", "sms", "ensemble")
 
@@ -592,6 +618,7 @@ def cmd_report(report_path) -> int:
 
     command = report["command"]
     lines = [f"command: {command}", f"tool: {report.get('tool', {})}"]
+    nulled = results.get("non_finite", [])
 
     problems: list[str] = []
     checked: list[str] = []
@@ -605,8 +632,8 @@ def cmd_report(report_path) -> int:
             problems += found
         if command == "analyze":
             sms = results.get("sms", {})
-            rho = _number(sms.get("rho"), "results.sms.rho", finite=False)
-            lines.append(f"rho = {rho:.6f} (stable: {sms.get('stable')})")
+            rho = _shown(sms, "sms.rho", ".6f", nulled)
+            lines.append(f"rho = {rho} (stable: {sms.get('stable')})")
             for section in ("stability", "passivity"):
                 if section in results:
                     entry = results[section]
@@ -634,10 +661,10 @@ def cmd_report(report_path) -> int:
                 lines.append(f"  rho = {_number(synth.get('rho'), 'results.synthesis.rho'):.6f}")
         elif command == "simulate":
             ens = results.get("ensemble", {})
-            mean, se = (_number(ens.get(key), f"results.ensemble.{key}", finite=False)
+            mean, se = (_shown(ens, f"ensemble.{key}", ".4f", nulled)
                         for key in ("dissipation_mean", "dissipation_se"))
             lines.append(f"ensemble: {ens.get('trials')} trials x {ens.get('horizon')} steps, "
-                         f"dissipation {mean:.4f} +- {se:.4f}")
+                         f"dissipation {mean} +- {se}")
             fit = ens.get("decay_fit")
             if fit:
                 alpha = _number(fit.get("alpha") if isinstance(fit, dict) else None,

@@ -16,6 +16,9 @@ multipliers pass ``verify_dual``; or an Indeterminate without a dual,
 once the Newton-step budget (``max_iters``, MAX_ITERS by default) runs
 out or t stops moving.
 
+``_maximize`` then raises a scalar s in which a problem family is
+affine, by Newton steps on the same barrier (Boyd et al., sec. 2.4).
+
 A problem owns its definiteness margin: ``verify``, ``verify_dual``,
 ``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
 certificate is always checked at the margin its problem was posed with.
@@ -414,20 +417,27 @@ RANK_RTOL = 1e-12
 
 
 class _Barrier:
-    """min t subject to M_c(v) <= t I for every constraint, in coordinates.
+    """The slacks of every constraint, affine in coordinates x.
 
     A symmetric variable has one coordinate per upper-triangle entry, a
-    rectangular one per entry; x stacks them and then t. The basis
-    matrices A_{c,i} are read off ``AffineExpr.assemble`` at unit
-    assignments, so the slacks S_c = t I - M_c(v) are affine in x. Newton
-    steps move x = x0 + Q y, where the columns of Q span the directions
-    that change some slack: moving along any other leaves the barrier
-    flat and its Hessian singular, unless it lowers t (then the start
-    moves along it). Row j of ``flats[c]`` is the change of S_c, flattened,
-    per unit of y_j.
+    rectangular one per entry; x stacks them, from ``start``, and then a
+    scalar s, from ``s0``, that moves slack c by ``last[c]`` per unit:
+    with identities s is the t of ``solve`` (S_c = t I - M_c(v)), with
+    minus eta's basis matrices S_c = -M_c(v, eta). The basis matrices
+    A_{c,i} are read off ``AffineExpr.assemble`` at unit assignments.
+    Newton steps move x = x0 + Q y, where the columns of Q span the
+    directions that change some slack: moving along any other leaves the
+    barrier flat and its Hessian singular, unless it lowers t (then the
+    start moves along it). Row j of ``flats[c]`` is the change of S_c,
+    flattened, per unit of y_j.
+
+    ``tighten`` turns each form M into M' = M - e (tr M - 1) I, e being
+    epsilon_rel: for M < 0, ||M||_F <= tr(-M), so M' < 0 only where M
+    clears its margin threshold (M' < 0 implies M < 0 while e dim < 1).
     """
 
-    def __init__(self, problem: LmiProblem, t0: float):
+    def __init__(self, problem: LmiProblem, start: dict, last: list, s0: float,
+                 tighten: bool = False):
         self.layout = {}
         units, v0 = [], []
         for name, var in problem.variables.items():
@@ -439,20 +449,24 @@ class _Barrier:
                 if var.kind == "symmetric":
                     u[j, i] = 1.0
                 units.append((name, u))
-                v0.append(float(var.kind == "symmetric" and i == j))
+                v0.append(float(start[name][i, j]))
             self.layout[name] = (slice(first, len(units)), np.stack([u for _, u in units[first:]]))
-        self.x0 = np.array(v0 + [t0])
+        self.x0 = np.array(v0 + [s0])
 
         zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
         self.consts, coeffs = [], []
-        for _, expr in problem.constraints:
+        eps = problem.margin.epsilon_rel
+        for (_, expr), last_c in zip(problem.constraints, last):
             const = expr.assemble(zero)
             seen = expr.variables()
-            self.consts.append(const)
-            coeffs.append(np.stack([
+            f = np.stack([
                 const - expr.assemble({**zero, name: u}) if name in seen else np.zeros_like(const)
                 for name, u in units
-            ] + [np.eye(len(const))]))
+            ])
+            if tighten:
+                const, f = _tight(const, eps) + eps * np.eye(len(const)), _tight(f, eps)
+            self.consts.append(const)
+            coeffs.append(np.concatenate([f, last_c[None]]))
         flat = np.hstack([f.reshape(len(f), -1) for f in coeffs])
         u, sv, _ = np.linalg.svd(flat, full_matrices=False)
         self.q = u[:, sv > RANK_RTOL * sv[0]]
@@ -461,7 +475,7 @@ class _Barrier:
         free = -self.q @ self.q[-1]
         free[-1] += 1.0
         if free[-1] > RANK_RTOL:
-            self.x0 = self.x0 - (t0 / free[-1]) * free
+            self.x0 = self.x0 - (s0 / free[-1]) * free
         self.flats = [self.q.T @ f.reshape(len(f), -1) for f in coeffs]
         self.base = [self.x0 @ f.reshape(len(f), -1) - c.ravel()
                      for f, c in zip(coeffs, self.consts)]
@@ -509,6 +523,12 @@ class _Barrier:
         return grad, hess, inverses
 
 
+def _tight(m: np.ndarray, eps: float) -> np.ndarray:
+    """m - eps tr(m) I, for one matrix or a stack: the linear part of the
+    tightening M -> M - eps (tr M - 1) I."""
+    return m - eps * np.trace(m, axis1=-2, axis2=-1)[..., None, None] * np.eye(m.shape[-1])
+
+
 def _log_det(chols: list) -> float:
     return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
 
@@ -542,7 +562,8 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     if report.passed:
         return LmiCertificate.build(problem, start)
 
-    barrier = _Barrier(problem, max(c.lambda_max for c in report.checks) + 1.0)
+    barrier = _Barrier(problem, start, [np.eye(expr.dim) for _, expr in problem.constraints],
+                       max(c.lambda_max for c in report.checks) + 1.0)
     t_of = barrier.q[-1]  # dt/dy
     y = np.zeros(barrier.q.shape[1])
     slacks, chols = barrier.factor(y)
@@ -595,6 +616,105 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
             tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
             continue
         y, slacks, chols = found
+
+
+def _maximize(build, first, tol: float, max_iters: int = MAX_ITERS):
+    """Largest s, to within ``tol``, at which ``build(s)`` certifies: (s, certificate).
+
+    ``build`` poses a problem whose forms are affine in s; ``first``, the
+    result of solving ``build(0.0)`` (phase I), is returned at s = 0 when
+    it is not a certificate. Phase II starts at its point and takes Newton
+    steps on -tau s - sum_c log det(-M_c(v, s)), tau raised by TAU_GROWTH
+    at each centered point, until the central path's gap dim / tau is
+    below ``tol`` (Boyd & Vandenberghe, sec. 11.3) or ``max_iters`` steps
+    are spent. s's basis matrices are assemble(build(1)) -
+    assemble(build(0)), so no second copy of any form appears. The forms
+    are tightened as in :class:`_Barrier`, which only shrinks the set
+    searched: its points then clear the margin, and they stay bounded
+    where log det alone would grow without limit (P of a memoryless
+    loop): a constant diagonal block, such as the feedthrough block,
+    bounds lambda_max(M) below, so lambda_max(M) <= e (tr M - 1) bounds
+    tr(-M). A phase-I point outside the tightened forms (under a large
+    margin) is first moved inside by Newton steps on M' + u I < 0 that
+    raise u above 0.
+
+    The certificate is ``LmiCertificate.build`` on ``build(s)`` at the
+    last point or, should that miss its margin, the latest centered point
+    that clears it; failing all, ``first`` at s = 0. Its ``iterations``
+    counts the Newton steps of both phases.
+    """
+    if not first.feasible:
+        return 0.0, first
+    problem = build(0.0)
+    zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
+    eps = problem.margin.epsilon_rel
+    slopes = [-_tight(grown.assemble(zero) - expr.assemble(zero), eps)
+              for (_, expr), (_, grown) in zip(problem.constraints, build(1.0).constraints)]
+    start, steps = first.assignment, first.iterations
+    barrier = _Barrier(problem, start, slopes, 0.0, tighten=True)
+    if barrier.factor(np.zeros(barrier.q.shape[1])) is None:
+        # first clears the margin but not the tightened forms M': raise u in
+        # M' + u I < 0 from below every lambda_min(-M'_c) until it is positive
+        lowest = min(sym_eigvals(b.reshape(e.shape))[0] for b, e in zip(barrier.base, barrier.eyes))
+        lift = _Barrier(problem, start, [-np.eye(expr.dim) for _, expr in problem.constraints],
+                        lowest - 1.0, tighten=True)
+        y, _, taken = _climb(lift, lambda u, gap: u > 0.0, max_iters)
+        steps += taken
+        if lift.x(y)[-1] <= 0.0:
+            return 0.0, first
+        start = lift.assignment(y)
+        barrier = _Barrier(problem, start, slopes, 0.0, tighten=True)
+    y, centered, taken = _climb(barrier, lambda s, gap: gap is not None and gap <= tol, max_iters)
+    for point in [y] + centered[::-1]:
+        s = float(barrier.x(point)[-1])
+        if s < 0.0:
+            continue
+        try:
+            return s, LmiCertificate.build(build(s), barrier.assignment(point),
+                                           iterations=steps + taken)
+        except VerificationFailed:
+            continue
+    return 0.0, first
+
+
+def _climb(barrier: _Barrier, done, max_iters: int):
+    """Newton steps on -tau s - sum_c log det S_c from y = 0: (y, centered points, steps).
+
+    s is the barrier's last coordinate; tau starts centered along s and
+    grows by TAU_GROWTH at each centered point. Stops once
+    ``done(s, gap)`` holds, gap being the central path's dim / tau at a
+    centered point and None elsewhere, or after ``max_iters`` steps.
+    """
+    s_of = barrier.q[-1]  # ds/dy
+    y = np.zeros(barrier.q.shape[1])
+    _, chols = barrier.factor(y)
+    centered = []
+    tau = None
+    step = 0
+    while True:
+        grad, hess, _ = barrier.derivatives(chols)
+        if tau is None:  # centered along s, with a central-path gap of at most 1
+            tau = max(float(grad @ s_of) / float(s_of @ s_of), barrier.dim)
+        dy = _newton_direction(hess, grad - tau * s_of)
+        decrement = float(-(grad - tau * s_of) @ dy)
+        is_centered = 0.5 * decrement <= CENTERED
+        if done(float(barrier.x(y)[-1]), barrier.dim / tau if is_centered else None):
+            break
+        if is_centered:
+            centered.append(y)
+            tau *= TAU_GROWTH
+            dy = _newton_direction(hess, grad - tau * s_of)
+            decrement = float(-(grad - tau * s_of) @ dy)
+        if step == max_iters:
+            break
+        step += 1
+        found = _line_search(barrier, y, dy, -tau * s_of, -decrement,
+                             -tau * (s_of @ y) - _log_det(chols), np.sqrt(max(decrement, 0.0)))
+        if found is None:
+            tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
+            continue
+        y, _, chols = found
+    return y, centered, step
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:

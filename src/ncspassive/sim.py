@@ -127,6 +127,11 @@ class SimTrace:
         return self.sum_wz - eta * self.sum_ww
 
 
+# A diverging loop overflows to inf, then nan; its statistics say so, quietly.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
     """Advance one trial per seed together, one (M, n) state array per step.
 
@@ -216,6 +221,7 @@ class EnsembleStats:
     mode_counts: np.ndarray  # 2x2 array of (theta1, theta2) occurrence counts
 
 
+@_QUIET
 def ensemble(
     plant: Plant,
     gain: Gain,
@@ -282,12 +288,13 @@ def decay_fit(stats: EnsembleStats) -> tuple[float, float]:
 
     Least squares on log mean||x(k)||^2 against k for k in [T/2, T];
     alpha is the fitted per-step ratio, beta the normalized prefactor.
-    Raises FitUnavailable when the tail contains zeros (nothing to fit).
+    Raises FitUnavailable on a non-finite norm or a zero in the tail.
     """
     tail_start = stats.horizon // 2
     tail = stats.mean_sq_norm[tail_start:]
-    if tail.size < 2 or np.any(tail <= 0.0) or stats.mean_sq_norm[0] <= 0.0:
-        raise FitUnavailable("mean-square norm is degenerate over the fitted range")
+    if (tail.size < 2 or not np.isfinite(stats.mean_sq_norm).all() or np.any(tail <= 0.0)
+            or stats.mean_sq_norm[0] <= 0.0):
+        raise FitUnavailable("mean-square norm is non-finite or degenerate over the fitted range")
     ks = np.arange(tail_start, stats.horizon + 1, dtype=float)
     slope, intercept = np.polyfit(ks, np.log(tail), 1)
     alpha = float(np.exp(slope))

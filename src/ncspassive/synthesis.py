@@ -26,9 +26,8 @@ import numpy as np
 
 from . import lmi
 from .analysis import (
-    _bisect_eta,
+    ETA_TOL,
     check_assumption,
-    dissipation_upper_bound,
     passivity_lmi,
     passivity_problem,
     sms_oracle,
@@ -261,11 +260,11 @@ def synthesize(
 ):
     """Solve the synthesis LMI and return a round-trip-verified gain.
 
-    ``eta`` is a fixed dissipation level or ``"maximize"``, which bisects
-    over [0, min eig(D11 + D11')/2] to ``analysis.ETA_TOL``. Returns a
-    :class:`SynthesisResult`, or Indeterminate when no certificate was
-    found. A certificate whose round trip fails raises VerificationFailed:
-    that means a bug, not an infeasible problem.
+    ``eta`` is a fixed dissipation level or ``"maximize"``: a solve at
+    eta = 0, then ``lmi._maximize`` to ``analysis.ETA_TOL`` (its
+    ``iterations`` count both). Returns a :class:`SynthesisResult`, or
+    Indeterminate when no certificate was found. A certificate whose round
+    trip fails raises VerificationFailed: a bug, not an infeasible problem.
 
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
@@ -281,14 +280,13 @@ def synthesize(
             "no gain makes the loop second-moment stable",
         )
 
-    def solve_at(e: float):
-        return lmi.solve(build_synthesis_lmi(plant, dist, e, margin), max_iters)
+    def build(e: float):
+        return build_synthesis_lmi(plant, dist, e, margin)
 
+    eta_val = 0.0 if eta == "maximize" else float(eta)
+    certificate = lmi.solve(build(eta_val), max_iters)
     if eta == "maximize":
-        eta_val, certificate = _bisect_eta(solve_at, dissipation_upper_bound(plant))
-    else:
-        eta_val = float(eta)
-        certificate = solve_at(eta_val)
+        eta_val, certificate = lmi._maximize(build, certificate, ETA_TOL, max_iters)
     if not certificate.feasible:
         return certificate
 

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_loss, random_plant, scalar_grid_eta_star
 from ncspassive import analysis, lmi, sim
 from ncspassive.analysis import (
+    ETA_TOL,
     dissipation_identity_check,
     max_dissipation,
     passivity_lmi,
@@ -23,6 +24,7 @@ from ncspassive.model import (
     full_packet_schedule,
     mode_distribution,
 )
+from ncspassive.numerics import DefinitenessMargin
 
 
 def scalar_family(a_open: float, a_closed: float, loss: LossModel):
@@ -297,6 +299,30 @@ class TestMaxDissipation:
         for frac in (0.25, 0.5, 0.75, 0.95):
             result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, frac * eta_star)
             assert result.feasible, f"monotonicity broken at {frac} * eta_star"
+
+    def test_scalar_reaches_the_closed_form_margin(self, scalar_passive_plant, lossless):
+        # x+ = 0.5x + w, z = 0.5x + w has margin exactly 2/3 (acceptance c3)
+        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), mode_distribution(lossless))
+        assert abs(result.eta - 2.0 / 3.0) <= ETA_TOL
+
+    def test_spent_budget_still_returns_a_verified_certificate(self, scalar_passive_plant,
+                                                              lossless):
+        dist = mode_distribution(lossless)
+        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, max_iters=3)
+        # eta = 0 verifies at the start, so all three steps are phase II's
+        assert result.iterations == 3
+        assert 0.0 < result.eta < 2.0 / 3.0 - ETA_TOL
+        problem = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, result.eta)
+        assert lmi.verify(problem, result.assignment).passed
+
+    def test_large_margin_moves_the_start_inside_first(self, scalar_passive_plant, lossless):
+        # at epsilon_rel 0.2 the eta = 0 point P = 1 clears the margin but not
+        # the trace-tightened forms phase II runs on (a bisection reached 0.417)
+        dist, margin = mode_distribution(lossless), DefinitenessMargin(0.2)
+        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, margin)
+        assert result.eta > 0.3
+        problem = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, result.eta, margin)
+        assert lmi.verify(problem, result.assignment).passed
 
     def test_infeasible_base_propagates(self, lossless):
         # open loop rho = 4: no passivity certificate at any eta

@@ -470,15 +470,28 @@ class TestReport:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_ensemble_report_still_reads(self, tmp_path, capsys):
-        # an overflowing run stores NaN statistics, which report prints as they are
+        # an overflowing run stores its non-finite statistics as null, named in
+        # non_finite, and report prints them as n/a; a report holding NaN, as
+        # reports written before did, still reads
         config = scenario(gain=[[0.0]])
         config["plant"]["A"] = [[1e30]]
         cfg = write_config(tmp_path, config)
         out = tmp_path / "sim.json"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "NaN" in out.read_text()
+        results = json.loads(out.read_text())["results"]
+        assert results["ensemble"]["dissipation_mean"] is None
+        assert "ensemble.dissipation_mean" in results["non_finite"]
         capsys.readouterr()
         assert cli.main(["report", str(out)]) == 0
+        assert "dissipation n/a +- n/a" in capsys.readouterr().out
+
+        def as_nan(results):
+            del results["non_finite"]
+            for key in ("dissipation_mean", "dissipation_se"):
+                results["ensemble"][key] = float("nan")
+
+        old = rewrite_results(out, tmp_path / "old.json", as_nan)
+        assert cli.main(["report", str(old)]) == 0
         assert "dissipation nan +- nan" in capsys.readouterr().out
 
     def test_empty_file_is_input_error(self, tmp_path):
@@ -596,6 +609,32 @@ def test_module_entry_point_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_diverging_simulation_writes_strict_json_quietly(tmp_path):
+    # the README loop with A = 2 and no feedback overflows within 2000 steps;
+    # from x0 = 1 the decay fit sees the overflow too
+    config = scenario(gain=[[0.0]])
+    config["plant"]["A"] = [[2.0]]
+    config["simulation"].update(horizon=2000, x0=[1.0])
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "sim.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncspassive.cli", "simulate",
+         "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    results = json.loads(out.read_text(), parse_constant=reject)["results"]
+    assert None in results["ensemble"]["mean_sq_norm"]
+    assert results["ensemble"]["decay_fit"] is None
+    assert results["non_finite"] == [
+        "ensemble.dissipation_mean", "ensemble.dissipation_se", "ensemble.mean_sq_norm"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_plant
 from ncspassive import lmi, synthesis
-from ncspassive.analysis import passivity_lmi, sms_oracle
+from ncspassive.analysis import ETA_TOL, passivity_lmi, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
 from ncspassive.numerics import DEFAULT_MARGIN
 from ncspassive.lmi import Indeterminate
@@ -210,11 +210,68 @@ CENSUS_PLANTS = [
 ]
 
 
-@pytest.mark.parametrize("plant,loss", CENSUS_PLANTS, ids=["n3", "n4"])
-def test_maximized_census_plant_passes_its_round_trip(plant, loss):
+# The eta that an eleven-probe bisection to ETA_TOL reached on each census plant.
+CENSUS_BISECTED = [0.921875, 0.7353515625]
+
+
+@pytest.mark.parametrize("plant,loss,bisected",
+                         [(*case, eta) for case, eta in zip(CENSUS_PLANTS, CENSUS_BISECTED)],
+                         ids=["n3", "n4"])
+def test_maximized_census_plant_passes_its_round_trip(plant, loss, bisected):
     result = synthesize(plant, loss, "maximize")
     assert result.feasible
     assert result.verification.passed, result.verification.summary()
+    assert result.eta >= bisected - ETA_TOL
+
+
+# The four fixed loops of the certify-pipeline benchmark, as (A, alpha1,
+# alpha2) of the README plant, with the eta that the bisection reached.
+@pytest.mark.parametrize("a,alpha1,alpha2,bisected", [
+    (1.2, 0.0, 0.2, 0.748046875),
+    (1.22, 0.0, 0.19, 0.748046875),
+    (1.19, 0.03, 0.22, 0.748046875),
+    (1.25, 0.0, 0.2, 0.7470703125),
+])
+def test_maximize_reaches_the_bisection(a, alpha1, alpha2, bisected):
+    plant = Plant(A=[[a]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+    result = synthesize(plant, LossModel(alpha1, alpha2), "maximize")
+    assert result.eta >= bisected - ETA_TOL
+    assert lmi.verify(build_synthesis_lmi(plant, mode_distribution(LossModel(alpha1, alpha2)),
+                                          result.eta), {"X": result.x, "Y": result.y}).passed
+
+
+def bisect_synthesis_eta(plant: Plant, loss: LossModel) -> float | None:
+    """Largest eta to ETA_TOL by bisecting lmi.solve over [0, min eig(D11 + D11')/2]."""
+    dist = mode_distribution(loss)
+    if not lmi.solve(build_synthesis_lmi(plant, dist, 0.0)).feasible:
+        return None
+    lo, hi = 0.0, float(np.linalg.eigvalsh(plant.D11 + plant.D11.T)[0]) / 2.0
+    while hi - lo > ETA_TOL:
+        mid = 0.5 * (lo + hi)
+        if lmi.solve(build_synthesis_lmi(plant, dist, mid)).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_maximize_matches_a_bisection_on_random_plants(k):
+    # drawn like the benchmark's census plants: small B1, C1 and loss rates
+    rng = np.random.default_rng([31, k])
+    n = 2 + k % 3
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 1.1) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
+                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
+    loss = LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
+    bisected = bisect_synthesis_eta(plant, loss)
+    result = synthesize(plant, loss, "maximize")
+    if bisected is None:
+        assert isinstance(result, Indeterminate)
+    else:
+        assert result.feasible
+        assert result.eta >= bisected - ETA_TOL
 
 
 class TestRoundTrip:
