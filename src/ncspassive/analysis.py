@@ -305,7 +305,6 @@ class PassivityCertificate:
     eta: float
     report: lmi.VerifyReport
     rho: float
-    iterations: int  # Newton steps that found it, both phases of a max_dissipation
 
     feasible = True
 
@@ -376,23 +375,23 @@ def passivity_lmi(
     rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate
     names that bound and no search runs.
     """
+    rho, result = _solve_passivity(plant, gain, dist, eta, margin, max_iters)
+    if not result.feasible:
+        return result
+    return PassivityCertificate(assignment=dict(result.assignment), eta=float(eta),
+                                report=result.report, rho=rho)
+
+
+def _solve_passivity(plant, gain, dist, eta, margin, max_iters):
+    """(rho, ``lmi.solve``'s result) of :func:`passivity_lmi`."""
     prob = passivity_problem(plant, gain, dist, eta, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
-        return lmi.Indeterminate(
+        return rho, lmi.Indeterminate(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    result = lmi.solve(prob, max_iters)
-    if not result.feasible:
-        return result
-    return PassivityCertificate(
-        assignment=dict(result.assignment),
-        eta=float(eta),
-        report=result.report,
-        rho=rho,
-        iterations=result.iterations,
-    )
+    return rho, lmi.solve(prob, max_iters)
 
 
 def max_dissipation(
@@ -409,13 +408,13 @@ def max_dissipation(
     :func:`passivity_problem` from its point and returns the
     :class:`PassivityCertificate` at the eta it reaches.
     """
-    first = passivity_lmi(plant, gain, dist, 0.0, margin, max_iters)
-    eta, cert = lmi._maximize(
-        lambda e: passivity_problem(plant, gain, dist, e, margin), first, ETA_TOL, max_iters)
-    if not cert.feasible:
-        return cert
-    return PassivityCertificate(assignment=dict(cert.assignment), eta=eta, report=cert.report,
-                                rho=first.rho, iterations=cert.iterations)
+    rho, first = _solve_passivity(plant, gain, dist, 0.0, margin, max_iters)
+    if not first.feasible:
+        return first
+    return lmi._maximize(
+        lambda e: passivity_problem(plant, gain, dist, e, margin), first, ETA_TOL, max_iters,
+        lambda e, cert: PassivityCertificate(assignment=dict(cert.assignment), eta=e,
+                                             report=cert.report, rho=rho))
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

@@ -420,53 +420,68 @@ class _Barrier:
     """The slacks of every constraint, affine in coordinates x.
 
     A symmetric variable has one coordinate per upper-triangle entry, a
-    rectangular one per entry; x stacks them, from ``start``, and then a
-    scalar s, from ``s0``, that moves slack c by ``last[c]`` per unit:
-    with identities s is the t of ``solve`` (S_c = t I - M_c(v)), with
-    minus eta's basis matrices S_c = -M_c(v, eta). The basis matrices
-    A_{c,i} are read off ``AffineExpr.assemble`` at unit assignments.
-    Newton steps move x = x0 + Q y, where the columns of Q span the
-    directions that change some slack: moving along any other leaves the
-    barrier flat and its Hessian singular, unless it lowers t (then the
-    start moves along it). Row j of ``flats[c]`` is the change of S_c,
-    flattened, per unit of y_j.
+    rectangular one per entry; x stacks them, from ``start``, then one r_c
+    per constraint when ``radii`` gives their start, and then a scalar s,
+    from ``s0``, that moves slack c by ``last[c]`` per unit: with
+    identities s is the t of ``solve`` (S_c = t I - M_c(v)). The basis
+    matrices A_{c,i} are read off ``AffineExpr.assemble`` at unit
+    assignments E, or at L E L' for a symmetric variable whose start
+    V0 = L L' is positive definite, so that V0's coordinates are those of
+    I: a phase-I X with eigenvalues from 1.5 to 4.7e6 (a random n = 5
+    synthesis) left the unit basis's Hessian too ill-conditioned (about
+    1e17) to center. Newton steps move x = x0 + Q y, where the columns of
+    Q span the directions that change some slack: moving along any other
+    leaves the barrier flat and its Hessian singular, unless it lowers t
+    (then the start moves along it). Row j of ``flats[c]`` is the change
+    of S_c, flattened, per unit of y_j.
 
-    ``tighten`` turns each form M into M' = M - e (tr M - 1) I, e being
-    epsilon_rel: for M < 0, ||M||_F <= tr(-M), so M' < 0 only where M
-    clears its margin threshold (M' < 0 implies M < 0 while e dim < 1).
+    With ``radii`` the barrier holds the problem's margin exactly: slack c
+    is S_c = -M_c - (e + r_c) I, e being epsilon_rel, and the cone term
+    -log(r_c^2 - e^2 ||M_c||_F^2), r_c > 0, joins -log det S_c. A point
+    is then inside exactly where every lambda_max(M_c) < -e (1 +
+    ||M_c||_F), which is the test ``verify`` applies.
     """
 
     def __init__(self, problem: LmiProblem, start: dict, last: list, s0: float,
-                 tighten: bool = False):
+                 radii: list | None = None):
         self.layout = {}
         units, v0 = [], []
         for name, var in problem.variables.items():
             first = len(units)
+            v, left = start[name], np.eye(var.rows)
+            if var.kind == "symmetric":
+                try:
+                    left = np.linalg.cholesky(v)  # v = left left', whose coordinates are I's
+                    v = np.eye(var.rows)
+                except np.linalg.LinAlgError:
+                    pass
             for i, j in (zip(*np.triu_indices(var.rows)) if var.kind == "symmetric"
                          else np.ndindex(var.shape)):
                 u = np.zeros(var.shape)
                 u[i, j] = 1.0
                 if var.kind == "symmetric":
                     u[j, i] = 1.0
+                    u = left @ u @ left.T
                 units.append((name, u))
-                v0.append(float(start[name][i, j]))
+                v0.append(float(v[i, j]))
             self.layout[name] = (slice(first, len(units)), np.stack([u for _, u in units[first:]]))
-        self.x0 = np.array(v0 + [s0])
+        radii = [] if radii is None else list(radii)
+        self.x0 = np.array(v0 + radii + [s0])
+        self.eps = problem.margin.epsilon_rel
 
         zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
         self.consts, coeffs = [], []
-        eps = problem.margin.epsilon_rel
-        for (_, expr), last_c in zip(problem.constraints, last):
+        for c, ((_, expr), last_c) in enumerate(zip(problem.constraints, last)):
             const = expr.assemble(zero)
             seen = expr.variables()
-            f = np.stack([
-                const - expr.assemble({**zero, name: u}) if name in seen else np.zeros_like(const)
-                for name, u in units
-            ])
-            if tighten:
-                const, f = _tight(const, eps) + eps * np.eye(len(const)), _tight(f, eps)
+            eye = np.eye(len(const))
+            rows = [const - expr.assemble({**zero, name: u}) if name in seen else np.zeros_like(const)
+                    for name, u in units]
+            rows += [-eye if j == c else np.zeros_like(const) for j in range(len(radii))]
+            if radii:
+                const = const + self.eps * eye
             self.consts.append(const)
-            coeffs.append(np.concatenate([f, last_c[None]]))
+            coeffs.append(np.stack(rows + [last_c]))
         flat = np.hstack([f.reshape(len(f), -1) for f in coeffs])
         u, sv, _ = np.linalg.svd(flat, full_matrices=False)
         self.q = u[:, sv > RANK_RTOL * sv[0]]
@@ -480,7 +495,14 @@ class _Barrier:
         self.base = [self.x0 @ f.reshape(len(f), -1) - c.ravel()
                      for f, c in zip(coeffs, self.consts)]
         self.eyes = [np.eye(len(c)) for c in self.consts]
-        self.dim = sum(len(c) for c in self.consts)  # duality gap on the central path, times tau
+        # per cone: r_c's index in x, dr_c/dy, the change of -M_c = S_c +
+        # (e + r_c) I per unit of y (flattened) and that change's Gram matrix
+        self.cones = []
+        for c, r in enumerate(range(len(v0), len(v0) + len(radii))):
+            m_of = self.flats[c] + np.outer(self.q[r], self.eyes[c].ravel())
+            self.cones.append((r, self.q[r], m_of, m_of @ m_of.T))
+        # duality gap on the central path, times tau
+        self.dim = sum(len(c) for c in self.consts) + 2 * len(self.cones)
 
     def x(self, y: np.ndarray) -> np.ndarray:
         return self.x0 + self.q @ y
@@ -489,13 +511,26 @@ class _Barrier:
         v = self.x(y)[:-1]
         return {name: np.tensordot(v[sl], basis, 1) for name, (sl, basis) in self.layout.items()}
 
+    def _cone(self, r: float, slack: np.ndarray, eye: np.ndarray):
+        """(r^2 - e^2 ||M||_F^2, -M flattened) for the slack S = -M - (e + r) I."""
+        m = (slack + (self.eps + r) * eye).ravel()
+        return r * r - self.eps ** 2 * float(m @ m), m
+
     def factor(self, y: np.ndarray):
-        """(slacks, their Cholesky factors) at y, or None when a slack is not positive definite."""
+        """(slacks, their Cholesky factors, the barrier's value) at y, or None outside its domain."""
         slacks = [(b + y @ f).reshape(e.shape) for b, f, e in zip(self.base, self.flats, self.eyes)]
         try:
-            return slacks, [np.linalg.cholesky(s) for s in slacks]
+            chols = [np.linalg.cholesky(s) for s in slacks]
         except np.linalg.LinAlgError:
             return None
+        value = -_log_det(chols)
+        for (i, h, _, _), s, eye in zip(self.cones, slacks, self.eyes):
+            r = self.x0[i] + h @ y
+            room = self._cone(r, s, eye)[0]
+            if r <= 0.0 or room <= 0.0:
+                return None
+            value -= np.log(room)
+        return slacks, chols, value
 
     def certifies(self, y: np.ndarray, slacks: list, margin: DefinitenessMargin) -> bool:
         """Every M_c = t I - S_c clears its margin threshold (a Cholesky test)."""
@@ -508,8 +543,8 @@ class _Barrier:
                 return False
         return True
 
-    def derivatives(self, chols: list):
-        """Gradient and Hessian in y of -sum_c log det S_c, and every S_c^{-1}."""
+    def derivatives(self, y: np.ndarray, slacks: list, chols: list):
+        """Gradient and Hessian in y of the barrier, and every S_c^{-1}."""
         k = self.q.shape[1]
         grad = np.zeros(k)
         hess = np.zeros((k, k))
@@ -520,17 +555,57 @@ class _Barrier:
             grad -= g[:, :: len(chol) + 1].sum(axis=1)  # their traces
             hess += g @ g.T
             inverses.append(li.T @ li)
+        e2 = self.eps ** 2
+        for (i, h, m_of, gram), s, eye in zip(self.cones, slacks, self.eyes):
+            r = self.x0[i] + h @ y
+            room, m = self._cone(r, s, eye)
+            d = 2.0 * (r * h - e2 * (m_of @ m))  # the gradient of room
+            grad -= d / room
+            hess += np.outer(d, d) / room ** 2 - 2.0 * (np.outer(h, h) - e2 * gram) / room
         return grad, hess, inverses
-
-
-def _tight(m: np.ndarray, eps: float) -> np.ndarray:
-    """m - eps tr(m) I, for one matrix or a stack: the linear part of the
-    tightening M -> M - eps (tr M - 1) I."""
-    return m - eps * np.trace(m, axis1=-2, axis2=-1)[..., None, None] * np.eye(m.shape[-1])
 
 
 def _log_det(chols: list) -> float:
     return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
+
+
+def _newton(barrier: _Barrier, sign: float, tau0, visit, threshold=lambda inverses: CENTERED):
+    """Barrier method on sign s, s being the barrier's last coordinate.
+
+    Takes Newton steps on tau sign s + phi(y) from y = 0, phi being the
+    barrier, so sign 1 lowers s and -1 raises it. tau starts at
+    ``tau0(inverses)`` and grows by TAU_GROWTH at each centered point: one
+    where half the squared Newton decrement is at most
+    ``threshold(inverses)``. Before each step, ``visit(step, y, slacks,
+    grad, inverses, tau, centered)`` may end the run by returning its
+    result.
+    """
+    objective = barrier.q[-1] if sign > 0 else -barrier.q[-1]  # d(sign s)/dy
+    y = np.zeros(barrier.q.shape[1])
+    slacks, chols, value = barrier.factor(y)
+    tau = None
+    step = 0
+    while True:
+        grad, hess, inverses = barrier.derivatives(y, slacks, chols)
+        if tau is None:
+            tau = tau0(inverses)
+        dy = _newton_direction(hess, grad + tau * objective)
+        decrement = float(-(grad + tau * objective) @ dy)
+        centered = 0.5 * decrement <= threshold(inverses)
+        result = visit(step, y, slacks, grad, inverses, tau, centered)
+        if result is not None:
+            return result
+        step += 1
+        if centered:
+            tau *= TAU_GROWTH
+            dy = _newton_direction(hess, grad + tau * objective)
+            decrement = float(-(grad + tau * objective) @ dy)
+        found = _line_search(barrier, y, dy, tau * objective, -decrement,
+                             tau * (objective @ y) + value, np.sqrt(max(decrement, 0.0)))
+        if found is None:
+            tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
+            continue
+        y, slacks, chols, value = found
 
 
 def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
@@ -565,21 +640,19 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     barrier = _Barrier(problem, start, [np.eye(expr.dim) for _, expr in problem.constraints],
                        max(c.lambda_max for c in report.checks) + 1.0)
     t_of = barrier.q[-1]  # dt/dy
-    y = np.zeros(barrier.q.shape[1])
-    slacks, chols = barrier.factor(y)
-    tau = None
-    step = 0
-    while True:
+
+    def multipliers(inverses):
+        """Their total trace, and their constant at trace 1."""
+        total = float(sum(z.trace() for z in inverses))
+        return total, sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
+
+    def visit(step, y, slacks, grad, inverses, tau, centered):
         if barrier.certifies(y, slacks, problem.margin):
             try:
                 return LmiCertificate.build(problem, barrier.assignment(y), iterations=step)
             except VerificationFailed:
                 pass  # rounding between the basis and assemble; keep going
-        grad, hess, inverses = barrier.derivatives(chols)
-        total = float(sum(z.trace() for z in inverses))
-        if tau is None:
-            tau = total  # the start is then centered in t
-        constant = sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
+        total, constant = multipliers(inverses)
         # the gradient along y is the multipliers' residual, times total
         residual = np.linalg.norm(grad + total * t_of) / total
         if constant >= 0.0 and residual <= problem.margin.epsilon_rel:
@@ -602,119 +675,70 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                 iterations=step,
                 message=f"no certificate or refutation {reason}",
             )
-        step += 1
+        return None
 
-        dy = _newton_direction(hess, grad + tau * t_of)
-        decrement = float(-(grad + tau * t_of) @ dy)
-        if 0.5 * decrement <= (CENTERED_DUAL if constant >= 0.0 else CENTERED):
-            tau *= TAU_GROWTH
-            dy = _newton_direction(hess, grad + tau * t_of)
-            decrement = float(-(grad + tau * t_of) @ dy)
-        found = _line_search(barrier, y, dy, tau * t_of, -decrement,
-                             tau * (t_of @ y) - _log_det(chols), np.sqrt(max(decrement, 0.0)))
-        if found is None:
-            tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
-            continue
-        y, slacks, chols = found
+    # tau0 centers the start in t; the multipliers may refute once centered
+    # closely while their constant is >= 0
+    return _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit,
+                   lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
 
 
-def _maximize(build, first, tol: float, max_iters: int = MAX_ITERS):
-    """Largest s, to within ``tol``, at which ``build(s)`` certifies: (s, certificate).
+def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
+    """``finish(s, certificate)`` at the largest s, to within ``tol``, at which ``build(s)`` certifies.
 
-    ``build`` poses a problem whose forms are affine in s; ``first``, the
-    result of solving ``build(0.0)`` (phase I), is returned at s = 0 when
-    it is not a certificate. Phase II starts at its point and takes Newton
-    steps on -tau s - sum_c log det(-M_c(v, s)), tau raised by TAU_GROWTH
-    at each centered point, until the central path's gap dim / tau is
-    below ``tol`` (Boyd & Vandenberghe, sec. 11.3) or ``max_iters`` steps
-    are spent. s's basis matrices are assemble(build(1)) -
-    assemble(build(0)), so no second copy of any form appears. The forms
-    are tightened as in :class:`_Barrier`, which only shrinks the set
-    searched: its points then clear the margin, and they stay bounded
-    where log det alone would grow without limit (P of a memoryless
-    loop): a constant diagonal block, such as the feedthrough block,
-    bounds lambda_max(M) below, so lambda_max(M) <= e (tr M - 1) bounds
-    tr(-M). A phase-I point outside the tightened forms (under a large
-    margin) is first moved inside by Newton steps on M' + u I < 0 that
-    raise u above 0.
+    ``build`` poses a problem whose forms are affine in s, and ``first``
+    certifies ``build(0.0)`` (phase I). Phase II is the barrier method of
+    :func:`_newton` raising s from ``first``'s point, on the barrier that
+    holds the margin exactly (:class:`_Barrier` with radii), until the
+    central path's gap dim / tau is at most ``tol`` (Boyd & Vandenberghe,
+    sec. 11.3) or ``max_iters`` steps are spent. s's basis matrices are
+    assemble(build(1)) - assemble(build(0)), so no second copy of any form
+    appears. The margin also keeps the points bounded where log det alone
+    would grow without limit (P of a memoryless loop): a constant
+    diagonal entry of M_c bounds lambda_max(M_c) below, and so ||M_c||_F
+    above.
 
-    The certificate is ``LmiCertificate.build`` on ``build(s)`` at the
-    last point or, should that miss its margin, the latest centered point
-    that clears it; failing all, ``first`` at s = 0. Its ``iterations``
-    counts the Newton steps of both phases.
+    ``finish`` gets ``LmiCertificate.build`` on ``build(s)`` at the
+    iterate of largest s, its ``iterations`` counting the Newton steps of
+    both phases. Should either raise VerificationFailed, the iterates are
+    tried from there down, each at least ``tol`` below the one tried
+    before, and then ``first`` at s = 0.
     """
-    if not first.feasible:
-        return 0.0, first
     problem = build(0.0)
     zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
-    eps = problem.margin.epsilon_rel
-    slopes = [-_tight(grown.assemble(zero) - expr.assemble(zero), eps)
+    slopes = [expr.assemble(zero) - grown.assemble(zero)
               for (_, expr), (_, grown) in zip(problem.constraints, build(1.0).constraints)]
-    start, steps = first.assignment, first.iterations
-    barrier = _Barrier(problem, start, slopes, 0.0, tighten=True)
-    if barrier.factor(np.zeros(barrier.q.shape[1])) is None:
-        # first clears the margin but not the tightened forms M': raise u in
-        # M' + u I < 0 from below every lambda_min(-M'_c) until it is positive
-        lowest = min(sym_eigvals(b.reshape(e.shape))[0] for b, e in zip(barrier.base, barrier.eyes))
-        lift = _Barrier(problem, start, [-np.eye(expr.dim) for _, expr in problem.constraints],
-                        lowest - 1.0, tighten=True)
-        y, _, taken = _climb(lift, lambda u, gap: u > 0.0, max_iters)
-        steps += taken
-        if lift.x(y)[-1] <= 0.0:
-            return 0.0, first
-        start = lift.assignment(y)
-        barrier = _Barrier(problem, start, slopes, 0.0, tighten=True)
-    y, centered, taken = _climb(barrier, lambda s, gap: gap is not None and gap <= tol, max_iters)
-    for point in [y] + centered[::-1]:
-        s = float(barrier.x(point)[-1])
-        if s < 0.0:
+    eps = problem.margin.epsilon_rel
+    radii = []
+    for _, expr in problem.constraints:
+        m = expr.assemble(first.assignment)
+        low, high = eps * fro_norm(m), -float(sym_eigvals(m)[-1]) - eps
+        if low >= high:  # on its margin's edge: no room to start from
+            return finish(0.0, first)
+        radii.append(0.5 * (low + high))
+    barrier = _Barrier(problem, first.assignment, slopes, 0.0, radii)
+    points = []
+
+    def visit(step, y, slacks, grad, inverses, tau, centered):
+        points.append((float(barrier.x(y)[-1]), step, y))
+        if step == max_iters or (centered and barrier.dim / tau <= tol):
+            return step
+        return None
+
+    # from a central-path gap of 1 / TAU_GROWTH: a larger tau0 can pin a start
+    # near the margin's edge there, where the Hessian is too ill-conditioned to leave
+    taken = _newton(barrier, -1.0, lambda inverses: TAU_GROWTH * barrier.dim, visit)
+    tried = np.inf
+    for s, _, y in sorted(points, reverse=True):
+        if s < 0.0 or s > tried - tol:
             continue
+        tried = s
         try:
-            return s, LmiCertificate.build(build(s), barrier.assignment(point),
-                                           iterations=steps + taken)
+            return finish(s, LmiCertificate.build(build(s), barrier.assignment(y),
+                                                  iterations=first.iterations + taken))
         except VerificationFailed:
             continue
-    return 0.0, first
-
-
-def _climb(barrier: _Barrier, done, max_iters: int):
-    """Newton steps on -tau s - sum_c log det S_c from y = 0: (y, centered points, steps).
-
-    s is the barrier's last coordinate; tau starts centered along s and
-    grows by TAU_GROWTH at each centered point. Stops once
-    ``done(s, gap)`` holds, gap being the central path's dim / tau at a
-    centered point and None elsewhere, or after ``max_iters`` steps.
-    """
-    s_of = barrier.q[-1]  # ds/dy
-    y = np.zeros(barrier.q.shape[1])
-    _, chols = barrier.factor(y)
-    centered = []
-    tau = None
-    step = 0
-    while True:
-        grad, hess, _ = barrier.derivatives(chols)
-        if tau is None:  # centered along s, with a central-path gap of at most 1
-            tau = max(float(grad @ s_of) / float(s_of @ s_of), barrier.dim)
-        dy = _newton_direction(hess, grad - tau * s_of)
-        decrement = float(-(grad - tau * s_of) @ dy)
-        is_centered = 0.5 * decrement <= CENTERED
-        if done(float(barrier.x(y)[-1]), barrier.dim / tau if is_centered else None):
-            break
-        if is_centered:
-            centered.append(y)
-            tau *= TAU_GROWTH
-            dy = _newton_direction(hess, grad - tau * s_of)
-            decrement = float(-(grad - tau * s_of) @ dy)
-        if step == max_iters:
-            break
-        step += 1
-        found = _line_search(barrier, y, dy, -tau * s_of, -decrement,
-                             -tau * (s_of @ y) - _log_det(chols), np.sqrt(max(decrement, 0.0)))
-        if found is None:
-            tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
-            continue
-        y, _, chols = found
-    return y, centered, step
+    return finish(0.0, first)
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:
@@ -730,7 +754,7 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float,
                  decrement: float):
-    """(y, slacks, Cholesky factors) after a damped Newton step, or None.
+    """(y, slacks, Cholesky factors, barrier value) after a damped Newton step, or None.
 
     A short step (decrement below FULL_STEP) is taken in full while the
     slacks stay positive definite; otherwise backtracking halves the
@@ -742,7 +766,7 @@ def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float
         factored = barrier.factor(trial)
         if factored is not None and (
             decrement < FULL_STEP
-            or objective @ trial - _log_det(factored[1]) <= value + ARMIJO * s * slope
+            or objective @ trial + factored[2] <= value + ARMIJO * s * slope
         ):
             return (trial, *factored)
         s *= 0.5

@@ -127,11 +127,6 @@ class SimTrace:
         return self.sum_wz - eta * self.sum_ww
 
 
-# A diverging loop overflows to inf, then nan; its statistics say so, quietly.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
-
-
-@_QUIET
 def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
     """Advance one trial per seed together, one (M, n) state array per step.
 
@@ -165,14 +160,16 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
     xs = np.empty((horizon + 1, trials, n))
     xs[0] = x0
     wb = w @ plant.B1.T
-    for k, s in enumerate(slots.tolist()):
-        xs[k + 1] = np.where(on[k], xs[k] @ a_on[s], xs[k] @ plant.A.T) + wb[k]
+    # a diverging loop overflows to inf, then nan; its statistics say so, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, s in enumerate(slots.tolist()):
+            xs[k + 1] = np.where(on[k], xs[k] @ a_on[s], xs[k] @ plant.A.T) + wb[k]
 
-    x = xs[:-1]
-    z = np.where(on, x @ c_on[slots], x @ plant.C1.T) + w @ plant.D11.T
-    v = theta1[..., None] * (x @ k_in[slots])
-    # the dissipation pairing w'z needs a square channel (p1 == m1)
-    sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
+        x = xs[:-1]
+        z = np.where(on, x @ c_on[slots], x @ plant.C1.T) + w @ plant.D11.T
+        v = theta1[..., None] * (x @ k_in[slots])
+        # the dissipation pairing w'z needs a square channel (p1 == m1)
+        sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
     return xs, w, z, v, theta1, theta2, sum_wz, np.sum(w * w, axis=(0, 2))
 
 
@@ -221,7 +218,6 @@ class EnsembleStats:
     mode_counts: np.ndarray  # 2x2 array of (theta1, theta2) occurrence counts
 
 
-@_QUIET
 def ensemble(
     plant: Plant,
     gain: Gain,
@@ -257,16 +253,19 @@ def ensemble(
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
         x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
-        sq_sum += np.einsum("kmi,kmi->k", x, x)
-        terminal_hits += int(np.count_nonzero(np.linalg.norm(x[-1], axis=1) < terminal_threshold))
-        mode_counts += np.bincount((2 * theta1 + theta2).ravel(), minlength=4)
-        # merge the block's dissipation sums (Chan et al.'s pairwise update)
-        d = sum_wz - eta * sum_ww
-        d_mean = float(np.mean(d))
-        delta = d_mean - mean
-        sq_dev += float(np.sum((d - d_mean) ** 2)) + delta * delta * done * d.size / (done + d.size)
-        done += d.size
-        mean += delta * (d.size / done)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_sum += np.einsum("kmi,kmi->k", x, x)
+            terminal_hits += int(np.count_nonzero(
+                np.linalg.norm(x[-1], axis=1) < terminal_threshold))
+            mode_counts += np.bincount((2 * theta1 + theta2).ravel(), minlength=4)
+            # merge the block's dissipation sums (Chan et al.'s pairwise update)
+            d = sum_wz - eta * sum_ww
+            d_mean = float(np.mean(d))
+            delta = d_mean - mean
+            sq_dev += (float(np.sum((d - d_mean) ** 2))
+                       + delta * delta * done * d.size / (done + d.size))
+            done += d.size
+            mean += delta * (d.size / done)
         del records, x, w, z, v, theta1, theta2  # free this block before the next is drawn
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(

@@ -261,10 +261,12 @@ def synthesize(
     """Solve the synthesis LMI and return a round-trip-verified gain.
 
     ``eta`` is a fixed dissipation level or ``"maximize"``: a solve at
-    eta = 0, then ``lmi._maximize`` to ``analysis.ETA_TOL`` (its
-    ``iterations`` count both). Returns a :class:`SynthesisResult`, or
-    Indeterminate when no certificate was found. A certificate whose round
-    trip fails raises VerificationFailed: a bug, not an infeasible problem.
+    eta = 0, then ``lmi._maximize`` to ``analysis.ETA_TOL`` (the
+    certificate's ``iterations`` count both), which steps down to lower
+    iterates while a round trip fails. Returns a
+    :class:`SynthesisResult`, or Indeterminate when no certificate was
+    found. A certificate whose round trip fails raises VerificationFailed:
+    a bug, not an infeasible problem.
 
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
@@ -283,25 +285,20 @@ def synthesize(
     def build(e: float):
         return build_synthesis_lmi(plant, dist, e, margin)
 
-    eta_val = 0.0 if eta == "maximize" else float(eta)
-    certificate = lmi.solve(build(eta_val), max_iters)
-    if eta == "maximize":
-        eta_val, certificate = lmi._maximize(build, certificate, ETA_TOL, max_iters)
+    def finish(e: float, certificate: lmi.LmiCertificate) -> SynthesisResult:
+        x = certificate.assignment["X"]
+        y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
+        gain = recover_gain(x, y)
+        report = round_trip_verify(plant, dist, e, x, y, gain, margin, max_iters)
+        if not report.passed:
+            raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
+        return SynthesisResult(x=x, y=y, gain=gain, eta=e, certificate=certificate,
+                               verification=report, rho=report.rho)
+
+    fixed = 0.0 if eta == "maximize" else float(eta)
+    certificate = lmi.solve(build(fixed), max_iters)
     if not certificate.feasible:
         return certificate
-
-    x = certificate.assignment["X"]
-    y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
-    gain = recover_gain(x, y)
-    report = round_trip_verify(plant, dist, eta_val, x, y, gain, margin, max_iters)
-    if not report.passed:
-        raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
-    return SynthesisResult(
-        x=x,
-        y=y,
-        gain=gain,
-        eta=eta_val,
-        certificate=certificate,
-        verification=report,
-        rho=report.rho,
-    )
+    if eta == "maximize":
+        return lmi._maximize(build, certificate, ETA_TOL, max_iters, finish)
+    return finish(fixed, certificate)

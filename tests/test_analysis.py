@@ -308,19 +308,28 @@ class TestMaxDissipation:
     def test_spent_budget_still_returns_a_verified_certificate(self, scalar_passive_plant,
                                                               lossless):
         dist = mode_distribution(lossless)
-        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, max_iters=3)
-        # eta = 0 verifies at the start, so all three steps are phase II's
-        assert result.iterations == 3
-        assert 0.0 < result.eta < 2.0 / 3.0 - ETA_TOL
-        problem = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, result.eta)
-        assert lmi.verify(problem, result.assignment).passed
 
-    def test_large_margin_moves_the_start_inside_first(self, scalar_passive_plant, lossless):
-        # at epsilon_rel 0.2 the eta = 0 point P = 1 clears the margin but not
-        # the trace-tightened forms phase II runs on (a bisection reached 0.417)
-        dist, margin = mode_distribution(lossless), DefinitenessMargin(0.2)
+        def build(eta):
+            return passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, eta)
+
+        first = lmi.solve(build(0.0))
+        assert first.iterations == 0  # P = 1 verifies at the start
+        eta, cert = lmi._maximize(build, first, ETA_TOL, 10, lambda e, c: (e, c))
+        assert cert.iterations == 10
+        assert 0.0 < eta < 2.0 / 3.0 - ETA_TOL
+        assert lmi.verify(build(eta), cert.assignment).passed
+        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, max_iters=10)
+        assert result.eta == eta
+        assert lmi.verify(build(result.eta), result.assignment).passed
+
+    # What an eleven-probe bisection of passivity_lmi reached at each margin.
+    @pytest.mark.parametrize("epsilon_rel,bisected", [
+        (0.01, 0.6552734375), (0.05, 0.609375), (0.1, 0.5498046875), (0.2, 0.4169921875)])
+    def test_large_margin_reaches_the_bisection(self, scalar_passive_plant, lossless,
+                                                 epsilon_rel, bisected):
+        dist, margin = mode_distribution(lossless), DefinitenessMargin(epsilon_rel)
         result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, margin)
-        assert result.eta > 0.3
+        assert result.eta >= bisected - ETA_TOL
         problem = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, result.eta, margin)
         assert lmi.verify(problem, result.assignment).passed
 

@@ -200,6 +200,17 @@ class TestSynthesize:
         assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
         assert json.loads(out.read_text())["results"]["synthesis"]["status"] == "indeterminate"
 
+    # What an eleven-probe bisection reached on this loop at each margin; a
+    # maximize that lands where the round trip fails steps back, not exit 3.
+    @pytest.mark.parametrize("margin,bisected", [("0.05", 0.5322265625), ("0.1", 0.2822265625)])
+    def test_maximize_under_a_large_margin(self, tmp_path, margin, bisected):
+        cfg = write_config(tmp_path, scenario(eta="maximize"))
+        out = tmp_path / "report.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out),
+                         "--margin", margin]) == 0
+        synth = json.loads(out.read_text())["results"]["synthesis"]
+        assert synth["eta"] >= bisected - analysis.ETA_TOL
+
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
         config = scenario(schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]})
         cfg = write_config(tmp_path, config)

@@ -93,6 +93,16 @@ class TestEnsemble:
         assert stats.mean_sq_norm[-1] > 1e6
         assert stats.terminal_fraction == 0.0
 
+    def test_overflow_is_quiet_and_leaves_the_error_state_alone(self):
+        plant = Plant(A=[[1e30]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            stats = ensemble(plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),
+                             InputSignal.white_noise(1), 30, trials=5, base_seed=0, x0=[1.0])
+            assert np.geterr()["over"] == "raise"
+        assert not np.isfinite(stats.dissipation_mean)
+        assert np.geterr() == before
+
     def test_certified_passivity_shows_in_the_ledger(self):
         plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
         stats = ensemble(plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),

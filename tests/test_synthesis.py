@@ -5,7 +5,7 @@ from conftest import random_plant
 from ncspassive import lmi, synthesis
 from ncspassive.analysis import ETA_TOL, passivity_lmi, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
-from ncspassive.numerics import DEFAULT_MARGIN
+from ncspassive.numerics import DEFAULT_MARGIN, DefinitenessMargin
 from ncspassive.lmi import Indeterminate
 from ncspassive.model import (
     Gain,
@@ -272,6 +272,38 @@ def test_maximize_matches_a_bisection_on_random_plants(k):
     else:
         assert result.feasible
         assert result.eta >= bisected - ETA_TOL
+
+
+def test_maximize_from_an_ill_conditioned_phase_one_point():
+    # the eta = 0 solve ends at an X with eigenvalues from 1.5 to 4.7e6; the
+    # bisection reached 0.79342 here, while phase II stalled near 0.47 and
+    # every round trip below failed until its basis was scaled by that X
+    rng = np.random.default_rng([5, 70])
+    a = rng.standard_normal((5, 5))
+    a *= rng.uniform(0.3, 1.2) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.5 * rng.standard_normal((5, 1)), B2=rng.standard_normal((5, 1)),
+                  C1=0.5 * rng.standard_normal((1, 5)), D11=[[rng.uniform(0.5, 1.5)]],
+                  D12=[[0.0]])
+    result = synthesize(plant, LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)),
+                        "maximize")
+    assert result.verification.passed
+    assert result.eta >= 0.7934208149024858 - ETA_TOL
+
+
+# Under large margins the round trip's direct leg (P = X^-1 against the
+# passivity form) can fail near eta*: on the first loop the top iterates
+# fail it at 0.05 (the bisection reached 1.1638); on the second, at 0.1,
+# the bisection reached 0.3557 with a point that failed it (exit 3).
+@pytest.mark.parametrize("plant,loss,epsilon_rel,bisected", [
+    (Plant(A=[[0.4177]], B1=[[0.1181]], B2=[[1.0138]], C1=[[0.1011]], D11=[[1.2571]],
+           D12=[[0.0]]), LossModel(0.0707, 0.1795), 0.05, 1.1637996093750003),
+    (Plant(A=[[-0.4791]], B1=[[-0.8064]], B2=[[0.2963]], C1=[[-0.2216]], D11=[[0.9485]],
+           D12=[[0.0]]), LossModel(0.0284, 0.07), 0.1, 0.3556875),
+], ids=["steps-back", "bisection-exit-3"])
+def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel, bisected):
+    result = synthesize(plant, loss, "maximize", DefinitenessMargin(epsilon_rel))
+    assert result.verification.passed, result.verification.summary()
+    assert result.eta >= bisected - ETA_TOL
 
 
 class TestRoundTrip:
