@@ -35,7 +35,7 @@ certifiable eta in one barrier run (``lmi._maximize``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,23 +375,22 @@ def passivity_lmi(
     rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate
     names that bound and no search runs.
     """
-    rho, result = _solve_passivity(plant, gain, dist, eta, margin, max_iters)
-    if not result.feasible:
-        return result
-    return PassivityCertificate(assignment=dict(result.assignment), eta=float(eta),
-                                report=result.report, rho=rho)
-
-
-def _solve_passivity(plant, gain, dist, eta, margin, max_iters):
-    """(rho, ``lmi.solve``'s result) of :func:`passivity_lmi`."""
     prob = passivity_problem(plant, gain, dist, eta, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
-        return rho, lmi.Indeterminate(
+        return lmi.Indeterminate(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    return rho, lmi.solve(prob, max_iters)
+    result = lmi.solve(prob, max_iters)
+    if not result.feasible:
+        return result
+    return PassivityCertificate(
+        assignment=dict(result.assignment),
+        eta=float(eta),
+        report=result.report,
+        rho=rho,
+    )
 
 
 def max_dissipation(
@@ -408,13 +407,17 @@ def max_dissipation(
     :func:`passivity_problem` from its point and returns the
     :class:`PassivityCertificate` at the eta it reaches.
     """
-    rho, first = _solve_passivity(plant, gain, dist, 0.0, margin, max_iters)
+    first = passivity_lmi(plant, gain, dist, 0.0, margin, max_iters)
     if not first.feasible:
         return first
+
+    def build(eta: float) -> lmi.LmiProblem:
+        return passivity_problem(plant, gain, dist, eta, margin)
+
     return lmi._maximize(
-        lambda e: passivity_problem(plant, gain, dist, e, margin), first, ETA_TOL, max_iters,
-        lambda e, cert: PassivityCertificate(assignment=dict(cert.assignment), eta=e,
-                                             report=cert.report, rho=rho))
+        build, lmi.LmiCertificate.build(build(0.0), first.assignment), ETA_TOL, max_iters,
+        lambda eta, cert: replace(first, assignment=dict(cert.assignment), eta=eta,
+                                  report=cert.report))
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

@@ -200,8 +200,7 @@ class TestSynthesize:
         assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
         assert json.loads(out.read_text())["results"]["synthesis"]["status"] == "indeterminate"
 
-    # What an eleven-probe bisection reached on this loop at each margin; a
-    # maximize that lands where the round trip fails steps back, not exit 3.
+    # What an eleven-probe bisection reached on this loop at each margin.
     @pytest.mark.parametrize("margin,bisected", [("0.05", 0.5322265625), ("0.1", 0.2822265625)])
     def test_maximize_under_a_large_margin(self, tmp_path, margin, bisected):
         cfg = write_config(tmp_path, scenario(eta="maximize"))
