@@ -29,13 +29,13 @@ probability). One builder, ``_dissipation_form``, writes it for any mode
 weights: ``passivity_problem`` uses the probabilities, and
 ``dissipation_identity_check`` the realized mode at weight 1, where the
 form equals the per-step dissipation defect along a simulated path.
-The form is affine in eta, so ``max_dissipation`` finds the largest
-certifiable eta in one barrier run (``lmi._maximize``).
+The form is affine in eta, so ``passivity_lmi(..., "maximize")`` finds
+the largest certifiable eta in one barrier run (``lmi.certify``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +68,11 @@ __all__ = [
     "stability_lmi",
     "passivity_problem",
     "passivity_lmi",
-    "max_dissipation",
     "dissipation_identity_check",
     "check_assumption",
 ]
 
 BORDERLINE_BAND = 0.02
-# Central-path gap at which the second phase of an eta maximize stops.
-ETA_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -364,60 +361,34 @@ def passivity_lmi(
     plant: Plant,
     gain: Gain,
     dist: ModeDistribution,
-    eta: float,
+    eta,
     margin: DefinitenessMargin = DEFAULT_MARGIN,
     max_iters: int = lmi.MAX_ITERS,
 ):
     """Certify strict passivity with dissipation eta by solving :func:`passivity_problem`.
 
-    Returns a verified :class:`PassivityCertificate` or an Indeterminate.
-    A certificate's top-left block sum_m a_m A_m' P A_m - P < 0 forces
-    rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate
-    names that bound and no search runs.
+    ``eta`` is a number or ``"maximize"``, for the largest certifiable eta
+    to within ``lmi.ETA_TOL`` (``lmi.certify``). Returns a verified
+    :class:`PassivityCertificate` or an Indeterminate. A certificate's
+    top-left block sum_m a_m A_m' P A_m - P < 0 forces rho < 1, so when
+    the SMS oracle gives rho >= 1 the Indeterminate names that bound and
+    no search runs.
     """
-    prob = passivity_problem(plant, gain, dist, eta, margin)
+    if eta != "maximize" and eta < 0:
+        raise ValueError(f"dissipation must be >= 0, got {eta}")
+    check_assumption(plant, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
         return lmi.Indeterminate(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    result = lmi.solve(prob, max_iters)
-    if not result.feasible:
-        return result
-    return PassivityCertificate(
-        assignment=dict(result.assignment),
-        eta=float(eta),
-        report=result.report,
-        rho=rho,
-    )
 
+    def build(e: float) -> lmi.LmiProblem:
+        return passivity_problem(plant, gain, dist, e, margin)
 
-def max_dissipation(
-    plant: Plant,
-    gain: Gain,
-    dist: ModeDistribution,
-    margin: DefinitenessMargin = DEFAULT_MARGIN,
-    max_iters: int = lmi.MAX_ITERS,
-):
-    """Largest certified dissipation, to within ETA_TOL, in two barrier phases.
-
-    Phase I is :func:`passivity_lmi` at eta = 0, whose Indeterminate is
-    returned unchanged; phase II (``lmi._maximize``) maximizes eta over
-    :func:`passivity_problem` from its point and returns the
-    :class:`PassivityCertificate` at the eta it reaches.
-    """
-    first = passivity_lmi(plant, gain, dist, 0.0, margin, max_iters)
-    if not first.feasible:
-        return first
-
-    def build(eta: float) -> lmi.LmiProblem:
-        return passivity_problem(plant, gain, dist, eta, margin)
-
-    return lmi._maximize(
-        build, lmi.LmiCertificate.build(build(0.0), first.assignment), ETA_TOL, max_iters,
-        lambda eta, cert: replace(first, assignment=dict(cert.assignment), eta=eta,
-                                  report=cert.report))
+    return lmi.certify(build, eta, max_iters, lambda e, cert: PassivityCertificate(
+        assignment=dict(cert.assignment), eta=e, report=cert.report, rho=rho))
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

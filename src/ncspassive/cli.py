@@ -250,17 +250,24 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     )
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario config file; unknown fields are rejected."""
+def _read_json(path, prefix: str = ""):
+    """The JSON value in the file at ``path``, else ConfigError naming ``prefix``
+    and the path, and for a parse error its line and column."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{prefix}{path}: {exc}") from exc
+    if not text.strip():
+        raise ConfigError(f"{prefix}{path}: empty file")
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_config(data, where=str(path))
+        raise ConfigError(f"{prefix}{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path) -> ScenarioConfig:
+    """Parse and validate a scenario config file; unknown fields are rejected."""
+    return parse_config(_read_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +380,7 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
     if config.eta is not None:
         if not config.schedule.full_packet:
             raise ConfigError("passivity analysis requires the full-packet schedule")
-        if config.eta == "maximize":
-            pas = analysis.max_dissipation(config.plant, gain, dist, config.margin, config.budget)
-        else:
-            pas = analysis.passivity_lmi(
-                config.plant, gain, dist, config.eta, config.margin, config.budget)
+        pas = analysis.passivity_lmi(config.plant, gain, dist, config.eta, config.margin, config.budget)
         if pas.feasible:
             results["passivity"] = {
                 "status": "certified",
@@ -431,12 +434,7 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
     try:
         data = json.loads(spec)
     except json.JSONDecodeError:
-        try:
-            data = json.loads(Path(spec).read_text())
-        except OSError as exc:
-            raise ConfigError(f"--gain: cannot read {spec!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--gain: {spec}:{exc.lineno}: {exc.msg}") from exc
+        data = _read_json(spec, "--gain: ")
     if isinstance(data, dict):
         try:
             data = data["results"]["synthesis"]["K"]
@@ -501,8 +499,9 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
     try:
         beta, alpha = sim.decay_fit(stats)
         results["ensemble"]["decay_fit"] = {"beta": beta, "alpha": alpha}
-    except NcsPassiveError:
+    except NcsPassiveError as exc:
         results["ensemble"]["decay_fit"] = None
+        results["ensemble"]["decay_fit_unavailable"] = str(exc)
 
     if dump_traces:
         results["traces_dir"] = trace_dir.name
@@ -583,40 +582,23 @@ _REPORT_SECTIONS = ("synthesis", "stability", "passivity", "sms", "ensemble")
 
 
 def cmd_report(report_path) -> int:
-    try:
-        text = Path(report_path).read_text()
-    except OSError as exc:
-        print(f"error: {report_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if not text.strip():
-        print(f"error: {report_path}: empty report file", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"error: {report_path}:{exc.lineno}: {exc.msg}", file=sys.stderr)
-        return EXIT_INPUT
+    """Summarize and re-verify a report; a malformed one raises ConfigError."""
+    report = _read_json(report_path)
     if not isinstance(report, dict):
-        print(f"error: malformed report: {report_path}: top level is not an object", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"malformed report: {report_path}: top level is not an object")
     for key in ("command", "config", "results"):
         if key not in report:
-            print(f"error: {report_path}: missing {key!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ConfigError(f"{report_path}: missing {key!r}")
     results = report["results"]
     bad = "results" if not isinstance(results, dict) else next(
         (key for key in _REPORT_SECTIONS if not isinstance(results.get(key, {}), dict)), None)
     if bad:
-        print(f"error: malformed report: {bad!r} is not an object", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        config = parse_config(report["config"], where=f"{report_path}#config")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+        raise ConfigError(f"malformed report: {bad!r} is not an object")
+    config = parse_config(report["config"], where=f"{report_path}#config")
     command = report["command"]
+    if command not in ("analyze", "synthesize", "simulate"):
+        raise ConfigError(f"unknown command {command!r} in report")
+
     lines = [f"command: {command}", f"tool: {report.get('tool', {})}"]
     nulled = results.get("non_finite", [])
 
@@ -659,7 +641,7 @@ def cmd_report(report_path) -> int:
                 lines.append(f"  eta = {synth['eta']}")
                 lines.append(f"  K = {synth['K']}")
                 lines.append(f"  rho = {_number(synth.get('rho'), 'results.synthesis.rho'):.6f}")
-        elif command == "simulate":
+        else:
             ens = results.get("ensemble", {})
             mean, se = (_shown(ens, f"ensemble.{key}", ".4f", nulled)
                         for key in ("dissipation_mean", "dissipation_se"))
@@ -670,12 +652,10 @@ def cmd_report(report_path) -> int:
                 alpha = _number(fit.get("alpha") if isinstance(fit, dict) else None,
                                 "results.ensemble.decay_fit.alpha", finite=False)
                 lines.append(f"  decay fit alpha = {alpha:.4f}")
-        else:
-            print(f"error: unknown command {command!r} in report", file=sys.stderr)
-            return EXIT_INPUT
+            elif ens.get("decay_fit_unavailable"):
+                lines.append(f"  decay fit unavailable: {ens['decay_fit_unavailable']}")
     except (KeyError, TypeError, ValueError, NcsPassiveError) as exc:
-        print(f"error: malformed report: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"malformed report: {exc}") from exc
 
     print("\n".join(lines))
     if problems:

@@ -16,8 +16,10 @@ multipliers pass ``verify_dual``; or an Indeterminate without a dual,
 once the Newton-step budget (``max_iters``, MAX_ITERS by default) runs
 out or t stops moving.
 
-``_maximize`` then raises a scalar s in which a problem family is
-affine, by Newton steps on the same barrier (Boyd et al., sec. 2.4).
+``certify`` owns the choice between a fixed level and the largest one:
+for a problem family affine in a scalar s (a dissipation level eta), it
+solves at the given s, or solves at s = 0 and then raises s by Newton
+steps on the same barrier (Boyd et al., sec. 2.4) to within ETA_TOL.
 
 A problem owns its definiteness margin: ``verify``, ``verify_dual``,
 ``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
@@ -47,6 +49,7 @@ from .numerics import (
     symmetrize,
 )
 
+# Not ``certify``: perfbench's tracer would count it, hiding the solves under it from their spans.
 __all__ = [
     "AffineExpr",
     "LmiProblem",
@@ -396,6 +399,8 @@ class Indeterminate:
 
 # Default total Newton-step budget of one ``solve``.
 MAX_ITERS = 300
+# Central-path gap at which the second phase of an eta maximize stops.
+ETA_TOL = 1e-3
 # Factor by which the barrier weight grows once a point is centered.
 TAU_GROWTH = 8.0
 # A point counts as centered when half its squared Newton decrement is
@@ -681,6 +686,24 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     # closely while their constant is >= 0
     return _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit,
                    lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
+
+
+def certify(build, eta, max_iters: int, finish):
+    """``finish(eta, certificate)`` for ``build(eta)``, or the solve's Indeterminate unchanged.
+
+    ``eta`` is a number, solved at that level, or ``"maximize"``: phase I
+    solves ``build(0.0)``, and phase II (:func:`_maximize`) raises eta
+    from its point to within ETA_TOL, so ``build``'s forms must be affine
+    in eta.
+    """
+    if eta != "maximize":
+        eta = float(eta)
+        result = solve(build(eta), max_iters)
+        return finish(eta, result) if result.feasible else result
+    first = solve(build(0.0), max_iters)
+    if not first.feasible:
+        return first
+    return _maximize(build, first, ETA_TOL, max_iters, finish)
 
 
 def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):

@@ -278,7 +278,7 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
     the same slot, so one of the two selectors is zero and the feedback
     term vanishes in every slot: on a periodic schedule the family is the
     open loop whatever K is, and so is what ``analyze`` and ``simulate``
-    report. Held measurements and commands (ROADMAP item 2) would close it.
+    report. Held measurements and commands (ROADMAP item 3) would close it.
     """
     K = gain.K
     if K.shape != (plant.m2, plant.n):

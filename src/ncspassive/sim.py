@@ -122,10 +122,6 @@ class SimTrace:
     sum_wz: float
     sum_ww: float
 
-    def dissipation_sum(self, eta: float) -> float:
-        """Sum over the horizon of w'z - eta w'w."""
-        return self.sum_wz - eta * self.sum_ww
-
 
 def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
     """Advance one trial per seed together, one (M, n) state array per step.
@@ -287,12 +283,14 @@ def decay_fit(stats: EnsembleStats) -> tuple[float, float]:
 
     Least squares on log mean||x(k)||^2 against k for k in [T/2, T];
     alpha is the fitted per-step ratio, beta the normalized prefactor.
-    Raises FitUnavailable on a non-finite norm or a zero in the tail.
+    Raises FitUnavailable from a zero initial state, on a non-finite norm
+    or on a zero in the tail.
     """
     tail_start = stats.horizon // 2
     tail = stats.mean_sq_norm[tail_start:]
-    if (tail.size < 2 or not np.isfinite(stats.mean_sq_norm).all() or np.any(tail <= 0.0)
-            or stats.mean_sq_norm[0] <= 0.0):
+    if stats.mean_sq_norm[0] <= 0.0:
+        raise FitUnavailable("the initial state is zero, so there is no decay to fit")
+    if tail.size < 2 or not np.isfinite(stats.mean_sq_norm).all() or np.any(tail <= 0.0):
         raise FitUnavailable("mean-square norm is non-finite or degenerate over the fitted range")
     ks = np.arange(tail_start, stats.horizon + 1, dtype=float)
     slope, intercept = np.polyfit(ks, np.log(tail), 1)

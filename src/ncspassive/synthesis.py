@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi
-from .analysis import (
-    ETA_TOL,
-    check_assumption,
-    passivity_lmi,
-    passivity_problem,
-    sms_oracle,
-)
+from .analysis import check_assumption, passivity_lmi, passivity_problem, sms_oracle
 from .errors import SingularTransform, VerificationFailed
 from .model import (
     MODES,
@@ -260,10 +254,10 @@ def synthesize(
 ):
     """Solve the synthesis LMI and return a round-trip-verified gain.
 
-    ``eta`` is a fixed dissipation level or ``"maximize"``: a solve at
-    eta = 0, then ``lmi._maximize`` to ``analysis.ETA_TOL`` (the
-    certificate's ``iterations`` count both), which steps down to lower
-    iterates while a round trip fails. Returns a
+    ``eta`` is a fixed dissipation level or ``"maximize"``, for the
+    largest one to within ``lmi.ETA_TOL`` (``lmi.certify``; the
+    certificate's ``iterations`` count both phases), which steps down to
+    lower iterates while a round trip fails. Returns a
     :class:`SynthesisResult`, or Indeterminate when no certificate was
     found. A certificate whose round trip fails raises VerificationFailed:
     a bug, not an infeasible problem.
@@ -295,10 +289,4 @@ def synthesize(
         return SynthesisResult(x=x, y=y, gain=gain, eta=e, certificate=certificate,
                                verification=report, rho=report.rho)
 
-    fixed = 0.0 if eta == "maximize" else float(eta)
-    certificate = lmi.solve(build(fixed), max_iters)
-    if not certificate.feasible:
-        return certificate
-    if eta == "maximize":
-        return lmi._maximize(build, certificate, ETA_TOL, max_iters, finish)
-    return finish(fixed, certificate)
+    return lmi.certify(build, eta, max_iters, finish)

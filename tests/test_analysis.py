@@ -4,9 +4,7 @@ import pytest
 from conftest import random_loss, random_plant, scalar_grid_eta_star
 from ncspassive import analysis, lmi, sim
 from ncspassive.analysis import (
-    ETA_TOL,
     dissipation_identity_check,
-    max_dissipation,
     passivity_lmi,
     passivity_problem,
     sms_oracle,
@@ -14,7 +12,7 @@ from ncspassive.analysis import (
     stability_problem,
 )
 from ncspassive.errors import AssumptionViolated
-from ncspassive.lmi import Indeterminate, verify_dual
+from ncspassive.lmi import ETA_TOL, Indeterminate, verify_dual
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -265,7 +263,7 @@ class TestPassivityLmi:
         assert isinstance(result, Indeterminate)
         assert result.iterations == 0
         assert "rho = 4 >= 1" in result.message
-        assert isinstance(max_dissipation(plant, Gain.zero(1, 1), dist), Indeterminate)
+        assert isinstance(passivity_lmi(plant, Gain.zero(1, 1), dist, "maximize"), Indeterminate)
 
     def test_negative_eta_rejected(self, scalar_passive_plant, lossless):
         with pytest.raises(ValueError):
@@ -276,33 +274,34 @@ class TestPassivityLmi:
 class TestMaxDissipation:
     def test_scalar_matches_grid_oracle(self, scalar_passive_plant, lossless):
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist).eta
+        eta_star = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, "maximize").eta
         grid = scalar_grid_eta_star(0.5, 1.0, 0.5, 1.0, p_max=5.0, resolution=2e-3)
         assert eta_star == pytest.approx(grid, abs=5e-3)
 
     def test_memoryless_unit_feedthrough(self, lossless):
         plant = Plant(A=[[0.0]], B1=[[0.0]], B2=[[0.0]], C1=[[0.0]], D11=[[1.0]], D12=[[0.0]])
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(plant, Gain.zero(1, 1), dist).eta
+        eta_star = passivity_lmi(plant, Gain.zero(1, 1), dist, "maximize").eta
         assert eta_star == pytest.approx(1.0, abs=5e-3)
 
     def test_two_channel_identity_feedthrough(self, lossless):
         plant = Plant(A=np.zeros((2, 2)), B1=np.zeros((2, 2)), B2=np.zeros((2, 1)),
                       C1=np.zeros((2, 2)), D11=np.eye(2), D12=np.zeros((2, 1)))
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(plant, Gain.zero(1, 2), dist).eta
+        eta_star = passivity_lmi(plant, Gain.zero(1, 2), dist, "maximize").eta
         assert eta_star == pytest.approx(1.0, abs=5e-3)
 
     def test_monotone_feasibility_below_the_margin(self, scalar_passive_plant, lossless):
         dist = mode_distribution(lossless)
-        eta_star = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist).eta
+        eta_star = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, "maximize").eta
         for frac in (0.25, 0.5, 0.75, 0.95):
             result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, frac * eta_star)
             assert result.feasible, f"monotonicity broken at {frac} * eta_star"
 
     def test_scalar_reaches_the_closed_form_margin(self, scalar_passive_plant, lossless):
         # x+ = 0.5x + w, z = 0.5x + w has margin exactly 2/3 (acceptance c3)
-        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), mode_distribution(lossless))
+        result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), mode_distribution(lossless),
+                               "maximize")
         assert abs(result.eta - 2.0 / 3.0) <= ETA_TOL
 
     def test_spent_budget_still_returns_a_verified_certificate(self, scalar_passive_plant,
@@ -318,7 +317,7 @@ class TestMaxDissipation:
         assert cert.iterations == 10
         assert 0.0 < eta < 2.0 / 3.0 - ETA_TOL
         assert lmi.verify(build(eta), cert.assignment).passed
-        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, max_iters=10)
+        result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, "maximize", max_iters=10)
         assert result.eta == eta
         assert lmi.verify(build(result.eta), result.assignment).passed
 
@@ -328,7 +327,7 @@ class TestMaxDissipation:
     def test_large_margin_reaches_the_bisection(self, scalar_passive_plant, lossless,
                                                  epsilon_rel, bisected):
         dist, margin = mode_distribution(lossless), DefinitenessMargin(epsilon_rel)
-        result = max_dissipation(scalar_passive_plant, Gain.zero(1, 1), dist, margin)
+        result = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, "maximize", margin)
         assert result.eta >= bisected - ETA_TOL
         problem = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, result.eta, margin)
         assert lmi.verify(problem, result.assignment).passed
@@ -336,7 +335,7 @@ class TestMaxDissipation:
     def test_infeasible_base_propagates(self, lossless):
         # open loop rho = 4: no passivity certificate at any eta
         plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
-        result = max_dissipation(plant, Gain.zero(1, 1), mode_distribution(lossless))
+        result = passivity_lmi(plant, Gain.zero(1, 1), mode_distribution(lossless), "maximize")
         assert isinstance(result, Indeterminate)
 
 

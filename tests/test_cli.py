@@ -173,8 +173,8 @@ class TestAnalyze:
         cfg = write_config(tmp_path, config)
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
         from_cli = len(calls)
-        analysis.max_dissipation(Plant(**config["plant"]), Gain([[-0.9]]),
-                                 mode_distribution(LossModel(0.0, 0.2)))
+        analysis.passivity_lmi(Plant(**config["plant"]), Gain([[-0.9]]),
+                               mode_distribution(LossModel(0.0, 0.2)), "maximize")
         assert from_cli > 0
         assert len(calls) == 2 * from_cli
 
@@ -208,7 +208,7 @@ class TestSynthesize:
         assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out),
                          "--margin", margin]) == 0
         synth = json.loads(out.read_text())["results"]["synthesis"]
-        assert synth["eta"] >= bisected - analysis.ETA_TOL
+        assert synth["eta"] >= bisected - lmi.ETA_TOL
 
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
         config = scenario(schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]})
@@ -290,6 +290,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, scenario())
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 1
         assert "gain" in capsys.readouterr().err
+
+    def test_missing_decay_fit_says_why(self, tmp_path, capsys):
+        # from the default x0 = 0 nothing decays, so there is no fit
+        cfg = write_config(tmp_path, scenario(gain=[[-0.9]]))
+        out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        ens = json.loads(out.read_text())["results"]["ensemble"]
+        assert ens["decay_fit"] is None
+        assert "initial state is zero" in ens["decay_fit_unavailable"]
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        assert "decay fit unavailable: the initial state is zero" in capsys.readouterr().out
 
 
 class TestReport:

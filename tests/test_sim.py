@@ -168,7 +168,7 @@ class TestKernel:
                          x0=x0, eta=eta, terminal_threshold=0.5)
         traces = [simulate(TWO_STATE, gain, schedule, loss, signal, horizon, base + t, x0)
                   for t in range(trials)]
-        d = np.array([tr.dissipation_sum(eta) for tr in traces])
+        d = np.array([tr.sum_wz - eta * tr.sum_ww for tr in traces])
         counts = np.zeros((2, 2), dtype=np.int64)
         for tr in traces:
             np.add.at(counts, (tr.theta1, tr.theta2), 1)

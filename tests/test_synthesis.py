@@ -3,10 +3,10 @@ import pytest
 
 from conftest import random_plant
 from ncspassive import lmi, synthesis
-from ncspassive.analysis import ETA_TOL, passivity_lmi, sms_oracle
+from ncspassive.analysis import passivity_lmi, passivity_problem, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
 from ncspassive.numerics import DEFAULT_MARGIN, DefinitenessMargin
-from ncspassive.lmi import Indeterminate
+from ncspassive.lmi import ETA_TOL, Indeterminate
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -304,6 +304,35 @@ def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel,
     result = synthesize(plant, loss, "maximize", DefinitenessMargin(epsilon_rel))
     assert result.verification.passed, result.verification.summary()
     assert result.eta >= bisected - ETA_TOL
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_certify_is_the_hand_composed_solve_and_maximize(k):
+    # fixed eta: one solve and K = Y X^-1; maximize: a solve at eta = 0, then
+    # lmi._maximize to ETA_TOL; both bit for bit
+    rng = np.random.default_rng([41, k])
+    n = 1 + k % 3
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 1.1) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
+                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
+    loss = LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
+    dist = mode_distribution(loss)
+
+    result = synthesize(plant, loss, 0.1)
+    solved = lmi.solve(build_synthesis_lmi(plant, dist, 0.1)).assignment
+    x, y = solved["X"], solved["Y"]
+    assert [m.tobytes() for m in (result.x, result.y, result.gain.K)] == [
+        m.tobytes() for m in (x, y, recover_gain(x, y).K)]
+
+    def build(eta):
+        return passivity_problem(plant, result.gain, dist, eta)
+
+    maximized = passivity_lmi(plant, result.gain, dist, "maximize")
+    eta, p = lmi._maximize(build, lmi.solve(build(0.0)), ETA_TOL, lmi.MAX_ITERS,
+                           lambda e, cert: (e, cert.assignment["P"]))
+    assert eta > 0.0
+    assert (maximized.eta, maximized.p.tobytes()) == (eta, p.tobytes())
 
 
 class TestRoundTrip:
