@@ -725,7 +725,9 @@ def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
     iterate of largest s, its ``iterations`` counting the Newton steps of
     both phases. Should either raise VerificationFailed, the iterates are
     tried from there down, each at least ``tol`` below the one tried
-    before, and then ``first`` at s = 0.
+    before, until one passes; then the last failing point is bisected to
+    ``tol`` in s down to the s that passed (or 0), and the largest s that
+    passes is kept. With none passing, ``first`` is finished at s = 0.
     """
     problem = build(0.0)
     zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
@@ -751,17 +753,31 @@ def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
     # from a central-path gap of 1 / TAU_GROWTH: a larger tau0 can pin a start
     # near the margin's edge there, where the Hessian is too ill-conditioned to leave
     taken = _newton(barrier, -1.0, lambda inverses: TAU_GROWTH * barrier.dim, visit)
-    tried = np.inf
-    for s, _, y in sorted(points, reverse=True):
-        if s < 0.0 or s > tried - tol:
-            continue
-        tried = s
+
+    def attempt(s, y):
         try:
             return finish(s, LmiCertificate.build(build(s), barrier.assignment(y),
                                                   iterations=first.iterations + taken))
         except VerificationFailed:
-            continue
-    return finish(0.0, first)
+            return None
+
+    failed, result = None, None  # the last iterate to fail; each at least tol below the one before
+    for s, _, y in sorted(points, reverse=True):
+        if s >= 0.0 and (failed is None or s <= failed[0] - tol):
+            result = attempt(s, y)
+            if result is not None:
+                break
+            failed = (s, y)
+    if failed is not None:  # its point may pass between its own s and the s that did
+        low, (high, y) = s if result is not None else 0.0, failed
+        while high - low > tol:
+            mid = 0.5 * (low + high)
+            found = attempt(mid, y)
+            if found is None:
+                high = mid
+            else:
+                low, result = mid, found
+    return finish(0.0, first) if result is None else result
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:

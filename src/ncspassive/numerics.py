@@ -101,8 +101,10 @@ def is_pos_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, dims (ra*rb) x (ca*cb)."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
+    """Kronecker product, dims (ra*rb) x (ca*cb): ``np.kron``'s products, without its call cost."""
+    a, b = as_matrix(a, "a"), as_matrix(b, "b")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def spectral_radius(m) -> float:

@@ -5,11 +5,13 @@ component through the gain to the scheduled actuator, and advances the
 plant. Traces carry the dissipation ledger sums so empirical passivity
 can be read off directly.
 
-Trial t runs on its own ``np.random.default_rng(base + t)``, so results
-do not depend on how trials are grouped. Each trial first draws
-uniforms of shape (horizon, 2): a message arrives when its uniform
-clears the drop rate, column 0 giving theta1 and column 1 theta2. A
-white-noise input then draws ``sigma * standard_normal((horizon, m1))``;
+Trial t draws the stream of ``np.random.default_rng(base + t)``, so
+results do not depend on how trials are grouped: ``ensemble`` passes
+each trial's words from one batched SeedSequence hash to ``PCG64`` as
+an ``ISeedSequence``, and ``simulate`` calls ``default_rng``. Each trial
+first draws uniforms of shape (horizon, 2): a message arrives when its
+uniform clears the drop rate, column 0 giving theta1 and column 1 theta2.
+A white-noise input then draws ``sigma * standard_normal((horizon, m1))``;
 zero, sinusoid and impulse inputs draw nothing.
 """
 
@@ -19,6 +21,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DimensionMismatch, FitUnavailable
 from .model import Gain, LossModel, Plant, Schedule, closed_loop, selector_matrices
@@ -123,8 +126,8 @@ class SimTrace:
     sum_ww: float
 
 
-def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
-    """Advance one trial per seed together, one (M, n) state array per step.
+def _run_block(plant, gain, schedule, loss, signal, horizon, rngs, x0):
+    """Advance one trial per generator together, one (M, n) state array per step.
 
     The received measurement is theta1 * S1'S1 x and the applied actuation
     theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
@@ -143,9 +146,8 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0):
     k_in = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in
                      (selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])
 
-    n, trials = plant.n, len(seeds)
+    n, trials = plant.n, len(rngs)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     u = np.stack([rng.random((horizon, 2)) for rng in rngs], axis=1)
     w = signal.block(horizon, rngs)
     theta1 = (u[..., 0] >= loss.alpha1).astype(np.int64)
@@ -185,8 +187,57 @@ def simulate(
     describes. The initial state defaults to zero, matching the
     zero-initial-state passivity experiments.
     """
-    records = _run_block(plant, gain, schedule, loss, signal, horizon, [seed], x0)
+    records = _run_block(plant, gain, schedule, loss, signal, horizon,
+                         [np.random.default_rng(seed)], x0)
     return _trace(records, 0, seed, schedule)
+
+
+# numpy's SeedSequence: hash and mix multipliers (a pool of four uint32 words)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hashmix(value, init: int, mult: int, first: int, calls: int):
+    """SeedSequence's hashmix calls first, ... on value's columns; init * mult**k before call k."""
+    c = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
+                  for k in range(first, first + calls + 1)], dtype=np.uint32)
+    value = (value ^ c[:-1]) * c[1:]
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(pool, value, first: int):
+    """SeedSequence's mix of pool column j with hashmix call first + j on value."""
+    r = _MIX_L * pool - _MIX_R * _hashmix(value, _INIT_A, _MULT_A, first, pool.shape[1])
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` per seed, in uint32 arrays."""
+    if min(seeds) < 0:
+        raise ValueError("expected non-negative integer")
+    width = max(4, -(-max(seeds).bit_length() // 32))
+    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    entropy = np.frombuffer(raw, "<u4").reshape(-1, width)
+    # a seed's words end at its highest nonzero one (zeros hash as absent within the pool's four)
+    size = np.max((entropy != 0) * np.arange(1, width + 1), axis=1)[:, None]
+    pool = _hashmix(entropy[:, :4], _INIT_A, _MULT_A, 0, 4)
+    for src in range(4):  # every word into every other, so late bits reach early ones
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], pool[:, src:src + 1], 4 + 3 * src)
+    for src in range(4, width):  # words beyond the pool, into the seeds that have them
+        pool = np.where(size > src, _mix(pool, entropy[:, src:src + 1], 4 * src), pool)
+    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 0, 8)
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence whose state is already generated: PCG64 asks for these 4 uint64 words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
@@ -244,7 +295,8 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        records = _run_block(plant, gain, schedule, loss, signal, horizon, seeds, x0)
+        rngs = [np.random.Generator(np.random.PCG64(_Words(w))) for w in _seed_words(seeds)]
+        records = _run_block(plant, gain, schedule, loss, signal, horizon, rngs, x0)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))

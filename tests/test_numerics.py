@@ -74,6 +74,13 @@ class TestKron:
         np.testing.assert_allclose(got[0], [0.0, 1.0, 0.0, 2.0])
         assert got.shape == (4, 4)
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (3, 3)), ((2, 5), (4, 3)),
+                                                  ((1, 1), (1, 1)), ((1, 1), (2, 3))])
+    def test_equals_np_kron(self, shape_a, shape_b):
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        np.testing.assert_array_equal(kron(a, b), np.kron(a, b))
+
 
 class TestSpectralRadius:
     def test_diagonal(self):

@@ -13,7 +13,15 @@ from ncspassive.model import (
     mode_distribution,
     selector_matrices,
 )
-from ncspassive.sim import TRIAL_BLOCK, InputSignal, decay_fit, ensemble, simulate, trace_to_csv
+from ncspassive.sim import (
+    TRIAL_BLOCK,
+    InputSignal,
+    _seed_words,
+    decay_fit,
+    ensemble,
+    simulate,
+    trace_to_csv,
+)
 
 TWO_STATE = Plant(A=[[0.9, 0.2], [-0.1, 0.7]], B1=[[1.0], [0.3]], B2=[[1.0], [0.5]],
                   C1=[[0.5, -0.2]], D11=[[1.0]], D12=[[0.4]])
@@ -212,6 +220,49 @@ class TestKernel:
         np.testing.assert_array_equal(trace.theta1, u[:, 0] >= 0.3)
         np.testing.assert_array_equal(trace.theta2, u[:, 1] >= 0.6)
         np.testing.assert_array_equal(trace.w, sigma * rng.standard_normal((horizon, 2)))
+
+    def test_seed_words_equal_seed_sequence_state(self):
+        rng = np.random.default_rng(8)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200 + 77]
+        seeds += [int(s) for s in rng.integers(0, 2**63, 40)]
+        seeds += [int(s) << int(shift) for s, shift in
+                  zip(rng.integers(1, 2**63, 20), rng.integers(0, 300, 20))]
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        np.testing.assert_array_equal(_seed_words(seeds), expected)
+
+    @pytest.mark.parametrize("base", [-1, -3])
+    def test_negative_base_seed_is_refused(self, mixing_plant, base):
+        with pytest.raises(ValueError):
+            ensemble(mixing_plant, Gain([[-0.7]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                     InputSignal.white_noise(1), 5, 10, base)
+
+    @pytest.mark.parametrize("trials, base", [(TRIAL_BLOCK + 7, 40), (60, 2**32 - 30)],
+                             ids=["block-boundary", "two-word-seeds"])
+    def test_ensemble_draws_default_rng_streams(self, mixing_plant, trials, base):
+        """Trial t's draws and statistics, hand-rolled from default_rng(base + t)."""
+        loss, k, horizon, eta = LossModel(0.1, 0.2), -0.7, 5, 0.1
+        stats = ensemble(mixing_plant, Gain([[k]]), full_packet_schedule(), loss,
+                         InputSignal.white_noise(1), horizon, trials, base, x0=[1.0], eta=eta)
+        a, b1, c1 = 1.2, 1.0, 0.5  # mixing_plant, whose B2 and D11 are 1 and D12 is 0
+        counts, sq, d = np.zeros((2, 2), dtype=np.int64), np.zeros(horizon + 1), []
+        for t in range(trials):
+            rng = np.random.default_rng(base + t)
+            u, w = rng.random((horizon, 2)), rng.standard_normal(horizon)
+            x, wz, ww = 1.0, 0.0, 0.0
+            sq[0] += x * x
+            for step in range(horizon):
+                on1, on2 = bool(u[step, 0] >= loss.alpha1), bool(u[step, 1] >= loss.alpha2)
+                counts[int(on1), int(on2)] += 1
+                wz += w[step] * (c1 * x + w[step])
+                ww += w[step] * w[step]
+                x = (a + (k if on1 and on2 else 0.0)) * x + b1 * w[step]
+                sq[step + 1] += x * x
+            d.append(wz - eta * ww)
+        np.testing.assert_array_equal(stats.mode_counts, counts)
+        np.testing.assert_allclose(stats.mean_sq_norm, sq / trials, rtol=1e-12, atol=0)
+        assert stats.dissipation_mean == pytest.approx(float(np.mean(d)), rel=1e-12)
+        assert stats.dissipation_se == pytest.approx(
+            float(np.std(d, ddof=1) / np.sqrt(trials)), rel=1e-12)
 
     def test_memory_does_not_grow_with_trials(self, mixing_plant):
         def peak(trials):

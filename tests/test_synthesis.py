@@ -290,16 +290,30 @@ def test_maximize_from_an_ill_conditioned_phase_one_point():
     assert result.eta >= 0.7934208149024858 - ETA_TOL
 
 
+def scalar_recipe_loop(key):
+    """The n = 1 plant and loss drawn by the ill-conditioned phase-one test's recipe."""
+    rng = np.random.default_rng(key)
+    a = rng.standard_normal((1, 1))
+    a *= rng.uniform(0.3, 1.2) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.5 * rng.standard_normal((1, 1)), B2=rng.standard_normal((1, 1)),
+                  C1=0.5 * rng.standard_normal((1, 1)), D11=[[rng.uniform(0.5, 1.5)]],
+                  D12=[[0.0]])
+    return plant, LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2))
+
+
 # Under large margins the round trip's direct leg (P = X^-1 against the
 # passivity form) can fail near eta*: on the first loop the top iterates
 # fail it at 0.05 (the bisection reached 1.1638); on the second, at 0.1,
-# the bisection reached 0.3557 with a point that failed it (exit 3).
+# the bisection reached 0.3557 with a point that failed it (exit 3). On
+# the third the round trip fails from 0.3137 up while the next iterate
+# down is 0.2810; the bisection reached 0.2988.
 @pytest.mark.parametrize("plant,loss,epsilon_rel,bisected", [
     (Plant(A=[[0.4177]], B1=[[0.1181]], B2=[[1.0138]], C1=[[0.1011]], D11=[[1.2571]],
            D12=[[0.0]]), LossModel(0.0707, 0.1795), 0.05, 1.1637996093750003),
     (Plant(A=[[-0.4791]], B1=[[-0.8064]], B2=[[0.2963]], C1=[[-0.2216]], D11=[[0.9485]],
            D12=[[0.0]]), LossModel(0.0284, 0.07), 0.1, 0.3556875),
-], ids=["steps-back", "bisection-exit-3"])
+    (*scalar_recipe_loop([5, 18]), 0.1, 0.2988),
+], ids=["steps-back", "bisection-exit-3", "bisects-across-the-gap"])
 def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel, bisected):
     result = synthesize(plant, loss, "maximize", DefinitenessMargin(epsilon_rel))
     assert result.verification.passed, result.verification.summary()
