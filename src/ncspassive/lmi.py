@@ -583,11 +583,15 @@ def _newton(barrier: _Barrier, sign: float, tau0, visit, threshold=lambda invers
     where half the squared Newton decrement is at most
     ``threshold(inverses)``. Before each step, ``visit(step, y, slacks,
     grad, inverses, tau, centered)`` may end the run by returning its
-    result.
+    result. Returns None at once if rounding puts the start outside the
+    barrier's domain, as plant entries of 1e8 and up can.
     """
     objective = barrier.q[-1] if sign > 0 else -barrier.q[-1]  # d(sign s)/dy
     y = np.zeros(barrier.q.shape[1])
-    slacks, chols, value = barrier.factor(y)
+    factored = barrier.factor(y)
+    if factored is None:
+        return None
+    slacks, chols, value = factored
     tau = None
     step = 0
     while True:
@@ -630,7 +634,8 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
       the duality gap);
     * an :class:`Indeterminate` without a dual when ``max_iters`` Newton
       steps decide neither, or when t stops moving (the central path's
-      gap falls below STALL_GAP) first.
+      gap falls below STALL_GAP) first, or at once when rounding puts
+      the start outside the barrier's domain (badly scaled data).
 
     The start point is X = I for symmetric variables and 0 for the
     others; when it verifies, it is returned after 0 steps.
@@ -684,8 +689,16 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
 
     # tau0 centers the start in t; the multipliers may refute once centered
     # closely while their constant is >= 0
-    return _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit,
-                   lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
+    result = _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit,
+                     lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
+    if result is not None:
+        return result
+    return Indeterminate(
+        best_value=report.worst().lambda_max,
+        iterations=0,
+        message="no certificate or refutation: in floating point the barrier's start "
+        "is outside its domain (badly scaled data)",
+    )
 
 
 def certify(build, eta, max_iters: int, finish):

@@ -18,6 +18,7 @@ zero, sinusoid and impulse inputs draw nothing.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,11 +198,19 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 
 
-def _hashmix(value, init: int, mult: int, first: int, calls: int):
-    """SeedSequence's hashmix calls first, ... on value's columns; init * mult**k before call k."""
+@functools.cache
+def _multipliers(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier before and after each of hashmix calls first, ...: init * mult**k."""
     c = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
                   for k in range(first, first + calls + 1)], dtype=np.uint32)
-    value = (value ^ c[:-1]) * c[1:]
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _hashmix(value, init: int, mult: int, first: int, calls: int):
+    """SeedSequence's hashmix calls first, ... on value's columns; init * mult**k before call k."""
+    before, after = _multipliers(init, mult, first, calls)
+    value = (value ^ before) * after
     return value ^ (value >> _SHIFT)
 
 

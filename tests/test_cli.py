@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncspassive import analysis, cli, lmi, sim
@@ -138,6 +139,16 @@ class TestAnalyze:
         code = cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "D11" in capsys.readouterr().err
+
+    def test_badly_scaled_plant_exits_two_saying_why(self, tmp_path):
+        config = scenario(gain=[[-0.9]])
+        config["plant"]["B1"] = [[1e8]]
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out)]) == 2
+        passivity = json.loads(out.read_text())["results"]["passivity"]
+        assert passivity["status"] == "indeterminate"
+        assert "outside its domain" in passivity["reason"]
 
     def test_malformed_json_is_line_anchored(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -577,6 +588,9 @@ BAD_INPUTS = [
     ("trials-zero", "simulation.trials", 0, [], "simulation.trials"),
     ("horizon-negative", "simulation.horizon", -3, [], "simulation.horizon"),
     ("horizon-zero", "simulation.horizon", 0, [], "simulation.horizon"),
+    # integral, but no numpy array can be that long: refused before anything is allocated
+    ("horizon-huge", "simulation.horizon", 1e300, [], "simulation.horizon"),
+    ("trials-huge", "simulation.trials", 2**70, [], "simulation.trials"),
     ("sim-seed-negative", "simulation.seed", -1, [], "simulation.seed"),
     ("x0-wrong-length", "simulation.x0", [0.0, 1.0], [], "simulation.x0"),
     ("x0-non-numeric", "simulation.x0", ["a"], [], "simulation.x0"),
@@ -677,3 +691,144 @@ def test_help_and_version_exit_zero(capsys, flag):
         cli.main([flag])
     assert exc.value.code == 0
     assert "ncspassive" in capsys.readouterr().out
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
+    # each command's output matches the same command run first in a fresh process
+    config = write_config(tmp_path, scenario(gain=[[-0.9]], eta="maximize"))
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+
+    def command(argv, out=None):
+        return argv + ["--config", str(config), "--out", str(out)] if out else argv
+
+    commands = {
+        "synth-eta.json": ["synthesize", "--eta", "0.1"],
+        "synth.json": ["synthesize"],
+        "sim-dump.json": ["simulate", "--dump-traces"],
+        "sim.json": ["simulate"],
+        "analyze.json": ["analyze"],
+    }
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-m", "ncspassive.cli"] + command(argv, fresh / name),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR), cwd=tmp_path)
+        for name, argv in commands.items()
+    }
+
+    def run(argv, out=None):
+        code = cli.main(command(argv, out and here / out))
+        return code, capsys.readouterr()
+
+    assert run(commands["synth-eta.json"], "synth-eta.json")[0] == 0
+    assert run(commands["synth.json"], "synth.json")[0] == 0
+    assert run(commands["sim-dump.json"], "sim-dump.json")[0] == 0
+    assert run(commands["sim.json"], "sim.json")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze"])
+    assert exc.value.code == 1
+    assert "--config" in capsys.readouterr().err
+    assert run(commands["analyze.json"], "analyze.json")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"ncspassive {cli.__version__}\n"
+    report_code, report_out = run(["report", str(here / "synth.json")])
+    assert report_code == 0
+    fresh_report = subprocess.run(
+        [sys.executable, "-m", "ncspassive.cli", "report", str(here / "synth.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), cwd=tmp_path)
+    assert (fresh_report.returncode, fresh_report.stdout) == (0, report_out.out)
+
+    for name, proc in procs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        ours = strip_timing(json.loads((here / name).read_text()))
+        assert ours == strip_timing(json.loads((fresh / name).read_text())), name
+    reports = {name: json.loads((here / name).read_text()) for name in commands}
+    assert reports["synth-eta.json"]["config"]["eta"] == 0.1
+    assert reports["synth.json"]["config"]["eta"] == "maximize"
+    assert reports["sim-dump.json"]["results"]["traces_dir"] == "sim-dump.json.traces"
+    assert "traces_dir" not in reports["sim.json"]["results"]
+    assert not (here / "sim.json.traces").exists()
+    traces = sorted(p.name for p in (here / "sim-dump.json.traces").iterdir())
+    assert len(traces) == 20
+    for trace in traces:
+        assert ((here / "sim-dump.json.traces" / trace).read_bytes()
+                == (fresh / "sim-dump.json.traces" / trace).read_bytes())
+
+
+def _paths(node, prefix=()):
+    """Every dict key and list index path below ``node``, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(data, rng):
+    """A deep copy of ``data`` with one node deleted or replaced by a bad value."""
+    data = json.loads(json.dumps(data))
+    paths = list(_paths(data))
+    path = paths[rng.integers(len(paths))]
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    old = node[last]
+    kind = ["delete", "text", "bool", "null", "object", "negative", "empty", "ragged",
+            "1e300", "2**70"][rng.integers(10)]
+    if kind == "delete":
+        del node[last]
+    else:
+        node[last] = {
+            "text": "x", "bool": True, "null": None, "object": {}, "empty": [],
+            "negative": -old if isinstance(old, (int, float)) and not isinstance(old, bool) else -1,
+            "ragged": [[1.0], [1.0, 2.0]], "1e300": 1e300, "2**70": 2**70,
+        }[kind]
+    return data, f"{'.'.join(map(str, path))}: {kind}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow from 1e300-sized entries
+def test_fuzzed_configs_and_reports_end_in_an_exit_code(tmp_path, capsys):
+    # one bad node per input, through cli.main in this process; seeded, so a failure repeats
+    rng = np.random.default_rng(2024)
+    base = scenario(gain=[[-0.9]])
+    base["simulation"].update(horizon=8, trials=3)
+    commands = ("analyze", "synthesize", "simulate")
+    reports = {}
+    for command in commands:
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--config", str(write_config(tmp_path, base)), "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text())
+    capsys.readouterr()
+
+    failures = []
+
+    def run(argv, case):
+        try:
+            code = cli.main(argv)
+        except (Exception, SystemExit) as exc:  # any escape is the finding
+            failures.append(f"{case}: {type(exc).__name__}: {exc}")
+            return
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or "Traceback" in err:
+            failures.append(f"{case}: exit {code}, stderr {err[-200:]!r}")
+
+    out = tmp_path / "out.json"
+    for i in range(200):
+        config, case = _mutate(base, rng)
+        command = commands[i % 3]
+        cfg = write_config(tmp_path, config, "fuzz.json")
+        run([command, "--config", str(cfg), "--out", str(out)], f"{command} config {case}")
+
+        report, case = _mutate(reports[command], rng)
+        if i % 2 and isinstance(report.get("results"), dict) and "config" in report:
+            report["results_digest"] = cli._digest(report["results"])
+            report["config_digest"] = cli._digest(report["config"])
+        path = tmp_path / "fuzz-report.json"
+        path.write_text(json.dumps(report))
+        run(["report", str(path)], f"{command} report {case}")
+    assert failures == [], "\n".join(failures)

@@ -166,6 +166,15 @@ class TestSolve:
         assert result.iterations == 1
         assert result.dual is None
 
+    def test_start_outside_the_barrier_gives_no_dual(self):
+        # at a = 1e8, t = lambda_max + 1 rounds onto lambda_max: the start's slack is not
+        # positive definite in floating point, so no Newton step can be taken
+        result = solve(scalar_lyapunov_problem(1e8))
+        assert isinstance(result, Indeterminate)
+        assert result.iterations == 0
+        assert result.dual is None
+        assert "outside its domain" in result.message
+
     def test_certificates_verify_by_construction(self):
         result = solve(scalar_lyapunov_problem(0.9))
         assert result.feasible
