@@ -62,7 +62,6 @@ from .numerics import (
 __all__ = [
     "SmsReport",
     "StabilityCertificate",
-    "PassivityCertificate",
     "sms_oracle",
     "stability_problem",
     "stability_lmi",
@@ -294,22 +293,6 @@ def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) 
         )
 
 
-@dataclass(frozen=True)
-class PassivityCertificate:
-    """P > 0 and eta >= 0 making the averaged dissipation form negative definite."""
-
-    assignment: dict
-    eta: float
-    report: lmi.VerifyReport
-    rho: float
-
-    feasible = True
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.assignment["P"]
-
-
 def passivity_problem(
     plant: Plant,
     gain: Gain,
@@ -368,11 +351,12 @@ def passivity_lmi(
     """Certify strict passivity with dissipation eta by solving :func:`passivity_problem`.
 
     ``eta`` is a number or ``"maximize"``, for the largest certifiable eta
-    to within ``lmi.ETA_TOL`` (``lmi.certify``). Returns a verified
-    :class:`PassivityCertificate` or an Indeterminate. A certificate's
-    top-left block sum_m a_m A_m' P A_m - P < 0 forces rho < 1, so when
-    the SMS oracle gives rho >= 1 the Indeterminate names that bound and
-    no search runs.
+    to within ``lmi.ETA_TOL`` (``lmi.certify``). Returns the verified
+    ``lmi.LmiCertificate``, its ``eta`` the certified level and its
+    assignment's ``"P"`` the storage matrix, or an Indeterminate. A
+    certificate's top-left block sum_m a_m A_m' P A_m - P < 0 forces
+    rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate names
+    that bound and no search runs.
     """
     if eta != "maximize" and eta < 0:
         raise ValueError(f"dissipation must be >= 0, got {eta}")
@@ -383,12 +367,7 @@ def passivity_lmi(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-
-    def build(e: float) -> lmi.LmiProblem:
-        return passivity_problem(plant, gain, dist, e, margin)
-
-    return lmi.certify(build, eta, max_iters, lambda e, cert: PassivityCertificate(
-        assignment=dict(cert.assignment), eta=e, report=cert.report, rho=rho))
+    return lmi.certify(lambda e: passivity_problem(plant, gain, dist, e, margin), eta, max_iters)
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

@@ -5,7 +5,7 @@ Scenario configs and run reports are JSON, checked field by field in
 round-trip precision so certificates stay auditable. Exit codes:
 0 certified / success, 1 input or usage error, 2 no certificate found (a dual
 certificate is attached when one proves none exists), 3 verification
-failure.
+failure (a tampered report or a failed internal check).
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ _PLANT_KEYS = {"A", "B1", "B2", "C1", "D11", "D12"}
 _INT_FROM_0 = {"integer": True, "minimum": 0}
 _INT_FROM_1 = {"integer": True, "minimum": 1}
 # a simulation size numpy can index at all; larger ones are refused before anything is allocated
-_SIZE = {**_INT_FROM_1, "maximum": int(np.iinfo(np.intp).max)}
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+_SIZE = {**_INT_FROM_1, "maximum": _INDEX_MAX}
+# largest |entry| of a plant or gain matrix: the product of any two entries stays finite
+ENTRY_BOUND = 1e150
 _SOLVER_FIELDS = {
     "margin": (DEFAULT_MARGIN.epsilon_rel, {"above": 0.0}),
     "budget": (lmi.MAX_ITERS, _INT_FROM_1),
@@ -101,7 +104,7 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 
 
 def _number(value, where: str, *, integer=False, minimum=None, maximum=None, above=None,
-            finite=True):
+            magnitude=None, finite=True):
     """``value`` as an int or float within bounds, else ConfigError naming ``where``.
 
     ``finite=False`` also takes inf and nan, which reports hold that were
@@ -121,6 +124,8 @@ def _number(value, where: str, *, integer=False, minimum=None, maximum=None, abo
         raise ConfigError(f"{where}: must be <= {maximum}, got {value!r}")
     if above is not None and value <= above:
         raise ConfigError(f"{where}: must be > {above}, got {value!r}")
+    if magnitude is not None and abs(value) > magnitude:
+        raise ConfigError(f"{where}: magnitude must be <= {magnitude:g}, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -131,7 +136,7 @@ def _fields(spec: dict, fields: dict, where: str) -> dict:
     }
 
 
-def _matrix(value, where: str) -> list:
+def _matrix(value, where: str, magnitude=None) -> list:
     if not (isinstance(value, list) and value and all(isinstance(r, list) and r for r in value)):
         raise ConfigError(f"{where}: expected a non-empty nested array of numbers")
     width = len(value[0])
@@ -139,7 +144,7 @@ def _matrix(value, where: str) -> list:
         raise ConfigError(f"{where}: rows have inconsistent lengths")
     for i, row in enumerate(value):
         for j, v in enumerate(row):
-            _number(v, f"{where}[{i}][{j}]")
+            _number(v, f"{where}[{i}][{j}]", magnitude=magnitude)
     return value
 
 
@@ -155,8 +160,10 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     missing = sorted(_PLANT_KEYS - set(plant_spec))
     if missing:
         raise ConfigError(f"{where}.plant: missing field(s) {missing}")
+    matrices = {k: _matrix(plant_spec[k], f"{where}.plant.{k}", ENTRY_BOUND)
+                for k in sorted(_PLANT_KEYS)}
     try:
-        plant = Plant(**{k: _matrix(plant_spec[k], f"{where}.plant.{k}") for k in _PLANT_KEYS})
+        plant = Plant(**matrices)
     except NcsPassiveError as exc:
         raise ConfigError(f"{where}.plant: {exc}") from exc
 
@@ -204,7 +211,7 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
 
     gain = None
     if "gain" in data:
-        gain = Gain(_matrix(data["gain"], f"{where}.gain"))
+        gain = Gain(_matrix(data["gain"], f"{where}.gain", ENTRY_BOUND))
         if gain.K.shape != (plant.m2, plant.n):
             raise ConfigError(
                 f"{where}.gain: must be {plant.m2}x{plant.n}, got {gain.K.shape[0]}x{gain.K.shape[1]}"
@@ -239,9 +246,11 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
         if not isinstance(x0, list) or len(x0) != plant.n:
             raise ConfigError(f"{where}.simulation.x0: expected an array of {plant.n} numbers")
         x0 = [_number(v, f"{where}.simulation.x0[{i}]") for i, v in enumerate(x0)]
-    simulation = SimSettings(
-        signal=signal, x0=x0, **_fields(sim_spec, _SIM_FIELDS, f"{where}.simulation")
-    )
+    settings = _fields(sim_spec, _SIM_FIELDS, f"{where}.simulation")
+    # numpy must be able to size a trial's (horizon + 1) x width float64 arrays
+    width = max(plant.n, plant.m1, plant.p1, plant.m2, 2)
+    _number(settings["horizon"], f"{where}.simulation.horizon", maximum=_INDEX_MAX // (8 * width) - 1)
+    simulation = SimSettings(signal=signal, x0=x0, **settings)
 
     return ScenarioConfig(
         plant=plant,
@@ -289,9 +298,9 @@ def _mat(m) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _verify_report_dict(report: lmi.VerifyReport) -> dict:
+def _verify_report_dict(report: lmi.VerifyReport, margin: DefinitenessMargin) -> dict:
     return {
-        "margin_epsilon_rel": report.margin.epsilon_rel,
+        "margin_epsilon_rel": margin.epsilon_rel,
         "constraints": [
             {"name": c.name, "lambda_max": c.lambda_max, "threshold": c.threshold}
             for c in report.checks
@@ -331,7 +340,7 @@ def _finite(value, path: str, nulled: list):
     return value
 
 
-def _write_report(out_path, command: str, config: ScenarioConfig, results: dict, started: float) -> dict:
+def _write_report(out_path, command: str, config: ScenarioConfig, results: dict, started: float) -> None:
     nulled: list = []
     results = _finite(results, "", nulled)
     if nulled:
@@ -345,21 +354,17 @@ def _write_report(out_path, command: str, config: ScenarioConfig, results: dict,
         "results_digest": _digest(results),
         "timing": {"seconds": time.time() - started},
     }
-    out_path = Path(out_path)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return report
+    Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_analyze(config: ScenarioConfig, out_path) -> int:
-    started = time.time()
+def cmd_analyze(config: ScenarioConfig) -> dict:
     gain = config.gain or Gain.zero(config.plant.m2, config.plant.n)
     dist = mode_distribution(config.loss)
     results: dict = {"gain": _mat(gain.K)}
-    certified = True
 
     families = [
         closed_loop(config.plant, gain, k, config.schedule)
@@ -373,10 +378,9 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
         results["stability"] = {
             "status": "certified",
             "P": [_mat(p) for p in stab.ps],
-            "verify": _verify_report_dict(stab.report),
+            "verify": _verify_report_dict(stab.report, config.margin),
         }
     else:
-        certified = False
         results["stability"] = {
             "status": "indeterminate",
             "reason": stab.message,
@@ -391,29 +395,23 @@ def cmd_analyze(config: ScenarioConfig, out_path) -> int:
             results["passivity"] = {
                 "status": "certified",
                 "eta": pas.eta,
-                "P": _mat(pas.p),
-                "rho": pas.rho,
-                "verify": _verify_report_dict(pas.report),
+                "P": _mat(pas.assignment["P"]),
+                "rho": sms.rho,  # the full-packet loop's, which passivity requires
+                "verify": _verify_report_dict(pas.report, config.margin),
             }
         else:
-            certified = False
             results["passivity"] = _refusal(pas, config.eta)
-
-    _write_report(out_path, "analyze", config, results, started)
-    return EXIT_OK if certified else EXIT_INDETERMINATE
+    return results
 
 
-def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
-    started = time.time()
+def cmd_synthesize(config: ScenarioConfig) -> dict:
     if not config.schedule.full_packet:
         raise ConfigError("synthesis requires full-packet: set schedule to \"full-packet\"")
     eta = config.eta if config.eta is not None else 0.0
     result = synthesis.synthesize(config.plant, config.loss, eta, config.margin, config.budget)
     if not result.feasible:
-        _write_report(out_path, "synthesize", config, {"synthesis": _refusal(result, eta)}, started)
-        return EXIT_INDETERMINATE
-
-    results = {
+        return {"synthesis": _refusal(result, eta)}
+    return {
         "synthesis": {
             "status": "certified",
             "eta": result.eta,
@@ -421,7 +419,7 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
             "X": _mat(result.x),
             "Y": _mat(result.y),
             "rho": result.rho,
-            "verify": _verify_report_dict(result.certificate.report),
+            "verify": _verify_report_dict(result.certificate.report, config.margin),
             "round_trip": {
                 "passivity_certified": result.verification.passivity_certified,
                 "direct_certified": result.verification.direct_certified,
@@ -431,8 +429,6 @@ def cmd_synthesize(config: ScenarioConfig, out_path) -> int:
             },
         }
     }
-    _write_report(out_path, "synthesize", config, results, started)
-    return EXIT_OK
 
 
 def _gain_from_spec(spec: str, plant: Plant) -> Gain:
@@ -446,7 +442,7 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
             data = data["results"]["synthesis"]["K"]
         except (KeyError, TypeError):
             raise ConfigError(f"--gain: report {spec!r} carries no synthesized K") from None
-    gain = Gain(_matrix(data, "--gain"))
+    gain = Gain(_matrix(data, "--gain", ENTRY_BOUND))
     if gain.K.shape != (plant.m2, plant.n):
         raise ConfigError(
             f"--gain: must be {plant.m2}x{plant.n}, got {gain.K.shape[0]}x{gain.K.shape[1]}"
@@ -454,8 +450,7 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
     return gain
 
 
-def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_traces: bool) -> int:
-    started = time.time()
+def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_traces: bool) -> dict:
     if gain_spec is not None:
         gain = _gain_from_spec(gain_spec, config.plant)
     elif config.gain is not None:
@@ -511,9 +506,7 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
 
     if dump_traces:
         results["traces_dir"] = trace_dir.name
-
-    _write_report(out_path, "simulate", config, results, started)
-    return EXIT_OK
+    return results
 
 
 def _recheck(label: str, entry: dict, build, assignment) -> tuple[list[str], list[str]]:
@@ -723,20 +716,29 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one command (``argv``, default ``sys.argv[1:]``) and return its exit code.
 
-    May be called any number of times in one process: the parser is built
-    on the first call only, and nothing carries over between calls. A usage
-    error raises ``SystemExit(1)``, ``--help`` and ``--version`` ``SystemExit(0)``.
+    ``analyze``, ``synthesize`` and ``simulate`` return their results, and
+    the report is written here; the exit code is EXIT_INDETERMINATE when a
+    results section has status "indeterminate". May be called any number
+    of times in one process: the parser is built on the first call only,
+    and nothing carries over between calls. A usage error raises
+    ``SystemExit(1)``, ``--help`` and ``--version`` ``SystemExit(0)``.
     """
     args = _parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args.report)
         config = _apply_overrides(args)
+        started = time.time()
         if args.command == "analyze":
-            return cmd_analyze(config, args.out)
-        if args.command == "synthesize":
-            return cmd_synthesize(config, args.out)
-        return cmd_simulate(config, args.out, args.gain, args.dump_traces)
+            results = cmd_analyze(config)
+        elif args.command == "synthesize":
+            results = cmd_synthesize(config)
+        else:
+            results = cmd_simulate(config, args.out, args.gain, args.dump_traces)
+        _write_report(args.out, args.command, config, results, started)
+        refused = any(isinstance(section, dict) and section.get("status") == "indeterminate"
+                      for section in results.values())
+        return EXIT_INDETERMINATE if refused else EXIT_OK
     except (ConfigError, AssumptionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -35,7 +35,7 @@ passed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,7 +257,6 @@ class ConstraintCheck:
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple[ConstraintCheck, ...]
-    margin: DefinitenessMargin
 
     @property
     def passed(self) -> bool:
@@ -279,7 +278,7 @@ def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
         lam = float(sym_eigvals(m)[-1])
         threshold = problem.margin.threshold(m)
         checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=threshold))
-    return VerifyReport(checks=tuple(checks), margin=problem.margin)
+    return VerifyReport(checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -352,12 +351,14 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
 class LmiCertificate:
     """A strictly feasible assignment, constructed only through verification.
 
-    ``iterations`` counts the Newton steps that found it.
+    ``iterations`` counts the Newton steps that found it. ``eta`` is the
+    level ``certify`` posed the problem at, None from a bare ``solve``.
     """
 
     assignment: dict
     report: VerifyReport
     iterations: int = 0
+    eta: float | None = None
 
     feasible = True
 
@@ -701,48 +702,50 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     )
 
 
-def certify(build, eta, max_iters: int, finish):
-    """``finish(eta, certificate)`` for ``build(eta)``, or the solve's Indeterminate unchanged.
+def certify(build, eta, max_iters: int, finish=lambda certificate: certificate):
+    """``finish(certificate)`` for ``build(eta)``, or the solve's Indeterminate unchanged.
 
     ``eta`` is a number, solved at that level, or ``"maximize"``: phase I
     solves ``build(0.0)``, and phase II (:func:`_maximize`) raises eta
     from its point to within ETA_TOL, so ``build``'s forms must be affine
-    in eta.
+    in eta. The :class:`LmiCertificate` that ``finish`` gets carries the
+    level it verified at as ``eta``; without ``finish`` it is returned.
     """
     if eta != "maximize":
         eta = float(eta)
         result = solve(build(eta), max_iters)
-        return finish(eta, result) if result.feasible else result
-    first = solve(build(0.0), max_iters)
+        return finish(replace(result, eta=eta)) if result.feasible else result
+    problem = build(0.0)
+    first = solve(problem, max_iters)
     if not first.feasible:
         return first
-    return _maximize(build, first, ETA_TOL, max_iters, finish)
+    return _maximize(build, problem, replace(first, eta=0.0), max_iters, finish)
 
 
-def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
-    """``finish(s, certificate)`` at the largest s, to within ``tol``, at which ``build(s)`` certifies.
+def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int, finish):
+    """``finish(certificate)`` at the largest s, to within ETA_TOL, at which ``build(s)`` certifies.
 
-    ``build`` poses a problem whose forms are affine in s, and ``first``
-    certifies ``build(0.0)`` (phase I). Phase II is the barrier method of
-    :func:`_newton` raising s from ``first``'s point, on the barrier that
-    holds the margin exactly (:class:`_Barrier` with radii), until the
-    central path's gap dim / tau is at most ``tol`` (Boyd & Vandenberghe,
-    sec. 11.3) or ``max_iters`` steps are spent. s's basis matrices are
-    assemble(build(1)) - assemble(build(0)), so no second copy of any form
-    appears. The margin also keeps the points bounded where log det alone
-    would grow without limit (P of a memoryless loop): a constant
-    diagonal entry of M_c bounds lambda_max(M_c) below, and so ||M_c||_F
-    above.
+    ``build`` poses a problem whose forms are affine in s, ``problem`` is
+    ``build(0.0)`` and ``first``, its ``eta`` 0, certifies it (phase I).
+    Phase II is the barrier method of :func:`_newton` raising s from
+    ``first``'s point, on the barrier that holds the margin exactly
+    (:class:`_Barrier` with radii), until the central path's gap dim / tau
+    is at most ETA_TOL (Boyd & Vandenberghe, sec. 11.3) or ``max_iters``
+    steps are spent. s's basis matrices are assemble(problem) -
+    assemble(build(1)), so no second copy of any form appears. The margin
+    also keeps the points bounded where log det alone would grow without
+    limit (P of a memoryless loop): a constant diagonal entry of M_c
+    bounds lambda_max(M_c) below, and so ||M_c||_F above.
 
     ``finish`` gets ``LmiCertificate.build`` on ``build(s)`` at the
-    iterate of largest s, its ``iterations`` counting the Newton steps of
-    both phases. Should either raise VerificationFailed, the iterates are
-    tried from there down, each at least ``tol`` below the one tried
-    before, until one passes; then the last failing point is bisected to
-    ``tol`` in s down to the s that passed (or 0), and the largest s that
-    passes is kept. With none passing, ``first`` is finished at s = 0.
+    iterate of largest s, its ``eta`` s and its ``iterations`` counting
+    the Newton steps of both phases. Should either raise
+    VerificationFailed, the iterates are tried from there down, each at
+    least ETA_TOL below the one tried before, until one passes; then the
+    last failing point is bisected to ETA_TOL in s down to the s that
+    passed (or 0), and the largest s that passes is kept. With none
+    passing, ``first`` is finished.
     """
-    problem = build(0.0)
     zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
     slopes = [expr.assemble(zero) - grown.assemble(zero)
               for (_, expr), (_, grown) in zip(problem.constraints, build(1.0).constraints)]
@@ -752,14 +755,14 @@ def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
         m = expr.assemble(first.assignment)
         low, high = eps * fro_norm(m), -float(sym_eigvals(m)[-1]) - eps
         if low >= high:  # on its margin's edge: no room to start from
-            return finish(0.0, first)
+            return finish(first)
         radii.append(0.5 * (low + high))
     barrier = _Barrier(problem, first.assignment, slopes, 0.0, radii)
     points = []
 
     def visit(step, y, slacks, grad, inverses, tau, centered):
         points.append((float(barrier.x(y)[-1]), step, y))
-        if step == max_iters or (centered and barrier.dim / tau <= tol):
+        if step == max_iters or (centered and barrier.dim / tau <= ETA_TOL):
             return step
         return None
 
@@ -769,28 +772,29 @@ def _maximize(build, first: LmiCertificate, tol: float, max_iters: int, finish):
 
     def attempt(s, y):
         try:
-            return finish(s, LmiCertificate.build(build(s), barrier.assignment(y),
-                                                  iterations=first.iterations + taken))
+            certificate = LmiCertificate.build(build(s), barrier.assignment(y),
+                                               iterations=first.iterations + taken)
+            return finish(replace(certificate, eta=s))
         except VerificationFailed:
             return None
 
-    failed, result = None, None  # the last iterate to fail; each at least tol below the one before
+    failed, result = None, None  # the last iterate to fail; each at least ETA_TOL below the one before
     for s, _, y in sorted(points, reverse=True):
-        if s >= 0.0 and (failed is None or s <= failed[0] - tol):
+        if s >= 0.0 and (failed is None or s <= failed[0] - ETA_TOL):
             result = attempt(s, y)
             if result is not None:
                 break
             failed = (s, y)
     if failed is not None:  # its point may pass between its own s and the s that did
         low, (high, y) = s if result is not None else 0.0, failed
-        while high - low > tol:
+        while high - low > ETA_TOL:
             mid = 0.5 * (low + high)
             found = attempt(mid, y)
             if found is None:
                 high = mid
             else:
                 low, result = mid, found
-    return finish(0.0, first) if result is None else result
+    return finish(first) if result is None else result
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi
-from .analysis import check_assumption, passivity_lmi, passivity_problem, sms_oracle
+# passivity_lmi is not called here, but perfbench's tracer test patches this binding
+from .analysis import check_assumption, passivity_lmi, passivity_problem, sms_oracle  # noqa: F401
 from .errors import SingularTransform, VerificationFailed
 from .model import (
     MODES,
@@ -160,30 +161,30 @@ CONGRUENCE_RTOL = 1e-6
 
 
 def congruence_residual(
-    plant: Plant,
-    dist: ModeDistribution,
-    eta: float,
+    synthesis_problem: lmi.LmiProblem,
+    passivity_problem: lmi.LmiProblem,
     x: np.ndarray,
     y: np.ndarray,
-    gain: Gain,
 ) -> tuple[float, bool]:
     """Relative eigenvalue gap between the synthesis form at (X, Y), its mode
     rows Schur-complemented out as top - R' D^{-1} R, and diag(X, I) M(X^{-1})
-    diag(X, I), with M the :func:`passivity_problem` form at ``gain``.
+    diag(X, I), with M the dissipation form of ``passivity_problem``.
 
-    D is the assembled mode block, not X^{-1}, so a wrong -X there shows.
-    For Y = K X the two are equal up to rounding. Also reports whether the
-    whole synthesis form and the mapped form agree on definiteness.
+    The two problems are :func:`build_synthesis_lmi` and
+    ``analysis.passivity_problem`` at one eta, the latter at the gain
+    Y X^{-1}; nothing is posed here. D is the assembled mode block, not
+    X^{-1}, so a wrong -X there shows. For Y = K X the two are equal up to
+    rounding. Also reports whether the whole synthesis form and the mapped
+    form agree on definiteness.
     """
-    prob = build_synthesis_lmi(plant, dist, eta)
-    m_xy = dict(prob.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
-    split = plant.n + plant.m1
+    m_xy = dict(synthesis_problem.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
+    analysis_form = dict(passivity_problem.constraints)["dissipation"]
+    n, split = len(x), analysis_form.dim
     top, r, d = m_xy[:split, :split], m_xy[split:, :split], m_xy[split:, split:]
     schur = top - r.T @ np.linalg.solve(d, r)
 
-    analysis_form = dict(passivity_problem(plant, gain, dist, eta).constraints)["dissipation"]
     t = np.eye(split)  # diag(X, I)
-    t[:plant.n, :plant.n] = x
+    t[:n, :n] = x
     m_mapped = t @ analysis_form.assemble({"P": np.linalg.inv(x)}) @ t
 
     e_xy = sym_eigvals(schur)
@@ -206,22 +207,19 @@ def round_trip_verify(
 ) -> RoundTripReport:
     """Independent validation of a synthesized (X, Y) and its gain at eta.
 
+    Poses ``passivity_problem`` at the gain once, and every leg reads it:
     (a) re-certify passivity of the closed loop at the claimed eta with a
-    fresh LMI solve; (b) verify P = X^{-1} directly against the same
-    dissipation LMI; (c) second-moment radius < 1 by the oracle; (d) the
-    congruence identity between the synthesis and analysis block forms.
+    fresh solve, which ``analysis.passivity_lmi`` would skip, as here, when
+    rho >= 1; (b) verify P = X^{-1} directly against it; (c) second-moment
+    radius rho < 1 by the oracle; (d) the congruence identity between it
+    and the synthesis form at (X, Y) (:func:`congruence_residual`).
     """
-    fresh = passivity_lmi(plant, gain, dist, eta, margin, max_iters)
-    passivity_ok = bool(fresh.feasible)
-    direct = lmi.verify(passivity_problem(plant, gain, dist, eta, margin), {"P": np.linalg.inv(x)})
-
-    fam = closed_loop(plant, gain, 0, full_packet_schedule())
-    rho = sms_oracle(fam, dist).rho
-
-    rel, verdicts = congruence_residual(plant, dist, eta, x, y, gain)
+    problem = passivity_problem(plant, gain, dist, eta, margin)
+    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
+    rel, verdicts = congruence_residual(build_synthesis_lmi(plant, dist, eta, margin), problem, x, y)
     return RoundTripReport(
-        passivity_certified=passivity_ok,
-        direct_certified=direct.passed,
+        passivity_certified=bool(rho < 1.0 and lmi.solve(problem, max_iters).feasible),
+        direct_certified=lmi.verify(problem, {"P": np.linalg.inv(x)}).passed,
         rho=rho,
         rho_ok=rho < 1.0,
         congruence_rel_err=rel,
@@ -276,17 +274,14 @@ def synthesize(
             "no gain makes the loop second-moment stable",
         )
 
-    def build(e: float):
-        return build_synthesis_lmi(plant, dist, e, margin)
-
-    def finish(e: float, certificate: lmi.LmiCertificate) -> SynthesisResult:
+    def finish(certificate: lmi.LmiCertificate) -> SynthesisResult:
         x = certificate.assignment["X"]
         y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
         gain = recover_gain(x, y)
-        report = round_trip_verify(plant, dist, e, x, y, gain, margin, max_iters)
+        report = round_trip_verify(plant, dist, certificate.eta, x, y, gain, margin, max_iters)
         if not report.passed:
             raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
-        return SynthesisResult(x=x, y=y, gain=gain, eta=e, certificate=certificate,
+        return SynthesisResult(x=x, y=y, gain=gain, eta=certificate.eta, certificate=certificate,
                                verification=report, rho=report.rho)
 
-    return lmi.certify(build, eta, max_iters, finish)
+    return lmi.certify(lambda e: build_synthesis_lmi(plant, dist, e, margin), eta, max_iters, finish)

@@ -212,11 +212,21 @@ class TestPassivityLmi:
         dist = mode_distribution(lossless)
         cert = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4)
         assert cert.feasible
-        assert cert.rho < 1.0
         # hand-checkable witness: P = 1 assembles to diag(-0.75, -0.2)
         prob = passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4)
         form = dict(prob.constraints)["dissipation"].assemble({"P": np.array([[1.0]])})
         np.testing.assert_allclose(form, np.diag([-0.75, -0.2]), atol=1e-15)
+
+    def test_certificate_is_the_verified_one_with_its_level(self, scalar_passive_plant, lossless):
+        # the LmiCertificate that certify verified, eta included; a bare solve of
+        # the same problem finds the same point and leaves eta unset
+        dist = mode_distribution(lossless)
+        cert = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4)
+        assert isinstance(cert, lmi.LmiCertificate)
+        assert cert.eta == 0.4
+        bare = lmi.solve(passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4))
+        assert bare.eta is None
+        assert bare.assignment["P"].tobytes() == cert.assignment["P"].tobytes()
 
     def test_averaged_form_is_the_weighted_sum_of_ledger_forms(self):
         # passivity_problem and dissipation_identity_check share one builder:
@@ -313,7 +323,8 @@ class TestMaxDissipation:
 
         first = lmi.solve(build(0.0))
         assert first.iterations == 0  # P = 1 verifies at the start
-        eta, cert = lmi._maximize(build, first, ETA_TOL, 10, lambda e, c: (e, c))
+        cert = lmi._maximize(build, build(0.0), first, 10, lambda c: c)
+        eta = cert.eta
         assert cert.iterations == 10
         assert 0.0 < eta < 2.0 / 3.0 - ETA_TOL
         assert lmi.verify(build(eta), cert.assignment).passed
@@ -354,7 +365,7 @@ class TestDissipationIdentity:
         trace = sim.simulate(scalar_passive_plant, Gain.zero(1, 1), full_packet_schedule(),
                              lossless, sim.InputSignal.white_noise(1), 200, seed=9)
         res = dissipation_identity_check(scalar_passive_plant, Gain.zero(1, 1), dist,
-                                         cert.p, 0.4, trace)
+                                         cert.assignment["P"], 0.4, trace)
         assert res <= 1e-9
 
     def test_identity_holds_for_arbitrary_p(self):

@@ -99,6 +99,7 @@ class TestAnalyze:
         assert report["results"]["stability"]["status"] == "certified"
         assert report["results"]["passivity"]["status"] == "certified"
         assert report["results"]["passivity"]["eta"] == 0.1
+        assert report["results"]["passivity"]["rho"] < 1.0
 
     def test_unstable_open_loop_exits_two_with_rho(self, tmp_path):
         config = scenario()
@@ -220,6 +221,16 @@ class TestSynthesize:
                          "--margin", margin]) == 0
         synth = json.loads(out.read_text())["results"]["synthesis"]
         assert synth["eta"] >= bisected - lmi.ETA_TOL
+
+    def test_round_trip_poses_its_problems_at_the_configured_margin(self, tmp_path):
+        # D11 + D11' = 1e-8 meets the assumption at margin 1e-10 but not at the
+        # default 1e-8, at which the congruence leg once posed its problems
+        config = scenario(eta=0.0, solver={"margin": 1e-10, "budget": 300})
+        config["plant"].update(D11=[[5e-9]], B1=[[1e-6]], C1=[[1e-6]])
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out)]) == 0
+        assert cli.main(["report", str(out)]) == 0
 
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
         config = scenario(schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]})
@@ -428,6 +439,32 @@ class TestReport:
         assert cli.main(["report", str(bad)]) == 3
         assert "synthesis: stored dual certificate no longer verifies" in capsys.readouterr().err
 
+    # A loop whose D11 = 0.1 is too small for its C1 = 5 at any eta >= 0: a
+    # maximize refuses at phase I's eta = 0, and the report keeps that eta.
+    REFUSED_AT_ZERO = scenario(eta="maximize", gain=[[0.0]], plant={
+        "A": [[0.5]], "B1": [[1.0]], "B2": [[1.0]], "C1": [[5.0]], "D11": [[0.1]], "D12": [[0.0]]})
+
+    def test_refused_maximize_analysis_keeps_eta_zero_and_its_dual(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.REFUSED_AT_ZERO)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        pas = json.loads(out.read_text())["results"]["passivity"]
+        assert (pas["status"], pas["eta"]) == ("indeterminate", 0.0)
+        assert sorted(pas["dual"]) == ["P_pos_def", "dissipation"]
+        assert cli.main(["report", str(out)]) == 0
+        assert "certificates re-verified: stability, passivity dual" in capsys.readouterr().out
+
+    def test_refused_maximize_synthesis_keeps_eta_zero_and_its_dual(self, tmp_path, capsys):
+        config = with_field(self.REFUSED_AT_ZERO, "plant.B2", [[0.0]])
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out)]) == 2
+        synth = json.loads(out.read_text())["results"]["synthesis"]
+        assert (synth["status"], synth["eta"]) == ("indeterminate", 0.0)
+        assert sorted(synth["dual"]) == ["X_pos_def", "synthesis"]
+        assert cli.main(["report", str(out)]) == 0
+        assert "certificates re-verified: synthesis dual" in capsys.readouterr().out
+
     def test_dropped_periodic_p_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PERIODIC)
         out = tmp_path / "analyze.json"
@@ -553,6 +590,17 @@ class TestPipelineDeterminism:
             reports.append(strip_timing(json.loads(out.read_text())))
         assert reports[0] == reports[1]
 
+    def test_eta_flag_max_is_maximize(self, tmp_path):
+        cfg = write_config(tmp_path, scenario(gain=[[-0.9]]))
+        reports = []
+        for flag in ("max", "maximize"):
+            out = tmp_path / f"{flag}.json"
+            assert cli.main(["analyze", "--config", str(cfg), "--out", str(out),
+                             "--eta", flag]) == 0
+            reports.append(strip_timing(json.loads(out.read_text())))
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["eta"] == "maximize"
+
     def test_cli_overrides_flow_into_solver(self, tmp_path):
         cfg = write_config(tmp_path, scenario())
         out = tmp_path / "r.json"
@@ -591,6 +639,14 @@ BAD_INPUTS = [
     # integral, but no numpy array can be that long: refused before anything is allocated
     ("horizon-huge", "simulation.horizon", 1e300, [], "simulation.horizon"),
     ("trials-huge", "simulation.trials", 2**70, [], "simulation.trials"),
+    # fits the index, but a trial's (horizon + 1) x 2 float64 arrays would not
+    ("horizon-past-the-index", "simulation.horizon", 2**62, [], "simulation.horizon"),
+    ("horizon-past-the-array-size", "simulation.horizon", 2**60, [], "simulation.horizon"),
+    ("plant-entry-huge", "plant.A", [[1e200]], [],
+     "plant.A[0][0]: magnitude must be <= 1e+150, got 1e+200"),
+    ("gain-entry-huge", "gain", [[1e200]], [], "gain[0][0]: magnitude must be <= 1e+150"),
+    ("flag-gain-entry-huge", None, None, ["--gain", "[[1e200]]"],
+     "--gain[0][0]: magnitude must be <= 1e+150"),
     ("sim-seed-negative", "simulation.seed", -1, [], "simulation.seed"),
     ("x0-wrong-length", "simulation.x0", [0.0, 1.0], [], "simulation.x0"),
     ("x0-non-numeric", "simulation.x0", ["a"], [], "simulation.x0"),
@@ -632,6 +688,19 @@ def test_bad_input_exits_one_naming_its_location(tmp_path, capsys, case, field, 
     assert names in err
     assert "config-patched" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["plant.A", "plant.D11", "plant.B2", "gain"])
+def test_overflowing_entry_is_refused_before_any_numerics(tmp_path, field):
+    # products of such entries overflow float64: refused at parse, nothing warns
+    cfg = write_config(tmp_path, with_field(scenario(gain=[[-0.9]]), field, [[1e200]]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncspassive.cli", "analyze",
+         "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {cfg}.{field}[0][0]: magnitude must be <= 1e+150, got 1e+200\n"
 
 
 def test_module_entry_point_smoke(tmp_path):

@@ -343,10 +343,10 @@ def test_certify_is_the_hand_composed_solve_and_maximize(k):
         return passivity_problem(plant, result.gain, dist, eta)
 
     maximized = passivity_lmi(plant, result.gain, dist, "maximize")
-    eta, p = lmi._maximize(build, lmi.solve(build(0.0)), ETA_TOL, lmi.MAX_ITERS,
-                           lambda e, cert: (e, cert.assignment["P"]))
+    cert = lmi._maximize(build, build(0.0), lmi.solve(build(0.0)), lmi.MAX_ITERS, lambda c: c)
+    eta, p = cert.eta, cert.assignment["P"]
     assert eta > 0.0
-    assert (maximized.eta, maximized.p.tobytes()) == (eta, p.tobytes())
+    assert (maximized.eta, maximized.assignment["P"].tobytes()) == (eta, p.tobytes())
 
 
 class TestRoundTrip:
@@ -403,7 +403,8 @@ class TestRoundTrip:
             x = rng.standard_normal((2, 2))
             x = x @ x.T + 0.5 * np.eye(2)
             rel, verdict = congruence_residual(
-                plant, dist, 0.05, x, np.zeros((1, 2)), Gain.zero(1, 2))
+                build_synthesis_lmi(plant, dist, 0.05),
+                passivity_problem(plant, Gain.zero(1, 2), dist, 0.05), x, np.zeros((1, 2)))
             assert rel <= 1e-6
             assert verdict
 
@@ -432,10 +433,12 @@ class TestRoundTrip:
         dist = mode_distribution(LossModel(0.1, 0.25))
         gain = Gain([[-0.2, -0.5]])
         x = np.array([[2.0, 0.3], [0.3, 1.0]])
-        rel, _ = congruence_residual(plant, dist, 0.1, x, gain.K @ x, gain)
+        rel, _ = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
+                                     passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel <= CONGRUENCE_RTOL
         monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted)
-        rel, _ = congruence_residual(plant, dist, 0.1, x, gain.K @ x, gain)
+        rel, _ = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
+                                     passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel > CONGRUENCE_RTOL
 
     def test_zero_gain_feasibility_equivalence(self):
@@ -446,7 +449,7 @@ class TestRoundTrip:
         dist = mode_distribution(LossModel(0.0, 0.0))
         open_cert = passivity_lmi(passive, Gain.zero(1, 1), dist, 0.2)
         assert open_cert.feasible
-        x = np.linalg.inv(open_cert.p)
+        x = np.linalg.inv(open_cert.assignment["P"])
         prob = build_synthesis_lmi(passive, dist, 0.2)
         expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
         m = expr.assemble({"X": x, "Y": np.zeros((1, 1))})
