@@ -118,18 +118,13 @@ def _second_moment_operator(fam: ClosedLoopFamily, dist: ModeDistribution) -> np
     return op
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(lmi.LmiCertificate):
     """N-periodic positive definite P_k verifying the coupled Lyapunov LMIs."""
 
-    ps: tuple[np.ndarray, ...]
-    report: lmi.VerifyReport
-
-    feasible = True
-
     @property
-    def p(self) -> np.ndarray:
-        return self.ps[0]
+    def ps(self) -> tuple[np.ndarray, ...]:
+        """P0, ..., P{N-1}, in slot order."""
+        return tuple(self.assignment[f"P{k}"] for k in range(len(self.assignment)))
 
 
 def stability_problem(
@@ -212,14 +207,9 @@ def stability_lmi(
             nxt = vec_i + adjoint[k].T @ nxt
             ps[f"P{k}"] = _sym(nxt.reshape(n, n))
         try:
-            cert = lmi.LmiCertificate.build(prob, ps)
+            return StabilityCertificate.build(prob, ps)
         except VerificationFailed as exc:
             reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
-        else:
-            return StabilityCertificate(
-                ps=tuple(cert.assignment[f"P{k}"] for k in range(period)),
-                report=cert.report,
-            )
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N.
     z0 = _perron_vector(t.T, n)
     dual = None if z0 is None else _stability_dual(adjoint, z0)

@@ -298,13 +298,18 @@ def _mat(m) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _verify_report_dict(report: lmi.VerifyReport, margin: DefinitenessMargin) -> dict:
+def _certified(certificate: lmi.LmiCertificate, margin: DefinitenessMargin, **fields) -> dict:
+    """The report section of a certificate verified at ``margin``: status, ``fields``, verify."""
     return {
-        "margin_epsilon_rel": margin.epsilon_rel,
-        "constraints": [
-            {"name": c.name, "lambda_max": c.lambda_max, "threshold": c.threshold}
-            for c in report.checks
-        ],
+        "status": "certified",
+        **fields,
+        "verify": {
+            "margin_epsilon_rel": margin.epsilon_rel,
+            "constraints": [
+                {"name": c.name, "lambda_max": c.lambda_max, "threshold": c.threshold}
+                for c in certificate.report.checks
+            ],
+        },
     }
 
 
@@ -375,11 +380,7 @@ def cmd_analyze(config: ScenarioConfig) -> dict:
 
     stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, config.margin)
     if stab.feasible:
-        results["stability"] = {
-            "status": "certified",
-            "P": [_mat(p) for p in stab.ps],
-            "verify": _verify_report_dict(stab.report, config.margin),
-        }
+        results["stability"] = _certified(stab, config.margin, P=[_mat(p) for p in stab.ps])
     else:
         results["stability"] = {
             "status": "indeterminate",
@@ -392,13 +393,9 @@ def cmd_analyze(config: ScenarioConfig) -> dict:
             raise ConfigError("passivity analysis requires the full-packet schedule")
         pas = analysis.passivity_lmi(config.plant, gain, dist, config.eta, config.margin, config.budget)
         if pas.feasible:
-            results["passivity"] = {
-                "status": "certified",
-                "eta": pas.eta,
-                "P": _mat(pas.assignment["P"]),
-                "rho": sms.rho,  # the full-packet loop's, which passivity requires
-                "verify": _verify_report_dict(pas.report, config.margin),
-            }
+            # rho is the full-packet loop's, which passivity requires
+            results["passivity"] = _certified(pas, config.margin, eta=pas.eta,
+                                              P=_mat(pas.assignment["P"]), rho=sms.rho)
         else:
             results["passivity"] = _refusal(pas, config.eta)
     return results
@@ -411,24 +408,16 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
     result = synthesis.synthesize(config.plant, config.loss, eta, config.margin, config.budget)
     if not result.feasible:
         return {"synthesis": _refusal(result, eta)}
-    return {
-        "synthesis": {
-            "status": "certified",
-            "eta": result.eta,
-            "K": _mat(result.gain.K),
-            "X": _mat(result.x),
-            "Y": _mat(result.y),
-            "rho": result.rho,
-            "verify": _verify_report_dict(result.certificate.report, config.margin),
-            "round_trip": {
-                "passivity_certified": result.verification.passivity_certified,
-                "direct_certified": result.verification.direct_certified,
-                "rho_ok": result.verification.rho_ok,
-                "congruence_rel_err": result.verification.congruence_rel_err,
-                "verdicts_match": result.verification.verdicts_match,
-            },
-        }
-    }
+    trip = result.verification
+    return {"synthesis": _certified(
+        result.certificate, config.margin, eta=result.eta, K=_mat(result.gain.K),
+        X=_mat(result.x), Y=_mat(result.y), rho=result.rho, round_trip={
+            "passivity_certified": trip.passivity_certified,
+            "direct_certified": trip.direct_certified,
+            "rho_ok": trip.rho_ok,
+            "congruence_rel_err": trip.congruence_rel_err,
+            "verdicts_match": trip.verdicts_match,
+        })}
 
 
 def _gain_from_spec(spec: str, plant: Plant) -> Gain:
@@ -484,18 +473,8 @@ def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_t
     )
     results = {
         "gain": _mat(gain.K),
-        "ensemble": {
-            "trials": stats.trials,
-            "horizon": stats.horizon,
-            "base_seed": stats.base_seed,
-            "eta": stats.eta,
-            "dissipation_mean": stats.dissipation_mean,
-            "dissipation_se": stats.dissipation_se,
-            "terminal_fraction": stats.terminal_fraction,
-            "terminal_threshold": stats.terminal_threshold,
-            "mode_counts": stats.mode_counts.tolist(),
-            "mean_sq_norm": stats.mean_sq_norm.tolist(),
-        },
+        "ensemble": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                     for key, value in vars(stats).items()},
     }
     try:
         beta, alpha = sim.decay_fit(stats)
@@ -698,7 +677,6 @@ def _parser() -> _Parser:
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default="ncspassive-report.json", help="report output path")
         p.add_argument("--eta", help='override config eta (number or "max")')
-        p.add_argument("--seed", help="override solver seed (checked, then ignored)")
         p.add_argument("--margin", help="override margin epsilon")
         p.add_argument("--budget", help="override solver iteration budget")
 
@@ -758,7 +736,7 @@ def _flag_value(text: str):
 
 
 def _apply_overrides(args) -> ScenarioConfig:
-    """The config file with --eta/--seed/--margin/--budget merged in.
+    """The config file with --eta/--margin/--budget merged in.
 
     Each flag is checked against its config field's bounds, so an error
     names the flag; the merged config is then parsed again, in memory.
@@ -772,7 +750,7 @@ def _apply_overrides(args) -> ScenarioConfig:
             data["eta"] = _number(_flag_value(args.eta), "--eta", minimum=0.0)
     solver = {
         key: _number(_flag_value(getattr(args, key)), f"--{key}", **_SOLVER_FIELDS[key][1])
-        for key in ("seed", "margin", "budget")
+        for key in ("margin", "budget")
         if getattr(args, key) is not None
     }
     if solver:

@@ -35,6 +35,7 @@ passed it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -575,7 +576,8 @@ def _log_det(chols: list) -> float:
     return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
 
 
-def _newton(barrier: _Barrier, sign: float, tau0, visit, threshold=lambda inverses: CENTERED):
+def _newton(barrier: _Barrier, sign: float, tau0, visit, max_iters: int,
+            threshold=lambda inverses: CENTERED):
     """Barrier method on sign s, s being the barrier's last coordinate.
 
     Takes Newton steps on tau sign s + phi(y) from y = 0, phi being the
@@ -583,9 +585,12 @@ def _newton(barrier: _Barrier, sign: float, tau0, visit, threshold=lambda invers
     ``tau0(inverses)`` and grows by TAU_GROWTH at each centered point: one
     where half the squared Newton decrement is at most
     ``threshold(inverses)``. Before each step, ``visit(step, y, slacks,
-    grad, inverses, tau, centered)`` may end the run by returning its
-    result. Returns None at once if rounding puts the start outside the
-    barrier's domain, as plant entries of 1e8 and up can.
+    grad, inverses, tau, centered, spent)`` may end the run by returning
+    its result; it must once ``spent``, which is None until ``max_iters``
+    steps are taken or the Newton decrement is no longer finite (badly
+    scaled data), and then says which. Returns None at once if rounding
+    puts the start outside the barrier's domain, as plant entries of 1e8
+    and up can.
     """
     objective = barrier.q[-1] if sign > 0 else -barrier.q[-1]  # d(sign s)/dy
     y = np.zeros(barrier.q.shape[1])
@@ -599,17 +604,18 @@ def _newton(barrier: _Barrier, sign: float, tau0, visit, threshold=lambda invers
         grad, hess, inverses = barrier.derivatives(y, slacks, chols)
         if tau is None:
             tau = tau0(inverses)
-        dy = _newton_direction(hess, grad + tau * objective)
-        decrement = float(-(grad + tau * objective) @ dy)
+        dy, decrement = _newton_step(hess, grad + tau * objective)
         centered = 0.5 * decrement <= threshold(inverses)
-        result = visit(step, y, slacks, grad, inverses, tau, centered)
+        spent = (f"within {step} Newton steps" if step == max_iters else
+                 None if math.isfinite(decrement) else
+                 f"after {step} Newton steps: the Newton decrement is not finite (badly scaled data)")
+        result = visit(step, y, slacks, grad, inverses, tau, centered, spent)
         if result is not None:
             return result
         step += 1
         if centered:
             tau *= TAU_GROWTH
-            dy = _newton_direction(hess, grad + tau * objective)
-            decrement = float(-(grad + tau * objective) @ dy)
+            dy, decrement = _newton_step(hess, grad + tau * objective)
         found = _line_search(barrier, y, dy, tau * objective, -decrement,
                              tau * (objective @ y) + value, np.sqrt(max(decrement, 0.0)))
         if found is None:
@@ -657,7 +663,7 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
         total = float(sum(z.trace() for z in inverses))
         return total, sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
 
-    def visit(step, y, slacks, grad, inverses, tau, centered):
+    def visit(step, y, slacks, grad, inverses, tau, centered, spent):
         if barrier.certifies(y, slacks, problem.margin):
             try:
                 return LmiCertificate.build(problem, barrier.assignment(y), iterations=step)
@@ -677,10 +683,9 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                     dual=dual,
                 )
         t = barrier.x(y)[-1]
-        if step == max_iters or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
-            reason = (f"within {step} Newton steps" if step == max_iters else
-                      f"after {step} Newton steps: t = {t:.6g} is within "
-                      f"{barrier.dim / tau:.1e} of its infimum")
+        if spent or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
+            reason = spent or (f"after {step} Newton steps: t = {t:.6g} is within "
+                               f"{barrier.dim / tau:.1e} of its infimum")
             return Indeterminate(
                 best_value=_worst(problem, barrier.assignment(y)),
                 iterations=step,
@@ -690,7 +695,7 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
 
     # tau0 centers the start in t; the multipliers may refute once centered
     # closely while their constant is >= 0
-    result = _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit,
+    result = _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit, max_iters,
                      lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
     if result is not None:
         return result
@@ -710,45 +715,54 @@ def certify(build, eta, max_iters: int, finish=lambda certificate: certificate):
     from its point to within ETA_TOL, so ``build``'s forms must be affine
     in eta. The :class:`LmiCertificate` that ``finish`` gets carries the
     level it verified at as ``eta``; without ``finish`` it is returned.
+    Should ``finish`` raise VerificationFailed at a fixed level's point,
+    phase II runs from it all the same, and the fixed level is finished at
+    its points instead: they lie deeper inside the feasible set.
     """
-    if eta != "maximize":
-        eta = float(eta)
-        result = solve(build(eta), max_iters)
-        return finish(replace(result, eta=eta)) if result.feasible else result
-    problem = build(0.0)
+    level = 0.0 if eta == "maximize" else float(eta)
+    problem = build(level)
     first = solve(problem, max_iters)
     if not first.feasible:
         return first
-    return _maximize(build, problem, replace(first, eta=0.0), max_iters, finish)
+    first = replace(first, eta=level)
+    if eta == "maximize":
+        return _maximize(build, problem, first, max_iters, finish)
+    try:
+        return finish(first)
+    except VerificationFailed:
+        return _maximize(build, problem, first, max_iters, finish, cap=level)
 
 
-def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int, finish):
+def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int, finish,
+              cap: float = np.inf):
     """``finish(certificate)`` at the largest s, to within ETA_TOL, at which ``build(s)`` certifies.
 
     ``build`` poses a problem whose forms are affine in s, ``problem`` is
-    ``build(0.0)`` and ``first``, its ``eta`` 0, certifies it (phase I).
-    Phase II is the barrier method of :func:`_newton` raising s from
-    ``first``'s point, on the barrier that holds the margin exactly
-    (:class:`_Barrier` with radii), until the central path's gap dim / tau
-    is at most ETA_TOL (Boyd & Vandenberghe, sec. 11.3) or ``max_iters``
-    steps are spent. s's basis matrices are assemble(problem) -
-    assemble(build(1)), so no second copy of any form appears. The margin
-    also keeps the points bounded where log det alone would grow without
-    limit (P of a memoryless loop): a constant diagonal entry of M_c
-    bounds lambda_max(M_c) below, and so ||M_c||_F above.
+    ``build(level)`` and ``first`` certifies it (phase I), ``level`` being
+    ``first.eta`` (0 when None). Phase II is the barrier method of
+    :func:`_newton` raising s from ``first``'s point, on the barrier that
+    holds the margin exactly (:class:`_Barrier` with radii), until the
+    central path's gap dim / tau is at most ETA_TOL (Boyd & Vandenberghe,
+    sec. 11.3) or ``max_iters`` steps are spent. s's basis matrices are
+    assemble(problem) - assemble(build(level + 1)), so no second copy of
+    any form appears. The margin also keeps the points bounded where log
+    det alone would grow without limit (P of a memoryless loop): a
+    constant diagonal entry of M_c bounds lambda_max(M_c) below, and so
+    ||M_c||_F above.
 
-    ``finish`` gets ``LmiCertificate.build`` on ``build(s)`` at the
-    iterate of largest s, its ``eta`` s and its ``iterations`` counting
-    the Newton steps of both phases. Should either raise
-    VerificationFailed, the iterates are tried from there down, each at
-    least ETA_TOL below the one tried before, until one passes; then the
-    last failing point is bisected to ETA_TOL in s down to the s that
-    passed (or 0), and the largest s that passes is kept. With none
-    passing, ``first`` is finished.
+    ``finish`` gets ``LmiCertificate.build`` on ``build(min(s, cap))`` at
+    the iterate of largest s, its ``eta`` that level and its
+    ``iterations`` counting the Newton steps of both phases. Should either
+    raise VerificationFailed, the iterates are tried from there down, each
+    at least ETA_TOL below the one tried before, until one passes; then
+    the last failing point is bisected to ETA_TOL in s down to the s that
+    passed (or ``level``), below ``cap``, and the largest s that passes is
+    kept. With none passing, ``first`` is finished.
     """
+    level = 0.0 if first.eta is None else first.eta
     zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
     slopes = [expr.assemble(zero) - grown.assemble(zero)
-              for (_, expr), (_, grown) in zip(problem.constraints, build(1.0).constraints)]
+              for (_, expr), (_, grown) in zip(problem.constraints, build(level + 1.0).constraints)]
     eps = problem.margin.epsilon_rel
     radii = []
     for _, expr in problem.constraints:
@@ -760,17 +774,18 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     barrier = _Barrier(problem, first.assignment, slopes, 0.0, radii)
     points = []
 
-    def visit(step, y, slacks, grad, inverses, tau, centered):
-        points.append((float(barrier.x(y)[-1]), step, y))
-        if step == max_iters or (centered and barrier.dim / tau <= ETA_TOL):
+    def visit(step, y, slacks, grad, inverses, tau, centered, spent):
+        points.append((level + float(barrier.x(y)[-1]), step, y))
+        if spent or (centered and barrier.dim / tau <= ETA_TOL):
             return step
         return None
 
     # from a central-path gap of 1 / TAU_GROWTH: a larger tau0 can pin a start
     # near the margin's edge there, where the Hessian is too ill-conditioned to leave
-    taken = _newton(barrier, -1.0, lambda inverses: TAU_GROWTH * barrier.dim, visit)
+    taken = _newton(barrier, -1.0, lambda inverses: TAU_GROWTH * barrier.dim, visit, max_iters)
 
     def attempt(s, y):
+        s = min(s, cap)
         try:
             certificate = LmiCertificate.build(build(s), barrier.assignment(y),
                                                iterations=first.iterations + taken)
@@ -780,14 +795,14 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
 
     failed, result = None, None  # the last iterate to fail; each at least ETA_TOL below the one before
     for s, _, y in sorted(points, reverse=True):
-        if s >= 0.0 and (failed is None or s <= failed[0] - ETA_TOL):
+        if s >= level and (failed is None or s <= failed[0] - ETA_TOL):
             result = attempt(s, y)
             if result is not None:
                 break
             failed = (s, y)
     if failed is not None:  # its point may pass between its own s and the s that did
-        low, (high, y) = s if result is not None else 0.0, failed
-        while high - low > ETA_TOL:
+        low, (high, y) = s if result is not None else level, failed
+        while min(high, cap) - low > ETA_TOL:
             mid = 0.5 * (low + high)
             found = attempt(mid, y)
             if found is None:
@@ -801,11 +816,14 @@ def _worst(problem: LmiProblem, assignment: dict) -> float:
     return verify(problem, assignment).worst().lambda_max
 
 
-def _newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_step(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Newton direction dy for gradient g, and its squared decrement -g'dy (inf or nan on overflow)."""
     try:
-        return np.linalg.solve(hess, -g)
+        dy = np.linalg.solve(hess, -g)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(hess, -g, rcond=None)[0]
+        dy = np.linalg.lstsq(hess, -g, rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return dy, float(-g @ dy)
 
 
 def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float,

@@ -60,7 +60,14 @@ def symmetrize(value, name: str = "matrix") -> np.ndarray:
 
 
 def fro_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
+    """||M||_F, rescaled by the largest |entry| only where the plain sum of squares overflows."""
+    m = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if norm == np.inf and np.isfinite(m).all():
+        scale = float(np.abs(m).max())
+        norm = scale * float(np.linalg.norm(m / scale))
+    return norm
 
 
 @dataclass(frozen=True)

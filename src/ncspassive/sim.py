@@ -76,14 +76,6 @@ class InputSignal:
     def white_noise(cls, dimension: int, sigma: float = 1.0) -> "InputSignal":
         return cls("white-noise", dimension, sigma=sigma)
 
-    @classmethod
-    def sinusoid(cls, dimension: int, amplitude: float = 1.0, period: int = 16) -> "InputSignal":
-        return cls("sinusoid", dimension, amplitude=amplitude, period=period)
-
-    @classmethod
-    def impulse(cls, dimension: int, magnitude: float = 1.0, step: int = 0) -> "InputSignal":
-        return cls("impulse", dimension, magnitude=magnitude, step=step)
-
     def block(self, horizon: int, rngs) -> np.ndarray:
         """Inputs of one trial per generator, shape (horizon, len(rngs), dimension).
 

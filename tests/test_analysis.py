@@ -11,7 +11,7 @@ from ncspassive.analysis import (
     stability_lmi,
     stability_problem,
 )
-from ncspassive.errors import AssumptionViolated
+from ncspassive.errors import AssumptionViolated, VerificationFailed
 from ncspassive.lmi import ETA_TOL, Indeterminate, verify_dual
 from ncspassive.model import (
     Gain,
@@ -75,7 +75,7 @@ class TestStabilityLmi:
         plant, gain, _, dist = scalar_family(0.5, 0.5, LossModel(0.0, 0.0))
         cert = stability_lmi(plant, gain, full_packet_schedule(), dist)
         assert cert.feasible
-        p = float(cert.p[0, 0])
+        p = float(cert.ps[0][0, 0])
         assert 0.25 * p - p < 0
 
     def test_lossy_mixture_certified_and_oracle_agrees(self):
@@ -181,6 +181,23 @@ class TestStabilityLmi:
         cert = stability_lmi(plant, Gain.zero(1, 2), sched, dist)
         assert cert.feasible
         assert len(cert.ps) == 3
+
+    def test_stability_certificate_is_the_lmi_certificate_it_verified(self):
+        plant = Plant(A=[[0.0, 0.9], [-0.3, 0.2]], B1=[[1.0], [0.0]], B2=[[0.0], [1.0]],
+                      C1=[[1.0, 0.0]], D11=[[1.0]], D12=[[0.0]])
+        sched = Schedule(period=3, s1=(1, 0, 2), s2=(0, 1, 0))
+        dist = mode_distribution(LossModel(0.1, 0.2))
+        gain = Gain.zero(1, 2)
+        cert = stability_lmi(plant, gain, sched, dist)
+        assert isinstance(cert, analysis.StabilityCertificate)
+        assert isinstance(cert, lmi.LmiCertificate)
+        assert [p.tobytes() for p in cert.ps] == [
+            cert.assignment[f"P{k}"].tobytes() for k in range(3)]
+        prob = stability_problem(plant, gain, sched, dist)
+        assert lmi.verify(prob, cert.assignment).passed
+        # P1 = 0 leaves lyapunov_k1 at sum_m a_m A' P2 A >= 0 and P1_pos_def at 0
+        with pytest.raises(VerificationFailed):
+            analysis.StabilityCertificate.build(prob, {**cert.assignment, "P1": np.zeros((2, 2))})
 
     def test_oracle_agreement_random_population(self):
         rng = np.random.default_rng(23)

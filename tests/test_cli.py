@@ -605,9 +605,8 @@ class TestPipelineDeterminism:
         cfg = write_config(tmp_path, scenario())
         out = tmp_path / "r.json"
         assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out),
-                         "--seed", "5", "--budget", "200", "--eta", "0.05"]) == 0
+                         "--budget", "200", "--eta", "0.05"]) == 0
         report = json.loads(out.read_text())
-        assert report["config"]["solver"]["seed"] == 5
         assert report["config"]["solver"]["budget"] == 200
         assert report["config"]["eta"] == 0.05
         assert report["results"]["synthesis"]["eta"] == 0.05
@@ -658,8 +657,6 @@ BAD_INPUTS = [
      [], "schedule.s2"),
     ("flag-eta-text", None, None, ["--eta", "abc"], "--eta"),
     ("flag-eta-negative", None, None, ["--eta", "-1"], "--eta"),
-    ("flag-seed-negative", None, None, ["--seed", "-4"], "--seed"),
-    ("flag-seed-text", None, None, ["--seed", "abc"], "--seed"),
     ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
     ("flag-margin-text", None, None, ["--margin", "abc"], "--margin"),
     ("flag-budget-fraction", None, None, ["--budget", "1.5"], "--budget"),
@@ -742,16 +739,39 @@ def test_diverging_simulation_writes_strict_json_quietly(tmp_path):
         "ensemble.dissipation_mean", "ensemble.dissipation_se", "ensemble.mean_sq_norm"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--config", "scenario.json", "--bogus"],
-    ["analyze"],
-    ["frobnicate"],
-], ids=["unknown-flag", "missing-config", "unknown-subcommand"])
-def test_usage_error_exits_one_with_argparse_message(capsys, argv):
+# (argv, what argparse's message must name)
+@pytest.mark.parametrize("argv,names", [
+    (["analyze", "--config", "scenario.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze"], "required: --config"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["synthesize", "--config", "scenario.json", "--seed", "5"],
+     "unrecognized arguments: --seed 5"),
+], ids=["unknown-flag", "missing-config", "unknown-subcommand", "removed-seed-flag"])
+def test_usage_error_exits_one_with_argparse_message(capsys, argv, names):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert names in err
+
+
+# Inputs whose arithmetic overflows float64 inside the numerics: each ends in
+# exit 2 or 3, not a traceback, and raises no numpy RuntimeWarning (an error
+# under pytest).
+@pytest.mark.parametrize("command,fields", [
+    # ||M||_F of the dissipation form overflows in np.linalg.norm (exit 2)
+    ("analyze", {"plant.B1": [[1e100]], "gain": [[-0.9]]}),
+    # the Newton decrement overflows (exit 3: the D11-dominated margin of ROADMAP item 1)
+    ("synthesize", {"plant.D11": [[1e10]], "eta": "maximize"}),
+], ids=["analyze-b1-1e100", "synthesize-d11-1e10"])
+def test_overflowing_numerics_end_in_an_exit_code(tmp_path, command, fields):
+    config = scenario()
+    for field, value in fields.items():
+        config = with_field(config, field, value)
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--config", str(write_config(tmp_path, config)),
+                     "--out", str(out)]) in (cli.EXIT_INDETERMINATE, cli.EXIT_VERIFY)
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

@@ -345,14 +345,14 @@ class TestCsvExport:
 
 class TestInputSignal:
     def test_sinusoid_is_deterministic_and_periodic(self):
-        sig = InputSignal.sinusoid(2, amplitude=1.5, period=8)
+        sig = InputSignal("sinusoid", 2, amplitude=1.5, period=8)
         block = sig.block(11, [np.random.default_rng(0)])[:, 0]
         np.testing.assert_allclose(block[0], [0.0, 0.0])
         np.testing.assert_allclose(block[2], [1.5, 1.5])
         np.testing.assert_allclose(block[10], block[2])
 
     def test_impulse_fires_once(self):
-        sig = InputSignal.impulse(1, magnitude=3.0, step=4)
+        sig = InputSignal("impulse", 1, magnitude=3.0, step=4)
         block = sig.block(6, [np.random.default_rng(0)])[:, 0]
         assert block[4][0] == 3.0
         assert block[5][0] == 0.0

@@ -320,6 +320,37 @@ def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel,
     assert result.eta >= bisected - ETA_TOL
 
 
+def margin_sweep_loop(k):
+    """Plant k of a 50-plant margin sweep: n = 1 + k % 4, A at spectral radius 0.9 to 1.1."""
+    rng = np.random.default_rng([77, k])
+    n = 1 + k % 4
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.9, 1.1) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
+                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
+    return plant, LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
+
+
+README_LOOP = Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+
+
+# Under large margins the phase-I point of a fixed eta can fail the round
+# trip's direct leg (P = X^-1 against the passivity form), which once ended
+# in VerificationFailed on each of these; phase II's points, deeper inside,
+# pass it at the same eta.
+@pytest.mark.parametrize("plant,loss,epsilon_rel,eta", [
+    *[(README_LOOP, LossModel(0.0, 0.2), margin, eta)
+      for margin in (0.05, 0.1) for eta in (0.0, 0.1)],
+    (*margin_sweep_loop(5), 1e-3, 0.0),
+    (*margin_sweep_loop(20), 0.05, 0.2),
+], ids=["readme-0.05-0", "readme-0.05-0.1", "readme-0.1-0", "readme-0.1-0.1",
+        "sweep5-0.001-0", "sweep20-0.05-0.2"])
+def test_fixed_eta_under_a_large_margin_passes_its_round_trip(plant, loss, epsilon_rel, eta):
+    result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
+    assert result.verification.passed, result.verification.summary()
+    assert result.eta == eta
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_certify_is_the_hand_composed_solve_and_maximize(k):
     # fixed eta: one solve and K = Y X^-1; maximize: a solve at eta = 0, then
