@@ -15,7 +15,8 @@ P_k - L_k(P_{k+1}) = I has a positive definite solution (Costa, Fragoso
 ``stability_lmi`` solves that linear equation and verifies the solution
 against the coupled Lyapunov LMIs. When it does not verify, the Perron
 eigenvector of the period's adjoint operator gives multipliers that
-``lmi.verify_dual`` checks as a proof that no P exists.
+``lmi.verify_dual`` checks as a proof that no P exists; they are offered
+only where the SMS oracle also finds rho >= 1.
 
 Strict passivity with dissipation eta is certified through the averaged
 dissipation form
@@ -95,11 +96,15 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
     families = [family] if isinstance(family, ClosedLoopFamily) else list(family)
     if not families:
         raise ValueError("need at least one closed-loop family")
-    n = families[0].a(0, 0).shape[0]
-    product = np.eye(n * n)
-    for fam in families:
-        product = _second_moment_operator(fam, dist) @ product
-    rho = spectral_radius(product) ** (1.0 / len(families))
+    return _sms_report([_second_moment_operator(fam, dist) for fam in families])
+
+
+def _sms_report(operators: list) -> SmsReport:
+    """:func:`sms_oracle` on the period's per-step operators, in slot order."""
+    product = np.eye(len(operators[0]))
+    for op in operators:
+        product = op @ product
+    rho = spectral_radius(product) ** (1.0 / len(operators))
     return SmsReport(rho=rho, stable=rho < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
 
 
@@ -179,7 +184,8 @@ def stability_lmi(
     Solves the coupled Lyapunov equation P_k - L_k(P_{k+1 mod N}) = I and
     returns a :class:`StabilityCertificate` when the solution verifies.
     Otherwise returns an Indeterminate whose ``dual`` holds multipliers
-    that passed ``lmi.verify_dual`` when rho >= 1 lets it build them.
+    that passed ``lmi.verify_dual``, offered only when :func:`sms_oracle`'s
+    rho on the same operators is >= 1.
     Never raises for a singular or ill-conditioned system.
     """
     period = schedule.period
@@ -210,10 +216,13 @@ def stability_lmi(
             return StabilityCertificate.build(prob, ps)
         except VerificationFailed as exc:
             reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
-    # The adjoint period operator is T'; its Perron eigenvalue is rho^N.
+    # The adjoint period operator is T'; its Perron eigenvalue is rho^N. The
+    # forms are homogeneous in P, so verify_dual's allowance alone can pass a
+    # dual of a stable loop in badly scaled coordinates: sms_oracle must agree.
     z0 = _perron_vector(t.T, n)
     dual = None if z0 is None else _stability_dual(adjoint, z0)
-    if dual is not None and lmi.verify_dual(prob, dual).passed:
+    if (dual is not None and lmi.verify_dual(prob, dual).passed
+            and _sms_report(adjoint).rho >= 1.0):
         return lmi.Indeterminate(
             message="refuted: the Perron multiplier of the period's second-moment "
             "operator proves that no P satisfies the coupled Lyapunov LMIs",

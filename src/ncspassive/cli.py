@@ -366,16 +366,18 @@ def _write_report(out_path, command: str, config: ScenarioConfig, results: dict,
 # commands
 
 
+def _sms(config: ScenarioConfig, gain: Gain, dist) -> analysis.SmsReport:
+    families = [closed_loop(config.plant, gain, k, config.schedule)
+                for k in range(config.schedule.period)]
+    return analysis.sms_oracle(families, dist)
+
+
 def cmd_analyze(config: ScenarioConfig) -> dict:
     gain = config.gain or Gain.zero(config.plant.m2, config.plant.n)
     dist = mode_distribution(config.loss)
     results: dict = {"gain": _mat(gain.K)}
 
-    families = [
-        closed_loop(config.plant, gain, k, config.schedule)
-        for k in range(config.schedule.period)
-    ]
-    sms = analysis.sms_oracle(families, dist)
+    sms = _sms(config, gain, dist)
     results["sms"] = {"rho": sms.rho, "stable": sms.stable, "borderline": sms.borderline}
 
     stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, config.margin)
@@ -539,6 +541,11 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
             "stability", stab,
             lambda: analysis.stability_problem(plant, gain, config.schedule, dist, margin),
             lambda: {f"P{k}": _matrix(p, f"results.stability.P[{k}]") for k, p in enumerate(ps)})
+        if "stability dual" in checked:  # a refutation needs the SMS oracle's rho >= 1 too
+            rho = _sms(config, gain, dist).rho
+            if not rho >= 1.0:
+                problems.append(
+                    f"stability: a stored dual refutes a loop whose rho = {rho:.6g} < 1")
     found, seen = _recheck(
         "passivity", pas,
         lambda: analysis.passivity_problem(

@@ -421,6 +421,10 @@ MIN_STEP = 1e-10
 STALL_GAP = 1e-11
 # Singular values below this share of the largest span no slack direction.
 RANK_RTOL = 1e-12
+# lambda_min(S_c) <= 1 / max diag(S_c^-1), so once t max diag(S_c^-1) reaches
+# 1, M_c = t I - S_c has lambda_max >= 0 and cannot certify; the extra 1%
+# allows for rounding in S_c^-1.
+SCREEN = 1.01
 
 
 class _Barrier:
@@ -658,13 +662,19 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                        max(c.lambda_max for c in report.checks) + 1.0)
     t_of = barrier.q[-1]  # dt/dy
 
+    last = [None, None]  # one step's inverses and their multipliers, computed once
+
     def multipliers(inverses):
         """Their total trace, and their constant at trace 1."""
-        total = float(sum(z.trace() for z in inverses))
-        return total, sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
+        if last[0] is not inverses:
+            total = float(sum(z.trace() for z in inverses))
+            constant = sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
+            last[:] = inverses, (total, constant)
+        return last[1]
 
     def visit(step, y, slacks, grad, inverses, tau, centered, spent):
-        if barrier.certifies(y, slacks, problem.margin):
+        t = barrier.x(y)[-1]
+        if not _ruled_out(t, inverses) and barrier.certifies(y, slacks, problem.margin):
             try:
                 return LmiCertificate.build(problem, barrier.assignment(y), iterations=step)
             except VerificationFailed:
@@ -682,7 +692,6 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                     "so no assignment is strictly feasible",
                     dual=dual,
                 )
-        t = barrier.x(y)[-1]
         if spent or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
             reason = spent or (f"after {step} Newton steps: t = {t:.6g} is within "
                                f"{barrier.dim / tau:.1e} of its infimum")
@@ -810,6 +819,11 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
             else:
                 low, result = mid, found
     return finish(first) if result is None else result
+
+
+def _ruled_out(t: float, inverses: list) -> bool:
+    """True when some M_c = t I - S_c cannot clear its margin: t max diag(S_c^-1) >= SCREEN."""
+    return any(t * float(z.diagonal().max()) >= SCREEN for z in inverses)
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:

@@ -8,16 +8,20 @@ can be read off directly.
 Trial t draws the stream of ``np.random.default_rng(base + t)``, so
 results do not depend on how trials are grouped: ``ensemble`` passes
 each trial's words from one batched SeedSequence hash to ``PCG64`` as
-an ``ISeedSequence``, and ``simulate`` calls ``default_rng``. Each trial
-first draws uniforms of shape (horizon, 2): a message arrives when its
-uniform clears the drop rate, column 0 giving theta1 and column 1 theta2.
-A white-noise input then draws ``sigma * standard_normal((horizon, m1))``;
-zero, sinusoid and impulse inputs draw nothing.
+an ``ISeedSequence``, and ``simulate`` takes ``default_rng``'s bit
+generator. A block reads each trial's first 2 horizon raw 64-bit words
+(``random_raw``) into one (trials, 2 horizon) array and turns them all
+at once into the doubles ``Generator.random`` would give,
+(word >> 11) * 2**-53: words 2k and 2k + 1 are step k's uniforms (the
+layout of ``random((horizon, 2))``), and a message arrives when its
+uniform clears the drop rate, the first giving theta1 and the second
+theta2. A white-noise input then wraps the same bit generator in a
+``Generator`` and draws ``sigma * standard_normal((horizon, m1))``;
+zero, sinusoid and impulse inputs draw nothing and build no Generator.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -76,16 +80,15 @@ class InputSignal:
     def white_noise(cls, dimension: int, sigma: float = 1.0) -> "InputSignal":
         return cls("white-noise", dimension, sigma=sigma)
 
-    def block(self, horizon: int, rngs) -> np.ndarray:
-        """Inputs of one trial per generator, shape (horizon, len(rngs), dimension).
+    def block(self, horizon: int, trials: int) -> np.ndarray:
+        """Inputs of a deterministic kind, shape (horizon, trials, dimension).
 
-        White noise draws ``sigma * standard_normal((horizon, dimension))``
-        from each trial's generator; the other kinds draw nothing and
-        give every trial the same rows.
+        Zero, sinusoid and impulse inputs draw nothing and give every trial
+        the same rows; white noise is drawn from each trial's stream by the
+        simulation itself.
         """
         if self.kind == "white-noise":
-            return self.sigma * np.stack(
-                [rng.standard_normal((horizon, self.dimension)) for rng in rngs], axis=1)
+            raise ValueError("white noise is drawn per trial, not as a block")
         k = np.arange(horizon)
         if self.kind == "sinusoid":
             column = self.amplitude * np.sin(2.0 * np.pi * k / self.period)
@@ -93,7 +96,7 @@ class InputSignal:
             column = np.where(k == self.step, self.magnitude, 0.0)
         else:
             column = np.zeros(horizon)
-        return np.tile(column[:, None, None], (1, len(rngs), self.dimension))
+        return np.tile(column[:, None, None], (1, trials, self.dimension))
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,20 @@ class SimTrace:
     sum_ww: float
 
 
-def _run_block(plant, gain, schedule, loss, signal, horizon, rngs, x0):
-    """Advance one trial per generator together, one (M, n) state array per step.
+def _uniforms(streams, horizon: int) -> np.ndarray:
+    """Each stream's first 2 horizon ``Generator.random`` doubles, time-major: (2 horizon, M).
+
+    numpy's PCG64 double is (raw word >> 11) * 2**-53, so one array
+    operation converts every trial's raw words at once.
+    """
+    raw = np.empty((len(streams), 2 * horizon), dtype=np.uint64)
+    for m, stream in enumerate(streams):
+        raw[m] = stream.random_raw(2 * horizon)
+    return ((raw >> 11) * 2.0 ** -53).T
+
+
+def _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0):
+    """Advance one trial per bit generator together, one (M, n) state array per step.
 
     The received measurement is theta1 * S1'S1 x and the applied actuation
     theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
@@ -139,22 +154,34 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, rngs, x0):
     k_in = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in
                      (selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])
 
-    n, trials = plant.n, len(rngs)
+    n, trials = plant.n, len(streams)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    u = np.stack([rng.random((horizon, 2)) for rng in rngs], axis=1)
-    w = signal.block(horizon, rngs)
-    theta1 = (u[..., 0] >= loss.alpha1).astype(np.int64)
-    theta2 = (u[..., 1] >= loss.alpha2).astype(np.int64)
+    u = _uniforms(streams, horizon)
+    # time-major and contiguous, as the step loop reads one row of ``on`` per step
+    theta1 = (u[0::2] >= loss.alpha1).astype(np.int64, order="C")
+    theta2 = (u[1::2] >= loss.alpha2).astype(np.int64, order="C")
     on = (theta1 & theta2).astype(bool)[..., None]
+    if signal.kind == "white-noise":
+        noise = np.empty((trials, horizon, plant.m1))
+        for m, stream in enumerate(streams):
+            np.random.Generator(stream).standard_normal(out=noise[m])
+        w = np.multiply(signal.sigma, noise.transpose(1, 0, 2),
+                        out=np.empty((horizon, trials, plant.m1)))
+    else:
+        w = signal.block(horizon, trials)
 
     slots = np.arange(horizon) % schedule.period
     xs = np.empty((horizon + 1, trials, n))
     xs[0] = x0
     wb = w @ plant.B1.T
+    a_off = plant.A.T
     # a diverging loop overflows to inf, then nan; its statistics say so, quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, s in enumerate(slots.tolist()):
-            xs[k + 1] = np.where(on[k], xs[k] @ a_on[s], xs[k] @ plant.A.T) + wb[k]
+        # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
+        for x_k, x_next, on_k, wb_k, s in zip(xs[:-1], xs[1:], on, wb, slots.tolist()):
+            np.matmul(x_k, a_off, out=x_next)
+            np.copyto(x_next, x_k @ a_on[s], where=on_k)
+            x_next += wb_k
 
         x = xs[:-1]
         z = np.where(on, x @ c_on[slots], x @ plant.C1.T) + w @ plant.D11.T
@@ -181,7 +208,7 @@ def simulate(
     zero-initial-state passivity experiments.
     """
     records = _run_block(plant, gain, schedule, loss, signal, horizon,
-                         [np.random.default_rng(seed)], x0)
+                         [np.random.default_rng(seed).bit_generator], x0)
     return _trace(records, 0, seed, schedule)
 
 
@@ -296,8 +323,8 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        rngs = [np.random.Generator(np.random.PCG64(_Words(w))) for w in _seed_words(seeds)]
-        records = _run_block(plant, gain, schedule, loss, signal, horizon, rngs, x0)
+        streams = [np.random.PCG64(_Words(w)) for w in _seed_words(seeds)]
+        records = _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
@@ -365,7 +392,8 @@ def trace_to_csv(trace: SimTrace, path) -> None:
         f"{name}{i}" for name, col in columns.items() for i in range(col.shape[1])]
     ints = np.column_stack([np.arange(trace.horizon), trace.slots, trace.theta1, trace.theta2])
     floats = np.hstack(list(columns.values())).tolist()
+    rows = [lead + vals for lead, vals in zip(ints.tolist(), floats)]
+    # the list's repr writes each float's repr and each int's str, as csv.writer would here
+    body = repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(lead + [repr(v) for v in vals] for lead, vals in zip(ints.tolist(), floats))
+        fh.write(",".join(header) + "\r\n" + (body + "\r\n" if rows else ""))

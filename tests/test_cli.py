@@ -89,6 +89,26 @@ C3_LOOP = scenario(
 )
 
 
+def scaling_sweep_config(k: int, c: float) -> dict:
+    """Loop k of the scaling sweep, in coordinates x = T x~, T = Q diag(logspace(0, log10 c, n))."""
+    rng = np.random.default_rng([77, k])
+    n = 2 + k % 3
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 0.95) / max(abs(np.linalg.eigvals(a)))
+    b1, b2 = 0.3 * rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+    c1 = 0.3 * rng.standard_normal((1, n))
+    gain = 0.1 * rng.standard_normal((1, n))
+    loss = {"alpha1": rng.uniform(0.0, 0.1), "alpha2": rng.uniform(0.05, 0.15)}
+    t = np.linalg.qr(rng.standard_normal((n, n)))[0] @ np.diag(np.logspace(0.0, np.log10(c), n))
+    ti = np.linalg.inv(t)
+    plant = {"A": ti @ a @ t, "B1": ti @ b1, "B2": ti @ b2, "C1": c1 @ t,
+             "D11": [[1.0]], "D12": [[0.0]]}
+    config = scenario(plant={key: np.asarray(value).tolist() for key, value in plant.items()},
+                      loss=loss, gain=(gain @ t).tolist())
+    config.pop("eta")
+    return config
+
+
 class TestAnalyze:
     def test_certified_scenario_exits_zero(self, tmp_path):
         config = scenario(gain=[[-0.9]])
@@ -379,6 +399,31 @@ class TestReport:
         assert len(json.loads(out.read_text())["results"]["stability"]["P"]) == 2
         assert cli.main(["report", str(out)]) == 0
         assert "certificates re-verified" in capsys.readouterr().out
+
+    def test_stable_loop_in_bad_units_is_not_refuted(self, tmp_path, capsys, monkeypatch):
+        # rho = 0.2954, yet the forms are homogeneous in P, so at c = 1e6 a Perron
+        # dual passes verify_dual within its allowance: sms_oracle must agree too
+        cfg = write_config(tmp_path, scaling_sweep_config(0, 1e6))
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        results = json.loads(out.read_text())["results"]
+        assert results["sms"]["rho"] == pytest.approx(0.2954, abs=1e-4)
+        assert results["stability"]["dual"] is None
+        assert not results["stability"]["reason"].startswith("refuted")
+        assert cli.main(["report", str(out)]) == 0
+        assert "stability dual" not in capsys.readouterr().out
+
+        # a report holding the dual that passes verify_dual is refused
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_sms_report",
+                          lambda ops: analysis.SmsReport(2.0, False, False))
+            old = tmp_path / "old.json"
+            assert cli.main(["analyze", "--config", str(cfg), "--out", str(old)]) == 2
+        assert json.loads(old.read_text())["results"]["stability"]["dual"] is not None
+        assert cli.main(["report", str(old)]) == 3
+        err = capsys.readouterr().err
+        assert "stability: a stored dual refutes a loop whose rho = 0.2954" in err
+        assert "no longer verifies" not in err and "digest" not in err
 
     def test_tampered_stability_dual_detected(self, tmp_path, capsys):
         config = scenario()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncspassive import lmi
 from ncspassive.errors import DimensionMismatch, UnboundVariable, VerificationFailed
 from ncspassive.lmi import (
     AffineExpr,
@@ -236,6 +237,50 @@ def random_feasible_problem(seed: int) -> LmiProblem:
         if expr.name.startswith("c"):
             assert sym_eigvals(expr.assemble(truth))[-1] <= -0.1 + 1e-9
     return prob
+
+
+class TestCertificationScreen:
+    """``_ruled_out`` skips ``certifies`` only where a slack's diagonal inverse proves it fails."""
+
+    def test_screen_rules_out_only_points_that_miss_the_margin(self):
+        rng = np.random.default_rng(16)
+        margin, fired = DefinitenessMargin(), 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s = q @ np.diag(10.0 ** rng.uniform(-6.0, 6.0, n)) @ q.T
+            s = 0.5 * (s + s.T)
+            li = np.linalg.inv(np.linalg.cholesky(s))
+            inverse = li.T @ li  # as the barrier forms S^-1
+            d = inverse.diagonal().max()
+            edge = rng.choice([sym_eigvals(s)[0], 1.0 / d, lmi.SCREEN / d])
+            t = float(edge * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.0)))
+            if lmi._ruled_out(t, [inverse]):
+                fired += 1
+                m = t * np.eye(n) - s
+                assert sym_eigvals(m)[-1] > margin.threshold(m)
+        assert fired > 500
+
+    def test_solver_never_screens_out_a_point_that_certifies(self, monkeypatch):
+        # every visited point is screened and certified both, as without the screen
+        screened, certifies, visits = lmi._ruled_out, lmi._Barrier.certifies, []
+
+        def screen(t, inverses):
+            visits.append([screened(t, inverses)])
+            return False
+
+        def certify(barrier, y, slacks, margin):
+            visits[-1].append(certifies(barrier, y, slacks, margin))
+            return visits[-1][-1]
+
+        monkeypatch.setattr(lmi, "_ruled_out", screen)
+        monkeypatch.setattr(lmi._Barrier, "certifies", certify)
+        for seed in range(40):
+            solve(random_feasible_problem(seed))
+        for a in (0.9, 0.999, 1.001, 1.5):
+            solve(scalar_lyapunov_problem(a))
+        assert [True, True] not in visits
+        assert [True, False] in visits and [False, True] in visits
 
 
 class TestCompleteness:

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,10 @@ from ncspassive.model import (
 from ncspassive.sim import (
     TRIAL_BLOCK,
     InputSignal,
+    SimTrace,
     _seed_words,
+    _uniforms,
+    _Words,
     decay_fit,
     ensemble,
     simulate,
@@ -230,6 +234,22 @@ class TestKernel:
         expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
         np.testing.assert_array_equal(_seed_words(seeds), expected)
 
+    def test_raw_word_uniforms_equal_generator_random(self):
+        # the seeds above, multi-word ones included; the normals then continue the stream
+        rng = np.random.default_rng(8)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200 + 77]
+        seeds += [int(s) for s in rng.integers(0, 2**63, 40)]
+        seeds += [int(s) << int(shift) for s, shift in
+                  zip(rng.integers(1, 2**63, 20), rng.integers(0, 300, 20))]
+        horizon = 7
+        streams = [np.random.PCG64(_Words(w)) for w in _seed_words(seeds)]
+        generators = [np.random.default_rng(s) for s in seeds]
+        expected = np.array([g.random((horizon, 2)).ravel() for g in generators]).T
+        np.testing.assert_array_equal(_uniforms(streams, horizon), expected)
+        for stream, g in zip(streams, generators):
+            np.testing.assert_array_equal(np.random.Generator(stream).standard_normal(3),
+                                          g.standard_normal(3))
+
     @pytest.mark.parametrize("base", [-1, -3])
     def test_negative_base_seed_is_refused(self, mixing_plant, base):
         with pytest.raises(ValueError):
@@ -263,6 +283,45 @@ class TestKernel:
         assert stats.dissipation_mean == pytest.approx(float(np.mean(d)), rel=1e-12)
         assert stats.dissipation_se == pytest.approx(
             float(np.std(d, ddof=1) / np.sqrt(trials)), rel=1e-12)
+
+    @pytest.mark.parametrize("signal, schedule, trials, base", [
+        (InputSignal.zero(1), SCHEDULES[0], TRIAL_BLOCK + 7, 40),
+        (InputSignal("sinusoid", 1, amplitude=0.8, period=3), SCHEDULES[1], 60, 2**32 - 30),
+    ], ids=["zero-block-boundary", "sinusoid-periodic-two-word-seeds"])
+    def test_deterministic_input_ensemble_draws_default_rng_streams(self, signal, schedule,
+                                                                    trials, base):
+        """Trial t's draws and statistics, hand-rolled from default_rng(base + t), no normals."""
+        loss, horizon, eta, x0 = LossModel(0.1, 0.2), 5, 0.1, np.array([1.0, -0.5])
+        gain = Gain([[-0.4, 0.3]])
+        stats = ensemble(TWO_STATE, gain, schedule, loss, signal, horizon, trials, base,
+                         x0=x0, eta=eta, terminal_threshold=0.5)
+        w = (np.zeros(horizon) if signal.kind == "zero" else
+             signal.amplitude * np.sin(2.0 * np.pi * np.arange(horizon) / signal.period))
+        p = TWO_STATE
+        counts, sq, d, hits = np.zeros((2, 2), dtype=np.int64), np.zeros(horizon + 1), [], 0
+        for t in range(trials):
+            u = np.random.default_rng(base + t).random((horizon, 2))
+            x, wz, ww = x0, 0.0, 0.0
+            sq[0] += x @ x
+            for step in range(horizon):
+                on1, on2 = int(u[step, 0] >= loss.alpha1), int(u[step, 1] >= loss.alpha2)
+                counts[on1, on2] += 1
+                s1, s2 = selector_matrices(schedule, step, p.p2, p.m2)
+                applied = on2 * (s2 @ s2.T @ gain.K @ (on1 * (s1.T @ s1 @ x)))
+                wk = np.array([w[step]])
+                z = p.C1 @ x + p.D11 @ wk + p.D12 @ applied
+                wz += float(wk @ z)
+                ww += float(wk @ wk)
+                x = p.A @ x + p.B1 @ wk + p.B2 @ applied
+                sq[step + 1] += x @ x
+            hits += np.linalg.norm(x) < 0.5
+            d.append(wz - eta * ww)
+        np.testing.assert_array_equal(stats.mode_counts, counts)
+        np.testing.assert_allclose(stats.mean_sq_norm, sq / trials, rtol=1e-12, atol=0)
+        assert stats.terminal_fraction == hits / trials
+        assert stats.dissipation_mean == pytest.approx(float(np.mean(d)), rel=1e-12, abs=1e-15)
+        assert stats.dissipation_se == pytest.approx(
+            float(np.std(d, ddof=1) / np.sqrt(trials)), rel=1e-12, abs=1e-15)
 
     def test_memory_does_not_grow_with_trials(self, mixing_plant):
         def peak(trials):
@@ -342,21 +401,57 @@ class TestCsvExport:
             trace_to_csv(trace, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @staticmethod
+    def csv_writer_reference(trace, path):
+        """The export as csv.writer writes it: each float by repr, each int by str."""
+        columns = [trace.x[: trace.horizon], trace.w, trace.z, trace.v]
+        header = ["k", "slot", "theta1", "theta2"] + [
+            f"{name}{i}" for name, col in zip("xwzv", columns) for i in range(col.shape[1])]
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for k in range(trace.horizon):
+                writer.writerow([k, int(trace.slots[k]), int(trace.theta1[k]), int(trace.theta2[k])]
+                                + [repr(float(v)) for col in columns for v in col[k]])
+
+    @pytest.mark.parametrize("horizon", [0, 1, 6])
+    def test_bytes_equal_a_csv_writer_reference(self, horizon, tmp_path):
+        rng = np.random.default_rng(horizon)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-310, 1.0 / 3.0, -2.5e300]
+
+        def block(rows, cols):
+            values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+            values.ravel()[: len(special)] = special[: values.size]
+            return values
+
+        schedule = Schedule(period=2, s1=(1, 0), s2=(0, 1))
+        theta = rng.integers(0, 2, (2, horizon))
+        trace = SimTrace(horizon, block(horizon + 1, 3), block(horizon, 2), block(horizon, 2),
+                         block(horizon, 1), theta[0], theta[1], np.arange(horizon) % 2, 5,
+                         schedule, 0.0, 0.0)
+        trace_to_csv(trace, tmp_path / "export.csv")
+        self.csv_writer_reference(trace, tmp_path / "reference.csv")
+        assert (tmp_path / "export.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 class TestInputSignal:
     def test_sinusoid_is_deterministic_and_periodic(self):
         sig = InputSignal("sinusoid", 2, amplitude=1.5, period=8)
-        block = sig.block(11, [np.random.default_rng(0)])[:, 0]
+        block = sig.block(11, 1)[:, 0]
         np.testing.assert_allclose(block[0], [0.0, 0.0])
         np.testing.assert_allclose(block[2], [1.5, 1.5])
         np.testing.assert_allclose(block[10], block[2])
 
     def test_impulse_fires_once(self):
         sig = InputSignal("impulse", 1, magnitude=3.0, step=4)
-        block = sig.block(6, [np.random.default_rng(0)])[:, 0]
+        block = sig.block(6, 1)[:, 0]
         assert block[4][0] == 3.0
         assert block[5][0] == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             InputSignal("triangle", 1)
+
+    def test_white_noise_has_no_shared_block(self):
+        with pytest.raises(ValueError):
+            InputSignal.white_noise(1).block(4, 2)
