@@ -30,6 +30,8 @@ probability). One builder, ``_dissipation_form``, writes it for any mode
 weights: ``passivity_problem`` uses the probabilities, and
 ``dissipation_identity_check`` the realized mode at weight 1, where the
 form equals the per-step dissipation defect along a simulated path.
+Its top-left block comes from ``_lyapunov_block``, which also writes
+each coupled Lyapunov form.
 The form is affine in eta, so ``passivity_lmi(..., "maximize")`` finds
 the largest certifiable eta in one barrier run (``lmi.certify``).
 """
@@ -54,7 +56,7 @@ from .model import (
 from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
-    is_pos_definite,
+    is_neg_definite,
     kron,
     spectral_radius,
     sym_eigvals,
@@ -158,18 +160,22 @@ def _lyapunov_problem(
     prob = lmi.LmiProblem(margin=margin)
     for k in range(period):
         prob.add_symmetric(f"P{k}", n, positive_definite=True)
-    eye = np.eye(n)
     for k, fam in enumerate(families):
         expr = lmi.AffineExpr([n], name=f"lyapunov_k{k}")
-        nxt = f"P{(k + 1) % period}"
-        for (i, j), p in dist.items():
-            if p == 0.0:
-                continue
-            a = fam.a(i, j)
-            expr.add_term(0, 0, a.T, nxt, a, weight=p)
-        expr.add_term(0, 0, -eye, f"P{k}", eye)
+        _lyapunov_block(expr, fam, dist.items(), f"P{(k + 1) % period}", f"P{k}")
         prob.add_constraint(expr)
     return prob
+
+
+def _lyapunov_block(expr: lmi.AffineExpr, fam: ClosedLoopFamily, weights, nxt, now) -> None:
+    """Add sum_m w_m A_m' nxt A_m - now at block (0, 0), over (mode, w_m) pairs with w_m != 0."""
+    for (i, j), p in weights:
+        if p == 0.0:
+            continue
+        a = fam.a(i, j)
+        expr.add_term(0, 0, a.T, nxt, a, weight=p)
+    eye = np.eye(fam.a(0, 0).shape[0])
+    expr.add_term(0, 0, -eye, now, eye)
 
 
 def stability_lmi(
@@ -285,7 +291,7 @@ def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
 def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) -> None:
     """Raise AssumptionViolated unless D11 + D11' > 0 (margin-strict)."""
     d = plant.D11 + plant.D11.T
-    if not is_pos_definite(d, margin):
+    if not is_neg_definite(-d, margin):
         raise AssumptionViolated(
             "passivity analysis requires D11 + D11' > 0; "
             f"min eigenvalue is {float(sym_eigvals(d)[0]):.3e}"
@@ -324,15 +330,13 @@ def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineE
     n, m1 = fam.b.shape
     b, d = fam.b, fam.d
     expr = lmi.AffineExpr([n, m1], name="dissipation")
+    _lyapunov_block(expr, fam, weights, "P", "P")
     c = np.zeros_like(fam.c(0, 0))
     for (i, j), p in weights:
         if p == 0.0:
             continue
-        a = fam.a(i, j)
-        expr.add_term(0, 0, a.T, "P", a, weight=p)
-        expr.add_term(0, 1, a.T, "P", b, weight=p)
+        expr.add_term(0, 1, fam.a(i, j).T, "P", b, weight=p)
         c = c + p * fam.c(i, j)
-    expr.add_term(0, 0, -np.eye(n), "P", np.eye(n))
     expr.add_term(1, 1, b.T, "P", b)
     expr.add_const(0, 1, -c.T)
     expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - d.T - d)

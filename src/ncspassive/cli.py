@@ -148,6 +148,16 @@ def _matrix(value, where: str, magnitude=None) -> list:
     return value
 
 
+def _gain(value, where: str, plant: Plant) -> Gain:
+    """A gain matrix of the plant's m2 x n shape, else ConfigError naming ``where``."""
+    gain = Gain(_matrix(value, where, ENTRY_BOUND))
+    if gain.K.shape != (plant.m2, plant.n):
+        raise ConfigError(
+            f"{where}: must be {plant.m2}x{plant.n}, got {gain.K.shape[0]}x{gain.K.shape[1]}"
+        )
+    return gain
+
+
 def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
@@ -209,13 +219,7 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
             raise ConfigError(f'{where}.eta: expected a number >= 0 or "maximize", got {eta!r}')
         eta = float(eta)
 
-    gain = None
-    if "gain" in data:
-        gain = Gain(_matrix(data["gain"], f"{where}.gain", ENTRY_BOUND))
-        if gain.K.shape != (plant.m2, plant.n):
-            raise ConfigError(
-                f"{where}.gain: must be {plant.m2}x{plant.n}, got {gain.K.shape[0]}x{gain.K.shape[1]}"
-            )
+    gain = _gain(data["gain"], f"{where}.gain", plant) if "gain" in data else None
 
     solver_spec = data.get("solver", {})
     if not isinstance(solver_spec, dict):
@@ -433,12 +437,7 @@ def _gain_from_spec(spec: str, plant: Plant) -> Gain:
             data = data["results"]["synthesis"]["K"]
         except (KeyError, TypeError):
             raise ConfigError(f"--gain: report {spec!r} carries no synthesized K") from None
-    gain = Gain(_matrix(data, "--gain", ENTRY_BOUND))
-    if gain.K.shape != (plant.m2, plant.n):
-        raise ConfigError(
-            f"--gain: must be {plant.m2}x{plant.n}, got {gain.K.shape[0]}x{gain.K.shape[1]}"
-        )
-    return gain
+    return _gain(data, "--gain", plant)
 
 
 def cmd_simulate(config: ScenarioConfig, out_path, gain_spec: str | None, dump_traces: bool) -> dict:

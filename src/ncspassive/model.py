@@ -64,7 +64,7 @@ class Plant:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), name))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
+            raise DimensionMismatch(f"A must be square, got {n}x{self.A.shape[1]}")
         checks = {
             "B1": (n, self.B1.shape[1]),
             "B2": (n, self.B2.shape[1]),
@@ -73,10 +73,9 @@ class Plant:
             "D12": (self.C1.shape[0], self.B2.shape[1]),
         }
         for name, shape in checks.items():
-            if getattr(self, name).shape != shape:
-                raise DimensionMismatch(
-                    f"{name} must be {shape[0]}x{shape[1]}, got {getattr(self, name).shape}"
-                )
+            got = getattr(self, name).shape
+            if got != shape:
+                raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {got[0]}x{got[1]}")
 
     @property
     def n(self) -> int:
@@ -182,9 +181,9 @@ class ModeDistribution:
             (theta1, theta2)
         ]
 
-    def items(self):
-        for mode in MODES:
-            yield mode, self.prob(*mode)
+    def items(self) -> tuple:
+        """((theta1, theta2), probability) pairs in MODES order."""
+        return tuple((mode, self.prob(*mode)) for mode in MODES)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Dense real-matrix kernels used by every other module.
 
 Symmetric eigensolves, margin-based definiteness tests, Kronecker
-products, spectral radii, and the two-block Schur complement test.
+products, spectral radii, and the two-block Schur complement and test.
 Everything is plain float64 numpy at desk scale (dims well below 100);
 there are no sparse or iterative paths.
 """
@@ -22,10 +22,9 @@ __all__ = [
     "fro_norm",
     "sym_eigvals",
     "is_neg_definite",
-    "is_pos_definite",
     "kron",
     "spectral_radius",
-    "schur_block",
+    "schur_complement",
     "schur_neg_def",
 ]
 
@@ -103,10 +102,6 @@ def is_neg_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     return bool(sym_eigvals(s)[-1] <= margin.threshold(s))
 
 
-def is_pos_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
-    return is_neg_definite(-as_matrix(m), margin)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, dims (ra*rb) x (ca*cb): ``np.kron``'s products, without its call cost."""
     a, b = as_matrix(a, "a"), as_matrix(b, "b")
@@ -124,8 +119,8 @@ def spectral_radius(m) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def schur_block(p, m, q) -> np.ndarray:
-    """Assemble the symmetric block matrix [[P, M], [M', Q]]."""
+def schur_complement(p, m, q) -> np.ndarray:
+    """P - M Q^{-1} M' of [[P, M], [M', Q]], P and Q symmetrized; LinAlgError if Q is singular."""
     p = symmetrize(p, "p")
     q = symmetrize(q, "q")
     m = as_matrix(m, "m")
@@ -133,7 +128,7 @@ def schur_block(p, m, q) -> np.ndarray:
         raise DimensionMismatch(
             f"off-diagonal block must be {p.shape[0]}x{q.shape[0]}, got {m.shape}"
         )
-    return np.block([[p, m], [m.T, q]])
+    return p - m @ np.linalg.solve(q, m.T)
 
 
 def schur_neg_def(p, m, q, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
@@ -143,18 +138,10 @@ def schur_neg_def(p, m, q, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     equivalent to [[P, M], [M', Q]] < 0. A Q that is singular without
     being negative definite yields False rather than an error.
     """
-    p = symmetrize(p, "p")
-    q = symmetrize(q, "q")
-    m = as_matrix(m, "m")
-    if m.shape != (p.shape[0], q.shape[0]):
-        raise DimensionMismatch(
-            f"off-diagonal block must be {p.shape[0]}x{q.shape[0]}, got {m.shape}"
-        )
-    if not is_neg_definite(q, margin):
-        return False
-    try:
-        x = np.linalg.solve(q, m.T)
-    except np.linalg.LinAlgError:
-        return False
-    complement = p - m @ x
-    return is_neg_definite(complement, margin)
+    # an overflowing complement is read only for a Q < 0, and is_neg_definite then refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            complement = schur_complement(p, m, q)
+        except np.linalg.LinAlgError:
+            return False
+    return is_neg_definite(q, margin) and is_neg_definite(complement, margin)

@@ -14,8 +14,10 @@ with the gain term only in the both-links-arrive row, because the
 closed-loop A of every other mode is the open loop; the whole row, B1
 column included, carries sqrt(a_m). The round trip's congruence leg
 Schur-complements the mode rows out again and compares the result with
-the passivity form at P = X^{-1}. Synthesis is restricted to the
-full-packet configuration, where K = Y X^{-1} is well-posed.
+the passivity form at P = X^{-1}; that complement is
+``numerics.schur_complement``, the one acceptance criterion 1 checks.
+Synthesis is restricted to the full-packet configuration, where
+K = Y X^{-1} is well-posed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .numerics import (
     DefinitenessMargin,
     is_neg_definite,
     kron,
+    schur_complement,
     spectral_radius,
     sym_eigvals,
 )
@@ -181,7 +184,7 @@ def congruence_residual(
     analysis_form = dict(passivity_problem.constraints)["dissipation"]
     n, split = len(x), analysis_form.dim
     top, r, d = m_xy[:split, :split], m_xy[split:, :split], m_xy[split:, split:]
-    schur = top - r.T @ np.linalg.solve(d, r)
+    schur = schur_complement(top, r.T, d)
 
     t = np.eye(split)  # diag(X, I)
     t[:n, :n] = x

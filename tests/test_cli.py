@@ -510,6 +510,32 @@ class TestReport:
         assert cli.main(["report", str(out)]) == 0
         assert "certificates re-verified: synthesis dual" in capsys.readouterr().out
 
+    def test_tampered_synthesized_gain_detected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario())
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def scale_k(results):
+            results["synthesis"]["K"] = [[1.1 * v for v in row] for row in results["synthesis"]["K"]]
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", scale_k)
+        capsys.readouterr()
+        assert cli.main(["report", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "synthesis: stored K is not Y X^{-1} of the stored transform" in err
+        assert "digest" not in err
+
+    def test_decay_fit_from_nonzero_x0_is_printed(self, tmp_path, capsys):
+        config = scenario(gain=[[-0.9]])
+        config["simulation"]["x0"] = [1.0]
+        out = tmp_path / "sim.json"
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["ensemble"]["decay_fit"] is not None
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        assert "decay fit alpha = " in capsys.readouterr().out
+
     def test_dropped_periodic_p_detected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, PERIODIC)
         out = tmp_path / "analyze.json"
@@ -716,6 +742,13 @@ BAD_INPUTS = [
      [], "schedule.s1"),
     ("loss-alpha1-bool", "loss.alpha1", True, [], "loss.alpha1"),
     ("loss-alpha1-text", "loss.alpha1", "0.5", [], "loss.alpha1"),
+    ("gain-wrong-shape", "gain", [[1.0, 2.0]], [], "json.gain: must be 1x1, got 1x2"),
+    ("flag-gain-wrong-shape", None, None, ["--gain", "[[1.0, 2.0]]"], "--gain: must be 1x1, got 1x2"),
+    ("plant-b1-rows", "plant.B1", [[1.0], [0.0]], [], "json.plant: B1 must be 1x1, got 2x1"),
+    ("schedule-both-scheduled", "schedule", {"period": 1, "s1": [1], "s2": [1]}, [],
+     "schedule: slot 0: sensor 1 and actuator 1 both scheduled"),
+    ("schedule-pattern-length", "schedule", {"period": 2, "s1": [1], "s2": [0, 1]}, [],
+     "schedule: switching patterns must have length 2, got 1 and 2"),
 ]
 
 
@@ -730,6 +763,13 @@ def test_bad_input_exits_one_naming_its_location(tmp_path, capsys, case, field, 
     assert names in err
     assert "config-patched" not in err
     assert not out.exists()
+
+
+def test_missing_config_file_exits_one_naming_the_path(tmp_path, capsys):
+    cfg = tmp_path / "absent.json"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("field", ["plant.A", "plant.D11", "plant.B2", "gain"])

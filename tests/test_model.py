@@ -161,6 +161,9 @@ class TestClosedLoop:
 
 
 def test_plant_dimension_checks():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^B1 must be 2x1, got 3x1$"):
         Plant(A=np.eye(2), B1=np.ones((3, 1)), B2=np.ones((2, 1)),
+              C1=np.ones((1, 2)), D11=[[1.0]], D12=[[0.0]])
+    with pytest.raises(DimensionMismatch, match="^A must be square, got 2x3$"):
+        Plant(A=np.ones((2, 3)), B1=np.ones((2, 1)), B2=np.ones((2, 1)),
               C1=np.ones((1, 2)), D11=[[1.0]], D12=[[0.0]])

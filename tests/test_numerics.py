@@ -5,9 +5,8 @@ from ncspassive.errors import DimensionMismatch, InvalidMatrix
 from ncspassive.numerics import (
     DefinitenessMargin,
     is_neg_definite,
-    is_pos_definite,
     kron,
-    schur_block,
+    schur_complement,
     schur_neg_def,
     spectral_radius,
     sym_eigvals,
@@ -52,8 +51,8 @@ class TestDefiniteness:
         assert not is_neg_definite(m, DefinitenessMargin(1e-8))
 
     def test_positive_definite_mirror(self):
-        assert is_pos_definite(np.eye(3))
-        assert not is_pos_definite(np.diag([1.0, 0.0]))
+        assert is_neg_definite(-np.eye(3))
+        assert not is_neg_definite(-np.diag([1.0, 0.0]))
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -117,6 +116,14 @@ class TestSchur:
         # complement = -1 - 2 * (-1)^{-1} * 2 = 3 > 0
         assert not schur_neg_def([[-1.0]], [[2.0]], [[-1.0]])
 
+    def test_complement_value(self):
+        # -1 - 2 * (-1)^{-1} * 2 = 3
+        np.testing.assert_array_equal(schur_complement([[-1.0]], [[2.0]], [[-1.0]]), [[3.0]])
+
+    def test_complement_of_singular_q_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            schur_complement(-np.eye(2), np.ones((2, 2)), np.zeros((2, 2)))
+
     def test_singular_q_is_false_not_error(self):
         assert not schur_neg_def(-np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
 
@@ -138,7 +145,7 @@ class TestSchur:
             q = rng.standard_normal((nq_dim, nq_dim))
             q = 0.5 * (q + q.T) - rng.random() * np.eye(nq_dim)
             m = rng.standard_normal((np_dim, nq_dim))
-            block = schur_block(p, m, q)
+            block = np.block([[p, m], [m.T, q]])
             lam = sym_eigvals(block)[-1]
             if abs(lam - margin.threshold(block)) < 1e-9:
                 continue
