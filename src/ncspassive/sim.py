@@ -6,18 +6,22 @@ plant. Traces carry the dissipation ledger sums so empirical passivity
 can be read off directly.
 
 Trial t draws the stream of ``np.random.default_rng(base + t)``, so
-results do not depend on how trials are grouped: ``ensemble`` passes
-each trial's words from one batched SeedSequence hash to ``PCG64`` as
-an ``ISeedSequence``, and ``simulate`` takes ``default_rng``'s bit
-generator. A block reads each trial's first 2 horizon raw 64-bit words
-(``random_raw``) into one (trials, 2 horizon) array and turns them all
-at once into the doubles ``Generator.random`` would give,
-(word >> 11) * 2**-53: words 2k and 2k + 1 are step k's uniforms (the
-layout of ``random((horizon, 2))``), and a message arrives when its
+results do not depend on how trials are grouped: ``ensemble`` hashes a
+block's seeds in one batched SeedSequence pass, and ``simulate`` takes
+``default_rng``'s bit generator. A block reads each trial's first
+2 horizon raw 64-bit words into one (2 horizon, trials) uint64 array
+and turns them all at once into the doubles ``Generator.random`` would
+give, (word >> 11) * 2**-53: words 2k and 2k + 1 are step k's uniforms
+(the layout of ``random((horizon, 2))``), and a message arrives when its
 uniform clears the drop rate, the first giving theta1 and the second
 theta2. A white-noise input then wraps the same bit generator in a
-``Generator`` and draws ``sigma * standard_normal((horizon, m1))``;
-zero, sinusoid and impulse inputs draw nothing and build no Generator.
+``Generator`` and draws ``sigma * standard_normal((horizon, m1))``.
+Zero, sinusoid and impulse inputs draw nothing more, so a block of them
+with a short horizon and enough trials computes its raw words directly
+from the hashed seed words as uint64 array arithmetic on PCG64's
+128-bit LCG (``_pcg64_raw``), building no bit generator at all; other
+blocks build one ``PCG64`` per trial and read its ``random_raw``. Both
+give the same words, so the streams do not depend on the path.
 """
 
 from __future__ import annotations
@@ -47,6 +51,18 @@ SIGNAL_KINDS = ("zero", "white-noise", "sinusoid", "impulse")
 # of its trials, so long horizons get fewer trials: at most _BLOCK_STEPS steps.
 TRIAL_BLOCK = 1024
 _BLOCK_STEPS = 1 << 20
+
+# A block whose input draws nothing computes its raw words in closed form when
+# its horizon is at most _CLOSED_FORM_STEPS and it has at least
+# _CLOSED_FORM_TRIALS trials. The closed form costs about 0.1 ms per block plus
+# work in proportion to trials x horizon; one PCG64 per trial costs about 2.5 us
+# plus a C loop that is cheaper per word. Timed on a 2-core x86 machine with
+# numpy 2.4, 1024-trial blocks cross over between horizons 24 and 32, and
+# horizon-6 and horizon-16 blocks between 32 and 64 trials; nearer horizon 24
+# the closed form's per-trial gain is too thin to repay its fixed cost in a
+# 64-trial block.
+_CLOSED_FORM_STEPS = 16
+_CLOSED_FORM_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -122,20 +138,25 @@ class SimTrace:
     sum_ww: float
 
 
-def _uniforms(streams, horizon: int) -> np.ndarray:
-    """Each stream's first 2 horizon ``Generator.random`` doubles, time-major: (2 horizon, M).
-
-    numpy's PCG64 double is (raw word >> 11) * 2**-53, so one array
-    operation converts every trial's raw words at once.
-    """
-    raw = np.empty((len(streams), 2 * horizon), dtype=np.uint64)
+def _raw_words(streams, count: int) -> np.ndarray:
+    """Each bit generator's next ``count`` raw words, time-major: (count, M)."""
+    raw = np.empty((len(streams), count), dtype=np.uint64)
     for m, stream in enumerate(streams):
-        raw[m] = stream.random_raw(2 * horizon)
-    return ((raw >> 11) * 2.0 ** -53).T
+        raw[m] = stream.random_raw(count)
+    return raw.T
 
 
-def _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0):
-    """Advance one trial per bit generator together, one (M, n) state array per step.
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The ``Generator.random`` doubles of PCG64 raw words: (word >> 11) * 2**-53."""
+    return (raw >> 11) * 2.0 ** -53
+
+
+def _run_block(plant, gain, schedule, loss, signal, horizon, u, streams, x0):
+    """Advance one trial per column of ``u`` together, one (M, n) state array per step.
+
+    ``u`` holds each trial's first 2 horizon uniforms, (2 horizon, M); a
+    white-noise input draws its normals from ``streams``, the trials' bit
+    generators, positioned after the raw words of those uniforms.
 
     The received measurement is theta1 * S1'S1 x and the applied actuation
     theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
@@ -146,6 +167,10 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0):
         raise DimensionMismatch(
             f"signal dimension {signal.dimension} != plant exogenous width {plant.m1}"
         )
+    n, trials = plant.n, u.shape[1]
+    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.size != n:
+        raise DimensionMismatch(f"x0 length {x0.size} != plant state dimension {n}")
     # slot 0 always, so the gain's shape is checked even for an empty horizon
     used = range(max(1, min(schedule.period, horizon)))
     fams = [closed_loop(plant, gain, s, schedule) for s in used]
@@ -154,9 +179,6 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0):
     k_in = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in
                      (selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])
 
-    n, trials = plant.n, len(streams)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    u = _uniforms(streams, horizon)
     # time-major and contiguous, as the step loop reads one row of ``on`` per step
     theta1 = (u[0::2] >= loss.alpha1).astype(np.int64, order="C")
     theta2 = (u[1::2] >= loss.alpha2).astype(np.int64, order="C")
@@ -172,7 +194,7 @@ def _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0):
 
     slots = np.arange(horizon) % schedule.period
     xs = np.empty((horizon + 1, trials, n))
-    xs[0] = x0
+    xs[0] = x0.reshape(n)
     wb = w @ plant.B1.T
     a_off = plant.A.T
     # a diverging loop overflows to inf, then nan; its statistics say so, quietly
@@ -207,8 +229,9 @@ def simulate(
     describes. The initial state defaults to zero, matching the
     zero-initial-state passivity experiments.
     """
+    streams = [np.random.default_rng(seed).bit_generator]
     records = _run_block(plant, gain, schedule, loss, signal, horizon,
-                         [np.random.default_rng(seed).bit_generator], x0)
+                         _uniforms(_raw_words(streams, 2 * horizon)), streams, x0)
     return _trace(records, 0, seed, schedule)
 
 
@@ -268,6 +291,88 @@ class _Words(ISeedSequence):
         return self.words
 
 
+# PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U32, _U58, _U63 = np.uint64(1), np.uint64(32), np.uint64(58), np.uint64(63)
+
+
+def _split128(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit Python ints as (high, low) uint64 columns."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64).reshape(-1, 1),
+            np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64).reshape(-1, 1))
+
+
+@functools.cache
+def _jumps(count: int) -> tuple[np.ndarray, ...]:
+    """State k = 1, ..., count after seeding as the affine map M_k s + G_k inc.
+
+    M_k = a**k and G_k = a**(k-1) + ... + 1 (mod 2**128) for the multiplier
+    a, returned as (high, low) uint64 columns of M and then of G.
+    """
+    powers, sums, m_k, g_k = [], [], 1, 0
+    for _ in range(count):
+        m_k, g_k = m_k * _PCG_MULT % (1 << 128), (g_k * _PCG_MULT + 1) % (1 << 128)
+        powers.append(m_k)
+        sums.append(g_k)
+    jumps = (*_split128(powers), *_split128(sums))
+    for column in jumps:
+        column.flags.writeable = False
+    return jumps
+
+
+def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(ah 2**64 + al)(bh 2**64 + bl) mod 2**128 as (high, low) uint64 arrays.
+
+    The high word of al bl comes from four 32-bit partial products (Hacker's
+    Delight's mulhu, whose partial sums stay below 2**64); the cross terms
+    only reach the high word, where uint64 wraps as it should.
+    """
+    a0, a1, b0, b1 = al & _LOW32, al >> _U32, bl & _LOW32, bl >> _U32
+    mid = a1 * b0 + ((a0 * b0) >> _U32)
+    mid2 = a0 * b1 + (mid & _LOW32)
+    high = a1 * b1 + (mid >> _U32) + (mid2 >> _U32) + ah * bl + al * bh
+    return high, al * bl
+
+
+def _add128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(ah 2**64 + al) + (bh 2**64 + bl) mod 2**128 as (high, low) uint64 arrays."""
+    low = al + bl
+    return ah + bh + (low < bl), low
+
+
+def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
+    """``PCG64(_Words(w)).random_raw(count)`` for each row w of ``words``, time-major (count, M).
+
+    Seeding sets inc = 2 initseq + 1 and the state (initstate + inc) a + inc,
+    from initstate = w0 2**64 + w1 and initseq = w2 2**64 + w3; word k is the
+    XSL-RR output of the k-th state after it, rotr64(high ^ low, high >> 58).
+    Every 128-bit value is a pair of uint64 arrays, so overflow wraps silently.
+    """
+    w = words.T
+    inc = (w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1
+    state = _add128(*_mul128(*_split128([_PCG_MULT]), *_add128(w[0], w[1], *inc)), *inc)
+    m_hi, m_lo, g_hi, g_lo = _jumps(count)
+    high, low = _add128(*_mul128(m_hi, m_lo, *state), *_mul128(g_hi, g_lo, *inc))
+    x, rot = high ^ low, high >> _U58
+    return (x >> rot) | (x << ((-rot) & _U63))
+
+
+def _draws(seeds, horizon: int, signal: InputSignal):
+    """The uniforms of ``seeds``' streams, (2 horizon, M), and their PCG64s if the input draws.
+
+    Only white noise reads the bit generators after the uniforms, so a block
+    of any other input with a short horizon and enough trials takes its raw
+    words in closed form and builds none.
+    """
+    words = _seed_words(seeds)
+    if (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
+            and len(words) >= _CLOSED_FORM_TRIALS):
+        return _uniforms(_pcg64_raw(words, 2 * horizon)), None
+    streams = [np.random.PCG64(_Words(w)) for w in words]
+    return _uniforms(_raw_words(streams, 2 * horizon)), streams
+
+
 def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
     """Trial ``m`` of a ``_run_block`` result as a SimTrace."""
     x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
@@ -323,8 +428,8 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        streams = [np.random.PCG64(_Words(w)) for w in _seed_words(seeds)]
-        records = _run_block(plant, gain, schedule, loss, signal, horizon, streams, x0)
+        u, streams = _draws(seeds, horizon, signal)
+        records = _run_block(plant, gain, schedule, loss, signal, horizon, u, streams, x0)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
@@ -342,7 +447,7 @@ def ensemble(
                        + delta * delta * done * d.size / (done + d.size))
             done += d.size
             mean += delta * (d.size / done)
-        del records, x, w, z, v, theta1, theta2  # free this block before the next is drawn
+        del records, u, x, w, z, v, theta1, theta2  # free this block before the next is drawn
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,

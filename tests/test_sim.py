@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ncspassive import sim
 from ncspassive.errors import DimensionMismatch, FitUnavailable
 from ncspassive.model import (
     Gain,
@@ -15,9 +17,12 @@ from ncspassive.model import (
     selector_matrices,
 )
 from ncspassive.sim import (
+    _CLOSED_FORM_STEPS,
     TRIAL_BLOCK,
     InputSignal,
     SimTrace,
+    _pcg64_raw,
+    _raw_words,
     _seed_words,
     _uniforms,
     _Words,
@@ -30,6 +35,16 @@ from ncspassive.sim import (
 TWO_STATE = Plant(A=[[0.9, 0.2], [-0.1, 0.7]], B1=[[1.0], [0.3]], B2=[[1.0], [0.5]],
                   C1=[[0.5, -0.2]], D11=[[1.0]], D12=[[0.4]])
 SCHEDULES = [full_packet_schedule(), Schedule(period=2, s1=(1, 0), s2=(0, 1))]
+
+
+def pinned_seeds() -> list[int]:
+    """Seeds of one to a dozen 32-bit words: zero, word edges, random 63-bit and shifted ones."""
+    rng = np.random.default_rng(8)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200 + 77]
+    seeds += [int(s) for s in rng.integers(0, 2**63, 40)]
+    seeds += [int(s) << int(shift) for s, shift in
+              zip(rng.integers(1, 2**63, 20), rng.integers(0, 300, 20))]
+    return seeds
 
 
 @pytest.fixture
@@ -82,6 +97,15 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch):
             simulate(mixing_plant, Gain.zero(1, 1), full_packet_schedule(),
                      LossModel(0.0, 0.0), InputSignal.zero(2), 10, seed=0)
+
+    @pytest.mark.parametrize("run", [
+        lambda *args: simulate(*args, seed=0, x0=[1.0, 2.0]),
+        lambda *args: ensemble(*args, trials=3, base_seed=0, x0=[1.0, 2.0]),
+    ], ids=["simulate", "ensemble"])
+    def test_initial_state_length_checked(self, mixing_plant, run):
+        with pytest.raises(DimensionMismatch, match="x0 length 2 != plant state dimension 1"):
+            run(mixing_plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),
+                InputSignal.zero(1), 10)
 
     def test_periodic_schedule_slots_recorded(self, mixing_plant):
         sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
@@ -226,29 +250,68 @@ class TestKernel:
         np.testing.assert_array_equal(trace.w, sigma * rng.standard_normal((horizon, 2)))
 
     def test_seed_words_equal_seed_sequence_state(self):
-        rng = np.random.default_rng(8)
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200 + 77]
-        seeds += [int(s) for s in rng.integers(0, 2**63, 40)]
-        seeds += [int(s) << int(shift) for s, shift in
-                  zip(rng.integers(1, 2**63, 20), rng.integers(0, 300, 20))]
+        seeds = pinned_seeds()
         expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
         np.testing.assert_array_equal(_seed_words(seeds), expected)
 
     def test_raw_word_uniforms_equal_generator_random(self):
-        # the seeds above, multi-word ones included; the normals then continue the stream
-        rng = np.random.default_rng(8)
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**200 + 77]
-        seeds += [int(s) for s in rng.integers(0, 2**63, 40)]
-        seeds += [int(s) << int(shift) for s, shift in
-                  zip(rng.integers(1, 2**63, 20), rng.integers(0, 300, 20))]
+        # multi-word seeds included; the normals then continue the stream
+        seeds = pinned_seeds()
         horizon = 7
         streams = [np.random.PCG64(_Words(w)) for w in _seed_words(seeds)]
         generators = [np.random.default_rng(s) for s in seeds]
         expected = np.array([g.random((horizon, 2)).ravel() for g in generators]).T
-        np.testing.assert_array_equal(_uniforms(streams, horizon), expected)
+        np.testing.assert_array_equal(_uniforms(_raw_words(streams, 2 * horizon)), expected)
         for stream, g in zip(streams, generators):
             np.testing.assert_array_equal(np.random.Generator(stream).standard_normal(3),
                                           g.standard_normal(3))
+
+    def test_closed_form_words_equal_pcg64_random_raw(self):
+        seeds = pinned_seeds()
+        words = _seed_words(seeds)
+        for count in range(2 * _CLOSED_FORM_STEPS + 3):
+            expected = np.empty((count, len(seeds)), dtype=np.uint64)
+            for m, (w, s) in enumerate(zip(words, seeds)):
+                expected[:, m] = np.random.PCG64(_Words(w)).random_raw(count)
+                np.testing.assert_array_equal(
+                    np.random.default_rng(s).bit_generator.random_raw(count), expected[:, m])
+            np.testing.assert_array_equal(_pcg64_raw(words, count), expected)
+
+    @pytest.mark.parametrize("horizon", [_CLOSED_FORM_STEPS, _CLOSED_FORM_STEPS + 1],
+                             ids=["closed-form", "above-crossover"])
+    def test_closed_form_ensemble_draws_default_rng_streams(self, monkeypatch, horizon):
+        """Both sides of the path rule: default_rng(base + t)'s draws, statistics bit for bit."""
+        args = (TWO_STATE, Gain([[-0.4, 0.3]]), SCHEDULES[1], LossModel(0.1, 0.2),
+                InputSignal("impulse", 1, magnitude=0.7, step=2), horizon)
+        trials, base = TRIAL_BLOCK + 1, 2**32 - 30
+        kwargs = dict(x0=[1.0, -0.5], eta=0.1, terminal_threshold=0.5)
+        closed_form_calls = []
+
+        def counted(words, count):
+            closed_form_calls.append(len(words))
+            return _pcg64_raw(words, count)
+
+        monkeypatch.setattr(sim, "_pcg64_raw", counted)
+        thetas = []
+        stats = ensemble(*args, trials, base, **kwargs,
+                         on_trace=lambda tr: thetas.append((tr.theta1, tr.theta2)))
+        # the full block takes the closed form below the crossover; the one-trial tail never does
+        assert closed_form_calls == ([TRIAL_BLOCK] if horizon <= _CLOSED_FORM_STEPS else [])
+        assert len(thetas) == trials
+        for t, (theta1, theta2) in enumerate(thetas):
+            u = np.random.default_rng(base + t).random((horizon, 2))
+            np.testing.assert_array_equal(theta1, u[:, 0] >= 0.1)
+            np.testing.assert_array_equal(theta2, u[:, 1] >= 0.2)
+
+        def hand_rolled(seeds, horizon, signal):
+            streams = [np.random.default_rng(s).bit_generator for s in seeds]
+            return _uniforms(_raw_words(streams, 2 * horizon)), streams
+
+        monkeypatch.setattr(sim, "_draws", hand_rolled)
+        reference = ensemble(*args, trials, base, **kwargs)
+        for field in dataclasses.fields(stats):
+            a, b = getattr(stats, field.name), getattr(reference, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     @pytest.mark.parametrize("base", [-1, -3])
     def test_negative_base_seed_is_refused(self, mixing_plant, base):
