@@ -16,6 +16,15 @@ multipliers pass ``verify_dual``; or an Indeterminate without a dual,
 once the Newton-step budget (``max_iters``, MAX_ITERS by default) runs
 out or t stops moving.
 
+At a point the barrier holds every constraint's slack as one diagonal
+block of a single block-diagonal matrix, as SDP codes do (Fujisawa,
+Kojima & Nakata, *Math. Programming* 79, 1997): one Cholesky, one
+inverse, one certification test and one screen serve all constraints,
+because at desk scale a step costs numpy calls, not flops. The Hessian's
+products and the basis's rank-revealing SVD stay per block, on compact
+coefficients, because at n = 10 flops do dominate and the off-diagonal
+blocks are zero.
+
 ``certify`` owns the choice between a fixed level and the largest one:
 for a problem family affine in a scalar s (a dissipation level eta), it
 solves at the given s, or solves at s = 0 and then raises s by Newton
@@ -108,14 +117,11 @@ class AffineExpr:
         if not self.block_dims or any(d < 1 for d in self.block_dims):
             raise ValueError(f"block dims must be positive, got {self.block_dims}")
         self.name = name
-        offsets = np.concatenate([[0], np.cumsum(self.block_dims)])
-        self._offsets = offsets
-        self.dim = int(offsets[-1])
+        ends = np.cumsum(self.block_dims).tolist()
+        self._slices = tuple(slice(end - d, end) for d, end in zip(self.block_dims, ends))
+        self.dim = ends[-1]
         self._consts: list[tuple[int, int, np.ndarray]] = []
         self._terms: list[_Term] = []
-
-    def _slice(self, block: int) -> slice:
-        return slice(int(self._offsets[block]), int(self._offsets[block + 1]))
 
     def _check_block(self, row: int, col: int, shape: tuple[int, int], what: str) -> None:
         nb = len(self.block_dims)
@@ -152,15 +158,26 @@ class AffineExpr:
         return {t.var for t in self._terms}
 
     def _place(self, out: np.ndarray, row: int, col: int, value: np.ndarray) -> None:
-        out[self._slice(row), self._slice(col)] += value
+        """Add value at block (row, col), and its transpose at (col, row), of out or of each matrix of a stack."""
+        rows, cols = self._slices[row], self._slices[col]
+        out[..., rows, cols] += value
         if row != col:
-            out[self._slice(col), self._slice(row)] += value.T
+            out[..., cols, rows] += value.swapaxes(-1, -2)
 
-    def assemble(self, assignment: dict) -> np.ndarray:
-        """Numeric symmetric matrix at the given variable assignment."""
+    def _constant(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
         for row, col, value in self._consts:
             self._place(out, row, col, value)
+        return out
+
+    def constant(self) -> np.ndarray:
+        """assemble with every variable at 0: the constant blocks alone."""
+        out = self._constant()
+        return 0.5 * (out + out.T)
+
+    def assemble(self, assignment: dict) -> np.ndarray:
+        """Numeric symmetric matrix at the given variable assignment."""
+        out = self._constant()
         for t in self._terms:
             if t.var not in assignment:
                 raise UnboundVariable(
@@ -170,6 +187,17 @@ class AffineExpr:
             value = t.weight * (t.left @ v @ t.right)
             self._place(out, t.row, t.col, value)
         return 0.5 * (out + out.T)
+
+    def linear(self, var: str, values: np.ndarray) -> np.ndarray:
+        """assemble(V) - assemble(0), ``var`` at V and every other variable at 0, for each V of a stack.
+
+        One batched product per term on ``var``: (len(values), dim, dim).
+        """
+        out = np.zeros((len(values), self.dim, self.dim))
+        for t in self._terms:
+            if t.var == var:
+                self._place(out, t.row, t.col, t.weight * (t.left @ values @ t.right))
+        return 0.5 * (out + out.swapaxes(1, 2))
 
     def grad(self, var: str, weight_matrix: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
         """Gradient of <W, assemble(.)> with respect to ``var``.
@@ -182,7 +210,7 @@ class AffineExpr:
         for t in self._terms:
             if t.var != var:
                 continue
-            wblock = weight_matrix[self._slice(t.row), self._slice(t.col)]
+            wblock = weight_matrix[self._slices[t.row], self._slices[t.col]]
             mult = (2.0 if t.row != t.col else 1.0) * t.weight
             g += mult * (t.left.T @ wblock @ t.right.T)
         return g
@@ -421,6 +449,10 @@ MIN_STEP = 1e-10
 STALL_GAP = 1e-11
 # Singular values below this share of the largest span no slack direction.
 RANK_RTOL = 1e-12
+# The basis skips its SVD when Gram - FULL_RANK tr(Gram) I has a Cholesky
+# factor: then sigma_min^2 >= (FULL_RANK - rounding, below 1e-11 at desk
+# scale) sigma_max^2, so no singular value is within RANK_RTOL of the largest.
+FULL_RANK = 1e-8
 # lambda_min(S_c) <= 1 / max diag(S_c^-1), so once t max diag(S_c^-1) reaches
 # 1, M_c = t I - S_c has lambda_max >= 0 and cannot certify; the extra 1%
 # allows for rounding in S_c^-1.
@@ -435,85 +467,126 @@ class _Barrier:
     per constraint when ``radii`` gives their start, and then a scalar s,
     from ``s0``, that moves slack c by ``last[c]`` per unit: with
     identities s is the t of ``solve`` (S_c = t I - M_c(v)). The basis
-    matrices A_{c,i} are read off ``AffineExpr.assemble`` at unit
-    assignments E, or at L E L' for a symmetric variable whose start
-    V0 = L L' is positive definite, so that V0's coordinates are those of
-    I: a phase-I X with eigenvalues from 1.5 to 4.7e6 (a random n = 5
-    synthesis) left the unit basis's Hessian too ill-conditioned (about
-    1e17) to center. Newton steps move x = x0 + Q y, where the columns of
-    Q span the directions that change some slack: moving along any other
-    leaves the barrier flat and its Hessian singular, unless it lowers t
-    (then the start moves along it). Row j of ``flats[c]`` is the change
-    of S_c, flattened, per unit of y_j.
+    matrices A_{c,i} come from ``AffineExpr.linear`` at unit assignments
+    E, one batched product per term, or at L E L' for a symmetric variable
+    whose start V0 = L L' is positive definite, so that V0's coordinates
+    are those of I: a phase-I X with eigenvalues from 1.5 to 4.7e6 (a
+    random n = 5 synthesis) left the unit basis's Hessian too
+    ill-conditioned (about 1e17) to center. Newton steps move x = x0 + Q
+    y, where the columns of Q span the directions that change some slack:
+    moving along any other leaves the barrier flat and its Hessian
+    singular, unless it lowers t (then the start moves along it). Q = I
+    when a Cholesky of the coefficients' Gram matrix shows full row rank,
+    and comes from their SVD otherwise.
+
+    The slacks are the diagonal blocks of one D x D block-diagonal slack
+    S, D the sum of the constraint dims, so a point takes one call for
+    each whole-S step: one Cholesky (log det from its diagonal), one
+    inverse for Z = S^-1 = L^-T L^-1, one Cholesky for ``certifies`` and
+    one screen. The coefficients stay compact: row j of ``flat`` holds
+    every block's change per unit of y_j, flattened block after block
+    (the sum of the squared dims, not D^2), and the Hessian's products
+    L_c^-1 F_{c,j} L_c^-T run per block on them, so an n = 10 synthesis,
+    whose Hessian (over 100 directions) dominates a step, does no flops on
+    the zero off-diagonal blocks. ``entries`` are a point's slacks in that
+    compact order.
 
     With ``radii`` the barrier holds the problem's margin exactly: slack c
     is S_c = -M_c - (e + r_c) I, e being epsilon_rel, and the cone term
-    -log(r_c^2 - e^2 ||M_c||_F^2), r_c > 0, joins -log det S_c. A point
-    is then inside exactly where every lambda_max(M_c) < -e (1 +
+    -log(r_c^2 - e^2 ||M_c||_F^2), r_c > 0, joins -log det S. A point is
+    then inside exactly where every lambda_max(M_c) < -e (1 +
     ||M_c||_F), which is the test ``verify`` applies.
     """
 
     def __init__(self, problem: LmiProblem, start: dict, last: list, s0: float,
                  radii: list | None = None):
-        self.layout = {}
-        units, v0 = [], []
+        self.layout, v0 = {}, []
         for name, var in problem.variables.items():
-            first = len(units)
-            v, left = start[name], np.eye(var.rows)
+            v = np.asarray(start[name], dtype=float)
             if var.kind == "symmetric":
+                i, j = np.array([(a, b) for a in range(var.rows) for b in range(a, var.rows)]).T
+                basis = np.zeros((len(i), var.rows, var.rows))
+                basis[np.arange(len(i)), i, j] = basis[np.arange(len(i)), j, i] = 1.0
                 try:
                     left = np.linalg.cholesky(v)  # v = left left', whose coordinates are I's
-                    v = np.eye(var.rows)
+                    basis, v = left @ basis @ left.T, np.eye(var.rows)
                 except np.linalg.LinAlgError:
                     pass
-            for i, j in (zip(*np.triu_indices(var.rows)) if var.kind == "symmetric"
-                         else np.ndindex(var.shape)):
-                u = np.zeros(var.shape)
-                u[i, j] = 1.0
-                if var.kind == "symmetric":
-                    u[j, i] = 1.0
-                    u = left @ u @ left.T
-                units.append((name, u))
-                v0.append(float(v[i, j]))
-            self.layout[name] = (slice(first, len(units)), np.stack([u for _, u in units[first:]]))
+                v0 += v[i, j].tolist()
+            else:
+                basis = np.eye(v.size).reshape(v.size, *var.shape)
+                v0 += v.ravel().tolist()
+            self.layout[name] = (slice(len(v0) - len(basis), len(v0)), basis)
+        variables = len(v0)
         radii = [] if radii is None else list(radii)
         self.x0 = np.array(v0 + radii + [s0])
         self.eps = problem.margin.epsilon_rel
 
-        zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
-        self.consts, coeffs = [], []
+        coeffs, consts = [], []
         for c, ((_, expr), last_c) in enumerate(zip(problem.constraints, last)):
-            const = expr.assemble(zero)
-            seen = expr.variables()
-            eye = np.eye(len(const))
-            rows = [const - expr.assemble({**zero, name: u}) if name in seen else np.zeros_like(const)
-                    for name, u in units]
-            rows += [-eye if j == c else np.zeros_like(const) for j in range(len(radii))]
+            const, eye = expr.constant(), np.eye(expr.dim)
+            rows = np.zeros((len(self.x0), expr.dim, expr.dim))
+            for name in expr.variables():
+                sl, basis = self.layout[name]
+                rows[sl] = -expr.linear(name, basis)
             if radii:
+                rows[variables + c] = -eye
                 const = const + self.eps * eye
-            self.consts.append(const)
-            coeffs.append(np.stack(rows + [last_c]))
-        flat = np.hstack([f.reshape(len(f), -1) for f in coeffs])
-        u, sv, _ = np.linalg.svd(flat, full_matrices=False)
-        self.q = u[:, sv > RANK_RTOL * sv[0]]
+            rows[-1] = last_c
+            coeffs.append(rows.reshape(len(rows), -1))
+            consts.append(const.ravel())
+        coeffs = np.hstack(coeffs)
+
+        dims = [expr.dim for _, expr in problem.constraints]
+        self.size = sum(dims)
+        self.dims = np.array(dims)
+        self.starts = np.cumsum(self.dims ** 2) - self.dims ** 2  # of each block's entries
+        self.blocks = [slice(end - d, end) for d, end in zip(dims, np.cumsum(dims).tolist())]
+        block_of = np.repeat(np.arange(len(dims)), dims)  # each row's block
+        # each entry's place in the flattened D x D slack, block after block
+        self.index = np.flatnonzero(block_of[:, None] == block_of)
+        self.eye = (self.index % (self.size + 1) == 0).astype(float)  # I's entries
+        # each entry's block, one-hot, and each block's I, a column per block
+        self.one_hot = (block_of[self.index // self.size, None] == np.arange(len(dims))).astype(float)
+        self.diagonal = self.one_hot * self.eye[:, None]
+
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix takes the SVD
+            gram = coeffs @ coeffs.T
+            gram -= FULL_RANK * np.trace(gram) * np.eye(len(gram))
+        if _positive_definite(gram):  # sigma_min^2 >= (FULL_RANK - rounding) sum sigma^2
+            self.q, self.flat = np.eye(len(gram)), coeffs
+        else:
+            u, sv, _ = np.linalg.svd(coeffs, full_matrices=False)
+            self.q = u[:, sv > RANK_RTOL * sv[0]]
+            self.flat = self.q.T @ coeffs
         # The part of the t axis outside range(Q) lowers t and keeps every
         # slack: when there is one, slide the start along it to t = 0.
         free = -self.q @ self.q[-1]
         free[-1] += 1.0
         if free[-1] > RANK_RTOL:
             self.x0 = self.x0 - (s0 / free[-1]) * free
-        self.flats = [self.q.T @ f.reshape(len(f), -1) for f in coeffs]
-        self.base = [self.x0 @ f.reshape(len(f), -1) - c.ravel()
-                     for f, c in zip(coeffs, self.consts)]
-        self.eyes = [np.eye(len(c)) for c in self.consts]
-        # per cone: r_c's index in x, dr_c/dy, the change of -M_c = S_c +
-        # (e + r_c) I per unit of y (flattened) and that change's Gram matrix
-        self.cones = []
-        for c, r in enumerate(range(len(v0), len(v0) + len(radii))):
-            m_of = self.flats[c] + np.outer(self.q[r], self.eyes[c].ravel())
-            self.cones.append((r, self.q[r], m_of, m_of @ m_of.T))
+        consts = np.concatenate(consts)
+        self.base = self.x0 @ coeffs - consts
+        self.consts = self._full(consts)
+        k = self.flat.shape[0]
+        # views of flat: block c's change per unit of y_j, (k, d_c, d_c)
+        self.block_flats = [self.flat[:, start:start + d * d].reshape(k, d, d)
+                            for start, d in zip(self.starts.tolist(), dims)]
+        # the cones: every r_c at y = 0, dr_c/dy (a row each), 2 e^2 times the
+        # change of -M_c = S_c + (e + r_c) I per unit of y (compact), and -2
+        # (dr_c/dy dr_c/dy' - e^2 times that change's Gram matrix), flattened, a
+        # column each
+        self.cones = bool(radii)
+        if radii:
+            self.r0 = self.x0[variables:variables + len(radii)]
+            self.dr = self.q[variables:variables + len(radii)]
+            dm = self.flat + self.dr.T @ self.diagonal.T
+            curvature = [(np.outer(h, h) - self.eps ** 2 * m @ m.T).ravel()
+                         for h, m in zip(self.dr, np.split(dm, self.starts[1:], axis=1))]
+            self.dm = 2.0 * self.eps ** 2 * dm
+            self.curvature = -2.0 * np.stack(curvature, axis=-1)
         # duality gap on the central path, times tau
-        self.dim = sum(len(c) for c in self.consts) + 2 * len(self.cones)
+        self.dim = self.size + 2 * len(radii)
 
     def x(self, y: np.ndarray) -> np.ndarray:
         return self.x0 + self.q @ y
@@ -522,74 +595,87 @@ class _Barrier:
         v = self.x(y)[:-1]
         return {name: np.tensordot(v[sl], basis, 1) for name, (sl, basis) in self.layout.items()}
 
-    def _cone(self, r: float, slack: np.ndarray, eye: np.ndarray):
-        """(r^2 - e^2 ||M||_F^2, -M flattened) for the slack S = -M - (e + r) I."""
-        m = (slack + (self.eps + r) * eye).ravel()
-        return r * r - self.eps ** 2 * float(m @ m), m
+    def _full(self, entries: np.ndarray) -> np.ndarray:
+        """The D x D block-diagonal matrix whose blocks hold ``entries``."""
+        out = np.zeros(self.size * self.size)
+        out[self.index] = entries
+        return out.reshape(self.size, self.size)
 
     def factor(self, y: np.ndarray):
-        """(slacks, their Cholesky factors, the barrier's value) at y, or None outside its domain."""
-        slacks = [(b + y @ f).reshape(e.shape) for b, f, e in zip(self.base, self.flats, self.eyes)]
+        """(point, the barrier's value) at y, or None outside its domain.
+
+        The point holds the slack's entries, its Cholesky factor and, with
+        radii, every r_c, r_c^2 - e^2 ||M_c||_F^2 and -M_c's entries.
+        """
+        entries = self.base + y @ self.flat
         try:
-            chols = [np.linalg.cholesky(s) for s in slacks]
+            chol = np.linalg.cholesky(self._full(entries))
         except np.linalg.LinAlgError:
             return None
-        value = -_log_det(chols)
-        for (i, h, _, _), s, eye in zip(self.cones, slacks, self.eyes):
-            r = self.x0[i] + h @ y
-            room = self._cone(r, s, eye)[0]
-            if r <= 0.0 or room <= 0.0:
+        value = -2.0 * float(np.log(chol.diagonal()).sum())
+        cones = None
+        if self.cones:
+            r = self.r0 + self.dr @ y
+            m = entries + self.diagonal @ (self.eps + r)
+            room = r * r - self.eps ** 2 * np.add.reduceat(m * m, self.starts)
+            if (r <= 0.0).any() or (room <= 0.0).any():
                 return None
-            value -= np.log(room)
-        return slacks, chols, value
+            value -= float(np.log(room).sum())
+            cones = r, room, m
+        return (entries, chol, cones), value
 
-    def certifies(self, y: np.ndarray, slacks: list, margin: DefinitenessMargin) -> bool:
-        """Every M_c = t I - S_c clears its margin threshold (a Cholesky test)."""
-        t = self.x(y)[-1]
-        for s, eye in zip(slacks, self.eyes):
-            m = t * eye - s
-            try:
-                np.linalg.cholesky(margin.threshold(m) * eye - m)
-            except np.linalg.LinAlgError:
-                return False
-        return True
+    def certifies(self, y: np.ndarray, point: tuple, margin: DefinitenessMargin) -> bool:
+        """Every M_c = t I - S_c clears its margin threshold: one Cholesky of diag(thresholds) - M."""
+        m = self.x(y)[-1] * self.eye - point[0]
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduceat(m * m, self.starts))
+        if not np.isfinite(norms).all():  # as fro_norm does, rescale where the squares overflow
+            norms = np.array([fro_norm(part) for part in np.split(m, self.starts[1:])])
+        thresholds = -margin.epsilon_rel * (1.0 + norms)  # margin.threshold of each M_c
+        return _positive_definite(self._full(self.diagonal @ thresholds - m))
 
-    def derivatives(self, y: np.ndarray, slacks: list, chols: list):
-        """Gradient and Hessian in y of the barrier, and every S_c^{-1}."""
-        k = self.q.shape[1]
+    def derivatives(self, y: np.ndarray, point: tuple):
+        """Gradient and Hessian in y of the barrier at ``factor``'s point, and Z = S^-1."""
+        _, chol, cones = point
+        k = len(y)
+        li = np.linalg.inv(chol)
         grad = np.zeros(k)
         hess = np.zeros((k, k))
-        inverses = []
-        for f, chol in zip(self.flats, chols):
-            li = np.linalg.inv(chol)
-            g = (li @ f.reshape(k, *chol.shape) @ li.T).reshape(k, -1)  # L^-1 F_j L^-T
-            grad -= g[:, :: len(chol) + 1].sum(axis=1)  # their traces
+        for block, f in zip(self.blocks, self.block_flats):
+            lc = li[block, block]
+            g = (lc @ f @ lc.T).reshape(k, -1)  # L_c^-1 F_{c,j} L_c^-T
+            grad -= g[:, :: len(lc) + 1].sum(axis=1)  # their traces
             hess += g @ g.T
-            inverses.append(li.T @ li)
-        e2 = self.eps ** 2
-        for (i, h, m_of, gram), s, eye in zip(self.cones, slacks, self.eyes):
-            r = self.x0[i] + h @ y
-            room, m = self._cone(r, s, eye)
-            d = 2.0 * (r * h - e2 * (m_of @ m))  # the gradient of room
-            grad -= d / room
-            hess += np.outer(d, d) / room ** 2 - 2.0 * (np.outer(h, h) - e2 * gram) / room
-        return grad, hess, inverses
+        if cones is not None:
+            r, room, m = cones
+            # the gradients of log room_c, one column per cone
+            d = (2.0 * self.dr.T * r - self.dm @ (m[:, None] * self.one_hot)) / room
+            grad -= d.sum(axis=1)
+            hess += d @ d.T + (self.curvature @ (1.0 / room)).reshape(k, k)
+        return grad, hess, li.T @ li
 
 
-def _log_det(chols: list) -> float:
-    return float(sum(2.0 * np.log(np.diag(c)).sum() for c in chols))
+def _positive_definite(m: np.ndarray) -> bool:
+    """A Cholesky test that NaN entries fail (numpy's Cholesky returns NaN factors for them)."""
+    if not np.isfinite(m).all():
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _newton(barrier: _Barrier, sign: float, tau0, visit, max_iters: int,
-            threshold=lambda inverses: CENTERED):
+            threshold=lambda z: CENTERED):
     """Barrier method on sign s, s being the barrier's last coordinate.
 
     Takes Newton steps on tau sign s + phi(y) from y = 0, phi being the
     barrier, so sign 1 lowers s and -1 raises it. tau starts at
-    ``tau0(inverses)`` and grows by TAU_GROWTH at each centered point: one
-    where half the squared Newton decrement is at most
-    ``threshold(inverses)``. Before each step, ``visit(step, y, slacks,
-    grad, inverses, tau, centered, spent)`` may end the run by returning
+    ``tau0(z)``, z being S^-1 at y = 0, and grows by TAU_GROWTH at each
+    centered point: one where half the squared Newton decrement is at most
+    ``threshold(z)``. Before each step, ``visit(step, y, point, grad, z,
+    tau, centered, spent)`` may end the run by returning
     its result; it must once ``spent``, which is None until ``max_iters``
     steps are taken or the Newton decrement is no longer finite (badly
     scaled data), and then says which. Returns None at once if rounding
@@ -601,19 +687,19 @@ def _newton(barrier: _Barrier, sign: float, tau0, visit, max_iters: int,
     factored = barrier.factor(y)
     if factored is None:
         return None
-    slacks, chols, value = factored
+    point, value = factored
     tau = None
     step = 0
     while True:
-        grad, hess, inverses = barrier.derivatives(y, slacks, chols)
+        grad, hess, z = barrier.derivatives(y, point)
         if tau is None:
-            tau = tau0(inverses)
+            tau = tau0(z)
         dy, decrement = _newton_step(hess, grad + tau * objective)
-        centered = 0.5 * decrement <= threshold(inverses)
+        centered = 0.5 * decrement <= threshold(z)
         spent = (f"within {step} Newton steps" if step == max_iters else
                  None if math.isfinite(decrement) else
                  f"after {step} Newton steps: the Newton decrement is not finite (badly scaled data)")
-        result = visit(step, y, slacks, grad, inverses, tau, centered, spent)
+        result = visit(step, y, point, grad, z, tau, centered, spent)
         if result is not None:
             return result
         step += 1
@@ -625,7 +711,7 @@ def _newton(barrier: _Barrier, sign: float, tau0, visit, max_iters: int,
         if found is None:
             tau *= TAU_GROWTH  # no progress at this weight: treat y as centered
             continue
-        y, slacks, chols, value = found
+        y, point, value = found
 
 
 def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
@@ -662,28 +748,28 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                        max(c.lambda_max for c in report.checks) + 1.0)
     t_of = barrier.q[-1]  # dt/dy
 
-    last = [None, None]  # one step's inverses and their multipliers, computed once
+    last = [None, None]  # one step's Z = S^-1 and its multipliers, computed once
 
-    def multipliers(inverses):
-        """Their total trace, and their constant at trace 1."""
-        if last[0] is not inverses:
-            total = float(sum(z.trace() for z in inverses))
-            constant = sum(float(np.sum(z * c)) for z, c in zip(inverses, barrier.consts)) / total
-            last[:] = inverses, (total, constant)
+    def multipliers(z):
+        """Z's trace, and the multipliers' constant at trace 1."""
+        if last[0] is not z:
+            total = float(np.trace(z))
+            last[:] = z, (total, float(np.sum(z * barrier.consts)) / total)
         return last[1]
 
-    def visit(step, y, slacks, grad, inverses, tau, centered, spent):
+    def visit(step, y, point, grad, z, tau, centered, spent):
         t = barrier.x(y)[-1]
-        if not _ruled_out(t, inverses) and barrier.certifies(y, slacks, problem.margin):
+        if not _ruled_out(t, z) and barrier.certifies(y, point, problem.margin):
             try:
                 return LmiCertificate.build(problem, barrier.assignment(y), iterations=step)
             except VerificationFailed:
                 pass  # rounding between the basis and assemble; keep going
-        total, constant = multipliers(inverses)
+        total, constant = multipliers(z)
         # the gradient along y is the multipliers' residual, times total
         residual = np.linalg.norm(grad + total * t_of) / total
         if constant >= 0.0 and residual <= problem.margin.epsilon_rel:
-            dual = {name: z / total for (name, _), z in zip(problem.constraints, inverses)}
+            dual = {name: z[block, block] / total
+                    for (name, _), block in zip(problem.constraints, barrier.blocks)}
             if verify_dual(problem, dual).passed:
                 return Indeterminate(
                     best_value=_worst(problem, barrier.assignment(y)),
@@ -704,8 +790,8 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
 
     # tau0 centers the start in t; the multipliers may refute once centered
     # closely while their constant is >= 0
-    result = _newton(barrier, 1.0, lambda inverses: multipliers(inverses)[0], visit, max_iters,
-                     lambda inverses: CENTERED_DUAL if multipliers(inverses)[1] >= 0.0 else CENTERED)
+    result = _newton(barrier, 1.0, lambda z: multipliers(z)[0], visit, max_iters,
+                     lambda z: CENTERED_DUAL if multipliers(z)[1] >= 0.0 else CENTERED)
     if result is not None:
         return result
     return Indeterminate(
@@ -753,8 +839,8 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     holds the margin exactly (:class:`_Barrier` with radii), until the
     central path's gap dim / tau is at most ETA_TOL (Boyd & Vandenberghe,
     sec. 11.3) or ``max_iters`` steps are spent. s's basis matrices are
-    assemble(problem) - assemble(build(level + 1)), so no second copy of
-    any form appears. The margin also keeps the points bounded where log
+    the forms' constants less those of build(level + 1), so no second copy
+    of any form appears. The margin also keeps the points bounded where log
     det alone would grow without limit (P of a memoryless loop): a
     constant diagonal entry of M_c bounds lambda_max(M_c) below, and so
     ||M_c||_F above.
@@ -769,8 +855,7 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     kept. With none passing, ``first`` is finished.
     """
     level = 0.0 if first.eta is None else first.eta
-    zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
-    slopes = [expr.assemble(zero) - grown.assemble(zero)
+    slopes = [expr.constant() - grown.constant()
               for (_, expr), (_, grown) in zip(problem.constraints, build(level + 1.0).constraints)]
     eps = problem.margin.epsilon_rel
     radii = []
@@ -783,7 +868,7 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     barrier = _Barrier(problem, first.assignment, slopes, 0.0, radii)
     points = []
 
-    def visit(step, y, slacks, grad, inverses, tau, centered, spent):
+    def visit(step, y, point, grad, z, tau, centered, spent):
         points.append((level + float(barrier.x(y)[-1]), step, y))
         if spent or (centered and barrier.dim / tau <= ETA_TOL):
             return step
@@ -791,7 +876,7 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
 
     # from a central-path gap of 1 / TAU_GROWTH: a larger tau0 can pin a start
     # near the margin's edge there, where the Hessian is too ill-conditioned to leave
-    taken = _newton(barrier, -1.0, lambda inverses: TAU_GROWTH * barrier.dim, visit, max_iters)
+    taken = _newton(barrier, -1.0, lambda z: TAU_GROWTH * barrier.dim, visit, max_iters)
 
     def attempt(s, y):
         s = min(s, cap)
@@ -821,9 +906,13 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     return finish(first) if result is None else result
 
 
-def _ruled_out(t: float, inverses: list) -> bool:
-    """True when some M_c = t I - S_c cannot clear its margin: t max diag(S_c^-1) >= SCREEN."""
-    return any(t * float(z.diagonal().max()) >= SCREEN for z in inverses)
+def _ruled_out(t: float, z: np.ndarray) -> bool:
+    """True when some M_c = t I - S_c cannot clear its margin: t max diag(Z) >= SCREEN, Z = S^-1.
+
+    S is block diagonal and diag(Z) > 0, so this is the per-block test
+    t max diag(S_c^-1) >= SCREEN for some c.
+    """
+    return t * float(z.diagonal().max()) >= SCREEN
 
 
 def _worst(problem: LmiProblem, assignment: dict) -> float:
@@ -842,7 +931,7 @@ def _newton_step(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float,
                  decrement: float):
-    """(y, slacks, Cholesky factors, barrier value) after a damped Newton step, or None.
+    """(y, ``factor``'s point, barrier value) after a damped Newton step, or None.
 
     A short step (decrement below FULL_STEP) is taken in full while the
     slacks stay positive definite; otherwise backtracking halves the
@@ -854,7 +943,7 @@ def _line_search(barrier: _Barrier, y, dy, objective, slope: float, value: float
         factored = barrier.factor(trial)
         if factored is not None and (
             decrement < FULL_STEP
-            or objective @ trial + factored[2] <= value + ARMIJO * s * slope
+            or objective @ trial + factored[1] <= value + ARMIJO * s * slope
         ):
             return (trial, *factored)
         s *= 0.5

@@ -240,7 +240,7 @@ def random_feasible_problem(seed: int) -> LmiProblem:
 
 
 class TestCertificationScreen:
-    """``_ruled_out`` skips ``certifies`` only where a slack's diagonal inverse proves it fails."""
+    """``_ruled_out`` skips ``certifies`` only where the slack's diagonal inverse proves it fails."""
 
     def test_screen_rules_out_only_points_that_miss_the_margin(self):
         rng = np.random.default_rng(16)
@@ -255,7 +255,7 @@ class TestCertificationScreen:
             d = inverse.diagonal().max()
             edge = rng.choice([sym_eigvals(s)[0], 1.0 / d, lmi.SCREEN / d])
             t = float(edge * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, 0.0)))
-            if lmi._ruled_out(t, [inverse]):
+            if lmi._ruled_out(t, inverse):
                 fired += 1
                 m = t * np.eye(n) - s
                 assert sym_eigvals(m)[-1] > margin.threshold(m)
@@ -265,12 +265,12 @@ class TestCertificationScreen:
         # every visited point is screened and certified both, as without the screen
         screened, certifies, visits = lmi._ruled_out, lmi._Barrier.certifies, []
 
-        def screen(t, inverses):
-            visits.append([screened(t, inverses)])
+        def screen(t, z):
+            visits.append([screened(t, z)])
             return False
 
-        def certify(barrier, y, slacks, margin):
-            visits[-1].append(certifies(barrier, y, slacks, margin))
+        def certify(barrier, y, point, margin):
+            visits[-1].append(certifies(barrier, y, point, margin))
             return visits[-1][-1]
 
         monkeypatch.setattr(lmi, "_ruled_out", screen)
@@ -281,6 +281,262 @@ class TestCertificationScreen:
             solve(scalar_lyapunov_problem(a))
         assert [True, True] not in visits
         assert [True, False] in visits and [False, True] in visits
+
+
+def random_barrier(seed: int, radii: bool):
+    """A problem with 1-4 constraints of unequal dims, off-diagonal terms, its barrier and last.
+
+    Without ``radii`` the barrier is ``solve``'s (start I and 0, t above
+    every lambda_max); with them it is ``_maximize``'s at margin 0.01, from
+    a start where every form is at most -I, with a random slope per form.
+    """
+    rng = np.random.default_rng(seed)
+    prob = LmiProblem(DefinitenessMargin(0.01))
+    n, rows, cols = (int(v) for v in rng.integers(1, 4, 3))
+    prob.add_symmetric("V", n)
+    prob.add_rectangular("R", rows, cols)
+    g = rng.standard_normal((n, n))
+    start = {"V": g @ g.T + np.eye(n), "R": rng.standard_normal((rows, cols))}
+    for c, d in enumerate(rng.permutation([1, 2, 3, 4])[: int(rng.integers(1, 5))]):
+        split = [int(d)] if d == 1 or rng.random() < 0.3 else [1, int(d) - 1]
+        expr = AffineExpr(split, name=f"c{c}")
+        for r in range(len(split)):
+            for col in range(r, len(split)):
+                expr.add_term(r, col, rng.standard_normal((split[r], n)), "V",
+                              rng.standard_normal((n, split[col])), weight=float(rng.uniform(-2, 2)))
+                expr.add_term(r, col, rng.standard_normal((split[r], rows)), "R",
+                              rng.standard_normal((cols, split[col])))
+        w = rng.standard_normal((d, d))
+        const = -(w @ w.T + np.eye(d)) - expr.assemble(start)
+        edges = np.cumsum([0] + split)
+        for r in range(len(split)):
+            for col in range(r, len(split)):
+                expr.add_const(r, col, const[edges[r]:edges[r + 1], edges[col]:edges[col + 1]])
+        prob.add_constraint(expr)
+    if not radii:
+        start = {"V": np.eye(n), "R": np.zeros((rows, cols))}
+        s0 = max(c.lambda_max for c in verify(prob, start).checks) + 1.0
+        last = [np.eye(e.dim) for _, e in prob.constraints]
+        return prob, lmi._Barrier(prob, start, last, s0), last
+    slopes, rs = [], []
+    for _, expr in prob.constraints:
+        u = rng.standard_normal((expr.dim, expr.dim))
+        slopes.append(0.5 * (u + u.T))
+        m = expr.assemble(start)
+        rs.append(0.5 * (0.01 * np.linalg.norm(m) - sym_eigvals(m)[-1] - 0.01))
+    return prob, lmi._Barrier(prob, start, slopes, 0.0, rs), slopes
+
+
+def per_constraint(barrier, y):
+    """The barrier's value, gradient, Hessian and S_c^-1 at y, one constraint at a time."""
+    k = len(y)
+    value, grad, hess, inverses = 0.0, np.zeros(k), np.zeros((k, k)), []
+    e2 = barrier.eps ** 2
+    for c, (start, d) in enumerate(zip(barrier.starts, barrier.dims)):
+        f = barrier.flat[:, start:start + d * d]
+        s = (barrier.base[start:start + d * d] + y @ f).reshape(d, d)
+        chol = np.linalg.cholesky(s)
+        value -= 2.0 * np.log(np.diag(chol)).sum()
+        li = np.linalg.inv(chol)
+        g = (li @ f.reshape(k, d, d) @ li.T).reshape(k, -1)
+        grad -= g[:, :: d + 1].sum(axis=1)
+        hess += g @ g.T
+        inverses.append(li.T @ li)
+        if barrier.cones:
+            h = barrier.dr[c]
+            r = barrier.r0[c] + h @ y
+            m = (s + (barrier.eps + r) * np.eye(d)).ravel()
+            room = r * r - e2 * (m @ m)
+            m_of = f + np.outer(h, np.eye(d).ravel())
+            dr = 2.0 * (r * h - e2 * (m_of @ m))
+            value -= np.log(room)
+            grad -= dr / room
+            hess += np.outer(dr, dr) / room ** 2 - 2.0 * (np.outer(h, h) - e2 * m_of @ m_of.T) / room
+    return value, grad, hess, inverses
+
+
+def inside(barrier, rng):
+    """A random point in the barrier's domain, half way from y = 0 to its edge or nearer."""
+    y = 0.3 * rng.standard_normal(barrier.q.shape[1])
+    while barrier.factor(y) is None:
+        y *= 0.5
+    return 0.5 * y
+
+
+class TestBlockDiagonalBarrier:
+    """One block-diagonal slack per point matches the constraints taken one at a time."""
+
+    @pytest.mark.parametrize("radii", [False, True], ids=["solve", "cones"])
+    def test_value_gradient_and_hessian_match_a_per_constraint_reference(self, radii):
+        rng = np.random.default_rng(19)
+        for seed in range(40):
+            prob, barrier, _ = random_barrier(seed, radii)
+            assert len(set(barrier.dims)) == len(barrier.dims)  # unequal dims
+            y = inside(barrier, rng)
+            point, value = barrier.factor(y)
+            grad, hess, z = barrier.derivatives(y, point)
+            ref_value, ref_grad, ref_hess, inverses = per_constraint(barrier, y)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+            np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * np.abs(ref_hess).max())
+            full = np.zeros_like(z)
+            for block, inverse in zip(barrier.blocks, inverses):
+                full[block, block] = inverse
+            np.testing.assert_allclose(z, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+            assert lmi._ruled_out(1.0, z) == any(inv.diagonal().max() >= lmi.SCREEN for inv in inverses)
+
+    @pytest.mark.parametrize("radii", [False, True], ids=["solve", "cones"])
+    def test_gradient_and_hessian_match_central_differences(self, radii):
+        rng = np.random.default_rng(23)
+        for seed in range(20):
+            _, barrier, _ = random_barrier(seed, radii)
+            y = inside(barrier, rng)
+            grad, hess, _ = barrier.derivatives(y, barrier.factor(y)[0])
+            h = 1e-6
+            for j in range(len(y)):
+                dy = np.zeros_like(y)
+                dy[j] = h
+                up, down = barrier.factor(y + dy), barrier.factor(y - dy)
+                assert (up[1] - down[1]) / (2 * h) == pytest.approx(grad[j], rel=1e-6, abs=1e-6)
+                column = (barrier.derivatives(y + dy, up[0])[0]
+                          - barrier.derivatives(y - dy, down[0])[0]) / (2 * h)
+                np.testing.assert_allclose(column, hess[:, j], rtol=1e-6,
+                                           atol=1e-6 * max(1.0, np.abs(hess).max()))
+
+    @pytest.mark.parametrize("radii", [False, True], ids=["solve", "cones"])
+    def test_slacks_are_the_assembled_constraints(self, radii):
+        rng = np.random.default_rng(29)
+        for seed in range(20):
+            prob, barrier, last = random_barrier(seed, radii)
+            y = inside(barrier, rng)
+            entries, _, cones = barrier.factor(y)[0]
+            x, v = barrier.x(y), barrier.assignment(y)
+            for c, ((_, expr), start, d) in enumerate(zip(prob.constraints, barrier.starts,
+                                                           barrier.dims)):
+                s = x[-1] * last[c] - expr.assemble(v)
+                if radii:
+                    s -= (barrier.eps + cones[0][c]) * np.eye(d)
+                np.testing.assert_allclose(entries[start:start + d * d].reshape(d, d), s,
+                                           rtol=1e-10, atol=1e-10 * np.abs(s).max())
+
+    def test_certifies_is_the_per_constraint_cholesky_test(self):
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for seed in range(40):
+            prob, barrier, _ = random_barrier(seed, False)
+            for _ in range(5):
+                y = inside(barrier, rng)
+                point = barrier.factor(y)[0]
+                entries, t = point[0], barrier.x(y)[-1]
+                expect = True
+                for start, d in zip(barrier.starts, barrier.dims):
+                    m = t * np.eye(d) - entries[start:start + d * d].reshape(d, d)
+                    try:
+                        np.linalg.cholesky(prob.margin.threshold(m) * np.eye(d) - m)
+                    except np.linalg.LinAlgError:
+                        expect = False
+                assert barrier.certifies(y, point, prob.margin) == expect
+                outcomes.add(expect)
+        assert outcomes == {True, False}
+
+    def test_certifies_where_the_squares_of_a_block_overflow(self):
+        # blocks with -1e200 on the diagonal and -1 off it certify, although their
+        # squares overflow; with +1 in a diagonal corner they do not
+        prob, barrier, _ = random_barrier(3, False)
+        t = barrier.x(np.zeros(barrier.q.shape[1]))[-1]
+        for corner, expect in ((-1e200, True), (1.0, False)):
+            m = -np.ones(barrier.index.size)
+            m[barrier.eye > 0] = -1e200
+            m[0] = corner
+            assert barrier.certifies(np.zeros(barrier.q.shape[1]), (t * barrier.eye - m, None, None),
+                                     prob.margin) is expect
+
+    def test_linear_part_is_assemble_at_each_unit_less_assemble_at_zero(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            dims = [int(d) for d in rng.integers(1, 4, int(rng.integers(1, 4)))]
+            expr = AffineExpr(dims)
+            shape = tuple(int(v) for v in rng.integers(1, 4, 2))
+            for _ in range(4):
+                r, c = (int(v) for v in rng.integers(0, len(dims), 2))
+                expr.add_term(r, c, rng.standard_normal((dims[r], shape[0])), "V",
+                              rng.standard_normal((shape[1], dims[c])), weight=float(rng.normal()))
+                expr.add_term(r, c, rng.standard_normal((dims[r], 2)), "W",
+                              rng.standard_normal((2, dims[c])))
+                expr.add_const(r, c, rng.standard_normal((dims[r], dims[c])))
+            zero = {"V": np.zeros(shape), "W": np.zeros((2, 2))}
+            units = np.eye(shape[0] * shape[1]).reshape(-1, *shape)
+            values = np.concatenate([units, rng.standard_normal((5, *shape))])
+            linear = expr.linear("V", values)
+            for value, part in zip(values, linear):
+                expect = expr.assemble({**zero, "V": value}) - expr.assemble(zero)
+                np.testing.assert_allclose(part, expect, atol=1e-12 * (1.0 + np.abs(expect).max()))
+                np.testing.assert_array_equal(part, part.T)
+
+    def test_dual_blocks_are_the_per_constraint_multipliers(self, monkeypatch):
+        # the form's third row, a block of another dim, has the constant 1 on its
+        # diagonal: no P makes it negative definite
+        seen, derivatives = [], lmi._Barrier.derivatives
+
+        def record(barrier, y, point):
+            seen[:] = [barrier, point[0]]
+            return derivatives(barrier, y, point)
+
+        monkeypatch.setattr(lmi._Barrier, "derivatives", record)
+        prob = LmiProblem()
+        prob.add_symmetric("P", 2, positive_definite=True)
+        expr = AffineExpr([2, 1], name="lyapunov")
+        expr.add_term(0, 0, 2.0 * np.eye(2), "P", 2.0 * np.eye(2))
+        expr.add_term(0, 0, -np.eye(2), "P", np.eye(2))
+        expr.add_term(0, 1, np.ones((2, 2)), "P", np.ones((2, 1)), weight=0.1)
+        expr.add_const(1, 1, [[1.0]])
+        prob.add_constraint(expr)
+        result = solve(prob)
+        assert result.message.startswith("refuted") and verify_dual(prob, result.dual).passed
+        barrier, entries = seen
+        inverses = [np.linalg.inv(entries[s:s + d * d].reshape(d, d))
+                    for s, d in zip(barrier.starts, barrier.dims)]
+        total = sum(z.trace() for z in inverses)
+        assert list(result.dual) == ["P_pos_def", "lyapunov"]
+        for (name, _), z in zip(prob.constraints, inverses):
+            assert result.dual[name].shape == z.shape
+            np.testing.assert_allclose(result.dual[name], z / total, rtol=1e-8, atol=1e-12)
+
+    def test_full_row_rank_skips_the_svd_and_only_rounding_changes(self, monkeypatch):
+        for seed in range(20):
+            prob = random_feasible_problem(seed)
+            barrier = lmi._Barrier(prob, {n: np.eye(v.rows) if v.kind == "symmetric"
+                                          else np.zeros(v.shape) for n, v in prob.variables.items()},
+                                   [np.eye(e.dim) for _, e in prob.constraints], 1.0)
+            if barrier.q.shape[0] == barrier.q.shape[1]:
+                np.testing.assert_array_equal(barrier.q, np.eye(len(barrier.q)))
+        results = [solve(random_feasible_problem(seed)) for seed in range(40)]
+        monkeypatch.setattr(lmi, "FULL_RANK", 1.0)  # no Gram matrix passes: every basis takes the SVD
+        for seed, result in enumerate(results):
+            svd = solve(random_feasible_problem(seed))
+            assert type(svd) is type(result)
+            if result.feasible:
+                for name, value in result.assignment.items():
+                    np.testing.assert_allclose(svd.assignment[name], value, rtol=1e-6, atol=1e-6)
+
+    def test_rank_deficient_basis_takes_the_svd(self, monkeypatch):
+        # V1 and V2 enter only through V1 + V2, and V1 + V2 + 5 < 0 moves with t:
+        # one slack direction of three coordinates
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        prob = LmiProblem()
+        prob.add_symmetric("V1", 1)
+        prob.add_symmetric("V2", 1)
+        expr = AffineExpr([1], name="sum")
+        expr.add_term(0, 0, [[1.0]], "V1", [[1.0]])
+        expr.add_term(0, 0, [[1.0]], "V2", [[1.0]])
+        expr.add_const(0, 0, [[5.0]])
+        prob.add_constraint(expr)
+        barrier = lmi._Barrier(prob, {"V1": np.eye(1), "V2": np.eye(1)}, [np.eye(1)], 7.0)
+        assert calls and barrier.q.shape == (3, 1)
+        result = solve(prob)
+        assert result.feasible
+        assert result.assignment["V1"][0, 0] + result.assignment["V2"][0, 0] < -5.0
 
 
 class TestCompleteness:
