@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,126 @@ class TestMaxDissipation:
         plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
         result = passivity_lmi(plant, Gain.zero(1, 1), mode_distribution(lossless), "maximize")
         assert isinstance(result, Indeterminate)
+
+
+# A vanishing delta: _riccati_storage then converges exactly while eta is below the
+# largest dissipation any storage certifies, with no margin.
+ORACLE_DELTA = 1e-12
+
+
+def riccati_eta(fam, weights, lo: float, hi: float, tol: float):
+    """Bisected largest eta in [lo, hi] at which ``_riccati_storage`` converges.
+
+    None when lo already fails, hi when hi passes; else a level that
+    passes, within tol of one that fails. The Riccati iteration writes the
+    dissipation form out itself, so this is an eta oracle independent of
+    the LMI builder and solver.
+    """
+    def passes(eta):
+        return analysis._riccati_storage(fam, weights, eta)(ORACLE_DELTA) is not None
+
+    if not passes(lo):
+        return None
+    if passes(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
+def oracle_loop(k: int):
+    """Loop k of the oracle set: n = 1 + k % 6 states, 1 + k % 2 channels, a fixed gain."""
+    rng = np.random.default_rng([77, k])
+    n, m1 = 1 + k % 6, 1 + k % 2
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 0.95) / np.abs(np.linalg.eigvals(a)).max()
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, m1)), B2=rng.standard_normal((n, 1)),
+                  C1=0.3 * rng.standard_normal((m1, n)), D11=np.eye(m1), D12=np.zeros((m1, 1)))
+    gain = Gain(0.1 * rng.standard_normal((1, n)))
+    loss = LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
+    return plant, gain, mode_distribution(loss)
+
+
+class TestRiccatiStorage:
+    def test_oracle_reaches_the_closed_form_margin(self, scalar_passive_plant, lossless):
+        # c3: x+ = 0.5x + w, z = 0.5x + w has margin exactly 2/3
+        dist = mode_distribution(lossless)
+        fam = closed_loop(scalar_passive_plant, Gain.zero(1, 1), 0, full_packet_schedule())
+        oracle = riccati_eta(fam, dist.items(), 0.0, 1.0, 1e-7)
+        assert oracle == pytest.approx(2.0 / 3.0, abs=1e-6)
+        certified = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, "maximize").eta
+        assert 0.0 <= oracle - certified <= ETA_TOL
+
+    def test_oracle_bounds_the_certified_eta_one_sidedly(self):
+        # Every certified eta lies at most ETA_TOL below the oracle, never above
+        # it; where no certificate was found, the oracle finds no eta >= 0 either.
+        certified = refused = 0
+        for k in range(200):
+            plant, gain, dist = oracle_loop(k)
+            fam = closed_loop(plant, gain, 0, full_packet_schedule())
+            result = passivity_lmi(plant, gain, dist, "maximize")
+            if result.feasible:
+                oracle = riccati_eta(fam, dist.items(), result.eta, result.eta + ETA_TOL,
+                                     ETA_TOL / 4)
+                assert oracle is not None, f"loop {k}: oracle below certified {result.eta}"
+                assert oracle < result.eta + ETA_TOL, f"loop {k}: oracle above {oracle}"
+                certified += 1
+            else:
+                assert analysis._riccati_storage(fam, dist.items(), 0.0)(ORACLE_DELTA) is None
+                refused += 1
+        assert certified >= 150 and refused >= 20
+
+    def test_storage_verifies_and_closes_the_riccati_equation(self):
+        plant, gain, dist = oracle_loop(5)
+        fam = closed_loop(plant, gain, 0, full_packet_schedule())
+        eta = 0.5 * passivity_lmi(plant, gain, dist, "maximize").eta
+        p = analysis._riccati_storage(fam, dist.items(), eta)(1e-3)
+        assert lmi.verify(passivity_problem(plant, gain, dist, eta), {"P": p}).passed
+        # T' M(P) T = diag(-delta I, -(W - B'PB)) at the maximizing disturbance gain F
+        form = analysis._dissipation_form(fam, dist.items(), eta).assemble({"P": p})
+        n = plant.n
+        f = np.linalg.solve(-form[n:, n:], form[n:, :n])
+        t = np.block([[np.eye(n), np.zeros((n, plant.m1))], [f, np.eye(plant.m1)]])
+        reduced = t.T @ form @ t
+        np.testing.assert_allclose(reduced[:n, :n], -1e-3 * np.eye(n), atol=1e-9)
+        np.testing.assert_allclose(reduced[:n, n:], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", [
+        "rho-above-one", "singular-operator", "w-not-positive", "no-convergence"])
+    def test_returns_none_silently(self, monkeypatch, scalar_passive_plant, lossless, case):
+        dist = mode_distribution(lossless)
+        plant, eta = scalar_passive_plant, 0.1
+        if case == "rho-above-one":
+            plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[0.0]], C1=[[0.5]], D11=[[1.0]],
+                          D12=[[0.0]])
+        elif case == "singular-operator":  # a 2-cycle: I - kron(A', A') is singular
+            plant = Plant(A=[[0.0, 1.0], [1.0, 0.0]], B1=[[1.0], [0.0]], B2=[[0.0], [0.0]],
+                          C1=[[0.5, 0.0]], D11=[[1.0]], D12=[[0.0]])
+        elif case == "w-not-positive":
+            eta = 1.0  # D + D' - 2 eta I = 0
+        else:
+            monkeypatch.setattr(analysis, "RICCATI_STEPS", 2)
+        fam = closed_loop(plant, Gain.zero(1, plant.n), 0, full_packet_schedule())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analysis._riccati_storage(fam, dist.items(), eta)(1e-3) is None
+
+    @pytest.mark.parametrize("value", [1e150, -1e150, 1e149, 2.0**70, -(2.0**70)])
+    def test_entries_at_the_input_bound_neither_raise_nor_warn(self, value):
+        # the CLI accepts plant entries up to 1e150 in magnitude; the fuzz test's 2**70 too
+        base = {"A": [[0.5, 0.1], [0.0, 0.4]], "B1": [[1.0], [0.2]], "B2": [[1.0], [0.0]],
+                "C1": [[0.5, 0.3]], "D11": [[1.0]], "D12": [[0.0]]}
+        dist = mode_distribution(LossModel(0.1, 0.2))
+        gain = Gain([[-0.2, 0.1]])
+        for name in ("A", "B1", "B2", "C1", "D11"):
+            entries = {k: np.array(v) for k, v in base.items()}
+            entries[name][0, 0] = value
+            fam = closed_loop(Plant(**entries), gain, 0, full_packet_schedule())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                p = analysis._riccati_storage(fam, dist.items(), 0.1)(1e-3)
+            assert p is None or np.isfinite(p).all()
 
 
 class TestDissipationIdentity:

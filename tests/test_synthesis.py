@@ -226,12 +226,15 @@ def test_maximized_census_plant_passes_its_round_trip(plant, loss, bisected):
 
 # The four fixed loops of the certify-pipeline benchmark, as (A, alpha1,
 # alpha2) of the README plant, with the eta that the bisection reached.
-@pytest.mark.parametrize("a,alpha1,alpha2,bisected", [
+PIPELINE_LOOPS = [
     (1.2, 0.0, 0.2, 0.748046875),
     (1.22, 0.0, 0.19, 0.748046875),
     (1.19, 0.03, 0.22, 0.748046875),
     (1.25, 0.0, 0.2, 0.7470703125),
-])
+]
+
+
+@pytest.mark.parametrize("a,alpha1,alpha2,bisected", PIPELINE_LOOPS)
 def test_maximize_reaches_the_bisection(a, alpha1, alpha2, bisected):
     plant = Plant(A=[[a]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
     result = synthesize(plant, LossModel(alpha1, alpha2), "maximize")
@@ -485,6 +488,63 @@ class TestRoundTrip:
         expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
         m = expr.assemble({"X": x, "Y": np.zeros((1, 1))})
         assert np.linalg.eigvalsh(m)[-1] < 0
+
+    @pytest.mark.parametrize("a,alpha1,alpha2", [loop[:3] for loop in PIPELINE_LOOPS])
+    def test_fresh_leg_certifies_the_pipeline_loops_without_a_solve(self, monkeypatch, a,
+                                                                  alpha1, alpha2):
+        # a Riccati storage verifies on each of them
+        plant = Plant(A=[[a]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+        loss = LossModel(alpha1, alpha2)
+        result = synthesize(plant, loss, "maximize")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the fresh leg ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_solve)
+        report = round_trip_verify(plant, mode_distribution(loss), result.eta, result.x,
+                                   result.y, result.gain)
+        assert report.passivity_certified and report.passed
+
+    @pytest.mark.parametrize("k", [32, 58])
+    def test_fresh_leg_without_a_delta_window_falls_back_to_the_barrier(self, monkeypatch, k):
+        # no Riccati storage verifies at any delta of the ladder on these two
+        rng = np.random.default_rng([19, k])
+        n = 1 + k % 6
+        radius = rng.uniform(0.5, 1.1)
+        a = rng.standard_normal((n, n))
+        a *= radius / max(abs(np.linalg.eigvals(a)))
+        plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
+                      C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
+        loss = LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
+        dist = mode_distribution(loss)
+        result = synthesize(plant, loss, "maximize")
+        assert result.verification.passed, result.verification.summary()
+        problem = passivity_problem(plant, result.gain, dist, result.eta)
+        fam = closed_loop(plant, result.gain, 0, full_packet_schedule())
+        for delta in synthesis.RICCATI_DELTAS:
+            p = synthesis._riccati_storage(fam, dist.items(), result.eta)(delta)
+            assert p is None or not lmi.verify(problem, {"P": p}).passed
+        solves = []
+        solve = lmi.solve
+        monkeypatch.setattr(lmi, "solve", lambda *args: solves.append(1) or solve(*args))
+        report = round_trip_verify(plant, dist, result.eta, result.x, result.y, result.gain)
+        assert report.passivity_certified and solves == [1]
+
+    def test_a_riccati_storage_missing_the_margin_never_passes_alone(self, monkeypatch,
+                                                                    lossy_feedback_plant):
+        loss = LossModel(0.0, 0.2)
+        dist = mode_distribution(loss)
+        result = synthesize(lossy_feedback_plant, loss, eta=0.1)
+        fam = closed_loop(lossy_feedback_plant, result.gain, 0, full_packet_schedule())
+        # the storage at a vanishing delta sits on the boundary: M(P) misses the margin
+        edge = synthesis._riccati_storage(fam, dist.items(), 0.1)(1e-14)
+        problem = passivity_problem(lossy_feedback_plant, result.gain, dist, 0.1)
+        assert not lmi.verify(problem, {"P": edge}).passed
+        monkeypatch.setattr(synthesis, "_riccati_storage", lambda *args: lambda delta: edge)
+        monkeypatch.setattr(lmi, "solve", lambda *args: Indeterminate(message="stub"))
+        report = round_trip_verify(lossy_feedback_plant, dist, 0.1, result.x, result.y,
+                                   result.gain)
+        assert not report.passivity_certified and not report.passed
 
     def test_result_rho_matches_oracle(self, lossy_feedback_plant):
         loss = LossModel(0.0, 0.2)
