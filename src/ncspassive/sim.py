@@ -8,7 +8,10 @@ can be read off directly.
 Trial t draws the stream of ``np.random.default_rng(base + t)``, so
 results do not depend on how trials are grouped: ``ensemble`` hashes a
 block's seeds in one batched SeedSequence pass, and ``simulate`` takes
-``default_rng``'s bit generator. A block reads each trial's first
+``default_rng``'s bit generator. The pass holds SeedSequence's pool of
+four words word-major, (4, trials), so each hashmix and mix is one row
+operation across the block; seeds below 2**64 enter it from one uint64
+array, larger ones from their bytes. A block reads each trial's first
 2 horizon raw 64-bit words into one (2 horizon, trials) uint64 array
 and turns them all at once into the doubles ``Generator.random`` would
 give, (word >> 11) * 2**-53: words 2k and 2k + 1 are step k's uniforms
@@ -22,6 +25,11 @@ from the hashed seed words as uint64 array arithmetic on PCG64's
 128-bit LCG (``_pcg64_raw``), building no bit generator at all; other
 blocks build one ``PCG64`` per trial and read its ``random_raw``. Both
 give the same words, so the streams do not depend on the path.
+
+What does not depend on the draws is built once per ``simulate`` or
+``ensemble`` call (``_Loop``): the checks, each slot's closed-loop
+matrices and a deterministic input's rows with their products. The
+controller output v is computed only where a trace is built.
 """
 
 from __future__ import annotations
@@ -87,6 +95,8 @@ class InputSignal:
                 raise ValueError(f"{name} must be finite")
         if self.period < 1:
             raise ValueError("sinusoid period must be >= 1")
+        if self.step < 0:
+            raise ValueError("impulse step must be >= 0")
 
     @classmethod
     def zero(cls, dimension: int) -> "InputSignal":
@@ -151,66 +161,93 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11) * 2.0 ** -53
 
 
-def _run_block(plant, gain, schedule, loss, signal, horizon, u, streams, x0):
-    """Advance one trial per column of ``u`` together, one (M, n) state array per step.
+class _Loop:
+    """What every block of one ``simulate`` or ``ensemble`` call shares, built once per call.
 
-    ``u`` holds each trial's first 2 horizon uniforms, (2 horizon, M); a
-    white-noise input draws its normals from ``streams``, the trials' bit
-    generators, positioned after the raw words of those uniforms.
+    The checks, each used slot's mode (1, 1) matrices gathered per step and,
+    for an input that draws nothing, the input rows with their B1 and D11
+    products and w'w sums. Those are kept for the next block of the same
+    size, which is every block of a call but its last, so each block
+    computes exactly what it would on its own.
 
     The received measurement is theta1 * S1'S1 x and the applied actuation
     theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
-    (1, 1) matrices or the open loop. Returns x (T+1, M, n), w, z, v
-    (T, M, .), theta1, theta2 (T, M) and each trial's sums w'z and w'w.
+    (1, 1) matrices or the open loop.
     """
-    if signal.dimension != plant.m1:
-        raise DimensionMismatch(
-            f"signal dimension {signal.dimension} != plant exogenous width {plant.m1}"
-        )
-    n, trials = plant.n, u.shape[1]
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.size != n:
-        raise DimensionMismatch(f"x0 length {x0.size} != plant state dimension {n}")
-    # slot 0 always, so the gain's shape is checked even for an empty horizon
-    used = range(max(1, min(schedule.period, horizon)))
-    fams = [closed_loop(plant, gain, s, schedule) for s in used]
-    a_on = np.stack([f.a(1, 1).T for f in fams])
-    c_on = np.stack([f.c(1, 1).T for f in fams])
-    k_in = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in
-                     (selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])
 
-    # time-major and contiguous, as the step loop reads one row of ``on`` per step
-    theta1 = (u[0::2] >= loss.alpha1).astype(np.int64, order="C")
-    theta2 = (u[1::2] >= loss.alpha2).astype(np.int64, order="C")
-    on = (theta1 & theta2).astype(bool)[..., None]
-    if signal.kind == "white-noise":
+    def __init__(self, plant, gain, schedule, loss, signal, horizon, x0):
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        if signal.dimension != plant.m1:
+            raise DimensionMismatch(
+                f"signal dimension {signal.dimension} != plant exogenous width {plant.m1}"
+            )
+        n = plant.n
+        x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+        if x0.size != n:
+            raise DimensionMismatch(f"x0 length {x0.size} != plant state dimension {n}")
+        # slot 0 always, so the gain's shape is checked even for an empty horizon
+        used = range(max(1, min(schedule.period, horizon)))
+        fams = [closed_loop(plant, gain, s, schedule) for s in used]
+        slots = np.arange(horizon) % schedule.period
+        self.plant, self.loss, self.signal, self.horizon = plant, loss, signal, horizon
+        self.x0 = x0.reshape(n)
+        self.slots = slots.tolist()
+        self.a_on = np.stack([f.a(1, 1).T for f in fams])
+        self.c_steps = np.stack([f.c(1, 1).T for f in fams])[slots]
+        self.k_steps = np.stack([(gain.K @ s1.T @ s1).T for s1, _ in (
+            selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])[slots]
+        self._block = None  # (trials, inputs) of the last deterministic block
+
+    def _input(self, trials, streams):
+        """A block's inputs w (T, M, m1), w B1' and w D11' alike, and each trial's sum w'w."""
+        plant, signal, horizon = self.plant, self.signal, self.horizon
+        if signal.kind != "white-noise":
+            if self._block is None or self._block[0] != trials:
+                self._block = trials, self._products(signal.block(horizon, trials))
+            return self._block[1]
         noise = np.empty((trials, horizon, plant.m1))
         for m, stream in enumerate(streams):
             np.random.Generator(stream).standard_normal(out=noise[m])
-        w = np.multiply(signal.sigma, noise.transpose(1, 0, 2),
-                        out=np.empty((horizon, trials, plant.m1)))
-    else:
-        w = signal.block(horizon, trials)
+        return self._products(np.multiply(signal.sigma, noise.transpose(1, 0, 2),
+                                          out=np.empty((horizon, trials, plant.m1))))
 
-    slots = np.arange(horizon) % schedule.period
-    xs = np.empty((horizon + 1, trials, n))
-    xs[0] = x0.reshape(n)
-    wb = w @ plant.B1.T
-    a_off = plant.A.T
-    # a diverging loop overflows to inf, then nan; its statistics say so, quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
-        for x_k, x_next, on_k, wb_k, s in zip(xs[:-1], xs[1:], on, wb, slots.tolist()):
-            np.matmul(x_k, a_off, out=x_next)
-            np.copyto(x_next, x_k @ a_on[s], where=on_k)
-            x_next += wb_k
+    def _products(self, w):
+        return w, w @ self.plant.B1.T, w @ self.plant.D11.T, np.sum(w * w, axis=(0, 2))
 
-        x = xs[:-1]
-        z = np.where(on, x @ c_on[slots], x @ plant.C1.T) + w @ plant.D11.T
-        v = theta1[..., None] * (x @ k_in[slots])
-        # the dissipation pairing w'z needs a square channel (p1 == m1)
-        sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
-    return xs, w, z, v, theta1, theta2, sum_wz, np.sum(w * w, axis=(0, 2))
+    def run(self, u, streams, traced):
+        """Advance one trial per column of ``u`` together, one (M, n) state array per step.
+
+        ``u`` holds each trial's first 2 horizon uniforms, (2 horizon, M); a
+        white-noise input draws its normals from ``streams``, the trials' bit
+        generators, positioned after the raw words of those uniforms.
+
+        Returns x (T+1, M, n), w, z (T, M, .), the arrival bits theta1 and
+        theta2 (T, M, bool) and each trial's sums w'z and w'w; v (T, M, m2)
+        too if ``traced``, else None.
+        """
+        plant, trials = self.plant, u.shape[1]
+        # time-major, as the step loop reads one row of ``on`` per step
+        theta1, theta2 = u[0::2] >= self.loss.alpha1, u[1::2] >= self.loss.alpha2
+        on = (theta1 & theta2)[..., None]
+        xs = np.empty((self.horizon + 1, trials, plant.n))
+        xs[0] = self.x0
+        a_off, a_on = plant.A.T, self.a_on
+        # a diverging loop overflows to inf, then nan; its statistics say so, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, wb, wd, sum_ww = self._input(trials, streams)
+            # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
+            for x_k, x_next, on_k, wb_k, s in zip(xs[:-1], xs[1:], on, wb, self.slots):
+                np.matmul(x_k, a_off, out=x_next)
+                np.copyto(x_next, x_k @ a_on[s], where=on_k)
+                x_next += wb_k
+
+            x = xs[:-1]
+            z = np.where(on, x @ self.c_steps, x @ plant.C1.T) + wd
+            v = theta1[..., None] * (x @ self.k_steps) if traced else None
+            # the dissipation pairing w'z needs a square channel (p1 == m1)
+            sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
+        return xs, w, z, v, theta1, theta2, sum_wz, sum_ww
 
 
 def simulate(
@@ -229,9 +266,9 @@ def simulate(
     describes. The initial state defaults to zero, matching the
     zero-initial-state passivity experiments.
     """
+    loop = _Loop(plant, gain, schedule, loss, signal, horizon, x0)
     streams = [np.random.default_rng(seed).bit_generator]
-    records = _run_block(plant, gain, schedule, loss, signal, horizon,
-                         _uniforms(_raw_words(streams, 2 * horizon)), streams, x0)
+    records = loop.run(_uniforms(_raw_words(streams, 2 * horizon)), streams, traced=True)
     return _trace(records, 0, seed, schedule)
 
 
@@ -242,43 +279,67 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 
 @functools.cache
 def _multipliers(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """The multiplier before and after each of hashmix calls first, ...: init * mult**k."""
+    """Columns of the multiplier before and after hashmix calls first, ...: init * mult**k."""
     c = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
-                  for k in range(first, first + calls + 1)], dtype=np.uint32)
+                  for k in range(first, first + calls + 1)], dtype=np.uint32).reshape(-1, 1)
     c.flags.writeable = False
     return c[:-1], c[1:]
 
 
 def _hashmix(value, init: int, mult: int, first: int, calls: int):
-    """SeedSequence's hashmix calls first, ... on value's columns; init * mult**k before call k."""
+    """SeedSequence's hashmix calls first, ... on value's rows; init * mult**k before call k."""
     before, after = _multipliers(init, mult, first, calls)
     value = (value ^ before) * after
     return value ^ (value >> _SHIFT)
 
 
 def _mix(pool, value, first: int):
-    """SeedSequence's mix of pool column j with hashmix call first + j on value."""
-    r = _MIX_L * pool - _MIX_R * _hashmix(value, _INIT_A, _MULT_A, first, pool.shape[1])
+    """SeedSequence's mix of pool row j with hashmix call first + j on the row ``value``."""
+    r = _MIX_L * pool - _MIX_R * _hashmix(value, _INIT_A, _MULT_A, first, len(pool))
     return r ^ (r >> _SHIFT)
 
 
-def _seed_words(seeds) -> np.ndarray:
-    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` per seed, in uint32 arrays."""
-    if min(seeds) < 0:
+def _entropy(seeds) -> tuple[np.ndarray, np.ndarray | None]:
+    """The seeds' SeedSequence entropy as word-major uint32 rows (words, M), at least four.
+
+    Seeds below 2**64 take their two words from one uint64 array (a range of
+    them by arithmetic); larger ones are split to bytes, and come with each
+    seed's word count, as a seed's words end at its highest nonzero one
+    (zeros hash as absent within the pool's four). Below 2**64 that count
+    is never needed: None.
+    """
+    lo, hi = sorted((seeds[0], seeds[-1])) if isinstance(seeds, range) else (min(seeds), max(seeds))
+    if lo < 0:
         raise ValueError("expected non-negative integer")
-    width = max(4, -(-max(seeds).bit_length() // 32))
-    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
-    entropy = np.frombuffer(raw, "<u4").reshape(-1, width)
-    # a seed's words end at its highest nonzero one (zeros hash as absent within the pool's four)
-    size = np.max((entropy != 0) * np.arange(1, width + 1), axis=1)[:, None]
-    pool = _hashmix(entropy[:, :4], _INIT_A, _MULT_A, 0, 4)
+    if hi >= 1 << 64:
+        width = max(4, -(-hi.bit_length() // 32))
+        raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+        entropy = np.frombuffer(raw, "<u4").reshape(-1, width).T.astype(np.uint32)
+        return entropy, np.max((entropy != 0) * np.arange(1, width + 1)[:, None], axis=0)
+    if isinstance(seeds, range):
+        step = np.uint64(seeds.step % (1 << 64))  # a falling range wraps back into range
+        seeds = np.uint64(seeds.start) + step * np.arange(len(seeds), dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((4, seeds.size), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds, seeds >> _U32
+    return entropy, None
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` per seed: (M, 4) uint64 rows.
+
+    The pool is word-major, (4, M), so each hashmix and mix is a whole-row
+    operation across the seeds.
+    """
+    entropy, size = _entropy(seeds)
+    pool = _hashmix(entropy[:4], _INIT_A, _MULT_A, 0, 4)
     for src in range(4):  # every word into every other, so late bits reach early ones
         dst = [d for d in range(4) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], pool[:, src:src + 1], 4 + 3 * src)
-    for src in range(4, width):  # words beyond the pool, into the seeds that have them
-        pool = np.where(size > src, _mix(pool, entropy[:, src:src + 1], 4 * src), pool)
-    state = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 0, 8)
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+        pool[dst] = _mix(pool[dst], pool[src], 4 + 3 * src)
+    for src in range(4, len(entropy)):  # words beyond the pool, into the seeds that have them
+        pool = np.where(size > src, _mix(pool, entropy[src], 4 * src), pool)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _INIT_B, _MULT_B, 0, 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 class _Words(ISeedSequence):
@@ -326,13 +387,23 @@ def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
 
     The high word of al bl comes from four 32-bit partial products (Hacker's
     Delight's mulhu, whose partial sums stay below 2**64); the cross terms
-    only reach the high word, where uint64 wraps as it should.
+    only reach the high word, where uint64 wraps as it should. Every
+    product lands in one of three arrays the size of the result, as a
+    fresh large temporary per operation costs more than the operation.
     """
     a0, a1, b0, b1 = al & _LOW32, al >> _U32, bl & _LOW32, bl >> _U32
-    mid = a1 * b0 + ((a0 * b0) >> _U32)
-    mid2 = a0 * b1 + (mid & _LOW32)
-    high = a1 * b1 + (mid >> _U32) + (mid2 >> _U32) + ah * bl + al * bh
-    return high, al * bl
+    carry = np.multiply(a0, b0)
+    carry >>= _U32
+    mid = np.multiply(a1, b0)
+    mid += carry
+    high = np.multiply(a0, b1)
+    high += np.bitwise_and(mid, _LOW32, out=carry)
+    high >>= _U32
+    mid >>= _U32
+    high += mid
+    for x, y in ((a1, b1), (ah, bl), (al, bh)):
+        high += np.multiply(x, y, out=mid)
+    return high, np.multiply(al, bl, out=mid)
 
 
 def _add128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
@@ -348,14 +419,26 @@ def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
     from initstate = w0 2**64 + w1 and initseq = w2 2**64 + w3; word k is the
     XSL-RR output of the k-th state after it, rotr64(high ^ low, high >> 58).
     Every 128-bit value is a pair of uint64 arrays, so overflow wraps silently.
+    The (count, M) steps work in place, in the two products' arrays.
     """
     w = words.T
     inc = (w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1
     state = _add128(*_mul128(*_split128([_PCG_MULT]), *_add128(w[0], w[1], *inc)), *inc)
     m_hi, m_lo, g_hi, g_lo = _jumps(count)
-    high, low = _add128(*_mul128(m_hi, m_lo, *state), *_mul128(g_hi, g_lo, *inc))
-    x, rot = high ^ low, high >> _U58
-    return (x >> rot) | (x << ((-rot) & _U63))
+    high, low = _mul128(m_hi, m_lo, *state)
+    g_high, g_low = _mul128(g_hi, g_lo, *inc)
+    low += g_low
+    high += g_high
+    high += low < g_low
+    x, rot = low, high
+    x ^= high
+    rot >>= _U58
+    out = np.right_shift(x, rot, out=g_high)
+    np.negative(rot, out=rot)
+    rot &= _U63
+    x <<= rot
+    out |= x
+    return out
 
 
 def _draws(seeds, horizon: int, signal: InputSignal):
@@ -374,10 +457,11 @@ def _draws(seeds, horizon: int, signal: InputSignal):
 
 
 def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
-    """Trial ``m`` of a ``_run_block`` result as a SimTrace."""
+    """Trial ``m`` of a traced ``_Loop.run`` result as a SimTrace."""
     x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
     horizon = len(w)
-    return SimTrace(horizon, x[:, m], w[:, m], z[:, m], v[:, m], theta1[:, m], theta2[:, m],
+    return SimTrace(horizon, x[:, m], w[:, m], z[:, m], v[:, m],
+                    theta1[:, m].astype(np.int64), theta2[:, m].astype(np.int64),
                     np.arange(horizon) % schedule.period, seed, schedule,
                     float(sum_wz[m]), float(sum_ww[m]))
 
@@ -421,24 +505,27 @@ def ensemble(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    loop = _Loop(plant, gain, schedule, loss, signal, horizon, x0)
     size = max(1, min(TRIAL_BLOCK, _BLOCK_STEPS // max(horizon, 1)))
     sq_sum = np.zeros(horizon + 1)
     terminal_hits = 0
-    mode_counts = np.zeros(4, dtype=np.int64)
+    on1 = on2 = on_both = 0  # steps where the first, the second and both messages arrive
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
         u, streams = _draws(seeds, horizon, signal)
-        records = _run_block(plant, gain, schedule, loss, signal, horizon, u, streams, x0)
+        records = loop.run(u, streams, traced=on_trace is not None)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
         x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
+        on1 += int(np.count_nonzero(theta1))
+        on2 += int(np.count_nonzero(theta2))
+        on_both += int(np.count_nonzero(theta1 & theta2))
         with np.errstate(over="ignore", invalid="ignore"):
             sq_sum += np.einsum("kmi,kmi->k", x, x)
             terminal_hits += int(np.count_nonzero(
                 np.linalg.norm(x[-1], axis=1) < terminal_threshold))
-            mode_counts += np.bincount((2 * theta1 + theta2).ravel(), minlength=4)
             # merge the block's dissipation sums (Chan et al.'s pairwise update)
             d = sum_wz - eta * sum_ww
             d_mean = float(np.mean(d))
@@ -459,7 +546,8 @@ def ensemble(
         terminal_threshold=terminal_threshold,
         dissipation_mean=mean,
         dissipation_se=se,
-        mode_counts=mode_counts.reshape(2, 2),
+        mode_counts=np.array([[trials * horizon - on1 - on2 + on_both, on2 - on_both],
+                              [on1 - on_both, on_both]], dtype=np.int64),
     )
 
 

@@ -12,6 +12,7 @@ from ncspassive.model import (
     LossModel,
     Plant,
     Schedule,
+    closed_loop,
     full_packet_schedule,
     mode_distribution,
     selector_matrices,
@@ -106,6 +107,15 @@ class TestSimulate:
         with pytest.raises(DimensionMismatch, match="x0 length 2 != plant state dimension 1"):
             run(mixing_plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),
                 InputSignal.zero(1), 10)
+
+    @pytest.mark.parametrize("run", [
+        lambda *args: simulate(*args, -1, seed=0),
+        lambda *args: ensemble(*args, -1, trials=3, base_seed=0),
+    ], ids=["simulate", "ensemble"])
+    def test_negative_horizon_rejected(self, mixing_plant, run):
+        with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+            run(mixing_plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),
+                InputSignal.zero(1))
 
     def test_periodic_schedule_slots_recorded(self, mixing_plant):
         sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
@@ -254,6 +264,16 @@ class TestKernel:
         expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
         np.testing.assert_array_equal(_seed_words(seeds), expected)
 
+    @pytest.mark.parametrize("seeds", [
+        range(2**32 - 40, 2**32 + 40), range(2**64 - 40, 2**64 + 40),
+        range(2**32 + 9, 2**32 - 30, -3), range(12345, 12346), range(2**64 - 1, 2**64),
+    ], ids=["straddles-2**32", "straddles-2**64", "falling", "one-seed", "one-seed-2**64-1"])
+    def test_seed_words_of_a_range_equal_seed_sequence_state(self, seeds):
+        expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+        words = _seed_words(seeds)
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        np.testing.assert_array_equal(words, expected)
+
     def test_raw_word_uniforms_equal_generator_random(self):
         # multi-word seeds included; the normals then continue the stream
         seeds = pinned_seeds()
@@ -386,6 +406,39 @@ class TestKernel:
         assert stats.dissipation_se == pytest.approx(
             float(np.std(d, ddof=1) / np.sqrt(trials)), rel=1e-12, abs=1e-15)
 
+    def test_slot_matrices_are_built_once_per_call(self, monkeypatch):
+        """Three blocks of a 3-periodic loop build each slot's closed loop once in all."""
+        built = []
+
+        def counted(plant, gain, k, schedule):
+            built.append(k)
+            return closed_loop(plant, gain, k, schedule)
+
+        monkeypatch.setattr(sim, "closed_loop", counted)
+        schedule = Schedule(period=3, s1=(1, 0, 2), s2=(0, 1, 0))
+        ensemble(TWO_STATE, Gain([[-0.4, 0.3]]), schedule, LossModel(0.1, 0.2),
+                 InputSignal.zero(1), 5, 2 * TRIAL_BLOCK + 1, 0, x0=[1.0, -0.5])
+        assert built == [0, 1, 2]
+
+    @pytest.mark.parametrize("signal", [InputSignal.white_noise(1, 0.5), InputSignal.zero(1)],
+                             ids=["white-noise", "zero-closed-form"])
+    def test_traced_ensemble_carries_simulate_v(self, signal):
+        """A traced block carries simulate's v, to rounding.
+
+        A block multiplies all its trials' states at once, so its products may
+        round differently from one trial's in the last bit.
+        """
+        gain, loss, horizon, base = Gain([[-0.4, 0.3]]), LossModel(0.2, 0.3), 9, 70
+        x0, traces = [1.0, -0.5], []
+        ensemble(TWO_STATE, gain, SCHEDULES[0], loss, signal, horizon, TRIAL_BLOCK + 3, base,
+                 x0=x0, on_trace=traces.append)
+        for t in (0, 5, TRIAL_BLOCK + 2):
+            single = simulate(TWO_STATE, gain, SCHEDULES[0], loss, signal, horizon, base + t, x0)
+            assert traces[t].v.shape == single.v.shape == (horizon, 1)
+            np.testing.assert_allclose(traces[t].v, single.v, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(traces[t].theta1, single.theta1)
+            assert traces[t].theta1.dtype == single.theta1.dtype == np.int64
+
     def test_memory_does_not_grow_with_trials(self, mixing_plant):
         def peak(trials):
             tracemalloc.start()
@@ -510,6 +563,10 @@ class TestInputSignal:
         block = sig.block(6, 1)[:, 0]
         assert block[4][0] == 3.0
         assert block[5][0] == 0.0
+
+    def test_negative_impulse_step_rejected(self):
+        with pytest.raises(ValueError, match="impulse step must be >= 0"):
+            InputSignal("impulse", 1, magnitude=1.0, step=-1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
