@@ -12,13 +12,14 @@ block's seeds in one batched SeedSequence pass, and ``simulate`` takes
 four words word-major, (4, trials), so each hashmix and mix is one row
 operation across the block; seeds below 2**64 enter it from one uint64
 array, larger ones from their bytes. A block reads each trial's first
-2 horizon raw 64-bit words into one (2 horizon, trials) uint64 array
-and turns them all at once into the doubles ``Generator.random`` would
-give, (word >> 11) * 2**-53: words 2k and 2k + 1 are step k's uniforms
-(the layout of ``random((horizon, 2))``), and a message arrives when its
-uniform clears the drop rate, the first giving theta1 and the second
-theta2. A white-noise input then wraps the same bit generator in a
-``Generator`` and draws ``sigma * standard_normal((horizon, m1))``.
+2 horizon raw 64-bit words into one (2 horizon, trials) uint64 array:
+words 2k and 2k + 1 are step k's (the layout of ``random((horizon,
+2))``), the first deciding theta1 and the second theta2. A message
+arrives when ``Generator.random()``, (word >> 11) * 2**-53, clears its
+drop rate alpha, which is the integer test word >> 11 >= ceil(alpha *
+2**53) on the word's top 53 bits, so no uniform is formed. A
+white-noise input then wraps the same bit generator in a ``Generator``
+and draws ``sigma * standard_normal((horizon, m1))``.
 Zero, sinusoid and impulse inputs draw nothing more, so a block of them
 with a short horizon and enough trials computes its raw words directly
 from the hashed seed words as uint64 array arithmetic on PCG64's
@@ -29,12 +30,20 @@ give the same words, so the streams do not depend on the path.
 What does not depend on the draws is built once per ``simulate`` or
 ``ensemble`` call (``_Loop``): the checks, each slot's closed-loop
 matrices and a deterministic input's rows with their products. The
-controller output v is computed only where a trace is built.
+controller output v is computed only where a trace is built. A product
+with a 1 x 1 matrix is a broadcast multiply, and a one-state loop
+advances by one multiply and one add per step. So with one state and
+one exogenous input (n = m1 = 1) every value is one IEEE operation in a
+fixed order, and an ensemble's trace t has the rows of ``simulate(base
++ t)`` bit for bit. Otherwise a block's batched matmul (the state update
+for n >= 2, the input products for m1 >= 2) may round differently from
+one trial's in the last bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,19 +165,14 @@ def _raw_words(streams, count: int) -> np.ndarray:
     return raw.T
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """The ``Generator.random`` doubles of PCG64 raw words: (word >> 11) * 2**-53."""
-    return (raw >> 11) * 2.0 ** -53
-
-
 class _Loop:
     """What every block of one ``simulate`` or ``ensemble`` call shares, built once per call.
 
-    The checks, each used slot's mode (1, 1) matrices gathered per step and,
-    for an input that draws nothing, the input rows with their B1 and D11
-    products and w'w sums. Those are kept for the next block of the same
-    size, which is every block of a call but its last, so each block
-    computes exactly what it would on its own.
+    The checks, the arrival thresholds, each used slot's mode (1, 1)
+    matrices gathered per step and, for an input that draws nothing, the
+    input rows with their B1 and D11 products and w'w sums. Those are kept
+    for the next block of the same size, which is every block of a call
+    but its last, so each block computes exactly what it would on its own.
 
     The received measurement is theta1 * S1'S1 x and the applied actuation
     theta2 * S2S2' K yhat, so a step applies ``model.closed_loop``'s mode
@@ -190,8 +194,12 @@ class _Loop:
         used = range(max(1, min(schedule.period, horizon)))
         fams = [closed_loop(plant, gain, s, schedule) for s in used]
         slots = np.arange(horizon) % schedule.period
-        self.plant, self.loss, self.signal, self.horizon = plant, loss, signal, horizon
+        self.plant, self.signal, self.horizon = plant, signal, horizon
         self.x0 = x0.reshape(n)
+        # Generator.random() is (word >> 11) 2**-53, which clears alpha exactly when
+        # word >> 11 reaches alpha 2**53 (exact, as a power of two scales it); at
+        # alpha = 1 that is 2**53, which no word reaches
+        self.thresholds = [np.uint64(math.ceil(a * 2.0 ** 53)) for a in (loss.alpha1, loss.alpha2)]
         self.slots = slots.tolist()
         self.a_on = np.stack([f.a(1, 1).T for f in fams])
         self.c_steps = np.stack([f.c(1, 1).T for f in fams])[slots]
@@ -213,22 +221,25 @@ class _Loop:
                                           out=np.empty((horizon, trials, plant.m1))))
 
     def _products(self, w):
-        return w, w @ self.plant.B1.T, w @ self.plant.D11.T, np.sum(w * w, axis=(0, 2))
+        plant = self.plant
+        return w, _product(w, plant.B1.T), _product(w, plant.D11.T), np.sum(w * w, axis=(0, 2))
 
-    def run(self, u, streams, traced):
-        """Advance one trial per column of ``u`` together, one (M, n) state array per step.
+    def run(self, raw, streams, traced):
+        """Advance one trial per column of ``raw`` together, one (M, n) state array per step.
 
-        ``u`` holds each trial's first 2 horizon uniforms, (2 horizon, M); a
-        white-noise input draws its normals from ``streams``, the trials' bit
-        generators, positioned after the raw words of those uniforms.
+        ``raw`` holds each trial's first 2 horizon raw words, (2 horizon, M),
+        and is overwritten; a white-noise input draws its normals from
+        ``streams``, the trials' bit generators, positioned after those words.
 
         Returns x (T+1, M, n), w, z (T, M, .), the arrival bits theta1 and
         theta2 (T, M, bool) and each trial's sums w'z and w'w; v (T, M, m2)
         too if ``traced``, else None.
         """
-        plant, trials = self.plant, u.shape[1]
-        # time-major, as the step loop reads one row of ``on`` per step
-        theta1, theta2 = u[0::2] >= self.loss.alpha1, u[1::2] >= self.loss.alpha2
+        plant, trials = self.plant, raw.shape[1]
+        # time-major, as the step loop reads one row of ``on`` per step; in place, as
+        # a fresh array costs more in page faults than the shift
+        bits = np.right_shift(raw, _U11, out=raw)
+        theta1, theta2 = bits[0::2] >= self.thresholds[0], bits[1::2] >= self.thresholds[1]
         on = (theta1 & theta2)[..., None]
         xs = np.empty((self.horizon + 1, trials, plant.n))
         xs[0] = self.x0
@@ -237,17 +248,41 @@ class _Loop:
         with np.errstate(over="ignore", invalid="ignore"):
             w, wb, wd, sum_ww = self._input(trials, streams)
             # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
-            for x_k, x_next, on_k, wb_k, s in zip(xs[:-1], xs[1:], on, wb, self.slots):
-                np.matmul(x_k, a_off, out=x_next)
-                np.copyto(x_next, x_k @ a_on[s], where=on_k)
-                x_next += wb_k
+            if plant.n == 1:
+                # one multiply by a coefficient chosen up front: bit for bit the matmul
+                # loop's (0 + x a) + wb, as wb, a matmul's or ``_product``'s, is never -0.0
+                coef = np.where(on, a_on[self.slots], a_off)
+                for x_k, x_next, c_k, wb_k in zip(xs[:-1], xs[1:], coef, wb):
+                    np.multiply(x_k, c_k, out=x_next)
+                    x_next += wb_k
+            else:
+                for x_k, x_next, on_k, wb_k, s in zip(xs[:-1], xs[1:], on, wb, self.slots):
+                    np.matmul(x_k, a_off, out=x_next)
+                    np.copyto(x_next, x_k @ a_on[s], where=on_k)
+                    x_next += wb_k
 
             x = xs[:-1]
-            z = np.where(on, x @ self.c_steps, x @ plant.C1.T) + wd
-            v = theta1[..., None] * (x @ self.k_steps) if traced else None
+            z = np.where(on, _product(x, self.c_steps), _product(x, plant.C1.T))
+            z += wd
+            v = theta1[..., None] * _product(x, self.k_steps) if traced else None
             # the dissipation pairing w'z needs a square channel (p1 == m1)
             sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
         return xs, w, z, v, theta1, theta2, sum_wz, sum_ww
+
+
+def _product(x, m):
+    """``x @ m``, by a broadcast multiply where ``m`` is 1 x 1 (or a stack of such).
+
+    matmul runs a product of inner dimension 1 several times slower than
+    the multiply, which only wins, though, where the output is one column
+    wide too. matmul gives 0 + x m, so the multiply adds 0.0 as well: that
+    turns a -0.0 product into matmul's +0.0 and changes nothing else.
+    """
+    if m.shape[-2:] != (1, 1):
+        return x @ m
+    out = x * m
+    out += 0.0
+    return out
 
 
 def simulate(
@@ -268,7 +303,7 @@ def simulate(
     """
     loop = _Loop(plant, gain, schedule, loss, signal, horizon, x0)
     streams = [np.random.default_rng(seed).bit_generator]
-    records = loop.run(_uniforms(_raw_words(streams, 2 * horizon)), streams, traced=True)
+    records = loop.run(_raw_words(streams, 2 * horizon), streams, traced=True)
     return _trace(records, 0, seed, schedule)
 
 
@@ -355,7 +390,7 @@ class _Words(ISeedSequence):
 # PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _LOW32 = np.uint64(0xFFFFFFFF)
-_U1, _U32, _U58, _U63 = np.uint64(1), np.uint64(32), np.uint64(58), np.uint64(63)
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
 
 
 def _split128(values) -> tuple[np.ndarray, np.ndarray]:
@@ -442,18 +477,18 @@ def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
 
 
 def _draws(seeds, horizon: int, signal: InputSignal):
-    """The uniforms of ``seeds``' streams, (2 horizon, M), and their PCG64s if the input draws.
+    """``seeds``' first 2 horizon raw words, (2 horizon, M), and their PCG64s if the input draws.
 
-    Only white noise reads the bit generators after the uniforms, so a block
+    Only white noise reads the bit generators after those words, so a block
     of any other input with a short horizon and enough trials takes its raw
     words in closed form and builds none.
     """
     words = _seed_words(seeds)
     if (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
             and len(words) >= _CLOSED_FORM_TRIALS):
-        return _uniforms(_pcg64_raw(words, 2 * horizon)), None
+        return _pcg64_raw(words, 2 * horizon), None
     streams = [np.random.PCG64(_Words(w)) for w in words]
-    return _uniforms(_raw_words(streams, 2 * horizon)), streams
+    return _raw_words(streams, 2 * horizon), streams
 
 
 def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
@@ -513,8 +548,8 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        u, streams = _draws(seeds, horizon, signal)
-        records = loop.run(u, streams, traced=on_trace is not None)
+        raw, streams = _draws(seeds, horizon, signal)
+        records = loop.run(raw, streams, traced=on_trace is not None)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
@@ -534,7 +569,7 @@ def ensemble(
                        + delta * delta * done * d.size / (done + d.size))
             done += d.size
             mean += delta * (d.size / done)
-        del records, u, x, w, z, v, theta1, theta2  # free this block before the next is drawn
+        del records, raw, x, w, z, v, theta1, theta2  # free this block before the next is drawn
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,

@@ -25,7 +25,6 @@ from ncspassive.sim import (
     _pcg64_raw,
     _raw_words,
     _seed_words,
-    _uniforms,
     _Words,
     decay_fit,
     ensemble,
@@ -274,17 +273,63 @@ class TestKernel:
         assert words.dtype == np.uint64 and words.flags.c_contiguous
         np.testing.assert_array_equal(words, expected)
 
-    def test_raw_word_uniforms_equal_generator_random(self):
-        # multi-word seeds included; the normals then continue the stream
+    def test_raw_word_uniforms_equal_generator_random(self, mixing_plant):
+        """The raw words' arrival bits are default_rng's ``random() >= alpha``.
+
+        Multi-word seeds included; the normals then continue the stream.
+        """
         seeds = pinned_seeds()
-        horizon = 7
+        horizon, loss = 7, LossModel(0.3, 0.6)
         streams = [np.random.PCG64(_Words(w)) for w in _seed_words(seeds)]
         generators = [np.random.default_rng(s) for s in seeds]
-        expected = np.array([g.random((horizon, 2)).ravel() for g in generators]).T
-        np.testing.assert_array_equal(_uniforms(_raw_words(streams, 2 * horizon)), expected)
+        uniforms = np.array([g.random((horizon, 2)) for g in generators]).transpose(1, 2, 0)
+        loop = sim._Loop(mixing_plant, Gain([[0.0]]), full_packet_schedule(), loss,
+                         InputSignal.zero(1), horizon, None)
+        theta1, theta2 = loop.run(_raw_words(streams, 2 * horizon), None, traced=False)[4:6]
+        np.testing.assert_array_equal(theta1, uniforms[:, 0] >= loss.alpha1)
+        np.testing.assert_array_equal(theta2, uniforms[:, 1] >= loss.alpha2)
         for stream, g in zip(streams, generators):
             np.testing.assert_array_equal(np.random.Generator(stream).standard_normal(3),
                                           g.standard_normal(3))
+
+    @staticmethod
+    def emitting(word: int) -> np.random.PCG64:
+        """A PCG64 whose next raw word is ``word``: its next state is ``word`` itself.
+
+        With increment 1 and a high half of zero, XSL-RR rotates by 0 and
+        outputs the low half; the state before is one LCG step back.
+        """
+        bit_generator = np.random.PCG64()
+        back = (word - 1) * pow(sim._PCG_MULT, -1, 1 << 128) % (1 << 128)
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": back, "inc": 1},
+                               "has_uint32": 0, "uinteger": 0}
+        return bit_generator
+
+    def test_arrival_threshold_is_exact(self, mixing_plant):
+        """Words whose top 53 bits are c - 1, c and c + 1 for c = ceil(alpha 2**53).
+
+        Each word's arrival bit is checked against ``Generator.random() >= alpha``
+        on a PCG64 made to emit it, with the word's low 11 bits all clear and
+        all set.
+        """
+        alphas = [0.0, 1.0, 0.1, 0.2, 0.5, 5e-324, 2.0**-53, 1 - 2.0**-53]
+        alphas += [float(np.nextafter(a, to)) for a in (0.0, 0.1, 0.2, 0.5, 1.0)
+                   for to in (-1.0, 2.0) if 0.0 <= np.nextafter(a, to) <= 1.0]
+        alphas += [k * 2.0**-53 for k in (1, 2, 3, 12345, 2**52, 2**52 + 1, 2**53 - 1)]
+        for alpha in alphas:
+            c = int(np.ceil(alpha * 2.0**53))
+            words = [(k << 11) | low for k in (c - 1, c, c + 1) if 0 <= k < 2**53
+                     for low in (0, 2**11 - 1)]
+            assert all(self.emitting(word).random_raw() == word for word in words)
+            expected = [np.random.Generator(self.emitting(word)).random() >= alpha
+                        for word in words]
+            raw = np.repeat(np.array(words, dtype=np.uint64), 2)[:, None]  # one trial
+            loop = sim._Loop(mixing_plant, Gain([[0.0]]), full_packet_schedule(),
+                             LossModel(alpha, alpha), InputSignal.zero(1), len(words), None)
+            theta1, theta2 = loop.run(raw, None, traced=False)[4:6]
+            np.testing.assert_array_equal(theta1[:, 0], expected, err_msg=repr(alpha))
+            np.testing.assert_array_equal(theta2[:, 0], expected, err_msg=repr(alpha))
+            assert any(expected) == (alpha < 1.0) and all(expected) == (alpha == 0.0)
 
     def test_closed_form_words_equal_pcg64_random_raw(self):
         seeds = pinned_seeds()
@@ -325,7 +370,7 @@ class TestKernel:
 
         def hand_rolled(seeds, horizon, signal):
             streams = [np.random.default_rng(s).bit_generator for s in seeds]
-            return _uniforms(_raw_words(streams, 2 * horizon)), streams
+            return _raw_words(streams, 2 * horizon), streams
 
         monkeypatch.setattr(sim, "_draws", hand_rolled)
         reference = ensemble(*args, trials, base, **kwargs)
@@ -438,6 +483,56 @@ class TestKernel:
             np.testing.assert_allclose(traces[t].v, single.v, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(traces[t].theta1, single.theta1)
             assert traces[t].theta1.dtype == single.theta1.dtype == np.int64
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative-B1-C1-D11"])
+    @pytest.mark.parametrize("loss", [LossModel(0.2, 0.3), LossModel(0.0, 1.0), LossModel(1.0, 0.0)],
+                             ids=["alpha-0.2-0.3", "alpha-0-1", "alpha-1-0"])
+    @pytest.mark.parametrize("signal", [InputSignal.white_noise(1, 0.5), InputSignal.zero(1)],
+                             ids=["white-noise", "zero"])
+    @pytest.mark.parametrize("x0", [None, [0.7]], ids=["x0-zero", "x0-0.7"])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["full-packet", "2-periodic"])
+    def test_scalar_loop_is_the_scalar_recurrence_bit_for_bit(self, sign, loss, signal, x0,
+                                                                schedule):
+        """For n = m1 = 1 every value is one IEEE multiply or add in a fixed order.
+
+        So traces equal the scalar recurrence exactly, sign of zero included,
+        with each matrix product taken as matmul forms it, 0 + x m; and an
+        ensemble's trace t has the rows of ``simulate(base + t)`` byte for
+        byte. The zero input's 65-trial block takes the closed-form words.
+        """
+        plant = Plant(A=[[0.9]], B1=[[sign]], B2=[[0.5]], C1=[[sign * 0.5]], D11=[[sign]],
+                      D12=[[0.4]])
+        gain, horizon, trials, base = Gain([[-0.6]]), 12, 65, 2**32 - 20
+        fams = [closed_loop(plant, gain, s, schedule) for s in range(schedule.period)]
+        a_on = [float(f.a(1, 1)[0, 0]) for f in fams]
+        c_on = [float(f.c(1, 1)[0, 0]) for f in fams]
+        k_on = [float((gain.K @ s1.T @ s1)[0, 0]) for s1, _ in (
+            selector_matrices(schedule, s, 1, 1) for s in range(schedule.period))]
+        a, b1, c1, d11 = 0.9, sign, sign * 0.5, sign
+        traces = []
+        ensemble(plant, gain, schedule, loss, signal, horizon, trials, base, x0=x0,
+                 on_trace=traces.append)
+        for t, trace in enumerate(traces):
+            rng = np.random.default_rng(base + t)
+            u = rng.random((horizon, 2))
+            w = (signal.sigma * rng.standard_normal(horizon)).tolist() \
+                if signal.kind == "white-noise" else [0.0] * horizon
+            x = 0.0 if x0 is None else x0[0]
+            xs, zs, vs = [x], [], []
+            for k in range(horizon):
+                s = k % schedule.period
+                on1, on2 = bool(u[k, 0] >= loss.alpha1), bool(u[k, 1] >= loss.alpha2)
+                on = on1 and on2
+                zs.append((0.0 + x * (c_on[s] if on else c1)) + (0.0 + w[k] * d11))
+                vs.append(float(on1) * (0.0 + x * k_on[s]))
+                x = (0.0 + x * (a_on[s] if on else a)) + (0.0 + w[k] * b1)
+                xs.append(x)
+            for name, ref in (("x", xs), ("w", w), ("z", zs), ("v", vs)):
+                assert getattr(trace, name).tobytes() == np.array(ref).tobytes(), (t, name)
+            # the rows only: numpy sums one trial's w'z and w'w pairwise, a block's in step order
+            single = simulate(plant, gain, schedule, loss, signal, horizon, base + t, x0)
+            for name in ("x", "w", "z", "v", "theta1", "theta2", "slots"):
+                assert getattr(trace, name).tobytes() == getattr(single, name).tobytes(), (t, name)
 
     def test_memory_does_not_grow_with_trials(self, mixing_plant):
         def peak(trials):
