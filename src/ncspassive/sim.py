@@ -37,13 +37,30 @@ one exogenous input (n = m1 = 1) every value is one IEEE operation in a
 fixed order, and an ensemble's trace t has the rows of ``simulate(base
 + t)`` bit for bit. Otherwise a block's batched matmul (the state update
 for n >= 2, the input products for m1 >= 2) may round differently from
-one trial's in the last bit.
+one trial's in the last bit. A trace's sums w'z and w'w add its own
+rows, so they are ``simulate``'s wherever the rows are.
+
+An untraced ``ensemble`` block (no ``on_trace``) that reads bit
+generators writes its large arrays into a workspace whose buffers
+outlive the call (``_Workspace``): the raw words, the arrival bits, the
+normals, w with its B1 and D11 products, the states, a one-state loop's
+coefficients, z, and the w'w and w'z products. So the next call of a
+shape it has seen faults in no fresh pages. One workspace is kept per
+process, and one block at a time holds it; a call from an ``on_trace``
+callback or from another thread makes its own. It is kept only while it
+holds at most 8 MiB, which a 250 x 200 white-noise block (4.2 MB) fits
+and a 1024 x 200 one (about 17 MB) does not: that block allocates fresh
+arrays. Traced blocks (``simulate``, ``ensemble(on_trace=...)``), whose
+``SimTrace``s are views of their arrays, and closed-form blocks always
+take fresh arrays, so a trace never views a reused buffer. Memory still
+does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +174,61 @@ class SimTrace:
     sum_ww: float
 
 
-def _raw_words(streams, count: int) -> np.ndarray:
+# An untraced ensemble block's workspace is kept while it holds at most this
+# many bytes: a one-state white-noise block of 250 x 200 holds 4.2 MB and one of
+# 1024 x 50 4.3 MB, and adding a 125 x 200 four-state block's makes 5.0 MB.
+_WORKSPACE_BYTES = 8 << 20
+_spare: list[_Workspace] = []  # at most one workspace, free for the next untraced block
+_spare_lock = threading.Lock()
+
+
+class _Workspace:
+    """Named buffers of one block's large arrays, kept for the next block while they fit.
+
+    ``take`` hands out an uninitialised contiguous array of the asked shape
+    and order, viewing the front of the buffer held under its name, which grows
+    when too small; so blocks of several shapes share one set of buffers
+    and, once each name has met its largest block, fault in no fresh
+    pages. A workspace whose buffers would pass ``_WORKSPACE_BYTES`` lets
+    them go and hands out fresh arrays from then on, as ``_FRESH``, which
+    holds nothing, always does.
+    """
+
+    def __init__(self, held: dict | None) -> None:
+        self.held = held
+
+    @classmethod
+    def pop(cls) -> _Workspace:
+        """The spare workspace, or an empty one; no other block uses it until ``push``."""
+        with _spare_lock:
+            return _spare.pop() if _spare else cls({})
+
+    def push(self) -> None:
+        """Keep this workspace for the next untraced block, unless one is kept or it holds none."""
+        with _spare_lock:
+            if self.held is not None and not _spare:
+                _spare.append(self)
+
+    def take(self, name: str, shape: tuple, dtype=np.float64, order: str = "C") -> np.ndarray:
+        if self.held is None:
+            return np.empty(shape, dtype, order)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.held.pop(name, None)
+        if buf is None or buf.size < size:
+            if sum(b.size for b in self.held.values()) + size > _WORKSPACE_BYTES:
+                self.held = None
+                return np.empty(shape, dtype, order)
+            buf = np.empty(size, np.uint8)
+        self.held[name] = buf
+        return buf[:size].view(dtype).reshape(shape, order=order)
+
+
+_FRESH = _Workspace(None)
+
+
+def _raw_words(streams, count: int, ws=_FRESH) -> np.ndarray:
     """Each bit generator's next ``count`` raw words, time-major: (count, M)."""
-    raw = np.empty((len(streams), count), dtype=np.uint64)
+    raw = ws.take("raw", (len(streams), count), np.uint64)
     for m, stream in enumerate(streams):
         raw[m] = stream.random_raw(count)
     return raw.T
@@ -207,51 +276,66 @@ class _Loop:
             selector_matrices(schedule, s, plant.p2, plant.m2) for s in used)])[slots]
         self._block = None  # (trials, inputs) of the last deterministic block
 
-    def _input(self, trials, streams):
+    def _input(self, trials, streams, ws):
         """A block's inputs w (T, M, m1), w B1' and w D11' alike, and each trial's sum w'w."""
         plant, signal, horizon = self.plant, self.signal, self.horizon
         if signal.kind != "white-noise":
+            # kept for the call's later blocks, so never in a block's workspace
             if self._block is None or self._block[0] != trials:
-                self._block = trials, self._products(signal.block(horizon, trials))
+                self._block = trials, self._products(signal.block(horizon, trials), _FRESH)
             return self._block[1]
-        noise = np.empty((trials, horizon, plant.m1))
+        noise = ws.take("normals", (trials, horizon, plant.m1))
         for m, stream in enumerate(streams):
             np.random.Generator(stream).standard_normal(out=noise[m])
-        return self._products(np.multiply(signal.sigma, noise.transpose(1, 0, 2),
-                                          out=np.empty((horizon, trials, plant.m1))))
+        w = np.multiply(signal.sigma, noise.transpose(1, 0, 2),
+                        out=ws.take("w", (horizon, trials, plant.m1)))
+        return self._products(w, ws)
 
-    def _products(self, w):
-        plant = self.plant
-        return w, _product(w, plant.B1.T), _product(w, plant.D11.T), np.sum(w * w, axis=(0, 2))
+    def _products(self, w, ws):
+        plant, shape = self.plant, w.shape[:2]
+        return (w, _product(w, plant.B1.T, ws.take("wb", (*shape, plant.n))),
+                _product(w, plant.D11.T, ws.take("wd", (*shape, plant.p1))),
+                np.sum(np.multiply(w, w, out=ws.take("scratch", w.shape)), axis=(0, 2)))
 
-    def run(self, raw, streams, traced):
+    def run(self, raw, streams, traced, ws=_FRESH):
         """Advance one trial per column of ``raw`` together, one (M, n) state array per step.
 
         ``raw`` holds each trial's first 2 horizon raw words, (2 horizon, M),
         and is overwritten; a white-noise input draws its normals from
         ``streams``, the trials' bit generators, positioned after those words.
+        The block's large arrays come from the workspace ``ws``.
 
         Returns x (T+1, M, n), w, z (T, M, .), the arrival bits theta1 and
         theta2 (T, M, bool) and each trial's sums w'z and w'w; v (T, M, m2)
         too if ``traced``, else None.
         """
-        plant, trials = self.plant, raw.shape[1]
+        plant, horizon, trials = self.plant, self.horizon, raw.shape[1]
         # time-major, as the step loop reads one row of ``on`` per step; in place, as
         # a fresh array costs more in page faults than the shift
         bits = np.right_shift(raw, _U11, out=raw)
-        theta1, theta2 = bits[0::2] >= self.thresholds[0], bits[1::2] >= self.thresholds[1]
-        on = (theta1 & theta2)[..., None]
-        xs = np.empty((self.horizon + 1, trials, plant.n))
+        # in the words' memory order: trial-major from bit generators, time-major in closed form
+        order = "C" if raw.flags.c_contiguous else "F"
+        theta1, theta2, on = (ws.take(name, (horizon, trials), bool, order)
+                              for name in ("theta1", "theta2", "on"))
+        np.greater_equal(bits[0::2], self.thresholds[0], out=theta1)
+        np.greater_equal(bits[1::2], self.thresholds[1], out=theta2)
+        on = np.bitwise_and(theta1, theta2, out=on)[..., None]
+        xs = ws.take("x", (horizon + 1, trials, plant.n))
         xs[0] = self.x0
         a_off, a_on = plant.A.T, self.a_on
         # a diverging loop overflows to inf, then nan; its statistics say so, quietly
         with np.errstate(over="ignore", invalid="ignore"):
-            w, wb, wd, sum_ww = self._input(trials, streams)
+            w, wb, wd, sum_ww = self._input(trials, streams, ws)
             # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
             if plant.n == 1:
                 # one multiply by a coefficient chosen up front: bit for bit the matmul
                 # loop's (0 + x a) + wb, as wb, a matmul's or ``_product``'s, is never -0.0
-                coef = np.where(on, a_on[self.slots], a_off)
+                if ws is _FRESH:
+                    coef = np.where(on, a_on[self.slots], a_off)
+                else:  # np.where has no out
+                    coef = ws.take("coef", (horizon, trials, 1))
+                    coef[...] = a_off
+                    np.copyto(coef, a_on[self.slots], where=on)
                 for x_k, x_next, c_k, wb_k in zip(xs[:-1], xs[1:], coef, wb):
                     np.multiply(x_k, c_k, out=x_next)
                     x_next += wb_k
@@ -261,16 +345,22 @@ class _Loop:
                     np.copyto(x_next, x_k @ a_on[s], where=on_k)
                     x_next += wb_k
 
-            x = xs[:-1]
-            z = np.where(on, _product(x, self.c_steps), _product(x, plant.C1.T))
+            x, z_shape = xs[:-1], (horizon, trials, plant.p1)
+            closed = _product(x, self.c_steps, ws.take("scratch", z_shape))
+            if ws is _FRESH:
+                z = np.where(on, closed, _product(x, plant.C1.T))
+            else:  # the open-loop rows, then the closed-loop ones where both messages arrive
+                z = _product(x, plant.C1.T, ws.take("z", z_shape))
+                np.copyto(z, closed, where=on)
             z += wd
             v = theta1[..., None] * _product(x, self.k_steps) if traced else None
             # the dissipation pairing w'z needs a square channel (p1 == m1)
-            sum_wz = np.sum(w * z, axis=(0, 2)) if plant.p1 == plant.m1 else np.full(trials, np.nan)
+            sum_wz = (np.sum(np.multiply(w, z, out=ws.take("scratch", z_shape)), axis=(0, 2))
+                      if plant.p1 == plant.m1 else np.full(trials, np.nan))
         return xs, w, z, v, theta1, theta2, sum_wz, sum_ww
 
 
-def _product(x, m):
+def _product(x, m, out=None):
     """``x @ m``, by a broadcast multiply where ``m`` is 1 x 1 (or a stack of such).
 
     matmul runs a product of inner dimension 1 several times slower than
@@ -279,8 +369,8 @@ def _product(x, m):
     turns a -0.0 product into matmul's +0.0 and changes nothing else.
     """
     if m.shape[-2:] != (1, 1):
-        return x @ m
-    out = x * m
+        return np.matmul(x, m, out=out)
+    out = np.multiply(x, m, out=out)
     out += 0.0
     return out
 
@@ -476,29 +566,40 @@ def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _draws(seeds, horizon: int, signal: InputSignal):
-    """``seeds``' first 2 horizon raw words, (2 horizon, M), and their PCG64s if the input draws.
+def _closed_form(signal: InputSignal, horizon: int, trials: int) -> bool:
+    """Whether a block takes its raw words in closed form (``_pcg64_raw``).
 
     Only white noise reads the bit generators after those words, so a block
-    of any other input with a short horizon and enough trials takes its raw
-    words in closed form and builds none.
+    of any other input with a short horizon and enough trials builds none.
     """
+    return (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
+            and trials >= _CLOSED_FORM_TRIALS)
+
+
+def _draws(seeds, horizon: int, signal: InputSignal, ws):
+    """``seeds``' first 2 horizon raw words, (2 horizon, M), and their PCG64s if the input draws."""
     words = _seed_words(seeds)
-    if (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
-            and len(words) >= _CLOSED_FORM_TRIALS):
+    if _closed_form(signal, horizon, len(words)):
         return _pcg64_raw(words, 2 * horizon), None
     streams = [np.random.PCG64(_Words(w)) for w in words]
-    return _raw_words(streams, 2 * horizon), streams
+    return _raw_words(streams, 2 * horizon, ws), streams
 
 
 def _trace(records, m: int, seed: int, schedule: Schedule) -> SimTrace:
-    """Trial ``m`` of a traced ``_Loop.run`` result as a SimTrace."""
-    x, w, z, v, theta1, theta2, sum_wz, sum_ww = records
-    horizon = len(w)
-    return SimTrace(horizon, x[:, m], w[:, m], z[:, m], v[:, m],
+    """Trial ``m`` of a traced ``_Loop.run`` result as a SimTrace.
+
+    Its sums w'z and w'w add the trial's own rows, as one trial's are added
+    whatever block it ran in; the block's per-trial sums add them in step
+    order, which rounds differently.
+    """
+    x, w, z, v, theta1, theta2 = records[:6]
+    horizon, w_m, z_m = len(w), w[:, m], z[:, m]
+    # the dissipation pairing w'z needs a square channel (p1 == m1)
+    sum_wz = float(np.sum(w_m * z_m)) if w_m.shape == z_m.shape else math.nan
+    return SimTrace(horizon, x[:, m], w_m, z_m, v[:, m],
                     theta1[:, m].astype(np.int64), theta2[:, m].astype(np.int64),
                     np.arange(horizon) % schedule.period, seed, schedule,
-                    float(sum_wz[m]), float(sum_ww[m]))
+                    sum_wz, float(np.sum(w_m * w_m)))
 
 
 @dataclass(frozen=True)
@@ -534,6 +635,7 @@ def ensemble(
     """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ...
 
     Trials run in blocks of at most ``TRIAL_BLOCK``; only running sums
+    and, kept for the next untraced block, a workspace of at most 8 MiB
     outlive a block, so memory does not grow with ``trials``. When given,
     ``on_trace`` is called with each trial's :class:`SimTrace`, in seed
     order, while its block is alive.
@@ -548,8 +650,12 @@ def ensemble(
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        raw, streams = _draws(seeds, horizon, signal)
-        records = loop.run(raw, streams, traced=on_trace is not None)
+        # a traced block's SimTraces are views of its arrays, so they are its own; a
+        # closed-form block's arrays are small, and np.where beats copyto at that size
+        pooled = on_trace is None and not _closed_form(signal, horizon, len(seeds))
+        ws = _Workspace.pop() if pooled else _FRESH
+        raw, streams = _draws(seeds, horizon, signal, ws)
+        records = loop.run(raw, streams, on_trace is not None, ws)
         if on_trace is not None:
             for m, seed in enumerate(seeds):
                 on_trace(_trace(records, m, seed, schedule))
@@ -570,6 +676,7 @@ def ensemble(
             done += d.size
             mean += delta * (d.size / done)
         del records, raw, x, w, z, v, theta1, theta2  # free this block before the next is drawn
+        ws.push()
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -50,6 +52,28 @@ def pinned_seeds() -> list[int]:
 @pytest.fixture
 def mixing_plant() -> Plant:
     return Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
+
+
+@pytest.fixture
+def empty_workspace(monkeypatch):
+    """sim keeps no workspace for untraced blocks; calling the fixture empties it again."""
+    monkeypatch.setattr(sim, "_spare", [])
+    return sim._spare.clear
+
+
+def periodic_loop():
+    """A 4-state 4-periodic loop: plant, gain, schedule and loss."""
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((4, 4))
+    plant = Plant(A=0.9 * a / max(abs(np.linalg.eigvals(a))), B1=rng.standard_normal((4, 1)),
+                  B2=rng.standard_normal((4, 1)), C1=rng.standard_normal((1, 4)), D11=[[1.0]],
+                  D12=[[0.0]])
+    return (plant, Gain(0.2 * rng.standard_normal((1, 4))),
+            Schedule(period=4, s1=(1, 0, 3, 0), s2=(0, 1, 0, 1)), LossModel(0.3, 0.2))
+
+
+def stats_bytes(stats) -> list[bytes]:
+    return [np.asarray(getattr(stats, f.name)).tobytes() for f in dataclasses.fields(stats)]
 
 
 class TestSimulate:
@@ -368,9 +392,9 @@ class TestKernel:
             np.testing.assert_array_equal(theta1, u[:, 0] >= 0.1)
             np.testing.assert_array_equal(theta2, u[:, 1] >= 0.2)
 
-        def hand_rolled(seeds, horizon, signal):
+        def hand_rolled(seeds, horizon, signal, ws):
             streams = [np.random.default_rng(s).bit_generator for s in seeds]
-            return _raw_words(streams, 2 * horizon), streams
+            return _raw_words(streams, 2 * horizon, ws), streams
 
         monkeypatch.setattr(sim, "_draws", hand_rolled)
         reference = ensemble(*args, trials, base, **kwargs)
@@ -497,8 +521,9 @@ class TestKernel:
 
         So traces equal the scalar recurrence exactly, sign of zero included,
         with each matrix product taken as matmul forms it, 0 + x m; and an
-        ensemble's trace t has the rows of ``simulate(base + t)`` byte for
-        byte. The zero input's 65-trial block takes the closed-form words.
+        ensemble's trace t has the rows and the sums w'z and w'w of
+        ``simulate(base + t)`` byte for byte. The zero input's 65-trial block
+        takes the closed-form words.
         """
         plant = Plant(A=[[0.9]], B1=[[sign]], B2=[[0.5]], C1=[[sign * 0.5]], D11=[[sign]],
                       D12=[[0.4]])
@@ -529,13 +554,14 @@ class TestKernel:
                 xs.append(x)
             for name, ref in (("x", xs), ("w", w), ("z", zs), ("v", vs)):
                 assert getattr(trace, name).tobytes() == np.array(ref).tobytes(), (t, name)
-            # the rows only: numpy sums one trial's w'z and w'w pairwise, a block's in step order
             single = simulate(plant, gain, schedule, loss, signal, horizon, base + t, x0)
-            for name in ("x", "w", "z", "v", "theta1", "theta2", "slots"):
-                assert getattr(trace, name).tobytes() == getattr(single, name).tobytes(), (t, name)
+            for name in ("x", "w", "z", "v", "theta1", "theta2", "slots", "sum_wz", "sum_ww"):
+                assert (np.asarray(getattr(trace, name)).tobytes()
+                        == np.asarray(getattr(single, name)).tobytes()), (t, name)
 
-    def test_memory_does_not_grow_with_trials(self, mixing_plant):
+    def test_memory_does_not_grow_with_trials(self, mixing_plant, empty_workspace):
         def peak(trials):
+            empty_workspace()  # so each call counts its own workspace, not a kept one
             tracemalloc.start()
             try:
                 ensemble(mixing_plant, Gain([[-0.7]]), full_packet_schedule(), LossModel(0.1, 0.2),
@@ -545,6 +571,130 @@ class TestKernel:
                 tracemalloc.stop()
 
         assert peak(4 * TRIAL_BLOCK) <= 1.5 * peak(TRIAL_BLOCK)
+
+
+class TestWorkspace:
+    """An untraced block's retained buffers against fresh arrays, shared by no two blocks."""
+
+    SCALAR = (Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]]),
+              Gain([[-0.6]]), full_packet_schedule(), LossModel(0.1, 0.2))
+
+    def scalar(self, horizon, trials, base=3):
+        return (*self.SCALAR, InputSignal.white_noise(1, 0.5), horizon, trials, base)
+
+    def periodic(self, horizon, trials, base=5):
+        return (*periodic_loop(), InputSignal.white_noise(1), horizon, trials, base)
+
+    def test_untraced_equals_traced_bit_for_bit(self, empty_workspace):
+        """Kept buffers against fresh ones, from an empty and from a reused workspace.
+
+        The first call of each shape finds buffers another shape (one
+        diverging, so they hold inf and nan) left behind.
+        """
+        unstable = (Plant(A=[[3.0]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]]),
+                    Gain([[0.0]]), full_packet_schedule(), LossModel(0.5, 0.5),
+                    InputSignal.white_noise(1), 200, 400, 0)
+        cases = [(self.scalar(50, 2 * TRIAL_BLOCK + 5), {"x0": [0.3], "eta": 0.1}),
+                 (self.periodic(200, 125), {"x0": [1.0, -1.0, 0.5, 0.0]}),
+                 (self.scalar(7, 70), {}), (self.periodic(9, 300), {})]
+        for args, kwargs in cases:
+            fresh = stats_bytes(ensemble(*args, **kwargs, on_trace=lambda t: None))
+            for warm in range(2):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ensemble(*unstable)
+                assert stats_bytes(ensemble(*args, **kwargs)) == fresh, (args[5:], warm)
+
+    def test_untraced_call_inside_on_trace(self, empty_workspace):
+        """A call from a callback gets its own workspace and leaves the caller's traces alone."""
+        inner, outer = self.periodic(200, 125), self.scalar(40, 30)
+        standalone = stats_bytes(ensemble(*inner))
+        traces, nested = [], []
+
+        def on_trace(trace):
+            traces.append(trace)
+            nested.append(stats_bytes(ensemble(*inner)))
+
+        stats = ensemble(*outer, on_trace=on_trace)
+        assert nested == [standalone] * 30
+        plain = []
+        assert stats_bytes(ensemble(*outer, on_trace=plain.append)) == stats_bytes(stats)
+        for kept, ref in zip(traces, plain):
+            for name in ("x", "w", "z", "v", "theta1", "theta2", "sum_wz", "sum_ww"):
+                assert (np.asarray(getattr(kept, name)).tobytes()
+                        == np.asarray(getattr(ref, name)).tobytes()), name
+
+    def test_threads_share_no_workspace(self, empty_workspace):
+        """Four threads, more than the cores, each run one shape; every result is a lone call's."""
+        shapes = [self.scalar(200, 250), self.periodic(200, 125), self.scalar(50, 1024, 9),
+                  self.periodic(40, 300, 11)]
+        expected = [stats_bytes(ensemble(*args)) for args in shapes]
+        results = [[] for _ in shapes]
+
+        def work(k):
+            for _ in range(4):
+                results[k].append(stats_bytes(ensemble(*shapes[k])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(shapes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[e] * 4 for e in expected]
+        assert len(sim._spare) <= 1
+
+    def test_kept_trace_survives_later_untraced_calls(self, empty_workspace):
+        args = self.scalar(200, 250)
+        traces = []
+        ensemble(*args, on_trace=traces.append)
+        before = [{name: np.asarray(getattr(t, name)).tobytes() for name in vars(t)
+                   if isinstance(getattr(t, name), (np.ndarray, float))} for t in traces]
+        ensemble(*args)
+        ensemble(*self.scalar(200, 250, base=99))
+        after = [{name: np.asarray(getattr(t, name)).tobytes() for name in before[0]}
+                 for t in traces]
+        assert after == before
+
+    def test_one_workspace_within_the_cap_is_kept(self, empty_workspace):
+        shapes = [self.scalar(200, 250), self.periodic(200, 125), self.scalar(50, 1024),
+                  self.scalar(9, 3), self.periodic(200, 300)]
+        for args in shapes:
+            ensemble(*args)
+            assert len(sim._spare) == 1
+            held = sum(buf.nbytes for buf in sim._spare[0].held.values())
+            assert 0 < held <= sim._WORKSPACE_BYTES
+        # a 1024 x 200 white-noise block needs about 17 MB, so neither a kept nor a new
+        # workspace outlives it
+        ensemble(*self.scalar(200, TRIAL_BLOCK))
+        assert sim._spare == []
+        ensemble(*self.scalar(200, TRIAL_BLOCK))
+        assert sim._spare == []
+
+    def test_closed_form_and_traced_blocks_keep_nothing(self, empty_workspace):
+        ensemble(*self.scalar(200, 250), on_trace=lambda t: None)
+        ensemble(*self.SCALAR, InputSignal.zero(1), 6, 2000, 0, x0=[1.0])
+        simulate(*self.SCALAR, InputSignal.white_noise(1), 200, 0)
+        assert sim._spare == []
+
+    def test_trace_sums_add_the_trial_rows(self):
+        """Each trace's sums are its own rows' sums, nan for w'z without a square channel."""
+        square, wide = TWO_STATE, Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5], [1.0]],
+                                        D11=[[1.0], [0.5]], D12=[[0.0], [0.0]])
+        for plant, gain in ((square, Gain([[-0.4, 0.3]])), (wide, Gain([[-0.6]]))):
+            traces = []
+            ensemble(plant, gain, full_packet_schedule(), LossModel(0.1, 0.2),
+                     InputSignal.white_noise(1), 30, 40, 7, on_trace=traces.append)
+            for trace in traces:
+                assert trace.sum_ww == float(np.sum(trace.w * trace.w))
+                if plant is square:
+                    assert trace.sum_wz == float(np.sum(trace.w * trace.z))
+                else:
+                    assert np.isnan(trace.sum_wz)
 
 
 class TestDecayFit:
