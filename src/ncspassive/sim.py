@@ -41,18 +41,17 @@ one trial's in the last bit. A trace's sums w'z and w'w add its own
 rows, so they are ``simulate``'s wherever the rows are.
 
 An untraced ``ensemble`` block (no ``on_trace``) that reads bit
-generators writes its large arrays into a workspace whose buffers
-outlive the call (``_Workspace``): the raw words, the arrival bits, the
-normals, w with its B1 and D11 products, the states, a one-state loop's
-coefficients, z, and the w'w and w'z products. So the next call of a
-shape it has seen faults in no fresh pages. One workspace is kept per
-process, and one block at a time holds it; a call from an ``on_trace``
-callback or from another thread makes its own. It is kept only while it
-holds at most 8 MiB, which a 250 x 200 white-noise block (4.2 MB) fits
-and a 1024 x 200 one (about 17 MB) does not: that block allocates fresh
-arrays. Traced blocks (``simulate``, ``ensemble(on_trace=...)``), whose
-``SimTrace``s are views of their arrays, and closed-form blocks always
-take fresh arrays, so a trace never views a reused buffer. Memory still
+generators writes its large arrays into the call's workspace
+(``_Workspace``), which the call drops when it returns. Arrays that are
+never alive together share one buffer: the raw words' buffer later
+holds the normals, w'w, a one-state loop's coefficients and z, and w
+B1''s holds the closed-loop output, then w D11', then w'z. With w, the
+states and the arrival bits, a 250 x 200 white-noise block holds 2.2 MB
+and faults in about 460 fresh pages, where an array each faulted in
+about 950; the call's later blocks reuse the first one's pages. Traced
+blocks (``simulate``, ``ensemble(on_trace=...)``), whose ``SimTrace``s
+are views of their arrays, and closed-form blocks, whose arrays are
+small, take fresh arrays, so a trace never views a workspace. Memory
 does not grow with the number of trials.
 """
 
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,61 +172,41 @@ class SimTrace:
     sum_ww: float
 
 
-# An untraced ensemble block's workspace is kept while it holds at most this
-# many bytes: a one-state white-noise block of 250 x 200 holds 4.2 MB and one of
-# 1024 x 50 4.3 MB, and adding a 125 x 200 four-state block's makes 5.0 MB.
-_WORKSPACE_BYTES = 8 << 20
-_spare: list[_Workspace] = []  # at most one workspace, free for the next untraced block
-_spare_lock = threading.Lock()
-
-
 class _Workspace:
-    """Named buffers of one block's large arrays, kept for the next block while they fit.
+    """Buffers that one ``ensemble`` call's untraced blocks write their large arrays into.
 
-    ``take`` hands out an uninitialised contiguous array of the asked shape
-    and order, viewing the front of the buffer held under its name, which grows
-    when too small; so blocks of several shapes share one set of buffers
-    and, once each name has met its largest block, fault in no fresh
-    pages. A workspace whose buffers would pass ``_WORKSPACE_BYTES`` lets
-    them go and hands out fresh arrays from then on, as ``_FRESH``, which
-    holds nothing, always does.
+    ``take`` hands out an uninitialised array of the asked shape and order,
+    viewing the front of the buffer held under its name, which grows when
+    too small. Arrays that are never alive together share a name, so a
+    block touches fewer fresh pages than it would with an array each, and
+    every later block of the call reuses the first one's pages.
     """
 
-    def __init__(self, held: dict | None) -> None:
-        self.held = held
-
-    @classmethod
-    def pop(cls) -> _Workspace:
-        """The spare workspace, or an empty one; no other block uses it until ``push``."""
-        with _spare_lock:
-            return _spare.pop() if _spare else cls({})
-
-    def push(self) -> None:
-        """Keep this workspace for the next untraced block, unless one is kept or it holds none."""
-        with _spare_lock:
-            if self.held is not None and not _spare:
-                _spare.append(self)
+    def __init__(self) -> None:
+        self.held: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple, dtype=np.float64, order: str = "C") -> np.ndarray:
-        if self.held is None:
-            return np.empty(shape, dtype, order)
         size = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = self.held.pop(name, None)
+        buf = self.held.get(name)
         if buf is None or buf.size < size:
-            if sum(b.size for b in self.held.values()) + size > _WORKSPACE_BYTES:
-                self.held = None
-                return np.empty(shape, dtype, order)
-            buf = np.empty(size, np.uint8)
-        self.held[name] = buf
+            buf = self.held[name] = np.empty(size, np.uint8)
         return buf[:size].view(dtype).reshape(shape, order=order)
 
 
-_FRESH = _Workspace(None)
+class _Fresh:
+    """A workspace that holds nothing: each ``take`` is a new array."""
+
+    @staticmethod
+    def take(name: str, shape: tuple, dtype=np.float64, order: str = "C") -> np.ndarray:
+        return np.empty(shape, dtype, order)
+
+
+_FRESH = _Fresh()
 
 
 def _raw_words(streams, count: int, ws=_FRESH) -> np.ndarray:
     """Each bit generator's next ``count`` raw words, time-major: (count, M)."""
-    raw = ws.take("raw", (len(streams), count), np.uint64)
+    raw = ws.take("a", (len(streams), count), np.uint64)
     for m, stream in enumerate(streams):
         raw[m] = stream.random_raw(count)
     return raw.T
@@ -277,25 +255,26 @@ class _Loop:
         self._block = None  # (trials, inputs) of the last deterministic block
 
     def _input(self, trials, streams, ws):
-        """A block's inputs w (T, M, m1), w B1' and w D11' alike, and each trial's sum w'w."""
+        """A block's inputs w (T, M, m1) and w B1' alike, each trial's sum w'w, and w D11'.
+
+        White noise leaves w D11' to ``run`` (None), which forms it once w B1'
+        is spent, in that array's buffer.
+        """
         plant, signal, horizon = self.plant, self.signal, self.horizon
         if signal.kind != "white-noise":
             # kept for the call's later blocks, so never in a block's workspace
             if self._block is None or self._block[0] != trials:
-                self._block = trials, self._products(signal.block(horizon, trials), _FRESH)
+                w = signal.block(horizon, trials)
+                self._block = trials, (w, _product(w, plant.B1.T), np.sum(w * w, axis=(0, 2)),
+                                       _product(w, plant.D11.T))
             return self._block[1]
-        noise = ws.take("normals", (trials, horizon, plant.m1))
+        noise = ws.take("a", (trials, horizon, plant.m1))  # the raw words are spent
         for m, stream in enumerate(streams):
             np.random.Generator(stream).standard_normal(out=noise[m])
         w = np.multiply(signal.sigma, noise.transpose(1, 0, 2),
                         out=ws.take("w", (horizon, trials, plant.m1)))
-        return self._products(w, ws)
-
-    def _products(self, w, ws):
-        plant, shape = self.plant, w.shape[:2]
-        return (w, _product(w, plant.B1.T, ws.take("wb", (*shape, plant.n))),
-                _product(w, plant.D11.T, ws.take("wd", (*shape, plant.p1))),
-                np.sum(np.multiply(w, w, out=ws.take("scratch", w.shape)), axis=(0, 2)))
+        return (w, _product(w, plant.B1.T, ws.take("b", (horizon, trials, plant.n))),
+                np.sum(np.multiply(w, w, out=ws.take("a", w.shape)), axis=(0, 2)), None)
 
     def run(self, raw, streams, traced, ws=_FRESH):
         """Advance one trial per column of ``raw`` together, one (M, n) state array per step.
@@ -325,15 +304,15 @@ class _Loop:
         a_off, a_on = plant.A.T, self.a_on
         # a diverging loop overflows to inf, then nan; its statistics say so, quietly
         with np.errstate(over="ignore", invalid="ignore"):
-            w, wb, wd, sum_ww = self._input(trials, streams, ws)
+            w, wb, sum_ww, wd = self._input(trials, streams, ws)
             # step k writes xs[k + 1] once: open loop, closed where both messages arrive, input
             if plant.n == 1:
                 # one multiply by a coefficient chosen up front: bit for bit the matmul
                 # loop's (0 + x a) + wb, as wb, a matmul's or ``_product``'s, is never -0.0
                 if ws is _FRESH:
                     coef = np.where(on, a_on[self.slots], a_off)
-                else:  # np.where has no out
-                    coef = ws.take("coef", (horizon, trials, 1))
+                else:  # np.where has no out; the normals and w'w are spent
+                    coef = ws.take("a", (horizon, trials, 1))
                     coef[...] = a_off
                     np.copyto(coef, a_on[self.slots], where=on)
                 for x_k, x_next, c_k, wb_k in zip(xs[:-1], xs[1:], coef, wb):
@@ -346,16 +325,17 @@ class _Loop:
                     x_next += wb_k
 
             x, z_shape = xs[:-1], (horizon, trials, plant.p1)
-            closed = _product(x, self.c_steps, ws.take("scratch", z_shape))
+            closed = _product(x, self.c_steps, ws.take("b", z_shape))  # wb is spent
             if ws is _FRESH:
                 z = np.where(on, closed, _product(x, plant.C1.T))
             else:  # the open-loop rows, then the closed-loop ones where both messages arrive
-                z = _product(x, plant.C1.T, ws.take("z", z_shape))
+                z = _product(x, plant.C1.T, ws.take("a", z_shape))  # any coefficients are spent
                 np.copyto(z, closed, where=on)
-            z += wd
+            # w D11' after the closed-loop output is spent, then w'z after w D11'
+            z += _product(w, plant.D11.T, ws.take("b", z_shape)) if wd is None else wd
             v = theta1[..., None] * _product(x, self.k_steps) if traced else None
             # the dissipation pairing w'z needs a square channel (p1 == m1)
-            sum_wz = (np.sum(np.multiply(w, z, out=ws.take("scratch", z_shape)), axis=(0, 2))
+            sum_wz = (np.sum(np.multiply(w, z, out=ws.take("b", z_shape)), axis=(0, 2))
                       if plant.p1 == plant.m1 else np.full(trials, np.nan))
         return xs, w, z, v, theta1, theta2, sum_wz, sum_ww
 
@@ -635,8 +615,8 @@ def ensemble(
     """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ...
 
     Trials run in blocks of at most ``TRIAL_BLOCK``; only running sums
-    and, kept for the next untraced block, a workspace of at most 8 MiB
-    outlive a block, so memory does not grow with ``trials``. When given,
+    and the untraced blocks' buffers, which one block fills, outlive a
+    block, so memory does not grow with ``trials``. When given,
     ``on_trace`` is called with each trial's :class:`SimTrace`, in seed
     order, while its block is alive.
     """
@@ -648,12 +628,13 @@ def ensemble(
     terminal_hits = 0
     on1 = on2 = on_both = 0  # steps where the first, the second and both messages arrive
     done, mean, sq_dev = 0, 0.0, 0.0  # dissipation count, mean, sum of squared deviations
+    workspace = _Workspace()  # dropped on return, so no two calls share one
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
         # a traced block's SimTraces are views of its arrays, so they are its own; a
         # closed-form block's arrays are small, and np.where beats copyto at that size
-        pooled = on_trace is None and not _closed_form(signal, horizon, len(seeds))
-        ws = _Workspace.pop() if pooled else _FRESH
+        ws = (workspace if on_trace is None and not _closed_form(signal, horizon, len(seeds))
+              else _FRESH)
         raw, streams = _draws(seeds, horizon, signal, ws)
         records = loop.run(raw, streams, on_trace is not None, ws)
         if on_trace is not None:
@@ -676,7 +657,6 @@ def ensemble(
             done += d.size
             mean += delta * (d.size / done)
         del records, raw, x, w, z, v, theta1, theta2  # free this block before the next is drawn
-        ws.push()
     se = float(np.sqrt(sq_dev / (trials - 1)) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleStats(
         trials=trials,

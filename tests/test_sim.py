@@ -1,7 +1,5 @@
 import csv
 import dataclasses
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -52,13 +50,6 @@ def pinned_seeds() -> list[int]:
 @pytest.fixture
 def mixing_plant() -> Plant:
     return Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
-
-
-@pytest.fixture
-def empty_workspace(monkeypatch):
-    """sim keeps no workspace for untraced blocks; calling the fixture empties it again."""
-    monkeypatch.setattr(sim, "_spare", [])
-    return sim._spare.clear
 
 
 def periodic_loop():
@@ -559,9 +550,8 @@ class TestKernel:
                 assert (np.asarray(getattr(trace, name)).tobytes()
                         == np.asarray(getattr(single, name)).tobytes()), (t, name)
 
-    def test_memory_does_not_grow_with_trials(self, mixing_plant, empty_workspace):
+    def test_memory_does_not_grow_with_trials(self, mixing_plant):
         def peak(trials):
-            empty_workspace()  # so each call counts its own workspace, not a kept one
             tracemalloc.start()
             try:
                 ensemble(mixing_plant, Gain([[-0.7]]), full_packet_schedule(), LossModel(0.1, 0.2),
@@ -574,118 +564,62 @@ class TestKernel:
 
 
 class TestWorkspace:
-    """An untraced block's retained buffers against fresh arrays, shared by no two blocks."""
+    """An untraced call's workspace against the fresh arrays of a traced call."""
 
     SCALAR = (Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]]),
               Gain([[-0.6]]), full_packet_schedule(), LossModel(0.1, 0.2))
+    WIDE = Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5], [1.0]], D11=[[1.0], [0.5]],
+                 D12=[[0.0], [0.0]])  # two outputs, one input
 
     def scalar(self, horizon, trials, base=3):
         return (*self.SCALAR, InputSignal.white_noise(1, 0.5), horizon, trials, base)
 
-    def periodic(self, horizon, trials, base=5):
-        return (*periodic_loop(), InputSignal.white_noise(1), horizon, trials, base)
+    def test_untraced_equals_traced_bit_for_bit(self):
+        """Every array a workspace hands out is written in full before it is read.
 
-    def test_untraced_equals_traced_bit_for_bit(self, empty_workspace):
-        """Kept buffers against fresh ones, from an empty and from a reused workspace.
-
-        The first call of each shape finds buffers another shape (one
-        diverging, so they hold inf and nan) left behind.
+        Within a block the raw words' buffer, whose bits read as floats
+        include nan and inf, later holds the normals, w'w, the coefficients
+        and z; a call's later blocks take the front of the first block's
+        buffers. The two-output plant grows a buffer part way through a
+        block, and the unstable loop leaves inf and nan for its later blocks.
         """
-        unstable = (Plant(A=[[3.0]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]]),
-                    Gain([[0.0]]), full_packet_schedule(), LossModel(0.5, 0.5),
-                    InputSignal.white_noise(1), 200, 400, 0)
+        unstable = Plant(A=[[3.0]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
         cases = [(self.scalar(50, 2 * TRIAL_BLOCK + 5), {"x0": [0.3], "eta": 0.1}),
-                 (self.periodic(200, 125), {"x0": [1.0, -1.0, 0.5, 0.0]}),
-                 (self.scalar(7, 70), {}), (self.periodic(9, 300), {})]
-        for args, kwargs in cases:
-            fresh = stats_bytes(ensemble(*args, **kwargs, on_trace=lambda t: None))
-            for warm in range(2):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ensemble(*unstable)
-                assert stats_bytes(ensemble(*args, **kwargs)) == fresh, (args[5:], warm)
+                 ((*periodic_loop(), InputSignal.white_noise(1), 600, TRIAL_BLOCK + 6, 5),
+                  {"x0": [1.0, -1.0, 0.5, 0.0]}),
+                 (self.scalar(7, 70), {}),
+                 ((TWO_STATE, Gain([[-0.4, 0.3]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                   InputSignal.white_noise(1), 30, 90, 7), {}),
+                 ((self.WIDE, Gain([[-0.6]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                   InputSignal.white_noise(1), 30, 90, 7), {}),
+                 ((unstable, Gain([[0.0]]), full_packet_schedule(), LossModel(0.5, 0.5),
+                   InputSignal.white_noise(1), 2000, 1100, 0), {})]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for args, kwargs in cases:
+                fresh = stats_bytes(ensemble(*args, **kwargs, on_trace=lambda t: None))
+                assert stats_bytes(ensemble(*args, **kwargs)) == fresh, args[5:]
 
-    def test_untraced_call_inside_on_trace(self, empty_workspace):
-        """A call from a callback gets its own workspace and leaves the caller's traces alone."""
-        inner, outer = self.periodic(200, 125), self.scalar(40, 30)
-        standalone = stats_bytes(ensemble(*inner))
-        traces, nested = [], []
+    def test_kept_traces_are_their_own(self):
+        """A kept SimTrace is unchanged by its call's later blocks and by later calls."""
+        def contents(trace):
+            return [np.asarray(value).tobytes() for value in vars(trace).values()
+                    if isinstance(value, (np.ndarray, float))]
 
-        def on_trace(trace):
+        args = self.scalar(50, TRIAL_BLOCK + 5)
+        traces, seen = [], []
+
+        def keep(trace):
             traces.append(trace)
-            nested.append(stats_bytes(ensemble(*inner)))
+            seen.append(contents(trace))
 
-        stats = ensemble(*outer, on_trace=on_trace)
-        assert nested == [standalone] * 30
-        plain = []
-        assert stats_bytes(ensemble(*outer, on_trace=plain.append)) == stats_bytes(stats)
-        for kept, ref in zip(traces, plain):
-            for name in ("x", "w", "z", "v", "theta1", "theta2", "sum_wz", "sum_ww"):
-                assert (np.asarray(getattr(kept, name)).tobytes()
-                        == np.asarray(getattr(ref, name)).tobytes()), name
-
-    def test_threads_share_no_workspace(self, empty_workspace):
-        """Four threads, more than the cores, each run one shape; every result is a lone call's."""
-        shapes = [self.scalar(200, 250), self.periodic(200, 125), self.scalar(50, 1024, 9),
-                  self.periodic(40, 300, 11)]
-        expected = [stats_bytes(ensemble(*args)) for args in shapes]
-        results = [[] for _ in shapes]
-
-        def work(k):
-            for _ in range(4):
-                results[k].append(stats_bytes(ensemble(*shapes[k])))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(shapes))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [[e] * 4 for e in expected]
-        assert len(sim._spare) <= 1
-
-    def test_kept_trace_survives_later_untraced_calls(self, empty_workspace):
-        args = self.scalar(200, 250)
-        traces = []
-        ensemble(*args, on_trace=traces.append)
-        before = [{name: np.asarray(getattr(t, name)).tobytes() for name in vars(t)
-                   if isinstance(getattr(t, name), (np.ndarray, float))} for t in traces]
+        ensemble(*args, on_trace=keep)
         ensemble(*args)
-        ensemble(*self.scalar(200, 250, base=99))
-        after = [{name: np.asarray(getattr(t, name)).tobytes() for name in before[0]}
-                 for t in traces]
-        assert after == before
-
-    def test_one_workspace_within_the_cap_is_kept(self, empty_workspace):
-        shapes = [self.scalar(200, 250), self.periodic(200, 125), self.scalar(50, 1024),
-                  self.scalar(9, 3), self.periodic(200, 300)]
-        for args in shapes:
-            ensemble(*args)
-            assert len(sim._spare) == 1
-            held = sum(buf.nbytes for buf in sim._spare[0].held.values())
-            assert 0 < held <= sim._WORKSPACE_BYTES
-        # a 1024 x 200 white-noise block needs about 17 MB, so neither a kept nor a new
-        # workspace outlives it
-        ensemble(*self.scalar(200, TRIAL_BLOCK))
-        assert sim._spare == []
-        ensemble(*self.scalar(200, TRIAL_BLOCK))
-        assert sim._spare == []
-
-    def test_closed_form_and_traced_blocks_keep_nothing(self, empty_workspace):
-        ensemble(*self.scalar(200, 250), on_trace=lambda t: None)
-        ensemble(*self.SCALAR, InputSignal.zero(1), 6, 2000, 0, x0=[1.0])
-        simulate(*self.SCALAR, InputSignal.white_noise(1), 200, 0)
-        assert sim._spare == []
+        assert [contents(trace) for trace in traces] == seen
 
     def test_trace_sums_add_the_trial_rows(self):
         """Each trace's sums are its own rows' sums, nan for w'z without a square channel."""
-        square, wide = TWO_STATE, Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5], [1.0]],
-                                        D11=[[1.0], [0.5]], D12=[[0.0], [0.0]])
-        for plant, gain in ((square, Gain([[-0.4, 0.3]])), (wide, Gain([[-0.6]]))):
+        square = TWO_STATE
+        for plant, gain in ((square, Gain([[-0.4, 0.3]])), (self.WIDE, Gain([[-0.6]]))):
             traces = []
             ensemble(plant, gain, full_packet_schedule(), LossModel(0.1, 0.2),
                      InputSignal.white_noise(1), 30, 40, 7, on_trace=traces.append)
