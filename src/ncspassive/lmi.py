@@ -343,7 +343,6 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
     at ``problem.margin``.
     """
     eps = problem.margin.epsilon_rel
-    zero = {name: np.zeros(var.shape) for name, var in problem.variables.items()}
     psd_slack = np.inf
     trace = constant = 0.0
     grads: dict[str, list] = {}
@@ -355,7 +354,7 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
             )
         psd_slack = min(psd_slack, float(sym_eigvals(z)[0]) + eps * (1.0 + fro_norm(z)))
         trace += float(np.trace(z))
-        constant += float(np.sum(z * expr.assemble(zero)))
+        constant += float(np.sum(z * expr.constant()))
         for vname in expr.variables():
             grads.setdefault(vname, []).append(
                 expr.grad(vname, z, problem.variables[vname].shape)

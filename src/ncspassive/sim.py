@@ -40,18 +40,12 @@ for n >= 2, the input products for m1 >= 2) may round differently from
 one trial's in the last bit. A trace's sums w'z and w'w add its own
 rows, so they are ``simulate``'s wherever the rows are.
 
-An untraced ``ensemble`` block (no ``on_trace``) that reads bit
-generators writes its large arrays into the call's workspace
-(``_Workspace``), which the call drops when it returns. Arrays that are
-never alive together share one buffer: the raw words' buffer later
-holds the normals, w'w, a one-state loop's coefficients and z, and w
-B1''s holds the closed-loop output, then w D11', then w'z. With w, the
-states and the arrival bits, a 250 x 200 white-noise block holds 2.2 MB
-and faults in about 460 fresh pages, where an array each faulted in
-about 950; the call's later blocks reuse the first one's pages. Traced
-blocks (``simulate``, ``ensemble(on_trace=...)``), whose ``SimTrace``s
-are views of their arrays, and closed-form blocks, whose arrays are
-small, take fresh arrays, so a trace never views a workspace. Memory
+Every block writes its arrays into a workspace (``_Workspace``), where
+arrays never alive together share one buffer: the raw words' buffer
+later holds the normals, w'w, a one-state loop's coefficients and z,
+and w B1''s holds the closed-loop output, then w D11', then w'z. Untraced
+blocks share their call's workspace; ``simulate`` and each traced block
+take one of their own, as their ``SimTrace``s view its buffers. Memory
 does not grow with the number of trials.
 """
 
@@ -173,13 +167,13 @@ class SimTrace:
 
 
 class _Workspace:
-    """Buffers that one ``ensemble`` call's untraced blocks write their large arrays into.
+    """Buffers that blocks write their arrays into.
 
     ``take`` hands out an uninitialised array of the asked shape and order,
     viewing the front of the buffer held under its name, which grows when
     too small. Arrays that are never alive together share a name, so a
     block touches fewer fresh pages than it would with an array each, and
-    every later block of the call reuses the first one's pages.
+    later blocks that share the workspace reuse the first one's pages.
     """
 
     def __init__(self) -> None:
@@ -190,21 +184,10 @@ class _Workspace:
         buf = self.held.get(name)
         if buf is None or buf.size < size:
             buf = self.held[name] = np.empty(size, np.uint8)
-        return buf[:size].view(dtype).reshape(shape, order=order)
+        return np.ndarray(shape, dtype, buf, order=order)
 
 
-class _Fresh:
-    """A workspace that holds nothing: each ``take`` is a new array."""
-
-    @staticmethod
-    def take(name: str, shape: tuple, dtype=np.float64, order: str = "C") -> np.ndarray:
-        return np.empty(shape, dtype, order)
-
-
-_FRESH = _Fresh()
-
-
-def _raw_words(streams, count: int, ws=_FRESH) -> np.ndarray:
+def _raw_words(streams, count: int, ws) -> np.ndarray:
     """Each bit generator's next ``count`` raw words, time-major: (count, M)."""
     raw = ws.take("a", (len(streams), count), np.uint64)
     for m, stream in enumerate(streams):
@@ -276,13 +259,13 @@ class _Loop:
         return (w, _product(w, plant.B1.T, ws.take("b", (horizon, trials, plant.n))),
                 np.sum(np.multiply(w, w, out=ws.take("a", w.shape)), axis=(0, 2)), None)
 
-    def run(self, raw, streams, traced, ws=_FRESH):
+    def run(self, raw, streams, traced, ws):
         """Advance one trial per column of ``raw`` together, one (M, n) state array per step.
 
         ``raw`` holds each trial's first 2 horizon raw words, (2 horizon, M),
         and is overwritten; a white-noise input draws its normals from
         ``streams``, the trials' bit generators, positioned after those words.
-        The block's large arrays come from the workspace ``ws``.
+        The block's arrays come from the workspace ``ws``.
 
         Returns x (T+1, M, n), w, z (T, M, .), the arrival bits theta1 and
         theta2 (T, M, bool) and each trial's sums w'z and w'w; v (T, M, m2)
@@ -309,12 +292,9 @@ class _Loop:
             if plant.n == 1:
                 # one multiply by a coefficient chosen up front: bit for bit the matmul
                 # loop's (0 + x a) + wb, as wb, a matmul's or ``_product``'s, is never -0.0
-                if ws is _FRESH:
-                    coef = np.where(on, a_on[self.slots], a_off)
-                else:  # np.where has no out; the normals and w'w are spent
-                    coef = ws.take("a", (horizon, trials, 1))
-                    coef[...] = a_off
-                    np.copyto(coef, a_on[self.slots], where=on)
+                coef = ws.take("a", (horizon, trials, 1))  # the normals and w'w are spent
+                coef[...] = a_off
+                np.copyto(coef, a_on[self.slots], where=on)
                 for x_k, x_next, c_k, wb_k in zip(xs[:-1], xs[1:], coef, wb):
                     np.multiply(x_k, c_k, out=x_next)
                     x_next += wb_k
@@ -326,11 +306,9 @@ class _Loop:
 
             x, z_shape = xs[:-1], (horizon, trials, plant.p1)
             closed = _product(x, self.c_steps, ws.take("b", z_shape))  # wb is spent
-            if ws is _FRESH:
-                z = np.where(on, closed, _product(x, plant.C1.T))
-            else:  # the open-loop rows, then the closed-loop ones where both messages arrive
-                z = _product(x, plant.C1.T, ws.take("a", z_shape))  # any coefficients are spent
-                np.copyto(z, closed, where=on)
+            # the open-loop rows, then the closed-loop ones where both messages arrive
+            z = _product(x, plant.C1.T, ws.take("a", z_shape))  # any coefficients are spent
+            np.copyto(z, closed, where=on)
             # w D11' after the closed-loop output is spent, then w'z after w D11'
             z += _product(w, plant.D11.T, ws.take("b", z_shape)) if wd is None else wd
             v = theta1[..., None] * _product(x, self.k_steps) if traced else None
@@ -373,7 +351,8 @@ def simulate(
     """
     loop = _Loop(plant, gain, schedule, loss, signal, horizon, x0)
     streams = [np.random.default_rng(seed).bit_generator]
-    records = loop.run(_raw_words(streams, 2 * horizon), streams, traced=True)
+    ws = _Workspace()  # the trace views its buffers
+    records = loop.run(_raw_words(streams, 2 * horizon, ws), streams, True, ws)
     return _trace(records, 0, seed, schedule)
 
 
@@ -546,20 +525,16 @@ def _pcg64_raw(words: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _closed_form(signal: InputSignal, horizon: int, trials: int) -> bool:
-    """Whether a block takes its raw words in closed form (``_pcg64_raw``).
+def _draws(seeds, horizon: int, signal: InputSignal, ws):
+    """``seeds``' first 2 horizon raw words, (2 horizon, M), and their PCG64s if the input draws.
 
     Only white noise reads the bit generators after those words, so a block
-    of any other input with a short horizon and enough trials builds none.
+    of any other input with a short horizon and enough trials builds none:
+    it takes its words in closed form (``_pcg64_raw``).
     """
-    return (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
-            and trials >= _CLOSED_FORM_TRIALS)
-
-
-def _draws(seeds, horizon: int, signal: InputSignal, ws):
-    """``seeds``' first 2 horizon raw words, (2 horizon, M), and their PCG64s if the input draws."""
     words = _seed_words(seeds)
-    if _closed_form(signal, horizon, len(words)):
+    if (signal.kind != "white-noise" and horizon <= _CLOSED_FORM_STEPS
+            and len(words) >= _CLOSED_FORM_TRIALS):
         return _pcg64_raw(words, 2 * horizon), None
     streams = [np.random.PCG64(_Words(w)) for w in words]
     return _raw_words(streams, 2 * horizon, ws), streams
@@ -614,11 +589,11 @@ def ensemble(
 ) -> EnsembleStats:
     """Run ``trials`` independent traces with seeds base_seed, base_seed+1, ...
 
-    Trials run in blocks of at most ``TRIAL_BLOCK``; only running sums
-    and the untraced blocks' buffers, which one block fills, outlive a
-    block, so memory does not grow with ``trials``. When given,
-    ``on_trace`` is called with each trial's :class:`SimTrace`, in seed
-    order, while its block is alive.
+    Trials run in blocks of at most ``TRIAL_BLOCK``, which write into the
+    call's workspace, or each into its own when traced; only running sums
+    and that workspace, which one block fills, outlive a block, so memory
+    does not grow with ``trials``. When given, ``on_trace`` is called with
+    each trial's :class:`SimTrace`, in seed order, while its block is alive.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -631,10 +606,8 @@ def ensemble(
     workspace = _Workspace()  # dropped on return, so no two calls share one
     for start in range(0, trials, size):
         seeds = range(base_seed + start, base_seed + min(start + size, trials))
-        # a traced block's SimTraces are views of its arrays, so they are its own; a
-        # closed-form block's arrays are small, and np.where beats copyto at that size
-        ws = (workspace if on_trace is None and not _closed_form(signal, horizon, len(seeds))
-              else _FRESH)
+        # a traced block's SimTraces view its buffers, so no later block may write there
+        ws = workspace if on_trace is None else _Workspace()
         raw, streams = _draws(seeds, horizon, signal, ws)
         records = loop.run(raw, streams, on_trace is not None, ws)
         if on_trace is not None:

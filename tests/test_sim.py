@@ -300,7 +300,8 @@ class TestKernel:
         uniforms = np.array([g.random((horizon, 2)) for g in generators]).transpose(1, 2, 0)
         loop = sim._Loop(mixing_plant, Gain([[0.0]]), full_packet_schedule(), loss,
                          InputSignal.zero(1), horizon, None)
-        theta1, theta2 = loop.run(_raw_words(streams, 2 * horizon), None, traced=False)[4:6]
+        ws = sim._Workspace()
+        theta1, theta2 = loop.run(_raw_words(streams, 2 * horizon, ws), None, False, ws)[4:6]
         np.testing.assert_array_equal(theta1, uniforms[:, 0] >= loss.alpha1)
         np.testing.assert_array_equal(theta2, uniforms[:, 1] >= loss.alpha2)
         for stream, g in zip(streams, generators):
@@ -341,7 +342,7 @@ class TestKernel:
             raw = np.repeat(np.array(words, dtype=np.uint64), 2)[:, None]  # one trial
             loop = sim._Loop(mixing_plant, Gain([[0.0]]), full_packet_schedule(),
                              LossModel(alpha, alpha), InputSignal.zero(1), len(words), None)
-            theta1, theta2 = loop.run(raw, None, traced=False)[4:6]
+            theta1, theta2 = loop.run(raw, None, False, sim._Workspace())[4:6]
             np.testing.assert_array_equal(theta1[:, 0], expected, err_msg=repr(alpha))
             np.testing.assert_array_equal(theta2[:, 0], expected, err_msg=repr(alpha))
             assert any(expected) == (alpha < 1.0) and all(expected) == (alpha == 0.0)
@@ -564,7 +565,7 @@ class TestKernel:
 
 
 class TestWorkspace:
-    """An untraced call's workspace against the fresh arrays of a traced call."""
+    """An untraced call's shared workspace against a traced call's workspace per block."""
 
     SCALAR = (Plant(A=[[0.9]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]]),
               Gain([[-0.6]]), full_packet_schedule(), LossModel(0.1, 0.2))
@@ -582,6 +583,8 @@ class TestWorkspace:
         and z; a call's later blocks take the front of the first block's
         buffers. The two-output plant grows a buffer part way through a
         block, and the unstable loop leaves inf and nan for its later blocks.
+        The zero and impulse inputs' closed-form blocks share a call's
+        workspace, the zero input's with a bit-generator tail.
         """
         unstable = Plant(A=[[3.0]], B1=[[1.0]], B2=[[0.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
         cases = [(self.scalar(50, 2 * TRIAL_BLOCK + 5), {"x0": [0.3], "eta": 0.1}),
@@ -593,7 +596,10 @@ class TestWorkspace:
                  ((self.WIDE, Gain([[-0.6]]), full_packet_schedule(), LossModel(0.1, 0.2),
                    InputSignal.white_noise(1), 30, 90, 7), {}),
                  ((unstable, Gain([[0.0]]), full_packet_schedule(), LossModel(0.5, 0.5),
-                   InputSignal.white_noise(1), 2000, 1100, 0), {})]
+                   InputSignal.white_noise(1), 2000, 1100, 0), {}),
+                 ((*self.SCALAR, InputSignal.zero(1), 6, TRIAL_BLOCK + 10, 3), {"x0": [1.0]}),
+                 ((*periodic_loop(), InputSignal("impulse", 1, magnitude=0.7, step=2),
+                   _CLOSED_FORM_STEPS, 2 * TRIAL_BLOCK + 70, 9), {"x0": [1.0, -1.0, 0.5, 0.0]})]
         with np.errstate(over="ignore", invalid="ignore"):
             for args, kwargs in cases:
                 fresh = stats_bytes(ensemble(*args, **kwargs, on_trace=lambda t: None))
