@@ -37,7 +37,8 @@ the largest certifiable eta in one barrier run (``lmi.certify``).
 At one eta, ``_riccati_storage`` answers the same form without a
 search: Newton-Kleinman steps on the averaged dissipation Riccati
 equation give storage matrices that ``lmi.verify`` must still accept.
-The synthesis round trip re-certifies its gain that way.
+No certifier calls it; it is the tests' independent oracle for the
+largest certifiable eta.
 """
 
 from __future__ import annotations

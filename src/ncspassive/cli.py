@@ -215,9 +215,10 @@ def parse_config(data: dict, where: str = "config") -> ScenarioConfig:
 
     eta = data.get("eta")
     if eta is not None and eta != "maximize":
-        if isinstance(eta, bool) or not (isinstance(eta, (int, float)) and 0 <= eta < math.inf):
+        if isinstance(eta, bool) or not isinstance(eta, (int, float)):
             raise ConfigError(f'{where}.eta: expected a number >= 0 or "maximize", got {eta!r}')
-        eta = float(eta)
+        # 2 eta I must stay finite in the dissipation and synthesis forms
+        eta = _number(eta, f"{where}.eta", minimum=0.0, magnitude=ENTRY_BOUND)
 
     gain = _gain(data["gain"], f"{where}.gain", plant) if "gain" in data else None
 
@@ -418,7 +419,6 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
     return {"synthesis": _certified(
         result.certificate, config.margin, eta=result.eta, K=_mat(result.gain.K),
         X=_mat(result.x), Y=_mat(result.y), rho=result.rho, round_trip={
-            "passivity_certified": trip.passivity_certified,
             "direct_certified": trip.direct_certified,
             "rho_ok": trip.rho_ok,
             "congruence_rel_err": trip.congruence_rel_err,
@@ -753,7 +753,7 @@ def _apply_overrides(args) -> ScenarioConfig:
         if args.eta in ("max", "maximize"):
             data["eta"] = "maximize"
         else:
-            data["eta"] = _number(_flag_value(args.eta), "--eta", minimum=0.0)
+            data["eta"] = _number(_flag_value(args.eta), "--eta", minimum=0.0, magnitude=ENTRY_BOUND)
     solver = {
         key: _number(_flag_value(getattr(args, key)), f"--{key}", **_SOLVER_FIELDS[key][1])
         for key in ("margin", "budget")

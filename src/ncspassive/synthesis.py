@@ -16,10 +16,9 @@ column included, carries sqrt(a_m). The round trip's congruence leg
 Schur-complements the mode rows out again and compares the result with
 the passivity form at P = X^{-1}; that complement is
 ``numerics.schur_complement``, the one acceptance criterion 1 checks.
-The round trip's fresh leg re-certifies the gain without the synthesis
-variables: a storage matrix from Newton-Kleinman steps on the averaged
-dissipation Riccati equation (``analysis._riccati_storage``) that
-``lmi.verify`` accepts, and a barrier solve only when none does.
+The round trip only checks and never searches: its direct leg verifies
+P = X^{-1} against ``analysis.passivity_problem`` at the recovered gain,
+which is a passivity certificate for K when it passes.
 Synthesis is restricted to the full-packet configuration, where
 K = Y X^{-1} is well-posed.
 """
@@ -33,7 +32,6 @@ import numpy as np
 from . import lmi
 # passivity_lmi is not called here, but perfbench's tracer test patches this binding
 from .analysis import (  # noqa: F401
-    _riccati_storage,
     check_assumption,
     passivity_lmi,
     passivity_problem,
@@ -140,13 +138,9 @@ def recover_gain(x: np.ndarray, y: np.ndarray) -> Gain:
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Four independent legs validating a synthesized gain.
+    """Three independent legs validating a synthesized gain: P = X^{-1}
+    verifies, rho < 1 by the oracle, and the congruence identity."""
 
-    ``passivity_certified`` is the fresh leg's verdict only; which route
-    (a Riccati storage matrix or the barrier) found its P is not kept.
-    """
-
-    passivity_certified: bool
     direct_certified: bool
     rho: float
     rho_ok: bool
@@ -156,17 +150,10 @@ class RoundTripReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.passivity_certified
-            and self.direct_certified
-            and self.rho_ok
-            and self.congruence_ok
-            and self.verdicts_match
-        )
+        return self.direct_certified and self.rho_ok and self.congruence_ok and self.verdicts_match
 
     def summary(self) -> str:
         return (
-            f"passivity re-certified: {self.passivity_certified}; "
             f"P = X^-1 verifies: {self.direct_certified}; "
             f"rho = {self.rho:.6f} (<1: {self.rho_ok}); "
             f"congruence rel err = {self.congruence_rel_err:.3e} "
@@ -212,29 +199,6 @@ def congruence_residual(
     return rel, verdicts_match
 
 
-# Decades of delta, largest first, at which the fresh leg tries a Riccati storage matrix.
-RICCATI_DELTAS = tuple(10.0 ** -k for k in range(9))
-
-
-def _recertify(problem: lmi.LmiProblem, family, dist: ModeDistribution, eta: float,
-               max_iters: int) -> bool:
-    """Whether a P that ``lmi.verify`` accepts exists for ``problem``, found afresh.
-
-    Tries ``analysis._riccati_storage`` at each delta of RICCATI_DELTAS and
-    stops at the first P that verifies; only when none does, solves the
-    problem with the barrier (``lmi.solve``), so the verdict is never
-    worse than the barrier's. Too large a delta leaves W - B'PB no room,
-    too small a one leaves M(P) short of the margin; between the two lies a
-    window of decades that moves with the margin. Needs rho < 1.
-    """
-    storage = _riccati_storage(family, dist.items(), eta)
-    for delta in RICCATI_DELTAS:
-        p = storage(delta)
-        if p is not None and lmi.verify(problem, {"P": p}).passed:
-            return True
-    return lmi.solve(problem, max_iters).feasible
-
-
 def round_trip_verify(
     plant: Plant,
     dist: ModeDistribution,
@@ -243,26 +207,19 @@ def round_trip_verify(
     y: np.ndarray,
     gain: Gain,
     margin: DefinitenessMargin = DEFAULT_MARGIN,
-    max_iters: int = lmi.MAX_ITERS,
 ) -> RoundTripReport:
     """Independent validation of a synthesized (X, Y) and its gain at eta.
 
-    Poses ``passivity_problem`` at the gain once, and every leg reads it:
-    (a) re-certify passivity of the closed loop at the claimed eta afresh,
-    which needs rho < 1 (``analysis.passivity_lmi`` would skip its search
-    too): the first Riccati storage matrix, over RICCATI_DELTAS, that
-    ``lmi.verify`` accepts at the problem's margin, else a barrier solve
-    (``lmi.solve``) of the problem; (b) verify P = X^{-1} directly against
-    it; (c) second-moment radius rho < 1 by the oracle; (d) the congruence
-    identity between it and the synthesis form at (X, Y)
-    (:func:`congruence_residual`).
+    Poses ``passivity_problem`` at the gain once, and the legs read it:
+    (a) verify P = X^{-1} against it, which certifies passivity of the
+    closed loop at eta; (b) second-moment radius rho < 1 by the oracle;
+    (c) the congruence identity between it and the synthesis form at
+    (X, Y) (:func:`congruence_residual`). No leg runs a solve.
     """
     problem = passivity_problem(plant, gain, dist, eta, margin)
-    family = closed_loop(plant, gain, 0, full_packet_schedule())
-    rho = sms_oracle(family, dist).rho
+    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     rel, verdicts = congruence_residual(build_synthesis_lmi(plant, dist, eta, margin), problem, x, y)
     return RoundTripReport(
-        passivity_certified=bool(rho < 1.0 and _recertify(problem, family, dist, eta, max_iters)),
         direct_certified=lmi.verify(problem, {"P": np.linalg.inv(x)}).passed,
         rho=rho,
         rho_ok=rho < 1.0,
@@ -322,7 +279,7 @@ def synthesize(
         x = certificate.assignment["X"]
         y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
         gain = recover_gain(x, y)
-        report = round_trip_verify(plant, dist, certificate.eta, x, y, gain, margin, max_iters)
+        report = round_trip_verify(plant, dist, certificate.eta, x, y, gain, margin)
         if not report.passed:
             raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
         return SynthesisResult(x=x, y=y, gain=gain, eta=certificate.eta, certificate=certificate,

@@ -728,6 +728,9 @@ BAD_INPUTS = [
      [], "schedule.s2"),
     ("flag-eta-text", None, None, ["--eta", "abc"], "--eta"),
     ("flag-eta-negative", None, None, ["--eta", "-1"], "--eta"),
+    # 2 eta I would overflow in the dissipation form
+    ("eta-huge", "eta", 1e308, [], "json.eta: magnitude must be <= 1e+150, got 1e+308"),
+    ("flag-eta-huge", None, None, ["--eta", "1.7e308"], "--eta: magnitude must be <= 1e+150"),
     ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
     ("flag-margin-text", None, None, ["--margin", "abc"], "--margin"),
     ("flag-budget-fraction", None, None, ["--budget", "1.5"], "--budget"),
