@@ -297,10 +297,12 @@ def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) 
     """Raise AssumptionViolated unless D11 + D11' > 0 (margin-strict)."""
     d = plant.D11 + plant.D11.T
     if not is_neg_definite(-d, margin):
-        raise AssumptionViolated(
-            "passivity analysis requires D11 + D11' > 0; "
-            f"min eigenvalue is {float(sym_eigvals(d)[0]):.3e}"
-        )
+        low = float(sym_eigvals(d)[0])
+        detail = f"min eigenvalue is {low:.3e}"
+        if low > 0.0:
+            detail = (f"min eigenvalue {low:.3e} misses the margin threshold "
+                      f"{-margin.threshold(d):.3e} at epsilon_rel {margin.epsilon_rel:g}")
+        raise AssumptionViolated(f"passivity analysis requires D11 + D11' > 0; {detail}")
 
 
 def passivity_problem(
@@ -355,14 +357,14 @@ RICCATI_RTOL = 1e-12
 RICCATI_FALL = 1e-8
 
 
-def _riccati_storage(fam: ClosedLoopFamily, weights, eta: float):
-    """Storage matrices P of the averaged dissipation Riccati equation at eta, by slack delta.
+def _riccati_storage(fam: ClosedLoopFamily, weights, eta: float, delta: float):
+    """The storage matrix P of the averaged dissipation Riccati equation at eta and slack delta.
 
-    Returns a function of delta > 0 that gives P or None. With
-    W = D + D' - 2 eta I, A_bar and C~ the weighted means of the mode
-    matrices, and B, D mode-independent, policy iteration (Kleinman,
-    *IEEE TAC* 13, 1968; Ait Rami & Zhou, *IEEE TAC* 45, 2000) starts at
-    the disturbance gain F = 0 and alternates
+    Returns P or None. With W = D + D' - 2 eta I, A_bar and C~ the
+    weighted means of the mode matrices, and B, D mode-independent,
+    policy iteration (Kleinman, *IEEE TAC* 13, 1968; Ait Rami & Zhou,
+    *IEEE TAC* 45, 2000) starts at the disturbance gain F = 0 and
+    alternates
 
         sum_m a_m (A_m + B F)' P (A_m + B F) - P = -delta I + C~'F + F'C~ + F'WF,
         F <- (W - B'PB)^{-1} (B'P A_bar - C~),
@@ -376,7 +378,7 @@ def _riccati_storage(fam: ClosedLoopFamily, weights, eta: float):
     the steps only raise P; past the largest eta with a stabilizing
     solution they wander instead, so a diagonal entry of P that falls by
     more than RICCATI_FALL relative ends the run. The first P is delta
-    times one Lyapunov solution, shared by every delta.
+    times the Lyapunov solution at F = 0 and slack I.
 
     P is None, without a warning, for a singular or non-finite step, a
     W - B'PB that is not positive definite, a falling P, a final P that is
@@ -407,33 +409,27 @@ def _riccati_storage(fam: ClosedLoopFamily, weights, eta: float):
 
     with np.errstate(all="ignore"):
         unit = lyapunov(np.zeros((m1, n)), np.eye(n))
-
-    def storage(delta: float):
-        """The storage matrix at slack delta, or None."""
         if unit is None:
             return None
         p, p_old, slack = delta * unit, None, delta * np.eye(n)
-        with np.errstate(all="ignore"):
-            for _ in range(RICCATI_STEPS):
-                if p_old is not None:
-                    step, scale = p - p_old, np.abs(p).max()
-                    if np.abs(step).max() <= RICCATI_RTOL * scale:
-                        p = _sym(p)
-                        return p if lmi._positive_definite(p) else None
-                    if np.diagonal(step).min() < -RICCATI_FALL * scale:
-                        return None
-                bp = b.T @ p
-                r = w - bp @ b
-                if not lmi._positive_definite(r):
+        for _ in range(RICCATI_STEPS):
+            if p_old is not None:
+                step, scale = p - p_old, np.abs(p).max()
+                if np.abs(step).max() <= RICCATI_RTOL * scale:
+                    p = _sym(p)
+                    return p if lmi._positive_definite(p) else None
+                if np.diagonal(step).min() < -RICCATI_FALL * scale:
                     return None
-                f = np.linalg.solve(r, bp @ a_bar - c)
-                cf = c.T @ f
-                p_old, p = p, lyapunov(f, slack - cf - cf.T - f.T @ w @ f)
-                if p is None:
-                    return None
-        return None
-
-    return storage
+            bp = b.T @ p
+            r = w - bp @ b
+            if not lmi._positive_definite(r):
+                return None
+            f = np.linalg.solve(r, bp @ a_bar - c)
+            cf = c.T @ f
+            p_old, p = p, lyapunov(f, slack - cf - cf.T - f.T @ w @ f)
+            if p is None:
+                return None
+    return None
 
 
 def passivity_lmi(

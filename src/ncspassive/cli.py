@@ -53,7 +53,8 @@ _SIZE = {**_INT_FROM_1, "maximum": _INDEX_MAX}
 # largest |entry| of a plant or gain matrix: the product of any two entries stays finite
 ENTRY_BOUND = 1e150
 _SOLVER_FIELDS = {
-    "margin": (DEFAULT_MARGIN.epsilon_rel, {"above": 0.0}),
+    # the open interval DefinitenessMargin accepts
+    "margin": (DEFAULT_MARGIN.epsilon_rel, {"above": 0.0, "below": 1.0}),
     "budget": (lmi.MAX_ITERS, _INT_FROM_1),
     "restarts": (8, _INT_FROM_1),
     "seed": (0, _INT_FROM_0),
@@ -104,7 +105,7 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 
 
 def _number(value, where: str, *, integer=False, minimum=None, maximum=None, above=None,
-            magnitude=None, finite=True):
+            below=None, magnitude=None, finite=True):
     """``value`` as an int or float within bounds, else ConfigError naming ``where``.
 
     ``finite=False`` also takes inf and nan, which reports hold that were
@@ -124,6 +125,8 @@ def _number(value, where: str, *, integer=False, minimum=None, maximum=None, abo
         raise ConfigError(f"{where}: must be <= {maximum}, got {value!r}")
     if above is not None and value <= above:
         raise ConfigError(f"{where}: must be > {above}, got {value!r}")
+    if below is not None and value >= below:
+        raise ConfigError(f"{where}: must be < {below}, got {value!r}")
     if magnitude is not None and abs(value) > magnitude:
         raise ConfigError(f"{where}: magnitude must be <= {magnitude:g}, got {value!r}")
     return int(value) if integer else float(value)
@@ -422,7 +425,6 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
             "direct_certified": trip.direct_certified,
             "rho_ok": trip.rho_ok,
             "congruence_rel_err": trip.congruence_rel_err,
-            "verdicts_match": trip.verdicts_match,
         })}
 
 

@@ -75,13 +75,15 @@ class DefinitenessMargin:
 
     ``M < 0`` is accepted when lambda_max(M) <= -epsilon_rel * (1 + ||M||_F),
     so the cutoff scales with the matrix instead of being a fixed constant.
+    epsilon_rel lies in (0, 1): from 1 up no matrix clears the cutoff, as
+    |lambda_max(M)| <= ||M||_F.
     """
 
     epsilon_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.epsilon_rel > 0):
-            raise ValueError(f"epsilon_rel must be positive, got {self.epsilon_rel}")
+        if not (0 < self.epsilon_rel < 1):
+            raise ValueError(f"epsilon_rel must be in (0, 1), got {self.epsilon_rel}")
 
     def threshold(self, m) -> float:
         """Largest eigenvalue still accepted as 'strictly negative' for M."""

@@ -51,7 +51,6 @@ from .model import (
 from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
-    is_neg_definite,
     kron,
     schur_complement,
     spectral_radius,
@@ -146,18 +145,16 @@ class RoundTripReport:
     rho_ok: bool
     congruence_rel_err: float
     congruence_ok: bool
-    verdicts_match: bool
 
     @property
     def passed(self) -> bool:
-        return self.direct_certified and self.rho_ok and self.congruence_ok and self.verdicts_match
+        return self.direct_certified and self.rho_ok and self.congruence_ok
 
     def summary(self) -> str:
         return (
             f"P = X^-1 verifies: {self.direct_certified}; "
             f"rho = {self.rho:.6f} (<1: {self.rho_ok}); "
-            f"congruence rel err = {self.congruence_rel_err:.3e} "
-            f"(ok: {self.congruence_ok}, verdicts match: {self.verdicts_match})"
+            f"congruence rel err = {self.congruence_rel_err:.3e} (ok: {self.congruence_ok})"
         )
 
 
@@ -169,7 +166,7 @@ def congruence_residual(
     passivity_problem: lmi.LmiProblem,
     x: np.ndarray,
     y: np.ndarray,
-) -> tuple[float, bool]:
+) -> float:
     """Relative eigenvalue gap between the synthesis form at (X, Y), its mode
     rows Schur-complemented out as top - R' D^{-1} R, and diag(X, I) M(X^{-1})
     diag(X, I), with M the dissipation form of ``passivity_problem``.
@@ -178,8 +175,7 @@ def congruence_residual(
     ``analysis.passivity_problem`` at one eta, the latter at the gain
     Y X^{-1}; nothing is posed here. D is the assembled mode block, not
     X^{-1}, so a wrong -X there shows. For Y = K X the two are equal up to
-    rounding. Also reports whether the whole synthesis form and the mapped
-    form agree on definiteness.
+    rounding.
     """
     m_xy = dict(synthesis_problem.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
     analysis_form = dict(passivity_problem.constraints)["dissipation"]
@@ -194,9 +190,7 @@ def congruence_residual(
     e_xy = sym_eigvals(schur)
     e_mapped = sym_eigvals(m_mapped)
     scale = 1.0 + float(np.abs(e_xy).max())
-    rel = float(np.abs(e_xy - e_mapped).max()) / scale
-    verdicts_match = is_neg_definite(m_xy) == is_neg_definite(m_mapped)
-    return rel, verdicts_match
+    return float(np.abs(e_xy - e_mapped).max()) / scale
 
 
 def round_trip_verify(
@@ -218,14 +212,13 @@ def round_trip_verify(
     """
     problem = passivity_problem(plant, gain, dist, eta, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
-    rel, verdicts = congruence_residual(build_synthesis_lmi(plant, dist, eta, margin), problem, x, y)
+    rel = congruence_residual(build_synthesis_lmi(plant, dist, eta, margin), problem, x, y)
     return RoundTripReport(
         direct_certified=lmi.verify(problem, {"P": np.linalg.inv(x)}).passed,
         rho=rho,
         rho_ok=rho < 1.0,
         congruence_rel_err=rel,
         congruence_ok=rel <= CONGRUENCE_RTOL,
-        verdicts_match=verdicts,
     )
 
 

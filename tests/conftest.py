@@ -74,3 +74,15 @@ __all__ = [
     "full_packet_schedule",
     "mode_distribution",
 ]
+
+
+def random_sweep_loop(k: int):
+    """Plant k of the 200-plant random sweep: n = 1 + k % 6, A at spectral radius 0.5 to 1.1."""
+    rng = np.random.default_rng([19, k])
+    n = 1 + k % 6
+    radius = rng.uniform(0.5, 1.1)
+    a = rng.standard_normal((n, n))
+    a *= radius / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
+                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
+    return plant, LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))

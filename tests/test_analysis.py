@@ -383,7 +383,7 @@ def riccati_eta(fam, weights, lo: float, hi: float, tol: float):
     the LMI builder and solver.
     """
     def passes(eta):
-        return analysis._riccati_storage(fam, weights, eta)(ORACLE_DELTA) is not None
+        return analysis._riccati_storage(fam, weights, eta, ORACLE_DELTA) is not None
 
     if not passes(lo):
         return None
@@ -433,7 +433,7 @@ class TestRiccatiStorage:
                 assert oracle < result.eta + ETA_TOL, f"loop {k}: oracle above {oracle}"
                 certified += 1
             else:
-                assert analysis._riccati_storage(fam, dist.items(), 0.0)(ORACLE_DELTA) is None
+                assert analysis._riccati_storage(fam, dist.items(), 0.0, ORACLE_DELTA) is None
                 refused += 1
         assert certified >= 150 and refused >= 20
 
@@ -441,7 +441,7 @@ class TestRiccatiStorage:
         plant, gain, dist = oracle_loop(5)
         fam = closed_loop(plant, gain, 0, full_packet_schedule())
         eta = 0.5 * passivity_lmi(plant, gain, dist, "maximize").eta
-        p = analysis._riccati_storage(fam, dist.items(), eta)(1e-3)
+        p = analysis._riccati_storage(fam, dist.items(), eta, 1e-3)
         assert lmi.verify(passivity_problem(plant, gain, dist, eta), {"P": p}).passed
         # T' M(P) T = diag(-delta I, -(W - B'PB)) at the maximizing disturbance gain F
         form = analysis._dissipation_form(fam, dist.items(), eta).assemble({"P": p})
@@ -470,7 +470,7 @@ class TestRiccatiStorage:
         fam = closed_loop(plant, Gain.zero(1, plant.n), 0, full_packet_schedule())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert analysis._riccati_storage(fam, dist.items(), eta)(1e-3) is None
+            assert analysis._riccati_storage(fam, dist.items(), eta, 1e-3) is None
 
     @pytest.mark.parametrize("value", [1e150, -1e150, 1e149, 2.0**70, -(2.0**70)])
     def test_entries_at_the_input_bound_neither_raise_nor_warn(self, value):
@@ -485,7 +485,7 @@ class TestRiccatiStorage:
             fam = closed_loop(Plant(**entries), gain, 0, full_packet_schedule())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                p = analysis._riccati_storage(fam, dist.items(), 0.1)(1e-3)
+                p = analysis._riccati_storage(fam, dist.items(), 0.1, 1e-3)
             assert p is None or np.isfinite(p).all()
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_sweep_loop
 from ncspassive import analysis, cli, lmi, sim
 from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
 
@@ -161,6 +162,18 @@ class TestAnalyze:
         assert code == 1
         assert "D11" in capsys.readouterr().err
 
+    def test_feedthrough_missing_the_margin_names_the_threshold(self, tmp_path, capsys):
+        # D11 + D11' = diag(2, 200) is positive definite, but its min eigenvalue 2 is below
+        # 0.01 (1 + ||D11 + D11'||_F) = 2.010
+        config = scenario(gain=[[-0.9]])
+        config["plant"].update(B1=[[1.0, 0.0]], C1=[[0.5], [0.0]], D11=[[1.0, 0.0], [0.0, 100.0]],
+                               D12=[[0.0], [0.0]])
+        cfg = write_config(tmp_path, config)
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                         "--margin", "0.01"]) == 1
+        assert ("min eigenvalue 2.000e+00 misses the margin threshold 2.010e+00 at epsilon_rel 0.01"
+                in capsys.readouterr().err)
+
     def test_badly_scaled_plant_exits_two_saying_why(self, tmp_path):
         config = scenario(gain=[[-0.9]])
         config["plant"]["B1"] = [[1e8]]
@@ -250,6 +263,17 @@ class TestSynthesize:
         out = tmp_path / "synth.json"
         assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
                          "--out", str(out)]) == 0
+        assert cli.main(["report", str(out)]) == 0
+
+    def test_a_margin_below_the_default_certifies_and_re_verifies(self, tmp_path):
+        # sweep plant 35 at margin 1e-9: P = X^-1 verifies at the configured margin
+        plant, loss = random_sweep_loop(35)
+        config = scenario(plant={name: getattr(plant, name).tolist()
+                                 for name in ("A", "B1", "B2", "C1", "D11", "D12")},
+                          loss={"alpha1": loss.alpha1, "alpha2": loss.alpha2})
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out), "--margin", "1e-9"]) == 0
         assert cli.main(["report", str(out)]) == 0
 
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
@@ -700,6 +724,8 @@ class TestPipelineDeterminism:
 BAD_INPUTS = [
     ("solver-margin-zero", "solver.margin", 0, [], "solver.margin"),
     ("solver-margin-negative", "solver.margin", -1, [], "solver.margin"),
+    # from 1 up no matrix clears the margin's cutoff
+    ("solver-margin-one", "solver.margin", 1, [], "solver.margin: must be < 1.0, got 1"),
     ("solver-seed-negative", "solver.seed", -1, [], "solver.seed"),
     ("solver-budget-zero", "solver.budget", 0, [], "solver.budget"),
     ("solver-restarts-zero", "solver.restarts", 0, [], "solver.restarts"),
@@ -733,6 +759,7 @@ BAD_INPUTS = [
     ("flag-eta-huge", None, None, ["--eta", "1.7e308"], "--eta: magnitude must be <= 1e+150"),
     ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
     ("flag-margin-text", None, None, ["--margin", "abc"], "--margin"),
+    ("flag-margin-two", None, None, ["--margin", "2"], "--margin: must be < 1.0, got 2"),
     ("flag-budget-fraction", None, None, ["--budget", "1.5"], "--budget"),
     ("flag-gain-not-a-report", None, None, ["--gain", '{"results": 3}'], "--gain"),
     ("flag-gain-non-finite", None, None, ["--gain", "[[NaN]]"], "--gain[0][0]"),

@@ -58,6 +58,11 @@ class TestDefiniteness:
         with pytest.raises(ValueError):
             DefinitenessMargin(0.0)
 
+    def test_margin_must_be_below_one(self):
+        # from 1 up no matrix clears the cutoff: |lambda_max(M)| <= ||M||_F
+        with pytest.raises(ValueError):
+            DefinitenessMargin(1.0)
+
 
 class TestKron:
     def test_identity_factor_gives_block_diagonal(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_plant
+from conftest import random_plant, random_sweep_loop
 from ncspassive import analysis, lmi, synthesis
 from ncspassive.analysis import passivity_lmi, passivity_problem, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
@@ -323,18 +323,6 @@ def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel,
     assert result.eta >= bisected - ETA_TOL
 
 
-def random_sweep_loop(k: int):
-    """Plant k of the 200-plant random sweep: n = 1 + k % 6, A at spectral radius 0.5 to 1.1."""
-    rng = np.random.default_rng([19, k])
-    n = 1 + k % 6
-    radius = rng.uniform(0.5, 1.1)
-    a = rng.standard_normal((n, n))
-    a *= radius / max(abs(np.linalg.eigvals(a)))
-    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, 1)),
-                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=[[0.0]])
-    return plant, LossModel(rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.15))
-
-
 def margin_sweep_loop(k):
     """Plant k of a 50-plant margin sweep: n = 1 + k % 4, A at spectral radius 0.9 to 1.1."""
     rng = np.random.default_rng([77, k])
@@ -407,7 +395,7 @@ class TestRoundTrip:
         report = round_trip_verify(lossy_feedback_plant, mode_distribution(loss), 0.1,
                                    x, result.gain.K @ x, result.gain)
         assert report.rho_ok
-        assert report.congruence_ok and report.verdicts_match
+        assert report.congruence_ok
         assert not report.direct_certified
         assert not report.passed
 
@@ -423,7 +411,6 @@ class TestRoundTrip:
             if not result.feasible:
                 continue
             assert result.verification.congruence_rel_err <= 1e-6
-            assert result.verification.verdicts_match
             done += 1
         assert done == 8
 
@@ -447,11 +434,10 @@ class TestRoundTrip:
             dist = mode_distribution(loss)
             x = rng.standard_normal((2, 2))
             x = x @ x.T + 0.5 * np.eye(2)
-            rel, verdict = congruence_residual(
+            rel = congruence_residual(
                 build_synthesis_lmi(plant, dist, 0.05),
                 passivity_problem(plant, Gain.zero(1, 2), dist, 0.05), x, np.zeros((1, 2)))
             assert rel <= 1e-6
-            assert verdict
 
     @pytest.mark.parametrize("drift", ["b1-without-sqrt", "d12-weight-minus-one",
                                        "mode-diagonal-0.9"])
@@ -478,12 +464,12 @@ class TestRoundTrip:
         dist = mode_distribution(LossModel(0.1, 0.25))
         gain = Gain([[-0.2, -0.5]])
         x = np.array([[2.0, 0.3], [0.3, 1.0]])
-        rel, _ = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
-                                     passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
+        rel = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
+                                  passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel <= CONGRUENCE_RTOL
         monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted)
-        rel, _ = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
-                                     passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
+        rel = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
+                                  passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel > CONGRUENCE_RTOL
 
     def test_zero_gain_feasibility_equivalence(self):
@@ -524,6 +510,17 @@ class TestRoundTrip:
         report = round_trip_verify(plant, mode_distribution(loss), result.eta, result.x,
                                    result.y, result.gain)
         assert report.passed, report.summary()
+
+    # below the default margin of 1e-8 every leg judges at the problem's own margin, so
+    # the round trip keeps each gain whose P = X^-1 verifies there
+    @pytest.mark.parametrize("k,epsilon_rel,eta,reached", [
+        (35, 1e-9, 0.1, 0.1), (173, 1e-9, 0.1, 0.1), (142, 1e-12, "maximize", 0.99)])
+    def test_a_margin_below_the_default_keeps_the_verified_gain(self, k, epsilon_rel, eta,
+                                                                 reached):
+        plant, loss = random_sweep_loop(k)
+        result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
+        assert result.verification.passed, result.verification.summary()
+        assert result.eta >= reached
 
     def test_result_rho_matches_oracle(self, lossy_feedback_plant):
         loss = LossModel(0.0, 0.2)
