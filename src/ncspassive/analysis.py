@@ -32,8 +32,10 @@ weights: ``passivity_problem`` uses the probabilities, and
 form equals the per-step dissipation defect along a simulated path.
 Its top-left block comes from ``_lyapunov_block``, which also writes
 each coupled Lyapunov form.
-The form is affine in eta, so ``passivity_lmi(..., "maximize")`` finds
-the largest certifiable eta in one barrier run (``lmi.certify``).
+The form is affine in eta, its level block the (1, 1) constant
+2 eta I - D' - D, so ``passivity_lmi(..., "maximize")`` poses it once
+and finds the largest certifiable eta in one barrier run
+(``lmi.certify``).
 At one eta, ``_riccati_storage`` answers the same form without a
 search: Newton-Kleinman steps on the averaged dissipation Riccati
 equation give storage matrices that ``lmi.verify`` must still accept.
@@ -324,15 +326,17 @@ def passivity_problem(
     prob.add_symmetric("P", plant.n, positive_definite=True)
     fam = closed_loop(plant, gain, 0, full_packet_schedule())
     prob.add_constraint(_dissipation_form(fam, dist.items(), eta))
+    prob.level = eta
     return prob
 
 
 def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineExpr:
-    """The dissipation form over P, its modes weighted by (mode, weight) pairs.
+    """The dissipation form over P at level eta, its modes weighted by (mode, weight) pairs.
 
     Modes of weight zero are skipped. With the mode probabilities it is
     the averaged form of :func:`passivity_problem`; with the realized mode
-    at weight 1 it is that step's ledger form.
+    at weight 1 it is that step's ledger form. Its level block is the
+    (1, 1) constant 2 eta I - D' - D.
     """
     n, m1 = fam.b.shape
     b, d = fam.b, fam.d
@@ -346,7 +350,8 @@ def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineE
         c = c + p * fam.c(i, j)
     expr.add_term(1, 1, b.T, "P", b)
     expr.add_const(0, 1, -c.T)
-    expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - d.T - d)
+    expr.add_level(1, 1, 2.0 * np.eye(m1), d.T, d)
+    expr.level = eta
     return expr
 
 
@@ -459,7 +464,7 @@ def passivity_lmi(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    return lmi.certify(lambda e: passivity_problem(plant, gain, dist, e, margin), eta, max_iters)
+    return lmi.certify(passivity_problem(plant, gain, dist, 0.0, margin), eta, max_iters)
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

@@ -25,10 +25,13 @@ products and the basis's rank-revealing SVD stay per block, on compact
 coefficients, because at n = 10 flops do dominate and the off-diagonal
 blocks are zero.
 
-``certify`` owns the choice between a fixed level and the largest one:
-for a problem family affine in a scalar s (a dissipation level eta), it
-solves at the given s, or solves at s = 0 and then raises s by Newton
-steps on the same barrier (Boyd et al., sec. 2.4) to within ETA_TOL.
+``certify`` owns the choice between a fixed level and the largest one.
+A problem may have a level s (a dissipation level eta): an expression's
+level block is the constant that depends on s, and ``LmiProblem.at(s)``
+re-levels a posed problem without posing it again. ``certify`` solves
+at the given s, or solves at s = 0 and then raises s by Newton steps on
+the same barrier (Boyd et al., sec. 2.4) to within ETA_TOL, posing each
+form once either way.
 
 A problem owns its definiteness margin: ``verify``, ``verify_dual``,
 ``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
@@ -44,6 +47,7 @@ passed it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,6 +76,13 @@ __all__ = [
     "verify_dual",
     "solve",
 ]
+
+
+def _copy(obj, **changes):
+    """A shallow copy of ``obj`` with ``changes`` to its attributes."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **changes)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,10 @@ class AffineExpr:
     automatically implies its transpose at (c, r), and diagonal blocks
     are symmetrized on assembly, so the assembled matrix is symmetric for
     every variable assignment and linear in each variable.
+
+    One block may hold a level block (``add_level``), the constant that
+    depends on ``level``; ``at`` gives the expression at another level.
+    The constant blocks are placed once per level and kept.
     """
 
     def __init__(self, block_dims, name: str = ""):
@@ -122,6 +137,9 @@ class AffineExpr:
         self.dim = ends[-1]
         self._consts: list[tuple[int, int, np.ndarray]] = []
         self._terms: list[_Term] = []
+        self._level: tuple | None = None  # (row, col, value, less) of add_level
+        self.level = 0.0
+        self._const: np.ndarray | None = None  # the placed constants, once computed
 
     def _check_block(self, row: int, col: int, shape: tuple[int, int], what: str) -> None:
         nb = len(self.block_dims)
@@ -137,6 +155,24 @@ class AffineExpr:
         value = as_matrix(value, "const")
         self._check_block(row, col, value.shape, f"{self.name or 'expr'} const")
         self._consts.append((row, col, value))
+        self._const = None
+
+    def add_level(self, row: int, col: int, value, *less) -> None:
+        """Place ``level * value - less[0] - less[1] ...`` at block (row, col), before its constants.
+
+        The subtractions run in that order at every level, so the block is,
+        bit for bit, the constant written out at that level.
+        """
+        value = as_matrix(value, "level")
+        less = tuple(as_matrix(m, "level") for m in less)
+        for m in (value, *less):
+            self._check_block(row, col, m.shape, f"{self.name or 'expr'} level")
+        self._level = (row, col, value, less)
+        self._const = None
+
+    def at(self, level: float) -> "AffineExpr":
+        """This expression at ``level``: a copy that shares its terms and constants."""
+        return _copy(self, level=level, _const=None)
 
     def add_term(
         self,
@@ -165,10 +201,20 @@ class AffineExpr:
             out[..., cols, rows] += value.swapaxes(-1, -2)
 
     def _constant(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for row, col, value in self._consts:
-            self._place(out, row, col, value)
-        return out
+        """The constant blocks and their transposes, not symmetrized; read-only."""
+        if self._const is None:
+            out = np.zeros((self.dim, self.dim))
+            if self._level is not None:
+                row, col, value, less = self._level
+                value = self.level * value
+                for m in less:
+                    value = value - m
+                self._place(out, row, col, value)
+            for row, col, value in self._consts:
+                self._place(out, row, col, value)
+            out.setflags(write=False)
+            self._const = out
+        return self._const
 
     def constant(self) -> np.ndarray:
         """assemble with every variable at 0: the constant blocks alone."""
@@ -177,13 +223,16 @@ class AffineExpr:
 
     def assemble(self, assignment: dict) -> np.ndarray:
         """Numeric symmetric matrix at the given variable assignment."""
-        out = self._constant()
+        out = self._constant().copy()
+        values = {}
         for t in self._terms:
-            if t.var not in assignment:
-                raise UnboundVariable(
-                    f"expression {self.name!r} references unbound variable {t.var!r}"
-                )
-            v = np.asarray(assignment[t.var], dtype=float)
+            v = values.get(t.var)
+            if v is None:
+                if t.var not in assignment:
+                    raise UnboundVariable(
+                        f"expression {self.name!r} references unbound variable {t.var!r}"
+                    )
+                v = values[t.var] = np.asarray(assignment[t.var], dtype=float)
             value = t.weight * (t.left @ v @ t.right)
             self._place(out, t.row, t.col, value)
         return 0.5 * (out + out.T)
@@ -221,13 +270,24 @@ class LmiProblem:
 
     Positive-definiteness side conditions are posed as ordinary
     constraints ``-V < 0`` when a symmetric variable is declared with
-    ``positive_definite=True``.
+    ``positive_definite=True``. ``level`` is the level its constraints
+    are at: a builder poses them at one, and :meth:`at` re-levels them.
     """
 
     def __init__(self, margin: DefinitenessMargin = DEFAULT_MARGIN):
         self.variables: dict[str, LmiVariable] = {}
         self.constraints: list[tuple[str, AffineExpr]] = []
         self.margin = margin
+        self.level = 0.0
+
+    def at(self, level: float) -> "LmiProblem":
+        """This problem with every constraint at ``level``, posed by nothing again.
+
+        The copy shares the variables and the constraints' terms and
+        constants; only the level blocks' products change.
+        """
+        return _copy(self, level=level,
+                     constraints=[(name, expr.at(level)) for name, expr in self.constraints])
 
     def _add_variable(self, var: LmiVariable) -> str:
         if var.name in self.variables:
@@ -274,9 +334,12 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
+    """One assembled constraint M at a point: lambda_max(M), its threshold and ||M||_F."""
+
     name: str
     lambda_max: float
     threshold: float
+    norm: float
 
     @property
     def passed(self) -> bool:
@@ -305,8 +368,9 @@ def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
     for name, expr in problem.constraints:
         m = expr.assemble(assignment)
         lam = float(sym_eigvals(m)[-1])
-        threshold = problem.margin.threshold(m)
-        checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=threshold))
+        norm = fro_norm(m)
+        threshold = -problem.margin.epsilon_rel * (1.0 + norm)  # problem.margin.threshold(m)
+        checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=threshold, norm=norm))
     return VerifyReport(checks=tuple(checks))
 
 
@@ -379,12 +443,14 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
 class LmiCertificate:
     """A strictly feasible assignment, constructed only through verification.
 
-    ``iterations`` counts the Newton steps that found it. ``eta`` is the
-    level ``certify`` posed the problem at, None from a bare ``solve``.
+    ``problem`` is the problem it was verified against. ``iterations``
+    counts the Newton steps that found it. ``eta`` is the level
+    ``certify`` verified it at, None from a bare ``solve``.
     """
 
     assignment: dict
     report: VerifyReport
+    problem: LmiProblem
     iterations: int = 0
     eta: float | None = None
 
@@ -404,7 +470,7 @@ class LmiCertificate:
                 f"assignment does not satisfy constraint {worst.name!r}: "
                 f"lambda_max {worst.lambda_max:.6e} > threshold {worst.threshold:.6e}"
             )
-        return cls(assignment=frozen, report=report, iterations=iterations)
+        return cls(assignment=frozen, report=report, problem=problem, iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -488,7 +554,9 @@ class _Barrier:
     L_c^-1 F_{c,j} L_c^-T run per block on them, so an n = 10 synthesis,
     whose Hessian (over 100 directions) dominates a step, does no flops on
     the zero off-diagonal blocks. ``entries`` are a point's slacks in that
-    compact order.
+    compact order. The block layout and the unit symmetric bases depend
+    on the shapes alone, so they are built once per shape and shared
+    read-only (:func:`_block_layout`, :func:`_symmetric_basis`).
 
     With ``radii`` the barrier holds the problem's margin exactly: slack c
     is S_c = -M_c - (e + r_c) I, e being epsilon_rel, and the cone term
@@ -503,9 +571,7 @@ class _Barrier:
         for name, var in problem.variables.items():
             v = np.asarray(start[name], dtype=float)
             if var.kind == "symmetric":
-                i, j = np.array([(a, b) for a in range(var.rows) for b in range(a, var.rows)]).T
-                basis = np.zeros((len(i), var.rows, var.rows))
-                basis[np.arange(len(i)), i, j] = basis[np.arange(len(i)), j, i] = 1.0
+                i, j, basis = _symmetric_basis(var.rows)
                 try:
                     left = np.linalg.cholesky(v)  # v = left left', whose coordinates are I's
                     basis, v = left @ basis @ left.T, np.eye(var.rows)
@@ -536,18 +602,11 @@ class _Barrier:
             consts.append(const.ravel())
         coeffs = np.hstack(coeffs)
 
-        dims = [expr.dim for _, expr in problem.constraints]
+        dims = tuple(expr.dim for _, expr in problem.constraints)
         self.size = sum(dims)
         self.dims = np.array(dims)
-        self.starts = np.cumsum(self.dims ** 2) - self.dims ** 2  # of each block's entries
-        self.blocks = [slice(end - d, end) for d, end in zip(dims, np.cumsum(dims).tolist())]
-        block_of = np.repeat(np.arange(len(dims)), dims)  # each row's block
-        # each entry's place in the flattened D x D slack, block after block
-        self.index = np.flatnonzero(block_of[:, None] == block_of)
-        self.eye = (self.index % (self.size + 1) == 0).astype(float)  # I's entries
-        # each entry's block, one-hot, and each block's I, a column per block
-        self.one_hot = (block_of[self.index // self.size, None] == np.arange(len(dims))).astype(float)
-        self.diagonal = self.one_hot * self.eye[:, None]
+        (self.blocks, self.starts, self.index, self.eye, self.diagonal_at, self.one_hot,
+         self.diagonal) = _block_layout(dims)
 
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Gram matrix takes the SVD
             gram = coeffs @ coeffs.T
@@ -607,6 +666,16 @@ class _Barrier:
         radii, every r_c, r_c^2 - e^2 ||M_c||_F^2 and -M_c's entries.
         """
         entries = self.base + y @ self.flat
+        # A finite slack with a diagonal entry <= 0 cannot factor, and a point
+        # with some r_c <= 0 is outside its cone: reject both before the
+        # Cholesky. (numpy's Cholesky may return NaN factors, not fail, for
+        # a slack with a NaN entry, so a slack that is not finite goes on.)
+        if (entries[self.diagonal_at] <= 0.0).any() and np.isfinite(entries).all():
+            return None
+        if self.cones:
+            r = self.r0 + self.dr @ y
+            if (r <= 0.0).any():
+                return None
         try:
             chol = np.linalg.cholesky(self._full(entries))
         except np.linalg.LinAlgError:
@@ -614,10 +683,9 @@ class _Barrier:
         value = -2.0 * float(np.log(chol.diagonal()).sum())
         cones = None
         if self.cones:
-            r = self.r0 + self.dr @ y
             m = entries + self.diagonal @ (self.eps + r)
             room = r * r - self.eps ** 2 * np.add.reduceat(m * m, self.starts)
-            if (r <= 0.0).any() or (room <= 0.0).any():
+            if (room <= 0.0).any():
                 return None
             value -= float(np.log(room).sum())
             cones = r, room, m
@@ -652,6 +720,44 @@ class _Barrier:
             grad -= d.sum(axis=1)
             hess += d @ d.T + (self.curvature @ (1.0 / room)).reshape(k, k)
         return grad, hess, li.T @ li
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _symmetric_basis(rows: int) -> tuple:
+    """(i, j, E): the upper triangle's (i, j) and its unit symmetric matrices E_ij, read-only."""
+    i, j = np.array([(a, b) for a in range(rows) for b in range(a, rows)]).T
+    basis = np.zeros((len(i), rows, rows))
+    basis[np.arange(len(i)), i, j] = basis[np.arange(len(i)), j, i] = 1.0
+    return _read_only(i, j, basis)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_layout(dims: tuple) -> tuple:
+    """The layout of a block-diagonal slack with blocks of ``dims``, every array read-only.
+
+    (blocks, starts, index, eye, diagonal_at, one_hot, diagonal): each
+    block's rows, each block's first entry in the compact order, each
+    entry's place in the flattened D x D slack, I's entries, the places
+    of the diagonal's entries, each entry's block one-hot, and each
+    block's I, a column per block.
+    """
+    size = sum(dims)
+    sizes = np.array(dims)
+    starts = np.cumsum(sizes ** 2) - sizes ** 2
+    blocks = tuple(slice(end - d, end) for d, end in zip(dims, np.cumsum(dims).tolist()))
+    block_of = np.repeat(np.arange(len(dims)), dims)  # each row's block
+    # each entry's place in the flattened D x D slack, block after block
+    index = np.flatnonzero(block_of[:, None] == block_of)
+    eye = (index % (size + 1) == 0).astype(float)
+    one_hot = (block_of[index // size, None] == np.arange(len(dims))).astype(float)
+    diagonal = one_hot * eye[:, None]
+    return (blocks,) + _read_only(starts, index, eye, np.flatnonzero(eye), one_hot, diagonal)
 
 
 def _positive_definite(m: np.ndarray) -> bool:
@@ -801,51 +907,49 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     )
 
 
-def certify(build, eta, max_iters: int, finish=lambda certificate: certificate):
-    """``finish(certificate)`` for ``build(eta)``, or the solve's Indeterminate unchanged.
+def certify(problem: LmiProblem, eta, max_iters: int, finish=lambda certificate: certificate):
+    """``finish(certificate)`` for ``problem.at(eta)``, or the solve's Indeterminate unchanged.
 
     ``eta`` is a number, solved at that level, or ``"maximize"``: phase I
-    solves ``build(0.0)``, and phase II (:func:`_maximize`) raises eta
-    from its point to within ETA_TOL, so ``build``'s forms must be affine
-    in eta. The :class:`LmiCertificate` that ``finish`` gets carries the
-    level it verified at as ``eta``; without ``finish`` it is returned.
-    Should ``finish`` raise VerificationFailed at a fixed level's point,
-    phase II runs from it all the same, and the fixed level is finished at
-    its points instead: they lie deeper inside the feasible set.
+    solves ``problem.at(0.0)``, and phase II (:func:`_maximize`) raises
+    eta from its point to within ETA_TOL. Every level is ``problem``
+    re-leveled, so each form is posed once. The :class:`LmiCertificate`
+    that ``finish`` gets carries the level it verified at as ``eta``, and
+    that level's problem; without ``finish`` it is returned. Should
+    ``finish`` raise VerificationFailed at a fixed level's point, phase
+    II runs from it all the same, and the fixed level is finished at its
+    points instead: they lie deeper inside the feasible set.
     """
     level = 0.0 if eta == "maximize" else float(eta)
-    problem = build(level)
-    first = solve(problem, max_iters)
+    first = solve(problem.at(level), max_iters)
     if not first.feasible:
         return first
     first = replace(first, eta=level)
     if eta == "maximize":
-        return _maximize(build, problem, first, max_iters, finish)
+        return _maximize(first, max_iters, finish)
     try:
         return finish(first)
     except VerificationFailed:
-        return _maximize(build, problem, first, max_iters, finish, cap=level)
+        return _maximize(first, max_iters, finish, cap=level)
 
 
-def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int, finish,
-              cap: float = np.inf):
-    """``finish(certificate)`` at the largest s, to within ETA_TOL, at which ``build(s)`` certifies.
+def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf):
+    """``finish(certificate)`` at the largest s, to within ETA_TOL, at which ``problem.at(s)`` certifies.
 
-    ``build`` poses a problem whose forms are affine in s, ``problem`` is
-    ``build(level)`` and ``first`` certifies it (phase I), ``level`` being
-    ``first.eta`` (0 when None). Phase II is the barrier method of
-    :func:`_newton` raising s from ``first``'s point, on the barrier that
-    holds the margin exactly (:class:`_Barrier` with radii), until the
+    ``problem`` is the one ``first`` certifies (phase I), at its level.
+    Phase II is the barrier method of :func:`_newton` raising s from
+    ``first``'s point, on the barrier that holds the margin exactly
+    (:class:`_Barrier` with radii, set from ``first.report``), until the
     central path's gap dim / tau is at most ETA_TOL (Boyd & Vandenberghe,
     sec. 11.3) or ``max_iters`` steps are spent. s's basis matrices are
-    the forms' constants less those of build(level + 1), so no second copy
-    of any form appears. The margin also keeps the points bounded where log
-    det alone would grow without limit (P of a memoryless loop): a
-    constant diagonal entry of M_c bounds lambda_max(M_c) below, and so
-    ||M_c||_F above.
+    the forms' constants less those of ``problem.at(level + 1)``, so no
+    second copy of any form appears. The margin also keeps the points
+    bounded where log det alone would grow without limit (P of a
+    memoryless loop): a constant diagonal entry of M_c bounds
+    lambda_max(M_c) below, and so ||M_c||_F above.
 
-    ``finish`` gets ``LmiCertificate.build`` on ``build(min(s, cap))`` at
-    the iterate of largest s, its ``eta`` that level and its
+    ``finish`` gets ``LmiCertificate.build`` on ``problem.at(min(s,
+    cap))`` at the iterate of largest s, its ``eta`` that level and its
     ``iterations`` counting the Newton steps of both phases. Should either
     raise VerificationFailed, the iterates are tried from there down, each
     at least ETA_TOL below the one tried before, until one passes; then
@@ -853,14 +957,15 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     passed (or ``level``), below ``cap``, and the largest s that passes is
     kept. With none passing, ``first`` is finished.
     """
-    level = 0.0 if first.eta is None else first.eta
+    problem = first.problem
+    level = problem.level
     slopes = [expr.constant() - grown.constant()
-              for (_, expr), (_, grown) in zip(problem.constraints, build(level + 1.0).constraints)]
+              for (_, expr), (_, grown) in zip(problem.constraints,
+                                               problem.at(level + 1.0).constraints)]
     eps = problem.margin.epsilon_rel
     radii = []
-    for _, expr in problem.constraints:
-        m = expr.assemble(first.assignment)
-        low, high = eps * fro_norm(m), -float(sym_eigvals(m)[-1]) - eps
+    for check in first.report.checks:
+        low, high = eps * check.norm, -check.lambda_max - eps
         if low >= high:  # on its margin's edge: no room to start from
             return finish(first)
         radii.append(0.5 * (low + high))
@@ -880,7 +985,7 @@ def _maximize(build, problem: LmiProblem, first: LmiCertificate, max_iters: int,
     def attempt(s, y):
         s = min(s, cap)
         try:
-            certificate = LmiCertificate.build(build(s), barrier.assignment(y),
+            certificate = LmiCertificate.build(problem.at(s), barrier.assignment(y),
                                                iterations=first.iterations + taken)
             return finish(replace(certificate, eta=s))
         except VerificationFailed:

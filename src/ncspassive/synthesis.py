@@ -75,11 +75,13 @@ def build_synthesis_lmi(
     eta: float,
     margin: DefinitenessMargin = DEFAULT_MARGIN,
 ) -> lmi.LmiProblem:
-    """Pose the synthesis block LMI over X > 0 (n x n) and Y (m2 x n).
+    """Pose the synthesis block LMI over X > 0 (n x n) and Y (m2 x n), at level eta.
 
-    When the both-links-arrive probability is zero no feedback can act,
-    so Y is omitted entirely and feasibility reduces to open-loop
-    passivity.
+    Its level block is the output row's constant 2 eta I - D11' - D11,
+    so ``build_synthesis_lmi(plant, dist, 0.0).at(eta)`` is this problem
+    at eta, posed once. When the both-links-arrive probability is zero no
+    feedback can act, so Y is omitted entirely and feasibility reduces to
+    open-loop passivity.
     """
     check_assumption(plant, margin)
     n, m1, m2 = plant.n, plant.m1, plant.m2
@@ -100,7 +102,7 @@ def build_synthesis_lmi(
     expr.add_term(1, 0, -plant.C1, "X", eye)
     if have_y:
         expr.add_term(1, 0, -plant.D12, "Y", eye, weight=a11)
-    expr.add_const(1, 1, 2.0 * eta * np.eye(m1) - plant.D11.T - plant.D11)
+    expr.add_level(1, 1, 2.0 * np.eye(m1), plant.D11.T, plant.D11)
 
     for t, (i, j) in enumerate(MODES):
         r = 2 + t
@@ -113,6 +115,7 @@ def build_synthesis_lmi(
         expr.add_term(r, r, -eye, "X", eye)
 
     prob.add_constraint(expr)
+    expr.level = prob.level = eta
     return prob
 
 
@@ -196,23 +199,25 @@ def congruence_residual(
 def round_trip_verify(
     plant: Plant,
     dist: ModeDistribution,
-    eta: float,
+    synthesis_problem: lmi.LmiProblem,
     x: np.ndarray,
     y: np.ndarray,
     gain: Gain,
-    margin: DefinitenessMargin = DEFAULT_MARGIN,
 ) -> RoundTripReport:
-    """Independent validation of a synthesized (X, Y) and its gain at eta.
+    """Independent validation of a synthesized (X, Y) and its gain.
 
+    ``synthesis_problem`` is :func:`build_synthesis_lmi` at the level eta
+    (a certificate's ``problem``); the legs judge at its eta and margin.
     Poses ``passivity_problem`` at the gain once, and the legs read it:
     (a) verify P = X^{-1} against it, which certifies passivity of the
     closed loop at eta; (b) second-moment radius rho < 1 by the oracle;
     (c) the congruence identity between it and the synthesis form at
     (X, Y) (:func:`congruence_residual`). No leg runs a solve.
     """
-    problem = passivity_problem(plant, gain, dist, eta, margin)
+    problem = passivity_problem(plant, gain, dist, synthesis_problem.level,
+                                synthesis_problem.margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
-    rel = congruence_residual(build_synthesis_lmi(plant, dist, eta, margin), problem, x, y)
+    rel = congruence_residual(synthesis_problem, problem, x, y)
     return RoundTripReport(
         direct_certified=lmi.verify(problem, {"P": np.linalg.inv(x)}).passed,
         rho=rho,
@@ -272,10 +277,10 @@ def synthesize(
         x = certificate.assignment["X"]
         y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
         gain = recover_gain(x, y)
-        report = round_trip_verify(plant, dist, certificate.eta, x, y, gain, margin)
+        report = round_trip_verify(plant, dist, certificate.problem, x, y, gain)
         if not report.passed:
             raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
         return SynthesisResult(x=x, y=y, gain=gain, eta=certificate.eta, certificate=certificate,
                                verification=report, rho=report.rho)
 
-    return lmi.certify(lambda e: build_synthesis_lmi(plant, dist, e, margin), eta, max_iters, finish)
+    return lmi.certify(build_synthesis_lmi(plant, dist, 0.0, margin), eta, max_iters, finish)

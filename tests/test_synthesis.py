@@ -377,7 +377,7 @@ def test_certify_is_the_hand_composed_solve_and_maximize(k):
         return passivity_problem(plant, result.gain, dist, eta)
 
     maximized = passivity_lmi(plant, result.gain, dist, "maximize")
-    cert = lmi._maximize(build, build(0.0), lmi.solve(build(0.0)), lmi.MAX_ITERS, lambda c: c)
+    cert = lmi._maximize(lmi.solve(build(0.0)), lmi.MAX_ITERS, lambda c: c)
     eta, p = cert.eta, cert.assignment["P"]
     assert eta > 0.0
     assert (maximized.eta, maximized.assignment["P"].tobytes()) == (eta, p.tobytes())
@@ -392,8 +392,8 @@ class TestRoundTrip:
         # P = 0.01 is too small a storage: 0.5 of the output cross term is
         # left. Y = K X keeps the congruence exact, so only the direct leg fails.
         x = 100.0 * np.eye(1)
-        report = round_trip_verify(lossy_feedback_plant, mode_distribution(loss), 0.1,
-                                   x, result.gain.K @ x, result.gain)
+        report = round_trip_verify(lossy_feedback_plant, mode_distribution(loss),
+                                   result.certificate.problem, x, result.gain.K @ x, result.gain)
         assert report.rho_ok
         assert report.congruence_ok
         assert not report.direct_certified
@@ -419,8 +419,8 @@ class TestRoundTrip:
         dist = mode_distribution(loss)
         result = synthesize(lossy_feedback_plant, loss, eta=0.1)
         # destabilizing gain: push the closed loop out of the unit disc
-        report = round_trip_verify(lossy_feedback_plant, dist, result.eta, result.x, result.y,
-                                   Gain([[1.0]]))
+        report = round_trip_verify(lossy_feedback_plant, dist, result.certificate.problem,
+                                   result.x, result.y, Gain([[1.0]]))
         assert not report.rho_ok
         assert not report.passed
 
@@ -507,8 +507,8 @@ class TestRoundTrip:
         monkeypatch.setattr(analysis, "_riccati_storage", no_search)
         # and a binding in synthesis, should one be imported again
         monkeypatch.setattr(synthesis, "_riccati_storage", no_search, raising=False)
-        report = round_trip_verify(plant, mode_distribution(loss), result.eta, result.x,
-                                   result.y, result.gain)
+        report = round_trip_verify(plant, mode_distribution(loss), result.certificate.problem,
+                                   result.x, result.y, result.gain)
         assert report.passed, report.summary()
 
     # below the default margin of 1e-8 every leg judges at the problem's own margin, so
