@@ -105,15 +105,10 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
     families = [family] if isinstance(family, ClosedLoopFamily) else list(family)
     if not families:
         raise ValueError("need at least one closed-loop family")
-    return _sms_report([_second_moment_operator(fam, dist) for fam in families])
-
-
-def _sms_report(operators: list) -> SmsReport:
-    """:func:`sms_oracle` on the period's per-step operators, in slot order."""
-    product = np.eye(len(operators[0]))
-    for op in operators:
-        product = op @ product
-    rho = spectral_radius(product) ** (1.0 / len(operators))
+    product = np.eye(families[0].a(0, 0).size)
+    for fam in families:
+        product = _second_moment_operator(fam, dist) @ product
+    rho = spectral_radius(product) ** (1.0 / len(families))
     return SmsReport(rho=rho, stable=rho < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
 
 
@@ -198,7 +193,7 @@ def stability_lmi(
     returns a :class:`StabilityCertificate` when the solution verifies.
     Otherwise returns an Indeterminate whose ``dual`` holds multipliers
     that passed ``lmi.verify_dual``, offered only when :func:`sms_oracle`'s
-    rho on the same operators is >= 1.
+    rho^N, the spectral radius of the period operator solved with, is >= 1.
     Never raises for a singular or ill-conditioned system.
     """
     period = schedule.period
@@ -231,11 +226,11 @@ def stability_lmi(
             reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N. The
     # forms are homogeneous in P, so verify_dual's allowance alone can pass a
-    # dual of a stable loop in badly scaled coordinates: sms_oracle must agree.
+    # dual of a stable loop in badly scaled coordinates: rho(T) = rho^N must be >= 1.
     z0 = _perron_vector(t.T, n)
     dual = None if z0 is None else _stability_dual(adjoint, z0)
     if (dual is not None and lmi.verify_dual(prob, dual).passed
-            and _sms_report(adjoint).rho >= 1.0):
+            and spectral_radius(t) >= 1.0):
         return lmi.Indeterminate(
             message="refuted: the Perron multiplier of the period's second-moment "
             "operator proves that no P satisfies the coupled Lyapunov LMIs",
@@ -296,7 +291,10 @@ def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
 
 
 def check_assumption(plant: Plant, margin: DefinitenessMargin = DEFAULT_MARGIN) -> None:
-    """Raise AssumptionViolated unless D11 + D11' > 0 (margin-strict)."""
+    """Raise AssumptionViolated unless D11 is square (for w'z) and D11 + D11' > 0 (margin-strict)."""
+    if plant.D11.shape[0] != plant.D11.shape[1]:
+        raise AssumptionViolated("passivity analysis requires a square D11 (the supply rate w'z); "
+                                 "D11 is {}x{}".format(*plant.D11.shape))
     d = plant.D11 + plant.D11.T
     if not is_neg_definite(-d, margin):
         low = float(sym_eigvals(d)[0])
@@ -316,8 +314,8 @@ def passivity_problem(
 ) -> lmi.LmiProblem:
     """The averaged dissipation LMI over one P > 0 (full-packet loop).
 
-    Requires eta >= 0 and D11 + D11' > 0; raises ValueError or
-    AssumptionViolated otherwise.
+    Requires eta >= 0 and a square D11 with D11 + D11' > 0; raises
+    ValueError or AssumptionViolated otherwise (:func:`check_assumption`).
     """
     if eta < 0:
         raise ValueError(f"dissipation must be >= 0, got {eta}")
@@ -326,8 +324,7 @@ def passivity_problem(
     prob.add_symmetric("P", plant.n, positive_definite=True)
     fam = closed_loop(plant, gain, 0, full_packet_schedule())
     prob.add_constraint(_dissipation_form(fam, dist.items(), eta))
-    prob.level = eta
-    return prob
+    return prob.at(eta)
 
 
 def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineExpr:
@@ -351,8 +348,7 @@ def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineE
     expr.add_term(1, 1, b.T, "P", b)
     expr.add_const(0, 1, -c.T)
     expr.add_level(1, 1, 2.0 * np.eye(m1), d.T, d)
-    expr.level = eta
-    return expr
+    return expr.at(eta)
 
 
 # Newton-Kleinman steps of _riccati_storage before it gives up; the relative step of P at
@@ -453,18 +449,16 @@ def passivity_lmi(
     assignment's ``"P"`` the storage matrix, or an Indeterminate. A
     certificate's top-left block sum_m a_m A_m' P A_m - P < 0 forces
     rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate names
-    that bound and no search runs.
+    that bound and no search runs; :func:`passivity_problem`'s checks come first.
     """
-    if eta != "maximize" and eta < 0:
-        raise ValueError(f"dissipation must be >= 0, got {eta}")
-    check_assumption(plant, margin)
+    problem = passivity_problem(plant, gain, dist, 0.0 if eta == "maximize" else eta, margin)
     rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
     if rho >= 1.0:
         return lmi.Indeterminate(
             message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
-    return lmi.certify(passivity_problem(plant, gain, dist, 0.0, margin), eta, max_iters)
+    return lmi.certify(problem, eta, max_iters)
 
 
 def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:

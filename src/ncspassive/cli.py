@@ -306,13 +306,13 @@ def _mat(m) -> list:
     return np.asarray(m, dtype=float).tolist()
 
 
-def _certified(certificate: lmi.LmiCertificate, margin: DefinitenessMargin, **fields) -> dict:
-    """The report section of a certificate verified at ``margin``: status, ``fields``, verify."""
+def _certified(certificate: lmi.LmiCertificate, **fields) -> dict:
+    """The report section of a certificate: status, ``fields``, and verify at its problem's margin."""
     return {
         "status": "certified",
         **fields,
         "verify": {
-            "margin_epsilon_rel": margin.epsilon_rel,
+            "margin_epsilon_rel": certificate.problem.margin.epsilon_rel,
             "constraints": [
                 {"name": c.name, "lambda_max": c.lambda_max, "threshold": c.threshold}
                 for c in certificate.report.checks
@@ -390,7 +390,7 @@ def cmd_analyze(config: ScenarioConfig) -> dict:
 
     stab = analysis.stability_lmi(config.plant, gain, config.schedule, dist, config.margin)
     if stab.feasible:
-        results["stability"] = _certified(stab, config.margin, P=[_mat(p) for p in stab.ps])
+        results["stability"] = _certified(stab, P=[_mat(p) for p in stab.ps])
     else:
         results["stability"] = {
             "status": "indeterminate",
@@ -404,8 +404,8 @@ def cmd_analyze(config: ScenarioConfig) -> dict:
         pas = analysis.passivity_lmi(config.plant, gain, dist, config.eta, config.margin, config.budget)
         if pas.feasible:
             # rho is the full-packet loop's, which passivity requires
-            results["passivity"] = _certified(pas, config.margin, eta=pas.eta,
-                                              P=_mat(pas.assignment["P"]), rho=sms.rho)
+            results["passivity"] = _certified(pas, eta=pas.eta, P=_mat(pas.assignment["P"]),
+                                              rho=sms.rho)
         else:
             results["passivity"] = _refusal(pas, config.eta)
     return results
@@ -420,7 +420,7 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
         return {"synthesis": _refusal(result, eta)}
     trip = result.verification
     return {"synthesis": _certified(
-        result.certificate, config.margin, eta=result.eta, K=_mat(result.gain.K),
+        result.certificate, eta=result.eta, K=_mat(result.gain.K),
         X=_mat(result.x), Y=_mat(result.y), rho=result.rho, round_trip={
             "direct_certified": trip.direct_certified,
             "rho_ok": trip.rho_ok,

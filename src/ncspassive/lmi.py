@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,18 +443,20 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
 class LmiCertificate:
     """A strictly feasible assignment, constructed only through verification.
 
-    ``problem`` is the problem it was verified against. ``iterations``
-    counts the Newton steps that found it. ``eta`` is the level
-    ``certify`` verified it at, None from a bare ``solve``.
+    ``problem`` is the problem it was verified against, ``eta`` that
+    problem's level. ``iterations`` counts the Newton steps that found it.
     """
 
     assignment: dict
     report: VerifyReport
     problem: LmiProblem
     iterations: int = 0
-    eta: float | None = None
 
     feasible = True
+
+    @property
+    def eta(self) -> float:
+        return self.problem.level
 
     @classmethod
     def build(cls, problem: LmiProblem, assignment: dict, iterations: int = 0) -> "LmiCertificate":
@@ -914,8 +916,8 @@ def certify(problem: LmiProblem, eta, max_iters: int, finish=lambda certificate:
     solves ``problem.at(0.0)``, and phase II (:func:`_maximize`) raises
     eta from its point to within ETA_TOL. Every level is ``problem``
     re-leveled, so each form is posed once. The :class:`LmiCertificate`
-    that ``finish`` gets carries the level it verified at as ``eta``, and
-    that level's problem; without ``finish`` it is returned. Should
+    that ``finish`` gets carries the problem at the level it verified at,
+    so its ``eta`` is that level; without ``finish`` it is returned. Should
     ``finish`` raise VerificationFailed at a fixed level's point, phase
     II runs from it all the same, and the fixed level is finished at its
     points instead: they lie deeper inside the feasible set.
@@ -924,7 +926,6 @@ def certify(problem: LmiProblem, eta, max_iters: int, finish=lambda certificate:
     first = solve(problem.at(level), max_iters)
     if not first.feasible:
         return first
-    first = replace(first, eta=level)
     if eta == "maximize":
         return _maximize(first, max_iters, finish)
     try:
@@ -949,7 +950,7 @@ def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf
     lambda_max(M_c) below, and so ||M_c||_F above.
 
     ``finish`` gets ``LmiCertificate.build`` on ``problem.at(min(s,
-    cap))`` at the iterate of largest s, its ``eta`` that level and its
+    cap))`` at the iterate of largest s, so its ``eta`` is that level, its
     ``iterations`` counting the Newton steps of both phases. Should either
     raise VerificationFailed, the iterates are tried from there down, each
     at least ETA_TOL below the one tried before, until one passes; then
@@ -985,9 +986,8 @@ def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf
     def attempt(s, y):
         s = min(s, cap)
         try:
-            certificate = LmiCertificate.build(problem.at(s), barrier.assignment(y),
-                                               iterations=first.iterations + taken)
-            return finish(replace(certificate, eta=s))
+            return finish(LmiCertificate.build(problem.at(s), barrier.assignment(y),
+                                               iterations=first.iterations + taken))
         except VerificationFailed:
             return None
 

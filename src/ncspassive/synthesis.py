@@ -81,8 +81,10 @@ def build_synthesis_lmi(
     so ``build_synthesis_lmi(plant, dist, 0.0).at(eta)`` is this problem
     at eta, posed once. When the both-links-arrive probability is zero no
     feedback can act, so Y is omitted entirely and feasibility reduces to
-    open-loop passivity.
+    open-loop passivity. Raises for eta < 0, and as ``analysis.check_assumption`` does.
     """
+    if eta < 0:
+        raise ValueError(f"dissipation must be >= 0, got {eta}")
     check_assumption(plant, margin)
     n, m1, m2 = plant.n, plant.m1, plant.m2
     a11 = dist.prob(1, 1)
@@ -115,8 +117,7 @@ def build_synthesis_lmi(
         expr.add_term(r, r, -eye, "X", eye)
 
     prob.add_constraint(expr)
-    expr.level = prob.level = eta
-    return prob
+    return prob.at(eta)
 
 
 def recover_gain(x: np.ndarray, y: np.ndarray) -> Gain:
@@ -262,10 +263,11 @@ def synthesize(
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
     has L_K(P) >= (1 - a11) A'PA, and a passivity certificate would give
-    L_K(P) < P, which needs that bound below 1.
+    L_K(P) < P, which needs that bound below 1. :func:`build_synthesis_lmi`'s
+    checks of eta and D11 come before that guard and before any solve.
     """
-    check_assumption(plant, margin)
     dist = mode_distribution(loss)
+    problem = build_synthesis_lmi(plant, dist, 0.0 if eta == "maximize" else eta, margin)
     loss_only = spectral_radius((1.0 - dist.prob(1, 1)) * kron(plant.A, plant.A))
     if loss_only >= 1.0:
         return lmi.Indeterminate(
@@ -283,4 +285,4 @@ def synthesize(
         return SynthesisResult(x=x, y=y, gain=gain, eta=certificate.eta, certificate=certificate,
                                verification=report, rho=report.rho)
 
-    return lmi.certify(build_synthesis_lmi(plant, dist, 0.0, margin), eta, max_iters, finish)
+    return lmi.certify(problem, eta, max_iters, finish)

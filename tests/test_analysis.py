@@ -238,13 +238,13 @@ class TestPassivityLmi:
 
     def test_certificate_is_the_verified_one_with_its_level(self, scalar_passive_plant, lossless):
         # the LmiCertificate that certify verified, eta included; a bare solve of
-        # the same problem finds the same point and leaves eta unset
+        # the same problem finds the same point, its eta the level it was posed at
         dist = mode_distribution(lossless)
         cert = passivity_lmi(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4)
         assert isinstance(cert, lmi.LmiCertificate)
         assert cert.eta == 0.4
         bare = lmi.solve(passivity_problem(scalar_passive_plant, Gain.zero(1, 1), dist, 0.4))
-        assert bare.eta is None
+        assert bare.eta == 0.4
         assert bare.assignment["P"].tobytes() == cert.assignment["P"].tobytes()
 
     def test_averaged_form_is_the_weighted_sum_of_ledger_forms(self):

@@ -439,8 +439,7 @@ class TestReport:
 
         # a report holding the dual that passes verify_dual is refused
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "_sms_report",
-                          lambda ops: analysis.SmsReport(2.0, False, False))
+            patch.setattr(analysis, "spectral_radius", lambda m: 2.0)
             old = tmp_path / "old.json"
             assert cli.main(["analyze", "--config", str(cfg), "--out", str(old)]) == 2
         assert json.loads(old.read_text())["results"]["stability"]["dual"] is not None
@@ -720,7 +719,15 @@ class TestPipelineDeterminism:
         assert cli.main(["report", str(tight)]) == 0
 
 
-# (case, dotted config field to set or None, its value, extra argv, text the error must name)
+# The README plant with a non-square D11 (2 controlled outputs; 3 or 1 disturbance inputs):
+# the supply rate w'z needs as many of one as of the other.
+PLANT_D11_2X3 = {"A": [[1.2]], "B1": [[1.0, 0.5, 0.0]], "B2": [[1.0]], "C1": [[0.5], [0.2]],
+                 "D11": [[1.0, 0.0, 0.3], [0.0, 1.0, 0.2]], "D12": [[0.0], [0.1]]}
+PLANT_D11_2X1 = {"A": [[1.2]], "B1": [[1.0]], "B2": [[1.0]], "C1": [[0.5], [0.2]],
+                 "D11": [[1.0], [0.3]], "D12": [[0.0], [0.1]]}
+
+# (case, dotted config field to set or None, its value, extra argv, text the error must name);
+# the command is simulate with --gain [[-0.9]], unless extra starts with another one
 BAD_INPUTS = [
     ("solver-margin-zero", "solver.margin", 0, [], "solver.margin"),
     ("solver-margin-negative", "solver.margin", -1, [], "solver.margin"),
@@ -779,6 +786,12 @@ BAD_INPUTS = [
      "schedule: slot 0: sensor 1 and actuator 1 both scheduled"),
     ("schedule-pattern-length", "schedule", {"period": 2, "s1": [1], "s2": [0, 1]}, [],
      "schedule: switching patterns must have length 2, got 1 and 2"),
+    ("analyze-eta-periodic", "schedule", {"period": 2, "s1": [1, 0], "s2": [0, 1]},
+     ["analyze", "--eta", "0.1"], "passivity analysis requires the full-packet schedule"),
+    ("analyze-eta-d11-2x3", "plant", PLANT_D11_2X3, ["analyze", "--eta", "0.1"], "D11 is 2x3"),
+    ("analyze-eta-d11-2x1", "plant", PLANT_D11_2X1, ["analyze", "--eta", "0.1"], "D11 is 2x1"),
+    ("synthesize-d11-2x3", "plant", PLANT_D11_2X3, ["synthesize"], "D11 is 2x3"),
+    ("synthesize-d11-2x1", "plant", PLANT_D11_2X1, ["synthesize"], "D11 is 2x1"),
 ]
 
 
@@ -787,12 +800,32 @@ def test_bad_input_exits_one_naming_its_location(tmp_path, capsys, case, field, 
     config = scenario() if field is None else with_field(scenario(), field, value)
     cfg = write_config(tmp_path, config)
     out = tmp_path / "sim.json"
-    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--gain", "[[-0.9]]"] + extra
-    assert cli.main(argv) == 1
+    if extra[:1] not in (["analyze"], ["synthesize"]):
+        extra = ["simulate", "--gain", "[[-0.9]]", *extra]
+    command, *flags = extra
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert names in err
     assert "config-patched" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("plant", [PLANT_D11_2X3, PLANT_D11_2X1], ids=["2x3", "2x1"])
+def test_non_square_d11_still_analyzes_stability_and_simulates(tmp_path, capsys, plant):
+    # only passivity needs the supply rate; without an eta analyze certifies stability,
+    # and simulate's dissipation ledger, which has no meaning here, is NaN
+    config = scenario(gain=[[-0.9]], plant=plant)
+    config.pop("eta")
+    cfg = write_config(tmp_path, config)
+    anal, sim = tmp_path / "analyze.json", tmp_path / "sim.json"
+    assert cli.main(["analyze", "--config", str(cfg), "--out", str(anal)]) == 0
+    assert json.loads(anal.read_text())["results"]["stability"]["status"] == "certified"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    results = json.loads(sim.read_text())["results"]
+    assert results["non_finite"] == ["ensemble.dissipation_mean", "ensemble.dissipation_se"]
+    assert cli.main(["report", str(anal)]) == 0
+    assert cli.main(["report", str(sim)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_config_file_exits_one_naming_the_path(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""One posed problem per certify call: re-leveling, and the barrier's early rejection."""
+"""One posed problem per certify call, checked once: re-leveling, and the barrier's early rejection."""
 
 import numpy as np
 import pytest
 
 from ncspassive import analysis, lmi, synthesis
 from ncspassive.analysis import passivity_lmi
+from ncspassive.errors import AssumptionViolated
 from ncspassive.model import (
     Gain,
     LossModel,
@@ -42,9 +43,12 @@ class TestPosedOnce:
         counting(monkeypatch, synthesis, "build_synthesis_lmi", calls)
         counting(monkeypatch, synthesis, "passivity_problem", calls)  # the round trip's binding
         counting(monkeypatch, analysis, "passivity_problem", calls)
+        counting(monkeypatch, synthesis, "check_assumption", calls)  # build_synthesis_lmi's
+        counting(monkeypatch, analysis, "check_assumption", calls)  # passivity_problem's
         result = synthesize(plant, loss, "maximize")
         assert result.verification.passed
-        assert calls == {"build_synthesis_lmi": 1, "passivity_problem": 1}
+        # D11 is checked by each builder, once for its problem and once for the round trip's
+        assert calls == {"build_synthesis_lmi": 1, "passivity_problem": 1, "check_assumption": 2}
 
     def test_maximized_passivity_poses_its_form_once(self, monkeypatch):
         plant, loss = certify_loop(*CERTIFY_LOOPS[0])
@@ -52,9 +56,21 @@ class TestPosedOnce:
         gain = synthesize(plant, loss, "maximize").gain
         calls = {}
         counting(monkeypatch, analysis, "passivity_problem", calls)
+        counting(monkeypatch, analysis, "check_assumption", calls)
         result = passivity_lmi(plant, gain, dist, "maximize")
         assert result.feasible and result.eta > 0.0
-        assert calls == {"passivity_problem": 1}
+        assert calls == {"passivity_problem": 1, "check_assumption": 1}
+
+    @pytest.mark.parametrize("eta", [-0.1, 0.1, "maximize"])
+    def test_input_errors_come_before_the_guards(self, eta):
+        # the A = 2 loop that both guards refuse, with D11 = 0: eta first, then D11
+        plant = Plant(A=[[2.0]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[0.0]], D12=[[0.0]])
+        loss = LossModel(0.0, 0.3)
+        error = ValueError if eta == -0.1 else AssumptionViolated
+        with pytest.raises(error):
+            synthesize(plant, loss, eta)
+        with pytest.raises(error):
+            passivity_lmi(plant, Gain.zero(1, 1), mode_distribution(loss), eta)
 
 
 # A non-symmetric D11 whose constant rounds differently when regrouped as

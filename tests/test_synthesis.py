@@ -151,6 +151,14 @@ class TestSynthesize:
             assert result.iterations == 0
             assert "rho((1 - a11) A (x) A) = 1.2" in result.message
 
+    def test_negative_eta_is_refused_before_any_solve(self, monkeypatch, lossy_feedback_plant):
+        def no_search(*args, **kwargs):
+            raise AssertionError("synthesize ran lmi.solve")
+
+        monkeypatch.setattr(lmi, "solve", no_search)
+        with pytest.raises(ValueError, match="dissipation must be >= 0"):
+            synthesize(lossy_feedback_plant, LossModel(0.0, 0.2), eta=-0.1)
+
     def test_maximize_eta_bisects(self, lossy_feedback_plant):
         result = synthesize(lossy_feedback_plant, LossModel(0.0, 0.2), eta="maximize")
         assert result.feasible
