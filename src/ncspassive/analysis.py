@@ -115,15 +115,14 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
 def _second_moment_operator(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
     """sum_m a_m kron(A_m, A_m): Z -> sum_m a_m A_m Z A_m' on row-major vec(Z).
 
-    Its transpose acts as the Lyapunov map P -> sum_m a_m A_m' P A_m.
+    Summed over the distinct loops (``ClosedLoopFamily.loops``), one
+    Kronecker square each. Its transpose acts as the Lyapunov map
+    P -> sum_m a_m A_m' P A_m.
     """
     n = fam.a(0, 0).shape[0]
     op = np.zeros((n * n, n * n))
-    for (i, j), p in dist.items():
-        if p == 0.0:
-            continue
-        a = fam.a(i, j)
-        op += p * kron(a, a)
+    for a, _, w in fam.loops(dist.items()):
+        op += w * kron(a, a)
     return op
 
 
@@ -170,12 +169,9 @@ def _lyapunov_problem(
 
 
 def _lyapunov_block(expr: lmi.AffineExpr, fam: ClosedLoopFamily, weights, nxt, now) -> None:
-    """Add sum_m w_m A_m' nxt A_m - now at block (0, 0), over (mode, w_m) pairs with w_m != 0."""
-    for (i, j), p in weights:
-        if p == 0.0:
-            continue
-        a = fam.a(i, j)
-        expr.add_term(0, 0, a.T, nxt, a, weight=p)
+    """Add sum_m w_m A_m' nxt A_m - now at block (0, 0), one term per distinct loop of (mode, w_m)."""
+    for a, _, w in fam.loops(weights):
+        expr.add_term(0, 0, a.T, nxt, a, weight=w)
     eye = np.eye(fam.a(0, 0).shape[0])
     expr.add_term(0, 0, -eye, now, eye)
 
@@ -213,17 +209,19 @@ def stability_lmi(
         p0 = np.linalg.solve(np.eye(n * n) - t, c)
     except np.linalg.LinAlgError:
         p0 = np.full(n * n, np.nan)
-    reason = "the coupled Lyapunov equation has no finite solution"
+    reason, ps = "the coupled Lyapunov equation has no finite solution", None
     if np.isfinite(p0).all():
         ps = {"P0": _sym(p0.reshape(n, n))}
         nxt = p0
         for k in range(period - 1, 0, -1):  # P_k = I + L_k(P_{k+1})
             nxt = vec_i + adjoint[k].T @ nxt
             ps[f"P{k}"] = _sym(nxt.reshape(n, n))
-        try:
-            return StabilityCertificate.build(prob, ps)
-        except VerificationFailed as exc:
-            reason = f"the coupled Lyapunov equation's solution does not verify: {exc}"
+        # verify's P{k}_pos_def check on the same -P_k: an unstable loop's P_k is
+        # indefinite, and its certificate is built only if the dual fails, for the reason
+        if all(is_neg_definite(-p, margin) for p in ps.values()):
+            (certificate, reason), ps = _build(prob, ps), None
+            if certificate is not None:
+                return certificate
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N. The
     # forms are homogeneous in P, so verify_dual's allowance alone can pass a
     # dual of a stable loop in badly scaled coordinates: rho(T) = rho^N must be >= 1.
@@ -236,7 +234,17 @@ def stability_lmi(
             "operator proves that no P satisfies the coupled Lyapunov LMIs",
             dual=dual,
         )
+    if ps is not None:
+        reason = _build(prob, ps)[1]
     return lmi.Indeterminate(message=f"{reason}; no dual certificate found")
+
+
+def _build(prob: lmi.LmiProblem, ps: dict) -> tuple:
+    """(the StabilityCertificate of ``ps``, None), or (None, the reason it does not verify)."""
+    try:
+        return StabilityCertificate.build(prob, ps), None
+    except VerificationFailed as exc:
+        return None, f"the coupled Lyapunov equation's solution does not verify: {exc}"
 
 
 # Squarings in the power iteration: op / s + I raised to 2**40.
@@ -330,21 +338,20 @@ def passivity_problem(
 def _dissipation_form(fam: ClosedLoopFamily, weights, eta: float) -> lmi.AffineExpr:
     """The dissipation form over P at level eta, its modes weighted by (mode, weight) pairs.
 
-    Modes of weight zero are skipped. With the mode probabilities it is
-    the averaged form of :func:`passivity_problem`; with the realized mode
-    at weight 1 it is that step's ledger form. Its level block is the
-    (1, 1) constant 2 eta I - D' - D.
+    It has one term per distinct loop (``ClosedLoopFamily.loops``). With
+    the mode probabilities it is the averaged form of
+    :func:`passivity_problem`; with the realized mode at weight 1 it is
+    that step's ledger form. Its level block is the (1, 1) constant
+    2 eta I - D' - D.
     """
     n, m1 = fam.b.shape
     b, d = fam.b, fam.d
     expr = lmi.AffineExpr([n, m1], name="dissipation")
     _lyapunov_block(expr, fam, weights, "P", "P")
     c = np.zeros_like(fam.c(0, 0))
-    for (i, j), p in weights:
-        if p == 0.0:
-            continue
-        expr.add_term(0, 1, fam.a(i, j).T, "P", b, weight=p)
-        c = c + p * fam.c(i, j)
+    for a, cm, w in fam.loops(weights):
+        expr.add_term(0, 1, a.T, "P", b, weight=w)
+        c = c + w * cm
     expr.add_term(1, 1, b.T, "P", b)
     expr.add_const(0, 1, -c.T)
     expr.add_level(1, 1, 2.0 * np.eye(m1), d.T, d)

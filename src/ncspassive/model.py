@@ -7,7 +7,7 @@ one sensor, one actuator, or nobody, and each transmitted message is
 dropped independently with a Bernoulli probability per link. The pair
 of arrival bits (theta1, theta2) is the jump mode; closing a static
 state-feedback gain over the lossy links yields a four-mode jump-linear
-family with i.i.d. mode process.
+family with i.i.d. mode process and two distinct loops (:func:`loop_weights`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "ClosedLoopFamily",
     "selector_matrices",
     "mode_distribution",
+    "loop_weights",
     "closed_loop",
 ]
 
@@ -204,9 +205,9 @@ class Gain:
 class ClosedLoopFamily:
     """Per-mode closed-loop matrices at one time slot.
 
-    Only the (1, 1) mode carries the feedback term, so the A and C
-    matrices of modes (0,0), (0,1), (1,0) all equal the open loop, and
-    B, D are mode-independent.
+    Only the (1, 1) mode carries the feedback term, so modes (0,0), (0,1)
+    and (1,0) share one open-loop A and C array, and B, D are
+    mode-independent.
     """
 
     a_modes: dict
@@ -219,6 +220,23 @@ class ClosedLoopFamily:
 
     def c(self, theta1: int, theta2: int) -> np.ndarray:
         return self.c_modes[(theta1, theta2)]
+
+    def loops(self, weights) -> tuple:
+        """(A, C, weight) per distinct loop of :func:`loop_weights`, open loop first."""
+        return tuple((self.a(fb, fb), self.c(fb, fb), w) for fb, w in loop_weights(weights))
+
+
+def loop_weights(weights) -> tuple:
+    """(theta1 theta2, total weight) per distinct loop, from (mode, weight) pairs.
+
+    The gain acts only when both packets arrive, so the modes with
+    theta1 theta2 = 0 share the open loop: their weights are summed in
+    MODES order, and a loop of total weight 0 is dropped.
+    """
+    total = [0.0, 0.0]
+    for (i, j), w in weights:
+        total[i * j] += w
+    return tuple((fb, w) for fb, w in enumerate(total) if w != 0.0)
 
 
 def selector_matrices(
@@ -265,13 +283,15 @@ def mode_distribution(loss: LossModel) -> ModeDistribution:
 
 
 def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedLoopFamily:
-    """Four-mode closed-loop family at slot k.
+    """Four-mode closed-loop family at slot k, two distinct loops.
 
     A_mode = A + theta1*theta2 * B2 (S2 S2') K (S1' S1), and likewise for
     the C matrix through D12; B and D are the open-loop B1 and D11. The
     projection pairing S2 S2' / S1' S1 routes the single scheduled sensor
     reading through the matching entry of K to the single scheduled
-    actuator, and reduces to B2 K in the full-packet configuration.
+    actuator, and reduces to B2 K in the full-packet configuration. The
+    open loop (theta1 theta2 = 0) and the closed loop are computed once
+    each; the three open modes share one array.
 
     A periodic :class:`Schedule` never selects a sensor and an actuator in
     the same slot, so one of the two selectors is zero and the feedback
@@ -287,10 +307,8 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
     s1k, s2k = selector_matrices(schedule, k, plant.p2, plant.m2)
     feed = plant.B2 @ (s2k @ s2k.T) @ K @ (s1k.T @ s1k)
     feed_z = plant.D12 @ (s2k @ s2k.T) @ K @ (s1k.T @ s1k)
-    a_modes = {}
-    c_modes = {}
-    for i, j in MODES:
-        w = float(i * j)
-        a_modes[(i, j)] = plant.A + w * feed
-        c_modes[(i, j)] = plant.C1 + w * feed_z
-    return ClosedLoopFamily(a_modes=a_modes, c_modes=c_modes, b=plant.B1, d=plant.D11)
+    a_loops = (plant.A + 0.0 * feed, plant.A + 1.0 * feed)
+    c_loops = (plant.C1 + 0.0 * feed_z, plant.C1 + 1.0 * feed_z)
+    return ClosedLoopFamily(a_modes={(i, j): a_loops[i * j] for i, j in MODES},
+                            c_modes={(i, j): c_loops[i * j] for i, j in MODES},
+                            b=plant.B1, d=plant.D11)

@@ -1,24 +1,29 @@
 """Passivating state-feedback synthesis in the (X, Y) variables.
 
 The analysis inequality (``analysis.passivity_problem``) is bilinear in
-(P, K); a Schur expansion of its mode terms, a congruence by
+(P, K); a Schur expansion of its loop terms, a congruence by
 diag(P^{-1}, I, ...) and X = P^{-1}, Y = K X make it affine. The one
 builder of that LMI, ``build_synthesis_lmi``, poses
 
     row 0:            -X
     row 1:            -[C1 X + a11 D12 Y]   |   2 eta I - D11' - D11
-    rows 2..5, mode m: sqrt(a_m) [A X + (m == (1,1)) B2 Y,  B1]
+    open-loop row:    sqrt(1 - a11) [A X,  B1]
+    closed-loop row:  sqrt(a11) [A X + B2 Y,  B1]
     diagonal blocks:  -X
 
-with the gain term only in the both-links-arrive row, because the
-closed-loop A of every other mode is the open loop; the whole row, B1
-column included, carries sqrt(a_m). The round trip's congruence leg
-Schur-complements the mode rows out again and compares the result with
-the passivity form at P = X^{-1}; that complement is
-``numerics.schur_complement``, the one acceptance criterion 1 checks.
-The round trip only checks and never searches: its direct leg verifies
-P = X^{-1} against ``analysis.passivity_problem`` at the recovered gain,
-which is a passivity certificate for K when it passes.
+one row per distinct loop of nonzero weight (``model.loop_weights``):
+the gain acts only when both links deliver, so the three other modes
+share the open loop. Their three rows sqrt(a_m) R would share R and the
+-X block, so an orthogonal rotation maps them to (sqrt(1 - a11) R, 0, 0):
+a four-row form is orthogonally similar to this one plus bare -X blocks,
+and states the same inequality with the same Schur complement. The
+round trip's congruence leg Schur-complements the loop rows out again
+and compares the result with the passivity form at P = X^{-1}; that
+complement is ``numerics.schur_complement``, the one acceptance
+criterion 1 checks. The round trip only checks and never searches: its
+direct leg verifies P = X^{-1} against ``analysis.passivity_problem`` at
+the recovered gain, which is a passivity certificate for K when it
+passes.
 Synthesis is restricted to the full-packet configuration, where
 K = Y X^{-1} is well-posed.
 """
@@ -39,13 +44,13 @@ from .analysis import (  # noqa: F401
 )
 from .errors import SingularTransform, VerificationFailed
 from .model import (
-    MODES,
     Gain,
     LossModel,
     ModeDistribution,
     Plant,
     closed_loop,
     full_packet_schedule,
+    loop_weights,
     mode_distribution,
 )
 from .numerics import (
@@ -95,8 +100,8 @@ def build_synthesis_lmi(
     if have_y:
         prob.add_rectangular("Y", m2, n)
 
-    dims = [n, m1] + [n] * len(MODES)
-    expr = lmi.AffineExpr(dims, name=SYNTHESIS_CONSTRAINT)
+    loops = loop_weights(dist.items())
+    expr = lmi.AffineExpr([n, m1] + [n] * len(loops), name=SYNTHESIS_CONSTRAINT)
     eye = np.eye(n)
 
     expr.add_term(0, 0, -eye, "X", eye)
@@ -106,14 +111,12 @@ def build_synthesis_lmi(
         expr.add_term(1, 0, -plant.D12, "Y", eye, weight=a11)
     expr.add_level(1, 1, 2.0 * np.eye(m1), plant.D11.T, plant.D11)
 
-    for t, (i, j) in enumerate(MODES):
-        r = 2 + t
-        w = np.sqrt(dist.prob(i, j))
-        if w > 0.0:
-            expr.add_term(r, 0, plant.A, "X", eye, weight=w)
-            if (i, j) == (1, 1) and have_y:
-                expr.add_term(r, 0, plant.B2, "Y", eye, weight=w)
-            expr.add_const(r, 1, w * plant.B1)
+    for r, (closed, weight) in enumerate(loops, start=2):
+        w = np.sqrt(weight)
+        expr.add_term(r, 0, plant.A, "X", eye, weight=w)
+        if closed:
+            expr.add_term(r, 0, plant.B2, "Y", eye, weight=w)
+        expr.add_const(r, 1, w * plant.B1)
         expr.add_term(r, r, -eye, "X", eye)
 
     prob.add_constraint(expr)

@@ -65,6 +65,57 @@ class TestSmsOracle:
         assert report.rho == pytest.approx(4.0)
 
 
+def per_mode_dissipation_form(fam, weights, eta: float) -> lmi.AffineExpr:
+    """The dissipation form written out mode by mode, one term per mode of nonzero weight."""
+    n, m1 = fam.b.shape
+    eye, b, d = np.eye(n), fam.b, fam.d
+    expr = lmi.AffineExpr([n, m1], name="dissipation")
+    modes = [(fam.a(*mode), fam.c(*mode), w) for mode, w in weights if w != 0.0]
+    for a, _, w in modes:
+        expr.add_term(0, 0, a.T, "P", a, weight=w)
+    expr.add_term(0, 0, -eye, "P", eye)
+    c = np.zeros_like(fam.c(0, 0))
+    for a, cm, w in modes:
+        expr.add_term(0, 1, a.T, "P", b, weight=w)
+        c = c + w * cm
+    expr.add_term(1, 1, b.T, "P", b)
+    expr.add_const(0, 1, -c.T)
+    expr.add_level(1, 1, 2.0 * np.eye(m1), d.T, d)
+    return expr.at(eta)
+
+
+class TestDistinctLoops:
+    """The mode sums run over the two distinct loops and agree with the four-mode sums."""
+
+    @staticmethod
+    def loops(k: int):
+        rng = np.random.default_rng([43, k])
+        n = int(rng.integers(1, 5))
+        plant = random_plant(rng, n, spectral_scale=float(0.3 + rng.random()))
+        gain = Gain(rng.standard_normal((1, n)))
+        loss = LossModel(*rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2))
+        p = rng.standard_normal((n, n))
+        return closed_loop(plant, gain, 0, full_packet_schedule()), mode_distribution(loss), p + p.T
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_averaged_sums_match_the_per_mode_sums(self, k):
+        fam, dist, p = self.loops(k)
+        per_mode = sum(w * np.kron(fam.a(*mode), fam.a(*mode)) for mode, w in dist.items())
+        op = analysis._second_moment_operator(fam, dist)
+        np.testing.assert_allclose(op, per_mode, rtol=1e-13, atol=1e-13 * np.abs(per_mode).max())
+        form = analysis._dissipation_form(fam, dist.items(), 0.3).assemble({"P": p})
+        want = per_mode_dissipation_form(fam, dist.items(), 0.3).assemble({"P": p})
+        np.testing.assert_allclose(form, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_a_realized_mode_form_is_the_per_mode_form_bit_for_bit(self, k):
+        fam, _, p = self.loops(k)
+        for mode in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            form = analysis._dissipation_form(fam, [(mode, 1.0)], 0.3).assemble({"P": p})
+            want = per_mode_dissipation_form(fam, [(mode, 1.0)], 0.3).assemble({"P": p})
+            assert form.tobytes() == want.tobytes()
+
+
 def assert_refuted(result, plant, gain, schedule, dist):
     """An Indeterminate whose dual passes verify_dual on the same LMIs."""
     assert isinstance(result, Indeterminate)
@@ -100,6 +151,37 @@ class TestStabilityLmi:
         sched = Schedule(period=2, s1=(1, 0), s2=(0, 1))
         result = stability_lmi(plant, Gain.zero(1, 1), sched, dist)
         assert_refuted(result, plant, Gain.zero(1, 1), sched, dist)
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        calls = []
+        build = analysis.StabilityCertificate.build
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(analysis.StabilityCertificate, "build", classmethod(counting))
+        return calls
+
+    def test_a_refuted_loop_builds_no_certificate(self, monkeypatch):
+        # its P is indefinite: the P0_pos_def check alone rules the certificate out
+        calls = self.count_builds(monkeypatch)
+        plant, gain, _, dist = scalar_family(2.0, 2.0, LossModel(0.0, 0.0))
+        result = stability_lmi(plant, gain, full_packet_schedule(), dist)
+        assert_refuted(result, plant, gain, full_packet_schedule(), dist)
+        assert calls == []
+
+    def test_without_a_dual_the_build_still_names_the_failed_constraint(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        monkeypatch.setattr(analysis, "_perron_vector", lambda op, n: None)
+        plant, gain, _, dist = scalar_family(2.0, 2.0, LossModel(0.0, 0.0))
+        result = stability_lmi(plant, gain, full_packet_schedule(), dist)
+        assert result.dual is None and len(calls) == 1
+        assert result.message == (
+            "the coupled Lyapunov equation's solution does not verify: assignment does not "
+            "satisfy constraint 'P0_pos_def': lambda_max 3.333333e-01 > threshold "
+            "-1.333333e-08; no dual certificate found")
 
     def test_builds_each_closed_loop_once(self, monkeypatch):
         slots = []

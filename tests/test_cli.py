@@ -276,6 +276,20 @@ class TestSynthesize:
                          "--out", str(out), "--margin", "1e-9"]) == 0
         assert cli.main(["report", str(out)]) == 0
 
+    # sweep plant 35 at eta 0.1 and sweep plant 7 at "maximize" and margin 0.05: a
+    # synthesis form with one row per mode ended Indeterminate on the first (exit 2) and
+    # with a gain whose P = X^-1 did not verify on the second (exit 3)
+    @pytest.mark.parametrize("k,flags", [(35, []), (7, ["--margin", "0.05", "--eta", "maximize"])])
+    def test_sweep_plants_certify_and_re_verify(self, tmp_path, k, flags):
+        plant, loss = random_sweep_loop(k)
+        config = scenario(plant={name: getattr(plant, name).tolist()
+                                 for name in ("A", "B1", "B2", "C1", "D11", "D12")},
+                          loss={"alpha1": loss.alpha1, "alpha2": loss.alpha2})
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
+                         "--out", str(out), *flags]) == 0
+        assert cli.main(["report", str(out)]) == 0
+
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
         config = scenario(schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]})
         cfg = write_config(tmp_path, config)
@@ -506,6 +520,25 @@ class TestReport:
         bad = rewrite_results(out, tmp_path / "tampered.json", shift_eta)
         assert cli.main(["report", str(bad)]) == 3
         assert "synthesis: stored dual certificate no longer verifies" in capsys.readouterr().err
+
+    def test_a_dual_of_the_four_row_layout_is_an_input_error(self, tmp_path, capsys):
+        # a refuted report written when the synthesis form had one row per mode stores a
+        # (5n + m1)-square multiplier; the form now has one row per distinct loop
+        cfg = write_config(tmp_path, C3_LOOP)
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
+
+        def four_row_dual(results):
+            z = np.zeros((6, 6))
+            z[:3, :3] = results["synthesis"]["dual"]["synthesis"]
+            results["synthesis"]["dual"]["synthesis"] = z.tolist()
+
+        old = rewrite_results(out, tmp_path / "old.json", four_row_dual)
+        capsys.readouterr()
+        assert cli.main(["report", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert "multiplier 'synthesis' must be 3x3" in err
+        assert "Traceback" not in err
 
     # A loop whose D11 = 0.1 is too small for its C1 = 5 at any eta >= 0: a
     # maximize refuses at phase I's eta = 0, and the report keeps that eta.

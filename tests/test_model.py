@@ -11,6 +11,7 @@ from ncspassive.model import (
     Schedule,
     closed_loop,
     full_packet_schedule,
+    loop_weights,
     mode_distribution,
     selector_matrices,
 )
@@ -158,6 +159,43 @@ class TestClosedLoop:
         np.testing.assert_allclose(fam0.a(1, 1), plant.A)
         fam1 = closed_loop(plant, Gain(k), 1, sched)
         np.testing.assert_allclose(fam1.a(1, 1), plant.A)
+
+
+    def test_open_modes_share_one_array_of_the_per_mode_formula(self):
+        rng = np.random.default_rng(9)
+        plant = Plant(A=rng.standard_normal((3, 3)), B1=rng.standard_normal((3, 1)),
+                      B2=rng.standard_normal((3, 2)), C1=rng.standard_normal((1, 3)),
+                      D11=[[1.0]], D12=rng.standard_normal((1, 2)))
+        gain = Gain(rng.standard_normal((2, 3)))
+        fam = closed_loop(plant, gain, 0, full_packet_schedule())
+        feed, feed_z = plant.B2 @ gain.K, plant.D12 @ gain.K
+        for i, j in MODES:  # bit for bit what A + theta1 theta2 feed gives per mode
+            assert fam.a(i, j).tobytes() == (plant.A + float(i * j) * feed).tobytes()
+            assert fam.c(i, j).tobytes() == (plant.C1 + float(i * j) * feed_z).tobytes()
+        assert fam.a(0, 0) is fam.a(0, 1) is fam.a(1, 0)
+        assert fam.c(0, 0) is fam.c(0, 1) is fam.c(1, 0)
+        dist = mode_distribution(LossModel(0.1, 0.3))
+        (a0, c0, w0), (a1, c1, w1) = fam.loops(dist.items())
+        assert a0 is fam.a(0, 0) and c0 is fam.c(0, 0) and a1 is fam.a(1, 1) and c1 is fam.c(1, 1)
+        assert (w0, w1) == (dist.p00 + dist.p01 + dist.p10, dist.p11)
+
+
+class TestLoopWeights:
+    def test_open_modes_are_summed_in_modes_order(self):
+        dist = ModeDistribution(0.1, 0.2, 0.3, 0.4)
+        assert loop_weights(dist.items()) == ((0, 0.1 + 0.2 + 0.3), (1, 0.4))
+
+    @pytest.mark.parametrize("loss, loops", [
+        (LossModel(0.0, 0.0), ((1, 1.0),)),
+        (LossModel(1.0, 0.0), ((0, 1.0),)),
+        (LossModel(0.0, 1.0), ((0, 1.0),)),
+    ])
+    def test_a_loop_of_weight_zero_is_dropped(self, loss, loops):
+        assert loop_weights(mode_distribution(loss).items()) == loops
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_realized_mode_is_its_own_loop(self, mode):
+        assert loop_weights([(mode, 1.0)]) == ((mode[0] * mode[1], 1.0),)
 
 
 def test_plant_dimension_checks():

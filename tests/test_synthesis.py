@@ -5,9 +5,10 @@ from conftest import random_plant, random_sweep_loop
 from ncspassive import analysis, lmi, synthesis
 from ncspassive.analysis import passivity_lmi, passivity_problem, sms_oracle
 from ncspassive.errors import AssumptionViolated, SingularTransform
-from ncspassive.numerics import DEFAULT_MARGIN, DefinitenessMargin
+from ncspassive.numerics import DEFAULT_MARGIN, DefinitenessMargin, schur_complement
 from ncspassive.lmi import ETA_TOL, Indeterminate
 from ncspassive.model import (
+    MODES,
     Gain,
     LossModel,
     Plant,
@@ -59,11 +60,11 @@ class TestBuildSynthesisLmi:
         prob = build_synthesis_lmi(lossy_feedback_plant, dist, 0.1)
         expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
         m = expr.assemble({"X": np.eye(1), "Y": np.zeros((1, 1))})
-        # rows for the three zero-probability modes carry only their -X diagonal
-        assert m.shape == (6, 6)
-        np.testing.assert_allclose(m[2, 0], 0.0)  # mode (0,0) row empty
-        np.testing.assert_allclose(m[5, 0], 1.2)  # mode (1,1) row carries A X
-        np.testing.assert_allclose(np.diag(m)[2:], [-1.0] * 4)
+        # the open loop has weight zero and no row: the one loop row is mode (1, 1)'s
+        assert m.shape == (3, 3)
+        np.testing.assert_allclose(m[2, 0], 1.2)  # it carries A X
+        np.testing.assert_allclose(m[2, 1], 1.0)  # and B1
+        np.testing.assert_allclose(m[2, 2], -1.0)
 
     def test_all_sensor_messages_lost_drops_gain_variable(self, lossy_feedback_plant):
         dist = mode_distribution(LossModel(1.0, 0.0))
@@ -88,6 +89,103 @@ class TestBuildSynthesisLmi:
         plant = Plant(A=[[0.5]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[0.0]], D12=[[0.0]])
         with pytest.raises(AssumptionViolated):
             build_synthesis_lmi(plant, mode_distribution(LossModel(0.0, 0.0)), 0.1)
+
+
+def four_row_problem(plant: Plant, dist, eta: float, margin=DEFAULT_MARGIN) -> lmi.LmiProblem:
+    """The synthesis LMI with one row per mode, rows 2..5 for mode m:
+    sqrt(a_m) [A X + (m == (1,1)) B2 Y,  B1], each with a -X diagonal block."""
+    n, m1, a11 = plant.n, plant.m1, dist.prob(1, 1)
+    prob = lmi.LmiProblem(margin=margin)
+    prob.add_symmetric("X", n, positive_definite=True)
+    if a11 > 0.0:
+        prob.add_rectangular("Y", plant.m2, n)
+    expr = lmi.AffineExpr([n, m1] + [n] * len(MODES), name=SYNTHESIS_CONSTRAINT)
+    eye = np.eye(n)
+    expr.add_term(0, 0, -eye, "X", eye)
+    expr.add_term(1, 0, -plant.C1, "X", eye)
+    if a11 > 0.0:
+        expr.add_term(1, 0, -plant.D12, "Y", eye, weight=a11)
+    expr.add_level(1, 1, 2.0 * np.eye(m1), plant.D11.T, plant.D11)
+    for r, mode in enumerate(MODES, start=2):
+        w = np.sqrt(dist.prob(*mode))
+        if w > 0.0:
+            expr.add_term(r, 0, plant.A, "X", eye, weight=w)
+            if mode == (1, 1):
+                expr.add_term(r, 0, plant.B2, "Y", eye, weight=w)
+            expr.add_const(r, 1, w * plant.B1)
+        expr.add_term(r, r, -eye, "X", eye)
+    prob.add_constraint(expr)
+    return prob.at(eta)
+
+
+def layout_case(k: int):
+    """A random plant with n in 1..4 and m1, m2 in 1..2, and loss rates that include 0 and 1."""
+    rng = np.random.default_rng([47, k])
+    n, m1, m2 = (int(v) for v in rng.integers([1, 1, 1], [5, 3, 3]))
+    a = rng.standard_normal((n, n))
+    a *= (0.5 + 0.6 * rng.random()) / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.5 * rng.standard_normal((n, m1)), B2=rng.standard_normal((n, m2)),
+                  C1=0.5 * rng.standard_normal((m1, n)),
+                  D11=1.5 * np.eye(m1) + 0.2 * rng.standard_normal((m1, m1)),
+                  D12=0.3 * rng.standard_normal((m1, m2)))
+    loss = LossModel(*rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2))
+    x = rng.standard_normal((n, n))
+    return plant, mode_distribution(loss), x @ x.T + 0.1 * np.eye(n), rng.standard_normal((m2, n))
+
+
+class TestTwoLoopLayout:
+    """The two-loop synthesis form against the four-row one it replaces."""
+
+    @pytest.mark.parametrize("loss, loops", [
+        (LossModel(0.1, 0.2), 2), (LossModel(0.0, 0.0), 1), (LossModel(1.0, 0.0), 1),
+        (LossModel(0.3, 1.0), 1)])
+    def test_one_row_per_loop_of_nonzero_weight(self, loss, loops):
+        plant = Plant(A=np.eye(3), B1=np.ones((3, 2)), B2=np.ones((3, 1)), C1=np.ones((2, 3)),
+                      D11=np.eye(2), D12=np.zeros((2, 1)))
+        expr = dict(build_synthesis_lmi(plant, mode_distribution(loss), 0.1).constraints)[
+            SYNTHESIS_CONSTRAINT]
+        assert expr.dim == (1 + loops) * plant.n + plant.m1
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_four_row_form_is_the_two_loop_form_plus_bare_x_blocks(self, k):
+        plant, dist, x, y = layout_case(k)
+        n = plant.n
+        two = dict(build_synthesis_lmi(plant, dist, 0.2).constraints)[SYNTHESIS_CONSTRAINT]
+        four = dict(four_row_problem(plant, dist, 0.2).constraints)[SYNTHESIS_CONSTRAINT]
+        m2, m4 = (form.assemble({"X": x, "Y": y}) for form in (two, four))
+        extra = (four.dim - two.dim) // n
+        assert extra == (3 if dist.prob(1, 1) in (0.0, 1.0) else 2)
+        scale = 1.0 + np.abs(m4).max()
+        e_x = np.linalg.eigvalsh(-x)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(m4), np.sort(np.concatenate([np.linalg.eigvalsh(m2)] + [e_x] * extra)),
+            rtol=0.0, atol=1e-12 * scale)
+        assert np.linalg.norm(m4) ** 2 == pytest.approx(
+            np.linalg.norm(m2) ** 2 + extra * np.linalg.norm(x) ** 2, rel=1e-13)
+        split = n + plant.m1
+        schur2, schur4 = (schur_complement(m[:split, :split], m[split:, :split].T,
+                                           m[split:, split:]) for m in (m2, m4))
+        np.testing.assert_allclose(schur2, schur4, rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("k", range(30))
+    @pytest.mark.parametrize("epsilon_rel", [DEFAULT_MARGIN.epsilon_rel, 0.05])
+    def test_what_the_four_row_form_verifies_the_two_loop_form_verifies(self, k, epsilon_rel):
+        plant, dist, _, _ = layout_case(k)
+        margin = DefinitenessMargin(epsilon_rel)
+        four = four_row_problem(plant, dist, 0.0, margin)
+        cert = lmi.certify(four, "maximize", lmi.MAX_ITERS)
+        if not cert.feasible:
+            return
+        two = build_synthesis_lmi(plant, dist, 0.0, margin)
+        accepted = 0
+        # the certificate's point, scaled, at its level and at levels up to past it
+        for s in (1e-3, 1.0, 1e3):
+            point = {name: s * v for name, v in cert.assignment.items()}
+            for level in [cert.eta, *np.linspace(0.0, cert.eta + 0.2, 9)]:
+                if lmi.verify(four.at(level), point).passed:
+                    accepted += 1
+                    assert lmi.verify(two.at(level), point).passed
+        assert accepted > 0
 
 
 class TestRecoverGain:
@@ -536,3 +634,31 @@ class TestRoundTrip:
         fam = closed_loop(lossy_feedback_plant, result.gain, 0, full_packet_schedule())
         rho = sms_oracle(fam, mode_distribution(loss)).rho
         assert result.rho == pytest.approx(rho)
+
+
+# On a synthesis form with one row per mode, sweep plant 35 ended Indeterminate after 165
+# Newton steps at eta 0.1, and sweep plant 7's maximized gain failed its round trip's
+# P = X^-1 leg at margin 0.05 (VerificationFailed).
+@pytest.mark.parametrize("k,eta,epsilon_rel", [(35, 0.1, DEFAULT_MARGIN.epsilon_rel),
+                                               (7, "maximize", 0.05)])
+def test_sweep_plants_certify_with_one_row_per_loop(k, eta, epsilon_rel):
+    plant, loss = random_sweep_loop(k)
+    result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
+    assert result.feasible and result.verification.passed, result.verification.summary()
+
+
+def desk_plant(n: int):
+    """The desk-scale plant of size n: A at spectral radius 0.95, m2 = max(1, n // 2)."""
+    rng = np.random.default_rng([3, n])
+    m = max(1, n // 2)
+    a = rng.standard_normal((n, n))
+    a *= 0.95 / max(abs(np.linalg.eigvals(a)))
+    plant = Plant(A=a, B1=0.3 * rng.standard_normal((n, 1)), B2=rng.standard_normal((n, m)),
+                  C1=0.3 * rng.standard_normal((1, n)), D11=[[1.0]], D12=np.zeros((1, m)))
+    return plant, LossModel(0.05, 0.1)
+
+
+def test_desk_plant_maximize_takes_few_newton_steps():
+    # 93 steps on the form with one row per mode, 52 on the two-loop form
+    result = synthesize(*desk_plant(6), "maximize")
+    assert result.certificate.iterations <= 70
