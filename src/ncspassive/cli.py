@@ -418,14 +418,9 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
     result = synthesis.synthesize(config.plant, config.loss, eta, config.margin, config.budget)
     if not result.feasible:
         return {"synthesis": _refusal(result, eta)}
-    trip = result.verification
     return {"synthesis": _certified(
         result.certificate, eta=result.eta, K=_mat(result.gain.K),
-        X=_mat(result.x), Y=_mat(result.y), rho=result.rho, round_trip={
-            "direct_certified": trip.direct_certified,
-            "rho_ok": trip.rho_ok,
-            "congruence_rel_err": trip.congruence_rel_err,
-        })}
+        X=_mat(result.x), Y=_mat(result.y), rho=result.rho)}
 
 
 def _gain_from_spec(spec: str, plant: Plant) -> Gain:

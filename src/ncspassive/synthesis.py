@@ -16,14 +16,13 @@ the gain acts only when both links deliver, so the three other modes
 share the open loop. Their three rows sqrt(a_m) R would share R and the
 -X block, so an orthogonal rotation maps them to (sqrt(1 - a11) R, 0, 0):
 a four-row form is orthogonally similar to this one plus bare -X blocks,
-and states the same inequality with the same Schur complement. The
-round trip's congruence leg Schur-complements the loop rows out again
-and compares the result with the passivity form at P = X^{-1}; that
-complement is ``numerics.schur_complement``, the one acceptance
-criterion 1 checks. The round trip only checks and never searches: its
-direct leg verifies P = X^{-1} against ``analysis.passivity_problem`` at
-the recovered gain, which is a passivity certificate for K when it
-passes.
+and states the same inequality with the same Schur complement.
+
+A gain's certificate is its closed loop's: P = X^{-1} verified on
+``analysis.passivity_problem`` at K = Y X^{-1}, at the synthesis
+certificate's eta and margin (``SynthesisResult.passivity``). The
+congruence maps the synthesis form to that one, but the relative margin
+scales the two differently, so P is verified, not assumed; no search runs.
 Synthesis is restricted to the full-packet configuration, where
 K = Y X^{-1} is well-posed.
 """
@@ -57,17 +56,14 @@ from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
     kron,
-    schur_complement,
     spectral_radius,
     sym_eigvals,
 )
 
 __all__ = [
     "SynthesisResult",
-    "RoundTripReport",
     "build_synthesis_lmi",
     "recover_gain",
-    "round_trip_verify",
     "synthesize",
 ]
 
@@ -143,104 +139,18 @@ def recover_gain(x: np.ndarray, y: np.ndarray) -> Gain:
 
 
 @dataclass(frozen=True)
-class RoundTripReport:
-    """Three independent legs validating a synthesized gain: P = X^{-1}
-    verifies, rho < 1 by the oracle, and the congruence identity."""
-
-    direct_certified: bool
-    rho: float
-    rho_ok: bool
-    congruence_rel_err: float
-    congruence_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.direct_certified and self.rho_ok and self.congruence_ok
-
-    def summary(self) -> str:
-        return (
-            f"P = X^-1 verifies: {self.direct_certified}; "
-            f"rho = {self.rho:.6f} (<1: {self.rho_ok}); "
-            f"congruence rel err = {self.congruence_rel_err:.3e} (ok: {self.congruence_ok})"
-        )
-
-
-CONGRUENCE_RTOL = 1e-6
-
-
-def congruence_residual(
-    synthesis_problem: lmi.LmiProblem,
-    passivity_problem: lmi.LmiProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Relative eigenvalue gap between the synthesis form at (X, Y), its mode
-    rows Schur-complemented out as top - R' D^{-1} R, and diag(X, I) M(X^{-1})
-    diag(X, I), with M the dissipation form of ``passivity_problem``.
-
-    The two problems are :func:`build_synthesis_lmi` and
-    ``analysis.passivity_problem`` at one eta, the latter at the gain
-    Y X^{-1}; nothing is posed here. D is the assembled mode block, not
-    X^{-1}, so a wrong -X there shows. For Y = K X the two are equal up to
-    rounding.
-    """
-    m_xy = dict(synthesis_problem.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
-    analysis_form = dict(passivity_problem.constraints)["dissipation"]
-    n, split = len(x), analysis_form.dim
-    top, r, d = m_xy[:split, :split], m_xy[split:, :split], m_xy[split:, split:]
-    schur = schur_complement(top, r.T, d)
-
-    t = np.eye(split)  # diag(X, I)
-    t[:n, :n] = x
-    m_mapped = t @ analysis_form.assemble({"P": np.linalg.inv(x)}) @ t
-
-    e_xy = sym_eigvals(schur)
-    e_mapped = sym_eigvals(m_mapped)
-    scale = 1.0 + float(np.abs(e_xy).max())
-    return float(np.abs(e_xy - e_mapped).max()) / scale
-
-
-def round_trip_verify(
-    plant: Plant,
-    dist: ModeDistribution,
-    synthesis_problem: lmi.LmiProblem,
-    x: np.ndarray,
-    y: np.ndarray,
-    gain: Gain,
-) -> RoundTripReport:
-    """Independent validation of a synthesized (X, Y) and its gain.
-
-    ``synthesis_problem`` is :func:`build_synthesis_lmi` at the level eta
-    (a certificate's ``problem``); the legs judge at its eta and margin.
-    Poses ``passivity_problem`` at the gain once, and the legs read it:
-    (a) verify P = X^{-1} against it, which certifies passivity of the
-    closed loop at eta; (b) second-moment radius rho < 1 by the oracle;
-    (c) the congruence identity between it and the synthesis form at
-    (X, Y) (:func:`congruence_residual`). No leg runs a solve.
-    """
-    problem = passivity_problem(plant, gain, dist, synthesis_problem.level,
-                                synthesis_problem.margin)
-    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
-    rel = congruence_residual(synthesis_problem, problem, x, y)
-    return RoundTripReport(
-        direct_certified=lmi.verify(problem, {"P": np.linalg.inv(x)}).passed,
-        rho=rho,
-        rho_ok=rho < 1.0,
-        congruence_rel_err=rel,
-        congruence_ok=rel <= CONGRUENCE_RTOL,
-    )
-
-
-@dataclass(frozen=True)
 class SynthesisResult:
-    """Solved synthesis instance with its verified round trip."""
+    """A gain with the synthesis LMI's ``certificate`` at (X, Y) and its own
+    ``passivity`` certificate: P = X^{-1} on ``analysis.passivity_problem``
+    at (K, eta, margin). ``rho`` is the SMS oracle's, reported, not checked:
+    ``passivity``'s top-left block L_K(P) - P < 0 forces rho < 1."""
 
     x: np.ndarray
     y: np.ndarray
     gain: Gain
     eta: float
     certificate: lmi.LmiCertificate
-    verification: RoundTripReport
+    passivity: lmi.LmiCertificate
     rho: float
 
     feasible = True
@@ -253,15 +163,15 @@ def synthesize(
     margin: DefinitenessMargin = DEFAULT_MARGIN,
     max_iters: int = lmi.MAX_ITERS,
 ):
-    """Solve the synthesis LMI and return a round-trip-verified gain.
+    """Solve the synthesis LMI and return a gain with its passivity certificate.
 
     ``eta`` is a fixed dissipation level or ``"maximize"``, for the
     largest one to within ``lmi.ETA_TOL`` (``lmi.certify``; the
     certificate's ``iterations`` count both phases), which steps down to
-    lower iterates while a round trip fails. Returns a
-    :class:`SynthesisResult`, or Indeterminate when no certificate was
-    found. A certificate whose round trip fails raises VerificationFailed:
-    a bug, not an infeasible problem.
+    lower iterates while P = X^{-1} fails to certify the recovered gain.
+    Returns a :class:`SynthesisResult`, or Indeterminate when no
+    certificate was found. VerificationFailed, naming the failed
+    constraint, means no iterate's P = X^{-1} certifies (ROADMAP item 1).
 
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
@@ -282,10 +192,17 @@ def synthesize(
         x = certificate.assignment["X"]
         y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
         gain = recover_gain(x, y)
-        report = round_trip_verify(plant, dist, certificate.problem, x, y, gain)
-        if not report.passed:
-            raise VerificationFailed(f"synthesis round trip failed: {report.summary()}")
-        return SynthesisResult(x=x, y=y, gain=gain, eta=certificate.eta, certificate=certificate,
-                               verification=report, rho=report.rho)
+        eta = certificate.eta
+        try:
+            passivity = lmi.LmiCertificate.build(
+                passivity_problem(plant, gain, dist, eta, certificate.problem.margin),
+                {"P": np.linalg.inv(x)})
+        except VerificationFailed as exc:
+            raise VerificationFailed(
+                f"P = X^-1 is no passivity certificate for the synthesized gain at eta {eta:.6g}: "
+                f"{exc}") from exc
+        rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
+        return SynthesisResult(x=x, y=y, gain=gain, eta=eta, certificate=certificate,
+                               passivity=passivity, rho=rho)
 
     return lmi.certify(problem, eta, max_iters, finish)

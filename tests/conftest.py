@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from ncspassive import lmi
+from ncspassive.analysis import passivity_problem
 from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
+from ncspassive.numerics import DEFAULT_MARGIN, schur_complement, sym_eigvals
+from ncspassive.synthesis import SYNTHESIS_CONSTRAINT
 
 
 @pytest.fixture
@@ -66,11 +70,63 @@ def gains_equal(g1: Gain, g2: Gain) -> bool:
     return np.array_equal(g1.K, g2.K)
 
 
+CONGRUENCE_RTOL = 1e-6
+
+
+def congruence_residual(
+    synthesis_problem: lmi.LmiProblem,
+    passivity_problem: lmi.LmiProblem,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> float:
+    """Relative eigenvalue gap between the synthesis form at (X, Y), its mode
+    rows Schur-complemented out as top - R' D^{-1} R, and diag(X, I) M(X^{-1})
+    diag(X, I), with M the dissipation form of ``passivity_problem``.
+
+    The two problems are :func:`build_synthesis_lmi` and
+    ``analysis.passivity_problem`` at one eta, the latter at the gain
+    Y X^{-1}; nothing is posed here. D is the assembled mode block, not
+    X^{-1}, so a wrong -X there shows. For Y = K X the two are equal up to
+    rounding.
+    """
+    m_xy = dict(synthesis_problem.constraints)[SYNTHESIS_CONSTRAINT].assemble({"X": x, "Y": y})
+    analysis_form = dict(passivity_problem.constraints)["dissipation"]
+    n, split = len(x), analysis_form.dim
+    top, r, d = m_xy[:split, :split], m_xy[split:, :split], m_xy[split:, split:]
+    schur = schur_complement(top, r.T, d)
+
+    t = np.eye(split)  # diag(X, I)
+    t[:n, :n] = x
+    m_mapped = t @ analysis_form.assemble({"P": np.linalg.inv(x)}) @ t
+
+    e_xy = sym_eigvals(schur)
+    e_mapped = sym_eigvals(m_mapped)
+    scale = 1.0 + float(np.abs(e_xy).max())
+    return float(np.abs(e_xy - e_mapped).max()) / scale
+
+
+def assert_gain_certified(plant: Plant, loss: LossModel, result, margin=DEFAULT_MARGIN) -> None:
+    """``result.passivity`` against a freshly posed passivity form at the synthesized gain.
+
+    P = inv(result.x) must pass ``lmi.verify`` on ``passivity_problem``
+    at (K, eta, margin), and the certificate must sit at the result's eta
+    and hold that P byte for byte.
+    """
+    p = np.linalg.inv(result.x)
+    fresh = passivity_problem(plant, result.gain, mode_distribution(loss), result.eta, margin)
+    report = lmi.verify(fresh, {"P": p})
+    assert report.passed, f"P = X^-1 fails {report.worst()}"
+    assert result.passivity.problem.level == result.eta
+    assert result.passivity.assignment["P"].tobytes() == p.tobytes()
+
+
 __all__ = [
     "random_plant",
     "random_loss",
     "scalar_grid_eta_star",
     "gains_equal",
+    "congruence_residual",
+    "assert_gain_certified",
     "full_packet_schedule",
     "mode_distribution",
 ]

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import riccati_oracle
 from conftest import random_loss, random_plant, scalar_grid_eta_star
 from ncspassive import analysis, lmi, sim
 from ncspassive.analysis import (
@@ -451,13 +452,13 @@ class TestMaxDissipation:
         assert isinstance(result, Indeterminate)
 
 
-# A vanishing delta: _riccati_storage then converges exactly while eta is below the
+# A vanishing delta: riccati_storage then converges exactly while eta is below the
 # largest dissipation any storage certifies, with no margin.
 ORACLE_DELTA = 1e-12
 
 
 def riccati_eta(fam, weights, lo: float, hi: float, tol: float):
-    """Bisected largest eta in [lo, hi] at which ``_riccati_storage`` converges.
+    """Bisected largest eta in [lo, hi] at which ``riccati_storage`` converges.
 
     None when lo already fails, hi when hi passes; else a level that
     passes, within tol of one that fails. The Riccati iteration writes the
@@ -465,7 +466,7 @@ def riccati_eta(fam, weights, lo: float, hi: float, tol: float):
     the LMI builder and solver.
     """
     def passes(eta):
-        return analysis._riccati_storage(fam, weights, eta, ORACLE_DELTA) is not None
+        return riccati_oracle.riccati_storage(fam, weights, eta, ORACLE_DELTA) is not None
 
     if not passes(lo):
         return None
@@ -515,7 +516,7 @@ class TestRiccatiStorage:
                 assert oracle < result.eta + ETA_TOL, f"loop {k}: oracle above {oracle}"
                 certified += 1
             else:
-                assert analysis._riccati_storage(fam, dist.items(), 0.0, ORACLE_DELTA) is None
+                assert riccati_oracle.riccati_storage(fam, dist.items(), 0.0, ORACLE_DELTA) is None
                 refused += 1
         assert certified >= 150 and refused >= 20
 
@@ -523,7 +524,7 @@ class TestRiccatiStorage:
         plant, gain, dist = oracle_loop(5)
         fam = closed_loop(plant, gain, 0, full_packet_schedule())
         eta = 0.5 * passivity_lmi(plant, gain, dist, "maximize").eta
-        p = analysis._riccati_storage(fam, dist.items(), eta, 1e-3)
+        p = riccati_oracle.riccati_storage(fam, dist.items(), eta, 1e-3)
         assert lmi.verify(passivity_problem(plant, gain, dist, eta), {"P": p}).passed
         # T' M(P) T = diag(-delta I, -(W - B'PB)) at the maximizing disturbance gain F
         form = analysis._dissipation_form(fam, dist.items(), eta).assemble({"P": p})
@@ -548,11 +549,11 @@ class TestRiccatiStorage:
         elif case == "w-not-positive":
             eta = 1.0  # D + D' - 2 eta I = 0
         else:
-            monkeypatch.setattr(analysis, "RICCATI_STEPS", 2)
+            monkeypatch.setattr(riccati_oracle, "RICCATI_STEPS", 2)
         fam = closed_loop(plant, Gain.zero(1, plant.n), 0, full_packet_schedule())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert analysis._riccati_storage(fam, dist.items(), eta, 1e-3) is None
+            assert riccati_oracle.riccati_storage(fam, dist.items(), eta, 1e-3) is None
 
     @pytest.mark.parametrize("value", [1e150, -1e150, 1e149, 2.0**70, -(2.0**70)])
     def test_entries_at_the_input_bound_neither_raise_nor_warn(self, value):
@@ -567,7 +568,7 @@ class TestRiccatiStorage:
             fam = closed_loop(Plant(**entries), gain, 0, full_packet_schedule())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                p = analysis._riccati_storage(fam, dist.items(), 0.1, 1e-3)
+                p = riccati_oracle.riccati_storage(fam, dist.items(), 0.1, 1e-3)
             assert p is None or np.isfinite(p).all()
 
 

@@ -290,6 +290,35 @@ class TestSynthesize:
                          "--out", str(out), *flags]) == 0
         assert cli.main(["report", str(out)]) == 0
 
+    def test_d11_dominated_margin_exits_three_naming_the_failed_form(self, tmp_path):
+        # README loop with D11 = 1e8 at eta 0.1: no iterate's P = X^-1 certifies its gain
+        # (ROADMAP item 1); the message names the passivity form's failed constraint
+        cfg = write_config(tmp_path, with_field(scenario(), "plant.D11", [[1e8]]))
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncspassive.cli", "synthesize",
+             "--config", str(cfg), "--out", str(tmp_path / "synth.json")],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == cli.EXIT_VERIFY, proc.stderr
+        assert "P = X^-1 is no passivity certificate" in proc.stderr
+        assert "'dissipation'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_reports_with_and_without_a_round_trip_block_re_verify(self, tmp_path):
+        cfg = write_config(tmp_path, scenario())
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "round_trip" not in json.loads(out.read_text())["results"]["synthesis"]
+
+        def add_round_trip(results):  # as reports written before the block was dropped
+            results["synthesis"]["round_trip"] = {
+                "direct_certified": True, "rho_ok": True, "congruence_rel_err": 1e-16}
+
+        old = rewrite_results(out, tmp_path / "old.json", add_round_trip)
+        assert cli.main(["report", str(out)]) == 0
+        assert cli.main(["report", str(old)]) == 0
+
     def test_periodic_schedule_rejected(self, tmp_path, capsys):
         config = scenario(schedule={"period": 2, "s1": [1, 0], "s2": [0, 1]})
         cfg = write_config(tmp_path, config)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_gain_certified
 from ncspassive import analysis, lmi, synthesis
 from ncspassive.analysis import passivity_lmi
 from ncspassive.errors import AssumptionViolated
@@ -41,14 +42,14 @@ class TestPosedOnce:
         plant, loss = certify_loop(*CERTIFY_LOOPS[0])
         calls = {}
         counting(monkeypatch, synthesis, "build_synthesis_lmi", calls)
-        counting(monkeypatch, synthesis, "passivity_problem", calls)  # the round trip's binding
+        counting(monkeypatch, synthesis, "passivity_problem", calls)  # the gain certificate's
         counting(monkeypatch, analysis, "passivity_problem", calls)
         counting(monkeypatch, synthesis, "check_assumption", calls)  # build_synthesis_lmi's
         counting(monkeypatch, analysis, "check_assumption", calls)  # passivity_problem's
         result = synthesize(plant, loss, "maximize")
-        assert result.verification.passed
-        # D11 is checked by each builder, once for its problem and once for the round trip's
+        # D11 is checked by each builder, once for its problem and once for the gain's
         assert calls == {"build_synthesis_lmi": 1, "passivity_problem": 1, "check_assumption": 2}
+        assert_gain_certified(plant, loss, result)
 
     def test_maximized_passivity_poses_its_form_once(self, monkeypatch):
         plant, loss = certify_loop(*CERTIFY_LOOPS[0])

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import random_plant, random_sweep_loop
+from conftest import (
+    CONGRUENCE_RTOL,
+    assert_gain_certified,
+    congruence_residual,
+    random_plant,
+    random_sweep_loop,
+)
 from ncspassive import analysis, lmi, synthesis
 from ncspassive.analysis import passivity_lmi, passivity_problem, sms_oracle
-from ncspassive.errors import AssumptionViolated, SingularTransform
+from ncspassive.errors import AssumptionViolated, SingularTransform, VerificationFailed
 from ncspassive.numerics import DEFAULT_MARGIN, DefinitenessMargin, schur_complement
 from ncspassive.lmi import ETA_TOL, Indeterminate
 from ncspassive.model import (
@@ -17,12 +23,9 @@ from ncspassive.model import (
     mode_distribution,
 )
 from ncspassive.synthesis import (
-    CONGRUENCE_RTOL,
     SYNTHESIS_CONSTRAINT,
     build_synthesis_lmi,
-    congruence_residual,
     recover_gain,
-    round_trip_verify,
     synthesize,
 )
 
@@ -220,7 +223,7 @@ class TestSynthesize:
         assert result.feasible
         k = float(result.gain.K[0, 0])
         assert 0.8 * (1.2 + k) ** 2 + 0.2 * 1.44 < 1.0
-        assert result.verification.passed
+        assert_gain_certified(lossy_feedback_plant, loss, result)
         # gain sits inside the independently computed feasible region
         assert feasible[np.argmin(np.abs(ks - k))]
 
@@ -326,7 +329,7 @@ CENSUS_BISECTED = [0.921875, 0.7353515625]
 def test_maximized_census_plant_passes_its_round_trip(plant, loss, bisected):
     result = synthesize(plant, loss, "maximize")
     assert result.feasible
-    assert result.verification.passed, result.verification.summary()
+    assert_gain_certified(plant, loss, result)
     assert result.eta >= bisected - ETA_TOL
 
 
@@ -393,9 +396,9 @@ def test_maximize_from_an_ill_conditioned_phase_one_point():
     plant = Plant(A=a, B1=0.5 * rng.standard_normal((5, 1)), B2=rng.standard_normal((5, 1)),
                   C1=0.5 * rng.standard_normal((1, 5)), D11=[[rng.uniform(0.5, 1.5)]],
                   D12=[[0.0]])
-    result = synthesize(plant, LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)),
-                        "maximize")
-    assert result.verification.passed
+    loss = LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2))
+    result = synthesize(plant, loss, "maximize")
+    assert_gain_certified(plant, loss, result)
     assert result.eta >= 0.7934208149024858 - ETA_TOL
 
 
@@ -410,11 +413,11 @@ def scalar_recipe_loop(key):
     return plant, LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2))
 
 
-# Under large margins the round trip's direct leg (P = X^-1 against the
-# passivity form) can fail near eta*: on the first loop the top iterates
-# fail it at 0.05 (the bisection reached 1.1638); on the second, at 0.1,
-# the bisection reached 0.3557 with a point that failed it (exit 3). On
-# the third the round trip fails from 0.3137 up while the next iterate
+# Under large margins the gain's certificate (P = X^-1 on the passivity
+# form) can fail near eta*: on the first loop the top iterates fail it
+# at 0.05 (the bisection reached 1.1638); on the second, at 0.1, the
+# bisection reached 0.3557 with a point that failed it (exit 3). On the
+# third the certificate fails from 0.3137 up while the next iterate
 # down is 0.2810; the bisection reached 0.2988.
 @pytest.mark.parametrize("plant,loss,epsilon_rel,bisected", [
     (Plant(A=[[0.4177]], B1=[[0.1181]], B2=[[1.0138]], C1=[[0.1011]], D11=[[1.2571]],
@@ -424,8 +427,9 @@ def scalar_recipe_loop(key):
     (*scalar_recipe_loop([5, 18]), 0.1, 0.2988),
 ], ids=["steps-back", "bisection-exit-3", "bisects-across-the-gap"])
 def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel, bisected):
-    result = synthesize(plant, loss, "maximize", DefinitenessMargin(epsilon_rel))
-    assert result.verification.passed, result.verification.summary()
+    margin = DefinitenessMargin(epsilon_rel)
+    result = synthesize(plant, loss, "maximize", margin)
+    assert_gain_certified(plant, loss, result, margin)
     assert result.eta >= bisected - ETA_TOL
 
 
@@ -443,8 +447,8 @@ def margin_sweep_loop(k):
 README_LOOP = Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
 
 
-# Under large margins the phase-I point of a fixed eta can fail the round
-# trip's direct leg (P = X^-1 against the passivity form), which once ended
+# Under large margins the phase-I point of a fixed eta can fail the gain's
+# certificate (P = X^-1 on the passivity form), which once ended
 # in VerificationFailed on each of these; phase II's points, deeper inside,
 # pass it at the same eta.
 @pytest.mark.parametrize("plant,loss,epsilon_rel,eta", [
@@ -455,8 +459,9 @@ README_LOOP = Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], 
 ], ids=["readme-0.05-0", "readme-0.05-0.1", "readme-0.1-0", "readme-0.1-0.1",
         "sweep5-0.001-0", "sweep20-0.05-0.2"])
 def test_fixed_eta_under_a_large_margin_passes_its_round_trip(plant, loss, epsilon_rel, eta):
-    result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
-    assert result.verification.passed, result.verification.summary()
+    margin = DefinitenessMargin(epsilon_rel)
+    result = synthesize(plant, loss, eta, margin)
+    assert_gain_certified(plant, loss, result, margin)
     assert result.eta == eta
 
 
@@ -489,21 +494,44 @@ def test_certify_is_the_hand_composed_solve_and_maximize(k):
     assert (maximized.eta, maximized.assignment["P"].tobytes()) == (eta, p.tobytes())
 
 
+DRIFTS = ["b1-without-sqrt", "d12-weight-minus-one", "mode-diagonal-0.9"]
+DRIFT_PLANT = Plant(A=[[0.6, 0.3], [-0.2, 0.9]], B1=[[1.0], [0.4]], B2=[[0.5], [1.0]],
+                    C1=[[0.5, -0.3]], D11=[[1.5]], D12=[[0.7]])
+DRIFT_LOSS = LossModel(0.1, 0.25)
+
+
+def drifted_builder(drift: str):
+    """``build_synthesis_lmi`` with one block of its form edited, as named by ``drift``."""
+    def drifted(plant, dist, eta, margin=DEFAULT_MARGIN):
+        prob = build_synthesis_lmi(plant, dist, eta, margin)
+        expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
+        if drift == "b1-without-sqrt":
+            expr._consts = [(r, c, plant.B1 if r >= 2 else v) for r, c, v in expr._consts]
+        for term in expr._terms:
+            if drift == "d12-weight-minus-one" and term.var == "Y" and term.row == 1:
+                term.weight = 1.0  # -D12 Y in place of -a11 D12 Y
+            if drift == "mode-diagonal-0.9" and term.row == term.col >= 2:
+                term.weight = 0.9
+        return prob
+
+    return drifted
+
+
 class TestRoundTrip:
     def test_direct_leg_verifies_the_inverse_transform(self, lossy_feedback_plant):
         loss = LossModel(0.0, 0.2)
         result = synthesize(lossy_feedback_plant, loss, eta=0.1)
-        assert result.verification.direct_certified
-        assert "P = X^-1 verifies: True" in result.verification.summary()
+        assert_gain_certified(lossy_feedback_plant, loss, result)
+        assert result.rho < 1.0
         # P = 0.01 is too small a storage: 0.5 of the output cross term is
-        # left. Y = K X keeps the congruence exact, so only the direct leg fails.
+        # left. Y = K X keeps the congruence exact, so only P = X^-1 fails.
         x = 100.0 * np.eye(1)
-        report = round_trip_verify(lossy_feedback_plant, mode_distribution(loss),
-                                   result.certificate.problem, x, result.gain.K @ x, result.gain)
-        assert report.rho_ok
-        assert report.congruence_ok
-        assert not report.direct_certified
-        assert not report.passed
+        problem = passivity_problem(lossy_feedback_plant, result.gain, mode_distribution(loss),
+                                    result.eta)
+        assert congruence_residual(result.certificate.problem, problem, x,
+                                   result.gain.K @ x) <= CONGRUENCE_RTOL
+        with pytest.raises(VerificationFailed, match="'dissipation'"):
+            lmi.LmiCertificate.build(problem, {"P": np.linalg.inv(x)})
 
     def test_congruence_identity_on_random_instances(self):
         rng = np.random.default_rng(41)
@@ -516,19 +544,25 @@ class TestRoundTrip:
             result = synthesize(plant, loss, eta=0.01, max_iters=250)
             if not result.feasible:
                 continue
-            assert result.verification.congruence_rel_err <= 1e-6
+            assert congruence_residual(result.certificate.problem, result.passivity.problem,
+                                       result.x, result.y) <= 1e-6
             done += 1
         assert done == 8
 
-    def test_perturbed_gain_fails_rho_leg(self, lossy_feedback_plant):
+    def test_destabilizing_gain_fails_the_passivity_form(self, lossy_feedback_plant):
+        # A passing form has L_K(P) - P < 0 at P > 0, which forces rho < 1: at a gain
+        # that pushes the closed loop out of the unit disc, P = X^-1 fails it.
         loss = LossModel(0.0, 0.2)
         dist = mode_distribution(loss)
         result = synthesize(lossy_feedback_plant, loss, eta=0.1)
-        # destabilizing gain: push the closed loop out of the unit disc
-        report = round_trip_verify(lossy_feedback_plant, dist, result.certificate.problem,
-                                   result.x, result.y, Gain([[1.0]]))
-        assert not report.rho_ok
-        assert not report.passed
+        gain = Gain([[1.0]])
+        fam = closed_loop(lossy_feedback_plant, gain, 0, full_packet_schedule())
+        assert sms_oracle(fam, dist).rho >= 1.0
+        problem = passivity_problem(lossy_feedback_plant, gain, dist, result.eta)
+        p = np.linalg.inv(result.x)
+        assert not lmi.verify(problem, {"P": p}).passed
+        form = dict(problem.constraints)["dissipation"].assemble({"P": p})
+        assert form[0, 0] > 0.0  # the top-left block L_K(P) - P alone fails
 
     def test_zero_gain_consistency_with_open_loop_passivity(self):
         # synthesis form at (X, Y=0) must agree with the open-loop averaged
@@ -545,38 +579,32 @@ class TestRoundTrip:
                 passivity_problem(plant, Gain.zero(1, 2), dist, 0.05), x, np.zeros((1, 2)))
             assert rel <= 1e-6
 
-    @pytest.mark.parametrize("drift", ["b1-without-sqrt", "d12-weight-minus-one",
-                                       "mode-diagonal-0.9"])
+    @pytest.mark.parametrize("drift", DRIFTS)
     def test_congruence_leg_catches_a_drifted_synthesis_form(self, monkeypatch, drift):
         # Each drift edits one block of the synthesis form; the Schur
         # complement of its mode rows then no longer matches the passivity
         # form at P = X^-1.
-        build = synthesis.build_synthesis_lmi
-
-        def drifted(plant, dist, eta, margin=DEFAULT_MARGIN):
-            prob = build(plant, dist, eta, margin)
-            expr = dict(prob.constraints)[SYNTHESIS_CONSTRAINT]
-            if drift == "b1-without-sqrt":
-                expr._consts = [(r, c, plant.B1 if r >= 2 else v) for r, c, v in expr._consts]
-            for term in expr._terms:
-                if drift == "d12-weight-minus-one" and term.var == "Y" and term.row == 1:
-                    term.weight = 1.0  # -D12 Y in place of -a11 D12 Y
-                if drift == "mode-diagonal-0.9" and term.row == term.col >= 2:
-                    term.weight = 0.9
-            return prob
-
-        plant = Plant(A=[[0.6, 0.3], [-0.2, 0.9]], B1=[[1.0], [0.4]], B2=[[0.5], [1.0]],
-                      C1=[[0.5, -0.3]], D11=[[1.5]], D12=[[0.7]])
-        dist = mode_distribution(LossModel(0.1, 0.25))
+        plant, dist = DRIFT_PLANT, mode_distribution(DRIFT_LOSS)
         gain = Gain([[-0.2, -0.5]])
         x = np.array([[2.0, 0.3], [0.3, 1.0]])
         rel = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
                                   passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel <= CONGRUENCE_RTOL
-        monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted)
+        monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted_builder(drift))
         rel = congruence_residual(synthesis.build_synthesis_lmi(plant, dist, 0.1),
                                   passivity_problem(plant, gain, dist, 0.1), x, gain.K @ x)
         assert rel > CONGRUENCE_RTOL
+
+    @pytest.mark.parametrize("eta", [0.1, "maximize"])
+    @pytest.mark.parametrize("drift", DRIFTS)
+    def test_a_drifted_synthesis_form_yields_only_certified_gains(self, monkeypatch, drift,
+                                                                   eta):
+        # whatever form X came from, a returned gain is one that P = X^-1 certifies on a
+        # freshly posed passivity form; the congruence is no reason to refuse it
+        monkeypatch.setattr(synthesis, "build_synthesis_lmi", drifted_builder(drift))
+        result = synthesize(DRIFT_PLANT, DRIFT_LOSS, eta)
+        assert result.feasible
+        assert_gain_certified(DRIFT_PLANT, DRIFT_LOSS, result)
 
     def test_zero_gain_feasibility_equivalence(self):
         # a plant whose open loop is passive at eta: pinning Y to zero keeps
@@ -603,29 +631,32 @@ class TestRoundTrip:
             a, alpha1, alpha2 = loop
             plant = Plant(A=[[a]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
             loss = LossModel(alpha1, alpha2)
-        result = synthesize(plant, loss, "maximize")
-        assert result.verification.passed, result.verification.summary()
+        solve, solves = lmi.solve, []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
 
         def no_search(*args, **kwargs):
-            raise AssertionError("the round trip searched")
+            raise AssertionError("synthesize ran passivity_lmi")
 
-        monkeypatch.setattr(lmi, "solve", no_search)
-        monkeypatch.setattr(analysis, "_riccati_storage", no_search)
-        # and a binding in synthesis, should one be imported again
-        monkeypatch.setattr(synthesis, "_riccati_storage", no_search, raising=False)
-        report = round_trip_verify(plant, mode_distribution(loss), result.certificate.problem,
-                                   result.x, result.y, result.gain)
-        assert report.passed, report.summary()
+        monkeypatch.setattr(lmi, "solve", counted)
+        monkeypatch.setattr(analysis, "passivity_lmi", no_search)
+        monkeypatch.setattr(synthesis, "passivity_lmi", no_search)
+        result = synthesize(plant, loss, "maximize")
+        assert len(solves) == 1  # phase I; phase II and the gain's certificate solve nothing
+        assert_gain_certified(plant, loss, result)
 
-    # below the default margin of 1e-8 every leg judges at the problem's own margin, so
-    # the round trip keeps each gain whose P = X^-1 verifies there
+    # below the default margin of 1e-8 the gain's certificate judges at the problem's own
+    # margin, so synthesize keeps each gain whose P = X^-1 verifies there
     @pytest.mark.parametrize("k,epsilon_rel,eta,reached", [
         (35, 1e-9, 0.1, 0.1), (173, 1e-9, 0.1, 0.1), (142, 1e-12, "maximize", 0.99)])
     def test_a_margin_below_the_default_keeps_the_verified_gain(self, k, epsilon_rel, eta,
                                                                  reached):
         plant, loss = random_sweep_loop(k)
-        result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
-        assert result.verification.passed, result.verification.summary()
+        margin = DefinitenessMargin(epsilon_rel)
+        result = synthesize(plant, loss, eta, margin)
+        assert_gain_certified(plant, loss, result, margin)
         assert result.eta >= reached
 
     def test_result_rho_matches_oracle(self, lossy_feedback_plant):
@@ -643,8 +674,10 @@ class TestRoundTrip:
                                                (7, "maximize", 0.05)])
 def test_sweep_plants_certify_with_one_row_per_loop(k, eta, epsilon_rel):
     plant, loss = random_sweep_loop(k)
-    result = synthesize(plant, loss, eta, DefinitenessMargin(epsilon_rel))
-    assert result.feasible and result.verification.passed, result.verification.summary()
+    margin = DefinitenessMargin(epsilon_rel)
+    result = synthesize(plant, loss, eta, margin)
+    assert result.feasible
+    assert_gain_certified(plant, loss, result, margin)
 
 
 def desk_plant(n: int):
