@@ -419,8 +419,8 @@ def cmd_synthesize(config: ScenarioConfig) -> dict:
     if not result.feasible:
         return {"synthesis": _refusal(result, eta)}
     return {"synthesis": _certified(
-        result.certificate, eta=result.eta, K=_mat(result.gain.K),
-        X=_mat(result.x), Y=_mat(result.y), rho=result.rho)}
+        result.passivity, eta=result.eta, K=_mat(result.gain.K),
+        P=_mat(result.passivity.assignment["P"]), X=_mat(result.x), Y=_mat(result.y), rho=result.rho)}
 
 
 def _gain_from_spec(spec: str, plant: Plant) -> Gain:
@@ -505,24 +505,32 @@ def _recheck(label: str, entry: dict, build, assignment) -> tuple[list[str], lis
 
 
 def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
-    """Re-verify a report's certificates and duals: (problems, what was checked)."""
+    """Re-verify a report's certificates and duals: (problems, what was checked).
+
+    A certified gain, analyzed or synthesized, is re-verified on ``analysis.passivity_problem``;
+    a synthesize report that stores no ``P`` was certified by P = X^{-1}."""
     plant, dist, margin = config.plant, mode_distribution(config.loss), config.margin
+
+    def level(label):
+        return _number(results.get(label, {}).get("eta"), f"results.{label}.eta", minimum=0)
+
     if command == "synthesize":
         synth = results.get("synthesis", {})
 
         def stored(key):
             return _matrix(synth.get(key), f"results.synthesis.{key}")
 
+        if synth.get("status") != "certified":  # a refusal: only a stored dual, on the synthesis LMI
+            return _recheck("synthesis", synth, lambda: synthesis.build_synthesis_lmi(
+                plant, dist, level("synthesis"), margin), None)
         problems, checked = _recheck(
             "synthesis", synth,
-            lambda: synthesis.build_synthesis_lmi(
-                plant, dist, _number(synth.get("eta"), "results.synthesis.eta", minimum=0), margin),
-            lambda: {"X": stored("X"), "Y": stored("Y")})
-        if synth.get("status") == "certified":
-            recovered = synthesis.recover_gain(stored("X"), stored("Y")).K
-            if not np.allclose(recovered, np.asarray(stored("K"), dtype=float),
-                               rtol=1e-8, atol=1e-10):
-                problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
+            lambda: analysis.passivity_problem(
+                plant, Gain(stored("K")), dist, level("synthesis"), margin),
+            lambda: {"P": stored("P") if "P" in synth else np.linalg.inv(stored("X"))})
+        recovered = synthesis.recover_gain(stored("X"), stored("Y")).K
+        if not np.allclose(recovered, np.asarray(stored("K"), dtype=float), rtol=1e-8, atol=1e-10):
+            problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
         return problems, checked
     gain = Gain(_matrix(results.get("gain"), "results.gain"))
     stab, pas = results.get("stability", {}), results.get("passivity", {})
@@ -544,8 +552,7 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
                     f"stability: a stored dual refutes a loop whose rho = {rho:.6g} < 1")
     found, seen = _recheck(
         "passivity", pas,
-        lambda: analysis.passivity_problem(
-            plant, gain, dist, _number(pas.get("eta"), "results.passivity.eta", minimum=0), margin),
+        lambda: analysis.passivity_problem(plant, gain, dist, level("passivity"), margin),
         lambda: {"P": _matrix(pas.get("P"), "results.passivity.P")})
     return problems + found, checked + seen
 

@@ -26,7 +26,7 @@ class SingularTransform(NcsPassiveError):
 
 
 class VerificationFailed(NcsPassiveError):
-    """A certificate or round-trip check did not re-verify; indicates a bug upstream."""
+    """An assignment did not pass ``lmi.verify`` where a certificate was to be built from it."""
 
 
 class FitUnavailable(NcsPassiveError):

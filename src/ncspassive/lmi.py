@@ -25,13 +25,14 @@ products and the basis's rank-revealing SVD stay per block, on compact
 coefficients, because at n = 10 flops do dominate and the off-diagonal
 blocks are zero.
 
-``certify`` owns the choice between a fixed level and the largest one.
-A problem may have a level s (a dissipation level eta): an expression's
-level block is the constant that depends on s, and ``LmiProblem.at(s)``
-re-levels a posed problem without posing it again. ``certify`` solves
-at the given s, or solves at s = 0 and then raises s by Newton steps on
-the same barrier (Boyd et al., sec. 2.4) to within ETA_TOL, posing each
-form once either way.
+``certify`` owns the choice between a fixed level and the largest one,
+and returns the certificate of the problem it was given. A problem may
+have a level s (a dissipation level eta): an expression's level block is
+the constant that depends on s, and ``LmiProblem.at(s)`` re-levels a
+posed problem without posing it again. ``certify`` solves at the given
+s, or solves at s = 0 and then raises s by Newton steps on the same
+barrier (Boyd et al., sec. 2.4) to within ETA_TOL, posing each form once
+either way.
 
 A problem owns its definiteness margin: ``verify``, ``verify_dual``,
 ``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
@@ -909,33 +910,25 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
     )
 
 
-def certify(problem: LmiProblem, eta, max_iters: int, finish=lambda certificate: certificate):
-    """``finish(certificate)`` for ``problem.at(eta)``, or the solve's Indeterminate unchanged.
+def certify(problem: LmiProblem, eta, max_iters: int):
+    """The certificate of ``problem.at(eta)``, or the solve's Indeterminate unchanged.
 
     ``eta`` is a number, solved at that level, or ``"maximize"``: phase I
     solves ``problem.at(0.0)``, and phase II (:func:`_maximize`) raises
     eta from its point to within ETA_TOL. Every level is ``problem``
     re-leveled, so each form is posed once. The :class:`LmiCertificate`
-    that ``finish`` gets carries the problem at the level it verified at,
-    so its ``eta`` is that level; without ``finish`` it is returned. Should
-    ``finish`` raise VerificationFailed at a fixed level's point, phase
-    II runs from it all the same, and the fixed level is finished at its
-    points instead: they lie deeper inside the feasible set.
+    carries the problem at the level it verified at, so its ``eta`` is
+    that level.
     """
     level = 0.0 if eta == "maximize" else float(eta)
     first = solve(problem.at(level), max_iters)
-    if not first.feasible:
+    if not first.feasible or eta != "maximize":
         return first
-    if eta == "maximize":
-        return _maximize(first, max_iters, finish)
-    try:
-        return finish(first)
-    except VerificationFailed:
-        return _maximize(first, max_iters, finish, cap=level)
+    return _maximize(first, max_iters)
 
 
-def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf):
-    """``finish(certificate)`` at the largest s, to within ETA_TOL, at which ``problem.at(s)`` certifies.
+def _maximize(first: LmiCertificate, max_iters: int) -> LmiCertificate:
+    """The certificate at the largest s, to within ETA_TOL, at which ``problem.at(s)`` certifies.
 
     ``problem`` is the one ``first`` certifies (phase I), at its level.
     Phase II is the barrier method of :func:`_newton` raising s from
@@ -949,14 +942,11 @@ def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf
     memoryless loop): a constant diagonal entry of M_c bounds
     lambda_max(M_c) below, and so ||M_c||_F above.
 
-    ``finish`` gets ``LmiCertificate.build`` on ``problem.at(min(s,
-    cap))`` at the iterate of largest s, so its ``eta`` is that level, its
-    ``iterations`` counting the Newton steps of both phases. Should either
-    raise VerificationFailed, the iterates are tried from there down, each
-    at least ETA_TOL below the one tried before, until one passes; then
-    the last failing point is bisected to ETA_TOL in s down to the s that
-    passed (or ``level``), below ``cap``, and the largest s that passes is
-    kept. With none passing, ``first`` is finished.
+    Returns ``LmiCertificate.build`` on ``problem.at(s)`` at the iterate
+    of largest s, its ``iterations`` counting the Newton steps of both
+    phases. Each iterate lies inside the barrier that holds the margin, so
+    only rounding between the basis and ``assemble`` can make that build
+    fail; then the next iterate down that builds is returned, or ``first``.
     """
     problem = first.problem
     level = problem.level
@@ -968,7 +958,7 @@ def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf
     for check in first.report.checks:
         low, high = eps * check.norm, -check.lambda_max - eps
         if low >= high:  # on its margin's edge: no room to start from
-            return finish(first)
+            return first
         radii.append(0.5 * (low + high))
     barrier = _Barrier(problem, first.assignment, slopes, 0.0, radii)
     points = []
@@ -982,32 +972,15 @@ def _maximize(first: LmiCertificate, max_iters: int, finish, cap: float = np.inf
     # from a central-path gap of 1 / TAU_GROWTH: a larger tau0 can pin a start
     # near the margin's edge there, where the Hessian is too ill-conditioned to leave
     taken = _newton(barrier, -1.0, lambda z: TAU_GROWTH * barrier.dim, visit, max_iters)
-
-    def attempt(s, y):
-        s = min(s, cap)
-        try:
-            return finish(LmiCertificate.build(problem.at(s), barrier.assignment(y),
-                                               iterations=first.iterations + taken))
-        except VerificationFailed:
-            return None
-
-    failed, result = None, None  # the last iterate to fail; each at least ETA_TOL below the one before
     for s, _, y in sorted(points, reverse=True):
-        if s >= level and (failed is None or s <= failed[0] - ETA_TOL):
-            result = attempt(s, y)
-            if result is not None:
-                break
-            failed = (s, y)
-    if failed is not None:  # its point may pass between its own s and the s that did
-        low, (high, y) = s if result is not None else level, failed
-        while min(high, cap) - low > ETA_TOL:
-            mid = 0.5 * (low + high)
-            found = attempt(mid, y)
-            if found is None:
-                high = mid
-            else:
-                low, result = mid, found
-    return finish(first) if result is None else result
+        if s < level:
+            break
+        try:
+            return LmiCertificate.build(problem.at(s), barrier.assignment(y),
+                                        iterations=first.iterations + taken)
+        except VerificationFailed:
+            pass  # rounding between the basis and assemble
+    return first
 
 
 def _ruled_out(t: float, z: np.ndarray) -> bool:

@@ -18,11 +18,13 @@ share the open loop. Their three rows sqrt(a_m) R would share R and the
 a four-row form is orthogonally similar to this one plus bare -X blocks,
 and states the same inequality with the same Schur complement.
 
-A gain's certificate is its closed loop's: P = X^{-1} verified on
-``analysis.passivity_problem`` at K = Y X^{-1}, at the synthesis
-certificate's eta and margin (``SynthesisResult.passivity``). The
-congruence maps the synthesis form to that one, but the relative margin
-scales the two differently, so P is verified, not assumed; no search runs.
+A gain's certificate is its closed loop's: a P that ``lmi.verify``
+accepts on ``analysis.passivity_problem`` at K = Y X^{-1}, at the
+certified eta and the user's margin (``SynthesisResult.passivity``). The
+congruence proposes P = X^{-1}, but the relative margin scales the two
+forms differently, so P = X^{-1} is verified, not assumed; when it
+misses, ``passivity_lmi`` searches for a P at K, and only when both fail
+is the gain refused.
 Synthesis is restricted to the full-packet configuration, where
 K = Y X^{-1} is well-posed.
 """
@@ -34,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi
-# passivity_lmi is not called here, but perfbench's tracer test patches this binding
-from .analysis import (  # noqa: F401
-    check_assumption,
-    passivity_lmi,
-    passivity_problem,
-    sms_oracle,
-)
+from .analysis import check_assumption, passivity_lmi, passivity_problem, sms_oracle
 from .errors import SingularTransform, VerificationFailed
 from .model import (
     Gain,
@@ -140,20 +136,24 @@ def recover_gain(x: np.ndarray, y: np.ndarray) -> Gain:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """A gain with the synthesis LMI's ``certificate`` at (X, Y) and its own
-    ``passivity`` certificate: P = X^{-1} on ``analysis.passivity_problem``
-    at (K, eta, margin). ``rho`` is the SMS oracle's, reported, not checked:
-    ``passivity``'s top-left block L_K(P) - P < 0 forces rho < 1."""
+    """A gain with its ``passivity`` certificate, a P that verifies on
+    ``analysis.passivity_problem`` at (K, eta, margin), and the synthesis
+    LMI's ``certificate`` at (X, Y), the record K = Y X^{-1} came from.
+    ``rho`` is the SMS oracle's, reported, not checked: ``passivity``'s
+    top-left block L_K(P) - P < 0 forces rho < 1."""
 
     x: np.ndarray
     y: np.ndarray
     gain: Gain
-    eta: float
     certificate: lmi.LmiCertificate
     passivity: lmi.LmiCertificate
     rho: float
 
     feasible = True
+
+    @property
+    def eta(self) -> float:
+        return self.passivity.eta
 
 
 def synthesize(
@@ -167,11 +167,12 @@ def synthesize(
 
     ``eta`` is a fixed dissipation level or ``"maximize"``, for the
     largest one to within ``lmi.ETA_TOL`` (``lmi.certify``; the
-    certificate's ``iterations`` count both phases), which steps down to
-    lower iterates while P = X^{-1} fails to certify the recovered gain.
-    Returns a :class:`SynthesisResult`, or Indeterminate when no
-    certificate was found. VerificationFailed, naming the failed
-    constraint, means no iterate's P = X^{-1} certifies (ROADMAP item 1).
+    certificate's ``iterations`` count both phases). K = Y X^{-1} is
+    certified by P = X^{-1} on ``passivity_problem`` at the synthesis
+    certificate's eta, else by ``passivity_lmi`` at K and ``eta``.
+    Returns a :class:`SynthesisResult`, or Indeterminate when the
+    synthesis LMI finds no certificate or neither route certifies K; the
+    latter's message names both failures.
 
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
@@ -187,22 +188,22 @@ def synthesize(
             message=f"loss-only bound rho((1 - a11) A (x) A) = {loss_only:.6g} >= 1: "
             "no gain makes the loop second-moment stable",
         )
-
-    def finish(certificate: lmi.LmiCertificate) -> SynthesisResult:
-        x = certificate.assignment["X"]
-        y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
-        gain = recover_gain(x, y)
-        eta = certificate.eta
-        try:
-            passivity = lmi.LmiCertificate.build(
-                passivity_problem(plant, gain, dist, eta, certificate.problem.margin),
-                {"P": np.linalg.inv(x)})
-        except VerificationFailed as exc:
-            raise VerificationFailed(
-                f"P = X^-1 is no passivity certificate for the synthesized gain at eta {eta:.6g}: "
-                f"{exc}") from exc
-        rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
-        return SynthesisResult(x=x, y=y, gain=gain, eta=eta, certificate=certificate,
-                               passivity=passivity, rho=rho)
-
-    return lmi.certify(problem, eta, max_iters, finish)
+    certificate = lmi.certify(problem, eta, max_iters)
+    if not certificate.feasible:
+        return certificate
+    x = certificate.assignment["X"]
+    y = certificate.assignment.get("Y", np.zeros((plant.m2, plant.n)))
+    gain = recover_gain(x, y)
+    try:
+        passivity = lmi.LmiCertificate.build(
+            passivity_problem(plant, gain, dist, certificate.eta, margin), {"P": np.linalg.inv(x)})
+    except VerificationFailed as exc:
+        passivity = passivity_lmi(plant, gain, dist, eta, margin, max_iters)
+        if not passivity.feasible:
+            return lmi.Indeterminate(
+                passivity.best_value, certificate.iterations + passivity.iterations,
+                f"P = X^-1 is no passivity certificate for the synthesized gain at eta "
+                f"{certificate.eta:.6g} ({exc}), and passivity_lmi at that gain found none "
+                f"({passivity.message})")
+    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
+    return SynthesisResult(x, y, gain, certificate, passivity, rho)

@@ -108,16 +108,12 @@ def congruence_residual(
 def assert_gain_certified(plant: Plant, loss: LossModel, result, margin=DEFAULT_MARGIN) -> None:
     """``result.passivity`` against a freshly posed passivity form at the synthesized gain.
 
-    P = inv(result.x) must pass ``lmi.verify`` on ``passivity_problem``
-    at (K, eta, margin), and the certificate must sit at the result's eta
-    and hold that P byte for byte.
+    Its stored P must pass ``lmi.verify`` on ``passivity_problem`` at
+    (K, eta, margin), whichever route found it.
     """
-    p = np.linalg.inv(result.x)
     fresh = passivity_problem(plant, result.gain, mode_distribution(loss), result.eta, margin)
-    report = lmi.verify(fresh, {"P": p})
-    assert report.passed, f"P = X^-1 fails {report.worst()}"
-    assert result.passivity.problem.level == result.eta
-    assert result.passivity.assignment["P"].tobytes() == p.tobytes()
+    report = lmi.verify(fresh, {"P": result.passivity.assignment["P"]})
+    assert report.passed, f"the stored P fails {report.worst()}"
 
 
 __all__ = [

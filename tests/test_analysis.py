@@ -425,7 +425,7 @@ class TestMaxDissipation:
 
         first = lmi.solve(build(0.0))
         assert first.iterations == 0  # P = 1 verifies at the start
-        cert = lmi._maximize(first, 10, lambda c: c)
+        cert = lmi._maximize(first, 10)
         eta = cert.eta
         assert cert.iterations == 10
         assert 0.0 < eta < 2.0 / 3.0 - ETA_TOL

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sweep_loop
-from ncspassive import analysis, cli, lmi, sim
+from ncspassive import analysis, cli, lmi, sim, synthesis
 from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -290,20 +290,66 @@ class TestSynthesize:
                          "--out", str(out), *flags]) == 0
         assert cli.main(["report", str(out)]) == 0
 
-    def test_d11_dominated_margin_exits_three_naming_the_failed_form(self, tmp_path):
-        # README loop with D11 = 1e8 at eta 0.1: no iterate's P = X^-1 certifies its gain
-        # (ROADMAP item 1); the message names the passivity form's failed constraint
+    def test_d11_dominated_margin_certifies_by_a_search_at_the_gain(self, tmp_path):
+        # README loop with D11 = 1e8 at eta 0.1: P = X^-1 misses the relative margin on the
+        # passivity form at K (ROADMAP item 1), so the stored P is passivity_lmi's at K
         cfg = write_config(tmp_path, with_field(scenario(), "plant.D11", [[1e8]]))
+        out = tmp_path / "synth.json"
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncspassive.cli", "synthesize",
-             "--config", str(cfg), "--out", str(tmp_path / "synth.json")],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == cli.EXIT_VERIFY, proc.stderr
-        assert "P = X^-1 is no passivity certificate" in proc.stderr
-        assert "'dissipation'" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        runs = [subprocess.run([sys.executable, "-m", "ncspassive.cli", *argv],
+                               capture_output=True, text=True, env=env, cwd=tmp_path)
+                for argv in (["synthesize", "--config", str(cfg), "--out", str(out)],
+                             ["report", str(out)])]
+        for proc in runs:
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert "certificates re-verified: synthesis" in runs[1].stdout
+        synth = json.loads(out.read_text())["results"]["synthesis"]
+        assert synth["eta"] == 0.1
+        assert synth["P"][0][0] == pytest.approx(6.03, rel=1e-2)
+        assert np.linalg.inv(synth["X"])[0][0] == pytest.approx(0.0687, rel=1e-2)
+
+    def test_a_gain_neither_route_certifies_exits_two(self, tmp_path, monkeypatch, capsys):
+        # with the search at K finding nothing, the D11 = 1e8 loop's gain is refused plainly
+        monkeypatch.setattr(synthesis, "passivity_lmi",
+                            lambda *args: lmi.Indeterminate(message="no P at K"))
+        cfg = write_config(tmp_path, with_field(scenario(), "plant.D11", [[1e8]]))
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
+        synth = json.loads(out.read_text())["results"]["synthesis"]
+        assert synth["status"] == "indeterminate"
+        assert "'dissipation'" in synth["reason"] and "no P at K" in synth["reason"]
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        assert "nothing to re-verify" in capsys.readouterr().out
+
+    def test_tampered_synthesized_p_detected(self, tmp_path, capsys):
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, scenario())),
+                         "--out", str(out)]) == 0
+
+        def negate_p(results):
+            results["synthesis"]["P"] = [[-v for v in row] for row in results["synthesis"]["P"]]
+
+        bad = rewrite_results(out, tmp_path / "tampered.json", negate_p)
+        capsys.readouterr()
+        assert cli.main(["report", str(bad)]) == 3
+        assert "synthesis: stored certificate no longer verifies" in capsys.readouterr().err
+
+    def test_a_report_without_p_re_verifies_p_as_x_inverse(self, tmp_path, capsys):
+        # synthesize reports that stored no P were certified by P = X^-1
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, scenario())),
+                         "--out", str(out)]) == 0
+        old = rewrite_results(out, tmp_path / "old.json",
+                              lambda results: results["synthesis"].pop("P"))
+        assert "P" not in json.loads(old.read_text())["results"]["synthesis"]
+        capsys.readouterr()
+        assert cli.main(["report", str(old)]) == 0
+        assert "certificates re-verified: synthesis" in capsys.readouterr().out
+        tampered = rewrite_results(old, tmp_path / "tampered.json",
+                                   lambda results: results["synthesis"].update(eta=1e3))
+        assert cli.main(["report", str(tampered)]) == 3
 
     def test_reports_with_and_without_a_round_trip_block_re_verify(self, tmp_path):
         cfg = write_config(tmp_path, scenario())
@@ -967,21 +1013,22 @@ def test_usage_error_exits_one_with_argparse_message(capsys, argv, names):
 
 
 # Inputs whose arithmetic overflows float64 inside the numerics: each ends in
-# exit 2 or 3, not a traceback, and raises no numpy RuntimeWarning (an error
+# an exit code, not a traceback, and raises no numpy RuntimeWarning (an error
 # under pytest).
-@pytest.mark.parametrize("command,fields", [
+@pytest.mark.parametrize("command,fields,code", [
     # ||M||_F of the dissipation form overflows in np.linalg.norm (exit 2)
-    ("analyze", {"plant.B1": [[1e100]], "gain": [[-0.9]]}),
-    # the Newton decrement overflows (exit 3: the D11-dominated margin of ROADMAP item 1)
-    ("synthesize", {"plant.D11": [[1e10]], "eta": "maximize"}),
+    ("analyze", {"plant.B1": [[1e100]], "gain": [[-0.9]]}, cli.EXIT_INDETERMINATE),
+    # the Newton decrement overflows; P = X^-1 misses the D11-dominated margin of ROADMAP
+    # item 1, and the search at K certifies the gain (exit 0)
+    ("synthesize", {"plant.D11": [[1e10]], "eta": "maximize"}, cli.EXIT_OK),
 ], ids=["analyze-b1-1e100", "synthesize-d11-1e10"])
-def test_overflowing_numerics_end_in_an_exit_code(tmp_path, command, fields):
+def test_overflowing_numerics_end_in_an_exit_code(tmp_path, command, fields, code):
     config = scenario()
     for field, value in fields.items():
         config = with_field(config, field, value)
     out = tmp_path / "r.json"
     assert cli.main([command, "--config", str(write_config(tmp_path, config)),
-                     "--out", str(out)]) in (cli.EXIT_INDETERMINATE, cli.EXIT_VERIFY)
+                     "--out", str(out)]) == code
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

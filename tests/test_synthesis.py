@@ -413,12 +413,12 @@ def scalar_recipe_loop(key):
     return plant, LossModel(rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2))
 
 
-# Under large margins the gain's certificate (P = X^-1 on the passivity
-# form) can fail near eta*: on the first loop the top iterates fail it
-# at 0.05 (the bisection reached 1.1638); on the second, at 0.1, the
-# bisection reached 0.3557 with a point that failed it (exit 3). On the
-# third the certificate fails from 0.3137 up while the next iterate
-# down is 0.2810; the bisection reached 0.2988.
+# Under large margins P = X^-1 can miss the passivity form near eta*: on
+# the first loop at the top iterates at 0.05 (the bisection reached
+# 1.1638); on the second, at 0.1, the bisection reached 0.3557 with a
+# point whose P = X^-1 missed it (exit 3). On the third P = X^-1 misses
+# from 0.3137 up; the bisection reached 0.2988. A search at the top
+# iterate's gain certifies at least as much.
 @pytest.mark.parametrize("plant,loss,epsilon_rel,bisected", [
     (Plant(A=[[0.4177]], B1=[[0.1181]], B2=[[1.0138]], C1=[[0.1011]], D11=[[1.2571]],
            D12=[[0.0]]), LossModel(0.0707, 0.1795), 0.05, 1.1637996093750003),
@@ -426,7 +426,8 @@ def scalar_recipe_loop(key):
            D12=[[0.0]]), LossModel(0.0284, 0.07), 0.1, 0.3556875),
     (*scalar_recipe_loop([5, 18]), 0.1, 0.2988),
 ], ids=["steps-back", "bisection-exit-3", "bisects-across-the-gap"])
-def test_maximize_steps_back_below_a_failed_round_trip(plant, loss, epsilon_rel, bisected):
+def test_maximize_under_a_large_margin_reaches_the_bisection(plant, loss, epsilon_rel,
+                                                              bisected):
     margin = DefinitenessMargin(epsilon_rel)
     result = synthesize(plant, loss, "maximize", margin)
     assert_gain_certified(plant, loss, result, margin)
@@ -447,10 +448,10 @@ def margin_sweep_loop(k):
 README_LOOP = Plant(A=[[1.2]], B1=[[1.0]], B2=[[1.0]], C1=[[0.5]], D11=[[1.0]], D12=[[0.0]])
 
 
-# Under large margins the phase-I point of a fixed eta can fail the gain's
+# Under large margins the phase-I point of a fixed eta can miss the gain's
 # certificate (P = X^-1 on the passivity form), which once ended
-# in VerificationFailed on each of these; phase II's points, deeper inside,
-# pass it at the same eta.
+# in VerificationFailed on each of these; a P found at the gain, or phase I's
+# own, certifies the same eta.
 @pytest.mark.parametrize("plant,loss,epsilon_rel,eta", [
     *[(README_LOOP, LossModel(0.0, 0.2), margin, eta)
       for margin in (0.05, 0.1) for eta in (0.0, 0.1)],
@@ -463,6 +464,39 @@ def test_fixed_eta_under_a_large_margin_passes_its_round_trip(plant, loss, epsil
     result = synthesize(plant, loss, eta, margin)
     assert_gain_certified(plant, loss, result, margin)
     assert result.eta == eta
+
+
+# Where P = X^-1 misses the relative margin, a search at K certifies the gain: sweep
+# plant 109 at margin 0.1 and eta 0.05 (VerificationFailed before), and plants 24 and 36
+# at margin 0.05 maximized (0.8776 and 0.8572 when the iterates stepped down instead).
+@pytest.mark.parametrize("k,eta,epsilon_rel,reached", [
+    (109, 0.05, 0.1, 0.05), (24, "maximize", 0.05, 0.89), (36, "maximize", 0.05, 0.875)])
+def test_a_search_at_the_gain_certifies_where_x_inverse_misses(k, eta, epsilon_rel, reached):
+    plant, loss = random_sweep_loop(k)
+    margin = DefinitenessMargin(epsilon_rel)
+    result = synthesize(plant, loss, eta, margin)
+    assert_gain_certified(plant, loss, result, margin)
+    assert result.eta >= reached
+    assert result.passivity.assignment["P"].tobytes() != np.linalg.inv(result.x).tobytes()
+
+
+def test_maximize_returns_the_next_iterate_when_the_top_one_fails_to_build(monkeypatch):
+    problem = build_synthesis_lmi(README_LOOP, mode_distribution(LossModel(0.0, 0.2)), 0.0)
+    first = lmi.solve(problem)
+    top = lmi._maximize(first, lmi.MAX_ITERS)
+    build, levels = lmi.LmiCertificate.build.__func__, []
+
+    def fails_once(cls, problem, assignment, iterations=0):
+        levels.append(problem.level)
+        if len(levels) == 1:
+            raise VerificationFailed("rounding")
+        return build(cls, problem, assignment, iterations)
+
+    monkeypatch.setattr(lmi.LmiCertificate, "build", classmethod(fails_once))
+    stepped = lmi._maximize(first, lmi.MAX_ITERS)
+    assert levels[0] == top.eta and len(levels) == 2
+    assert first.eta < stepped.eta < top.eta
+    assert stepped.iterations == top.iterations
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -488,7 +522,7 @@ def test_certify_is_the_hand_composed_solve_and_maximize(k):
         return passivity_problem(plant, result.gain, dist, eta)
 
     maximized = passivity_lmi(plant, result.gain, dist, "maximize")
-    cert = lmi._maximize(lmi.solve(build(0.0)), lmi.MAX_ITERS, lambda c: c)
+    cert = lmi._maximize(lmi.solve(build(0.0)), lmi.MAX_ITERS)
     eta, p = cert.eta, cert.assignment["P"]
     assert eta > 0.0
     assert (maximized.eta, maximized.assignment["P"].tobytes()) == (eta, p.tobytes())
@@ -646,6 +680,7 @@ class TestRoundTrip:
         result = synthesize(plant, loss, "maximize")
         assert len(solves) == 1  # phase I; phase II and the gain's certificate solve nothing
         assert_gain_certified(plant, loss, result)
+        assert result.passivity.assignment["P"].tobytes() == np.linalg.inv(result.x).tobytes()
 
     # below the default margin of 1e-8 the gain's certificate judges at the problem's own
     # margin, so synthesize keeps each gain whose P = X^-1 verifies there
