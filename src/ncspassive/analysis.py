@@ -5,8 +5,18 @@ Two independent routes are kept deliberately separate:
 * the LMI route poses the coupled Lyapunov / passivity inequalities and
   certifies feasibility through eigenvalue verification (``lmi.verify``);
 * the second-moment-spectral (SMS) oracle computes the spectral radius
-  of the mode-averaged Kronecker operator, which characterizes
+  of the mode-averaged second-moment operator, which characterizes
   second-moment stability exactly and never touches the LMI machinery.
+
+The second-moment operator Z -> sum_m a_m A_m Z A_m' maps symmetric
+matrices to symmetric matrices, so it is held in orthonormal svec
+coordinates: the upper triangle in row-major order, its off-diagonal
+entries times sqrt(2), d = n(n+1)/2 of them instead of n^2. Its rho is
+unchanged: the operator commutes with transposition, so it splits into
+a symmetric and an antisymmetric part, and a completely positive map
+has its spectral radius on a PSD eigenvector (Evans & Hoegh-Krohn,
+J. London Math. Soc. 17, 1978). The basis being orthonormal, the
+transpose of its matrix is the Lyapunov map P -> sum_m a_m A_m' P A_m.
 
 Second-moment stability needs no search. For a fixed gain it holds
 exactly when rho < 1, and then the coupled Lyapunov equation
@@ -41,6 +51,7 @@ and finds the largest certifiable eta in one barrier run
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +70,6 @@ from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
     is_neg_definite,
-    kron,
     spectral_radius,
     sym_eigvals,
 )
@@ -93,14 +103,15 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
 
     ``family`` is one :class:`ClosedLoopFamily` (N = 1) or a sequence of
     them covering one period. The per-step operator is the mode-averaged
-    Kronecker square sum_m a_m kron(A_m, A_m); for a period the operators
-    compose, and rho is the per-step geometric mean of the product's
-    spectral radius.
+    Z -> sum_m a_m A_m Z A_m' on symmetric Z, a d x d matrix in svec
+    coordinates (:func:`_second_moment_operator`, d = n(n+1)/2); for a
+    period the operators compose, and rho is the per-step geometric mean
+    of the product's spectral radius, that of the full n^2 operator.
     """
     families = [family] if isinstance(family, ClosedLoopFamily) else list(family)
     if not families:
         raise ValueError("need at least one closed-loop family")
-    product = np.eye(families[0].a(0, 0).size)
+    product = np.eye(_svec_dim(families[0].a(0, 0).shape[0]))
     for fam in families:
         product = _second_moment_operator(fam, dist) @ product
     rho = spectral_radius(product) ** (1.0 / len(families))
@@ -108,17 +119,53 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
 
 
 def _second_moment_operator(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
-    """sum_m a_m kron(A_m, A_m): Z -> sum_m a_m A_m Z A_m' on row-major vec(Z).
+    """The d x d matrix <E_p, sum_m a_m A_m E_q A_m'> on the svec basis E (:func:`_svec_basis`).
 
-    Summed over the distinct loops (``ClosedLoopFamily.loops``), one
-    Kronecker square each. Its transpose acts as the Lyapunov map
-    P -> sum_m a_m A_m' P A_m.
+    Summed over the distinct loops (``ClosedLoopFamily.loops``), each
+    applied to the whole basis stack at once. It maps svec(Z) to
+    svec(sum_m a_m A_m Z A_m'), and its transpose acts as the Lyapunov
+    map P -> sum_m a_m A_m' P A_m.
     """
-    n = fam.a(0, 0).shape[0]
-    op = np.zeros((n * n, n * n))
-    for a, _, w in fam.loops(dist.items()):
-        op += w * kron(a, a)
-    return op
+    basis = _svec_basis(fam.a(0, 0).shape[0])
+    image = sum(w * (a @ basis @ a.T) for a, _, w in fam.loops(dist.items()))
+    return _svec(image).T
+
+
+def _svec_dim(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+@lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple:
+    """(rows, columns, scale) of the row-major upper triangle; scale is sqrt(2) off the diagonal."""
+    rows, cols = np.triu_indices(n)
+    index = rows, cols, np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for array in index:  # shared by every caller
+        array.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
+def _svec_basis(n: int) -> np.ndarray:
+    """Read-only (d, n, n) stack of the orthonormal basis E_q = unsvec(e_q)."""
+    basis = np.stack([_unsvec(e, n) for e in np.eye(_svec_dim(n))])
+    basis.flags.writeable = False
+    return basis
+
+
+def _svec(z: np.ndarray) -> np.ndarray:
+    """<E_q, Z> for symmetric Z, over its last two axes."""
+    rows, cols, scale = _svec_index(z.shape[-1])
+    return z[..., rows, cols] * scale
+
+
+def _unsvec(v: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix sum_q v_q E_q."""
+    rows, cols, scale = _svec_index(n)
+    z = np.empty((n, n))
+    z[rows, cols] = v / scale
+    z[cols, rows] = v / scale
+    return z
 
 
 class StabilityCertificate(lmi.LmiCertificate):
@@ -189,28 +236,29 @@ def stability_lmi(
     """
     period = schedule.period
     n = plant.n
+    d = _svec_dim(n)
     families = [closed_loop(plant, gain, k, schedule) for k in range(period)]
     prob = _lyapunov_problem(families, dist, margin)
-    # adjoint[k] maps Z_k to Z_{k+1}; adjoint[k].T is the Lyapunov map L_k
+    # adjoint[k] maps svec Z_k to svec Z_{k+1}; adjoint[k].T is the Lyapunov map L_k
     adjoint = [_second_moment_operator(fam, dist) for fam in families]
     # Close the cycle at P_0: P_0 = c + T P_0, with T = L_0 L_1 ... L_{N-1}.
-    vec_i = np.eye(n).ravel()
-    t = np.eye(n * n)
-    c = np.zeros(n * n)
+    svec_i = _svec(np.eye(n))
+    t = np.eye(d)
+    c = np.zeros(d)
     for op in adjoint:
-        c += t @ vec_i
+        c += t @ svec_i
         t = t @ op.T
     try:
-        p0 = np.linalg.solve(np.eye(n * n) - t, c)
+        p0 = np.linalg.solve(np.eye(d) - t, c)
     except np.linalg.LinAlgError:
-        p0 = np.full(n * n, np.nan)
+        p0 = np.full(d, np.nan)
     reason, ps = "the coupled Lyapunov equation has no finite solution", None
     if np.isfinite(p0).all():
-        ps = {"P0": _sym(p0.reshape(n, n))}
+        ps = {"P0": _unsvec(p0, n)}
         nxt = p0
         for k in range(period - 1, 0, -1):  # P_k = I + L_k(P_{k+1})
-            nxt = vec_i + adjoint[k].T @ nxt
-            ps[f"P{k}"] = _sym(nxt.reshape(n, n))
+            nxt = svec_i + adjoint[k].T @ nxt
+            ps[f"P{k}"] = _unsvec(nxt, n)
         # verify's P{k}_pos_def check on the same -P_k: an unstable loop's P_k is
         # indefinite, and its certificate is built only if the dual fails, for the reason
         if all(is_neg_definite(-p, margin) for p in ps.values()):
@@ -246,12 +294,8 @@ def _build(prob: lmi.LmiProblem, ps: dict) -> tuple:
 POWER_SQUARINGS = 40
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def _perron_vector(op: np.ndarray, n: int) -> np.ndarray | None:
-    """Trace-one Perron eigenvector of ``op``, as n x n, or None.
+    """Trace-one Perron eigenvector of the svec operator ``op``, as n x n, or None.
 
     Power iteration from I, which stays in the PSD cone because ``op``
     maps the cone into itself. It runs on op / s + I, with s the largest
@@ -262,11 +306,11 @@ def _perron_vector(op: np.ndarray, n: int) -> np.ndarray | None:
     """
     if not np.isfinite(op).all():
         return None
-    power = op / max(float(np.abs(op).sum(axis=1).max()), 1.0) + np.eye(n * n)
+    power = op / max(float(np.abs(op).sum(axis=1).max()), 1.0) + np.eye(op.shape[0])
     for _ in range(POWER_SQUARINGS):
         power = power @ power
         power /= np.abs(power).max()  # nonzero: power has a positive eigenvalue
-    z = _sym((power @ np.eye(n).ravel()).reshape(n, n))
+    z = _unsvec(power @ _svec(np.eye(n)), n)
     return z / np.trace(z) if np.trace(z) > 0.0 else None
 
 
@@ -276,13 +320,15 @@ def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:
     Z_{k+1} = L_k*(Z_k) weighs lyapunov_k, and P{k}_pos_def gets
     L_{k-1}*(Z_{k-1}) - Z_k: zero except at k = 0, where it is
     (rho^N - 1) Z_0 for an exact eigenvector. The variables then cancel,
-    and every multiplier is PSD exactly when rho >= 1.
+    and every multiplier is PSD exactly when rho >= 1. ``adjoint`` holds
+    the svec operators L_k*.
     """
     n = z0.shape[0]
     period = len(adjoint)
-    zs = [z0]
+    zs, z = [z0], _svec(z0)
     for op in adjoint:
-        zs.append(_sym((op @ zs[-1].ravel()).reshape(n, n)))
+        z = op @ z
+        zs.append(_unsvec(z, n))
     dual = {f"lyapunov_k{k}": zs[k] for k in range(period)}
     dual["P0_pos_def"] = zs[period] - z0
     for k in range(1, period):
@@ -399,18 +445,19 @@ def dissipation_identity_check(plant, gain, dist, p, eta, trace) -> float:
         return 0.0
     p = np.asarray(p, dtype=float)
     x, x_next, w = trace.x[:-1], trace.x[1:], trace.w
-    # one form per realized (slot, theta1, theta2), gathered back to the steps
+    # one form per realized (slot, theta1 theta2), gathered back to the steps: the
+    # three modes that lose a message share the open loop (model.loop_weights)
     realized, step_form = np.unique(
-        np.column_stack([trace.slots, trace.theta1, trace.theta2]), axis=0, return_inverse=True)
+        2 * trace.slots + trace.theta1 * trace.theta2, return_inverse=True)
     families: dict[int, ClosedLoopFamily] = {}
     forms = []
-    for slot, theta1, theta2 in realized.tolist():
+    for slot, fb in (divmod(code, 2) for code in realized.tolist()):
         if slot not in families:
             families[slot] = closed_loop(plant, gain, slot, trace.schedule)
-        form = _dissipation_form(families[slot], [((theta1, theta2), 1.0)], eta)
+        form = _dissipation_form(families[slot], [((fb, fb), 1.0)], eta)
         forms.append(form.assemble({"P": p}))
     zeta = np.hstack([x, w])
-    quad = np.einsum("ki,kij,kj->k", zeta, np.stack(forms)[step_form.ravel()], zeta)
+    quad = np.einsum("ki,kij,kj->k", zeta, np.stack(forms)[step_form], zeta)
     dv = np.einsum("ki,ij,kj->k", x_next, p, x_next) - np.einsum("ki,ij,kj->k", x, p, x)
     ledger = dv - 2.0 * np.einsum("ki,ki->k", w, trace.z) + 2.0 * eta * np.einsum("ki,ki->k", w, w)
     return float(np.max(np.abs(ledger - quad)))

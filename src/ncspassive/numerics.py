@@ -1,7 +1,7 @@
 """Dense real-matrix kernels used by every other module.
 
-Symmetric eigensolves, margin-based definiteness tests, Kronecker
-products, spectral radii, and the two-block Schur complement and test.
+Symmetric eigensolves, margin-based definiteness tests, spectral radii,
+and the two-block Schur complement and test.
 Everything is plain float64 numpy at desk scale (dims well below 100);
 there are no sparse or iterative paths.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "fro_norm",
     "sym_eigvals",
     "is_neg_definite",
-    "kron",
     "spectral_radius",
     "schur_complement",
     "schur_neg_def",
@@ -102,13 +101,6 @@ def is_neg_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     """True iff lambda_max(sym(M)) clears the margin threshold."""
     s = symmetrize(m)
     return bool(sym_eigvals(s)[-1] <= margin.threshold(s))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, dims (ra*rb) x (ca*cb): ``np.kron``'s products, without its call cost."""
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def spectral_radius(m) -> float:

@@ -51,7 +51,6 @@ from .model import (
 from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
-    kron,
     spectral_radius,
     sym_eigvals,
 )
@@ -177,12 +176,14 @@ def synthesize(
     No search runs when the loss-only bound rho((1 - a11) A (x) A) >= 1
     holds. Only the both-links-arrive mode sees the gain, so every gain
     has L_K(P) >= (1 - a11) A'PA, and a passivity certificate would give
-    L_K(P) < P, which needs that bound below 1. :func:`build_synthesis_lmi`'s
-    checks of eta and D11 come before that guard and before any solve.
+    L_K(P) < P, which needs that bound below 1. The eigenvalues of A (x) A
+    are the products of A's, so the bound is (1 - a11) rho(A)^2, an n x n
+    eigensolve. :func:`build_synthesis_lmi`'s checks of eta and D11 come
+    before that guard and before any solve.
     """
     dist = mode_distribution(loss)
     problem = build_synthesis_lmi(plant, dist, 0.0 if eta == "maximize" else eta, margin)
-    loss_only = spectral_radius((1.0 - dist.prob(1, 1)) * kron(plant.A, plant.A))
+    loss_only = (1.0 - dist.prob(1, 1)) * spectral_radius(plant.A) ** 2
     if loss_only >= 1.0:
         return lmi.Indeterminate(
             message=f"loss-only bound rho((1 - a11) A (x) A) = {loss_only:.6g} >= 1: "

@@ -85,6 +85,21 @@ def per_mode_dissipation_form(fam, weights, eta: float) -> lmi.AffineExpr:
     return expr.at(eta)
 
 
+def svec_rows(n: int) -> np.ndarray:
+    """U, d x n^2: row q is the row-major vec of the q-th orthonormal basis matrix.
+
+    The basis runs over the upper triangle in row-major order: e_i e_i' on
+    the diagonal, (e_i e_j' + e_j e_i') / sqrt(2) above it. U vec(Z) is
+    svec(Z) for symmetric Z, and U' svec(Z) is vec(Z).
+    """
+    rows = []
+    for i, j in zip(*np.triu_indices(n)):
+        e = np.zeros((n, n))
+        e[i, j] = e[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+        rows.append(e.ravel())
+    return np.array(rows)
+
+
 class TestDistinctLoops:
     """The mode sums run over the two distinct loops and agree with the four-mode sums."""
 
@@ -101,7 +116,9 @@ class TestDistinctLoops:
     @pytest.mark.parametrize("k", range(20))
     def test_averaged_sums_match_the_per_mode_sums(self, k):
         fam, dist, p = self.loops(k)
-        per_mode = sum(w * np.kron(fam.a(*mode), fam.a(*mode)) for mode, w in dist.items())
+        u = svec_rows(fam.a(0, 0).shape[0])
+        kron = sum(w * np.kron(fam.a(*mode), fam.a(*mode)) for mode, w in dist.items())
+        per_mode = u @ kron @ u.T
         op = analysis._second_moment_operator(fam, dist)
         np.testing.assert_allclose(op, per_mode, rtol=1e-13, atol=1e-13 * np.abs(per_mode).max())
         form = analysis._dissipation_form(fam, dist.items(), 0.3).assemble({"P": p})
@@ -115,6 +132,99 @@ class TestDistinctLoops:
             form = analysis._dissipation_form(fam, [(mode, 1.0)], 0.3).assemble({"P": p})
             want = per_mode_dissipation_form(fam, [(mode, 1.0)], 0.3).assemble({"P": p})
             assert form.tobytes() == want.tobytes()
+
+
+class TestSvecOperator:
+    """The second-moment operator in svec coordinates acts, adjoins and has rho as the n^2 one."""
+
+    @staticmethod
+    def loop(k: int, n: int):
+        rng = np.random.default_rng([47, n, k])
+        plant = random_plant(rng, n, spectral_scale=float(0.3 + rng.random()))
+        gain = Gain(rng.standard_normal((1, n)))
+        # losses of 0 and 1 give modes of weight 0
+        loss = LossModel(*rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2))
+        z = rng.standard_normal((n, n))
+        fam = closed_loop(plant, gain, 0, full_packet_schedule())
+        return fam, mode_distribution(loss), z + z.T
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", range(4))
+    def test_action_is_the_mode_sum(self, n, k):
+        fam, dist, z = self.loop(k, n)
+        op = analysis._second_moment_operator(fam, dist)
+        assert op.shape == (n * (n + 1) // 2,) * 2
+        got = analysis._unsvec(op @ analysis._svec(z), n)
+        want = sum(w * fam.a(*mode) @ z @ fam.a(*mode).T for mode, w in dist.items())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert (got == got.T).all()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", range(4))
+    def test_transpose_is_the_lyapunov_map(self, n, k):
+        # <op svec(Z), svec(P)> = <Z, sum_m a_m A_m' P A_m> needs an orthonormal basis's sqrt(2)
+        fam, dist, z = self.loop(k, n)
+        p = self.loop(k + 100, n)[2]
+        op = analysis._second_moment_operator(fam, dist)
+        got = float((op @ analysis._svec(z)) @ analysis._svec(p))
+        lyap = sum(w * fam.a(*mode).T @ p @ fam.a(*mode) for mode, w in dist.items())
+        want = float(np.sum(z * lyap))
+        scale = np.abs(z).max() * np.abs(lyap).max()
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11 * scale)
+
+    def test_svec_is_an_isometry_and_unsvec_its_inverse(self):
+        rng = np.random.default_rng(53)
+        for n in range(1, 7):
+            z, p = (m + m.T for m in rng.standard_normal((2, n, n)))
+            v = analysis._svec(z)
+            assert float(v @ analysis._svec(p)) == pytest.approx(float(np.sum(z * p)))
+            np.testing.assert_allclose(analysis._unsvec(v, n), z, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(svec_rows(n) @ z.ravel(), v, rtol=1e-15, atol=1e-15)
+
+    def test_the_basis_stack_is_cached_and_read_only(self):
+        basis = analysis._svec_basis(4)
+        assert analysis._svec_basis(4) is basis and basis.shape == (10, 4, 4)
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 2.0
+
+    @staticmethod
+    def kron_rho(families, dist) -> float:
+        """Per-step rho of the n^2 operator sum_m a_m kron(A_m, A_m), composed over the period."""
+        n = families[0].a(0, 0).shape[0]
+        product = np.eye(n * n)
+        for fam in families:
+            product = sum(w * np.kron(fam.a(*m), fam.a(*m)) for m, w in dist.items()) @ product
+        return float(np.abs(np.linalg.eigvals(product)).max()) ** (1.0 / len(families))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rho_is_that_of_the_n_squared_operator_on_random_loops(self, n):
+        for k in range(10):
+            fam, dist, _ = self.loop(k, n)
+            assert sms_oracle(fam, dist).rho == pytest.approx(self.kron_rho([fam], dist), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, np.pi / 2])
+    def test_rho_is_that_of_the_n_squared_operator_on_rotations(self, theta):
+        # A = r R(theta) (+) s: eigenvalues r e^{+-i theta} and s, so kron(A, A) is complex
+        for r, s in ((0.9, 0.2), (1.1, 0.95), (0.7, -1.05)):
+            rot = r * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            a = np.block([[rot, np.zeros((2, 1))], [np.zeros((1, 2)), np.array([[s]])]])
+            plant = Plant(A=a, B1=np.ones((3, 1)), B2=[[1.0], [0.0], [0.5]], C1=np.ones((1, 3)),
+                          D11=[[1.0]], D12=[[0.0]])
+            fam = closed_loop(plant, Gain([[-0.2, 0.1, -0.3]]), 0, full_packet_schedule())
+            dist = mode_distribution(LossModel(0.1, 0.3))
+            assert sms_oracle(fam, dist).rho == pytest.approx(self.kron_rho([fam], dist), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_rho_is_that_of_the_n_squared_operator_on_two_periodic_families(self, k):
+        rng = np.random.default_rng([59, k])
+        n = int(rng.integers(2, 6))
+        plant = random_plant(rng, n, spectral_scale=float(0.5 + rng.random()))
+        sched = Schedule(period=2, s1=(int(rng.integers(1, n + 1)), 0), s2=(0, 1))
+        families = [closed_loop(plant, Gain(rng.standard_normal((1, n))), j, sched)
+                    for j in range(2)]
+        dist = mode_distribution(random_loss(rng))
+        assert sms_oracle(families, dist).rho == pytest.approx(
+            self.kron_rho(families, dist), rel=1e-12)
 
 
 def assert_refuted(result, plant, gain, schedule, dist):
@@ -622,3 +732,27 @@ class TestDissipationIdentity:
         p = np.array([[2.0, 0.3], [0.3, 1.5]])
         res = dissipation_identity_check(plant, gain, mode_distribution(loss), p, 0.2, trace)
         assert res <= 1e-9
+
+    def test_one_form_per_slot_and_distinct_loop(self, monkeypatch):
+        # the three modes that lose a message share the open loop's form
+        built = []
+        dissipation_form = analysis._dissipation_form
+
+        def counting(fam, weights, eta):
+            built.append(tuple(weights))
+            return dissipation_form(fam, weights, eta)
+
+        monkeypatch.setattr(analysis, "_dissipation_form", counting)
+        rng = np.random.default_rng(37)
+        plant = random_plant(rng, 2, spectral_scale=0.7)
+        gain = Gain(rng.standard_normal((1, 2)))
+        sched = Schedule(period=3, s1=(1, 0, 2), s2=(0, 1, 0))
+        loss = LossModel(0.3, 0.2)
+        trace = sim.simulate(plant, gain, sched, loss, sim.InputSignal.white_noise(1),
+                             300, seed=4, x0=[1.0, -0.5])
+        assert len(set(zip(trace.slots.tolist(), trace.theta1.tolist(),
+                           trace.theta2.tolist()))) == 12
+        p = np.array([[2.0, 0.3], [0.3, 1.5]])
+        res = dissipation_identity_check(plant, gain, mode_distribution(loss), p, 0.2, trace)
+        assert res <= 1e-9
+        assert sorted(built) == 3 * [(((0, 0), 1.0),)] + 3 * [(((1, 1), 1.0),)]

@@ -5,7 +5,6 @@ from ncspassive.errors import DimensionMismatch, InvalidMatrix
 from ncspassive.numerics import (
     DefinitenessMargin,
     is_neg_definite,
-    kron,
     schur_complement,
     schur_neg_def,
     spectral_radius,
@@ -64,28 +63,6 @@ class TestDefiniteness:
             DefinitenessMargin(1.0)
 
 
-class TestKron:
-    def test_identity_factor_gives_block_diagonal(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        expected = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
-        np.testing.assert_allclose(kron(np.eye(2), b), expected)
-
-    def test_scalars_multiply(self):
-        np.testing.assert_allclose(kron([[3.0]], [[-2.0]]), [[-6.0]])
-
-    def test_hand_expansion(self):
-        got = kron([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(got[0], [0.0, 1.0, 0.0, 2.0])
-        assert got.shape == (4, 4)
-
-    @pytest.mark.parametrize("shape_a, shape_b", [((3, 3), (3, 3)), ((2, 5), (4, 3)),
-                                                  ((1, 1), (1, 1)), ((1, 1), (2, 3))])
-    def test_equals_np_kron(self, shape_a, shape_b):
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
-        np.testing.assert_array_equal(kron(a, b), np.kron(a, b))
-
-
 class TestSpectralRadius:
     def test_diagonal(self):
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
@@ -105,7 +82,7 @@ class TestSpectralRadius:
         for _ in range(100):
             n = int(rng.integers(1, 5))
             a = rng.standard_normal((n, n))
-            assert spectral_radius(kron(a, a)) == pytest.approx(
+            assert spectral_radius(np.kron(a, a)) == pytest.approx(
                 spectral_radius(a) ** 2, abs=1e-8, rel=1e-8
             )
 
