@@ -111,8 +111,8 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
     families = [family] if isinstance(family, ClosedLoopFamily) else list(family)
     if not families:
         raise ValueError("need at least one closed-loop family")
-    product = np.eye(_svec_dim(families[0].a(0, 0).shape[0]))
-    for fam in families:
+    product = _second_moment_operator(families[0], dist)
+    for fam in families[1:]:
         product = _second_moment_operator(fam, dist) @ product
     rho = spectral_radius(product) ** (1.0 / len(families))
     return SmsReport(rho=rho, stable=rho < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
@@ -259,9 +259,9 @@ def stability_lmi(
         for k in range(period - 1, 0, -1):  # P_k = I + L_k(P_{k+1})
             nxt = svec_i + adjoint[k].T @ nxt
             ps[f"P{k}"] = _unsvec(nxt, n)
-        # verify's P{k}_pos_def check on the same -P_k: an unstable loop's P_k is
-        # indefinite, and its certificate is built only if the dual fails, for the reason
-        if all(is_neg_definite(-p, margin) for p in ps.values()):
+        # the build checks each P_k > 0, which a diagonal entry <= 0 fails: an unstable
+        # loop's P_0 has one, and its certificate is built only if the dual fails, for the reason
+        if not any(p.diagonal().min() <= 0.0 for p in ps.values()):
             (certificate, reason), ps = _build(prob, ps), None
             if certificate is not None:
                 return certificate

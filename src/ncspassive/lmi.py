@@ -10,11 +10,11 @@ Vandenberghe & Boyd, "Semidefinite programming", *SIAM Review* 38,
     min t  subject to  M_c(v) <= t I  for every constraint c,
 
 and ends in one of three ways: a certificate, once a point passes the
-eigenvalue-based ``verify``, which shares no state with the solver; an
-Indeterminate whose ``dual`` refutes the problem, once the barrier's
-multipliers pass ``verify_dual``; or an Indeterminate without a dual,
-once the Newton-step budget (``max_iters``, MAX_ITERS by default) runs
-out or t stops moving.
+eigenvalue-based ``verify`` (one eigensolve per block size), which shares
+no state with the solver; an Indeterminate whose ``dual`` refutes the
+problem, once the barrier's multipliers pass ``verify_dual``; or an
+Indeterminate without a dual, once the Newton-step budget (``max_iters``,
+MAX_ITERS by default) runs out or t stops moving.
 
 At a point the barrier holds every constraint's slack as one diagonal
 block of a single block-diagonal matrix, as SDP codes do (Fujisawa,
@@ -49,6 +49,7 @@ passed it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +59,10 @@ from .errors import DimensionMismatch, UnboundVariable, VerificationFailed
 from .numerics import (
     DEFAULT_MARGIN,
     DefinitenessMargin,
+    _eigen_norms,
+    _fro_norms,
     as_matrix,
     fro_norm,
-    sym_eigvals,
     symmetrize,
 )
 
@@ -133,7 +135,7 @@ class AffineExpr:
         if not self.block_dims or any(d < 1 for d in self.block_dims):
             raise ValueError(f"block dims must be positive, got {self.block_dims}")
         self.name = name
-        ends = np.cumsum(self.block_dims).tolist()
+        ends = list(itertools.accumulate(self.block_dims))
         self._slices = tuple(slice(end - d, end) for d, end in zip(self.block_dims, ends))
         self.dim = ends[-1]
         self._consts: list[tuple[int, int, np.ndarray]] = []
@@ -300,7 +302,8 @@ class LmiProblem:
         self._add_variable(LmiVariable(name, "symmetric", dim, dim))
         if positive_definite:
             expr = AffineExpr([dim], name=f"{name}_pos_def")
-            expr.add_term(0, 0, -np.eye(dim), name, np.eye(dim))
+            neg, eye = _identity(dim)  # -I V I, its arrays valid by construction
+            expr._terms.append(_Term(0, 0, neg, name, eye, 1.0))
             self.add_constraint(expr, name=f"{name}_pos_def")
         return name
 
@@ -362,17 +365,15 @@ class VerifyReport:
 def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
     """Independent certificate check: eigenvalues of every assembled constraint.
 
-    Pure recomputation from the problem data, at ``problem.margin``;
-    shares no state with the solver.
+    Pure recomputation from the problem data, at ``problem.margin``, one
+    eigensolve per block size; shares no state with the solver.
     """
-    checks = []
-    for name, expr in problem.constraints:
-        m = expr.assemble(assignment)
-        lam = float(sym_eigvals(m)[-1])
-        norm = fro_norm(m)
-        threshold = -problem.margin.epsilon_rel * (1.0 + norm)  # problem.margin.threshold(m)
-        checks.append(ConstraintCheck(name=name, lambda_max=lam, threshold=threshold, norm=norm))
-    return VerifyReport(checks=tuple(checks))
+    eps = problem.margin.epsilon_rel
+    lams, norms = _eigen_norms([expr.assemble(assignment) for _, expr in problem.constraints], -1)
+    return VerifyReport(checks=tuple(
+        # the threshold is problem.margin.threshold(M)
+        ConstraintCheck(name=name, lambda_max=lam, threshold=-eps * (1.0 + norm), norm=norm)
+        for (name, _), lam, norm in zip(problem.constraints, lams, norms)))
 
 
 @dataclass(frozen=True)
@@ -405,21 +406,22 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
     epsilon_rel * (1 + ||Z_c||_F); a variable's summed gradient allows
     epsilon_rel * (1 + the sum of its per-constraint gradient norms).
     Like :func:`verify`, this recomputes everything from the problem data,
-    at ``problem.margin``.
+    at ``problem.margin``, one eigensolve per block size.
     """
     eps = problem.margin.epsilon_rel
-    psd_slack = np.inf
-    trace = constant = 0.0
-    grads: dict[str, list] = {}
-    for name, expr in problem.constraints:
-        z = symmetrize(multipliers[name], f"multiplier {name!r}")
+    zs = [symmetrize(multipliers[name], f"multiplier {name!r}") for name, _ in problem.constraints]
+    for (name, expr), z in zip(problem.constraints, zs):
         if z.shape != (expr.dim, expr.dim):
             raise DimensionMismatch(
                 f"multiplier {name!r} must be {expr.dim}x{expr.dim}, got {z.shape}"
             )
-        psd_slack = min(psd_slack, float(sym_eigvals(z)[0]) + eps * (1.0 + fro_norm(z)))
-        trace += float(np.trace(z))
-        constant += float(np.sum(z * expr.constant()))
+    psd_slack = np.inf
+    trace = constant = 0.0
+    grads: dict[str, list] = {}
+    for (_, expr), z, low, norm in zip(problem.constraints, zs, *_eigen_norms(zs, 0)):
+        psd_slack = min(psd_slack, low + eps * (1.0 + norm))
+        trace += float(z.trace())
+        constant += float((z * expr.constant()).sum())
         for vname in expr.variables():
             grads.setdefault(vname, []).append(
                 expr.grad(vname, z, problem.variables[vname].shape)
@@ -429,8 +431,8 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
         total = sum(parts)
         if problem.variables[vname].kind == "symmetric":
             total = 0.5 * (total + total.T)
-        allowance = eps * (1.0 + sum(fro_norm(g) for g in parts))
-        gradient_slack = min(gradient_slack, allowance - fro_norm(total))
+        *part_norms, total_norm = _fro_norms([*parts, total])
+        gradient_slack = min(gradient_slack, eps * (1.0 + sum(part_norms)) - total_norm)
     return DualReport(
         psd_slack=float(psd_slack),
         trace=trace,
@@ -729,6 +731,12 @@ def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(dim: int) -> tuple:
+    """(-I, I) of size dim, read-only: the term of each positive-definite side condition."""
+    return _read_only(-np.eye(dim), np.eye(dim))
 
 
 @functools.lru_cache(maxsize=64)

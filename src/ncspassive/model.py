@@ -36,6 +36,7 @@ __all__ = [
 
 # Mode ordering used everywhere a mode-indexed family or LMI row appears.
 MODES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+_MODE_INDEX = {mode: i for i, mode in enumerate(MODES)}
 
 
 def _frozen_array(value, name: str) -> np.ndarray:
@@ -178,13 +179,11 @@ class ModeDistribution:
             raise ValueError(f"mode probabilities must sum to 1, got {total!r}")
 
     def prob(self, theta1: int, theta2: int) -> float:
-        return {(0, 0): self.p00, (0, 1): self.p01, (1, 0): self.p10, (1, 1): self.p11}[
-            (theta1, theta2)
-        ]
+        return self.items()[_MODE_INDEX[(theta1, theta2)]][1]
 
     def items(self) -> tuple:
         """((theta1, theta2), probability) pairs in MODES order."""
-        return tuple((mode, self.prob(*mode)) for mode in MODES)
+        return tuple(zip(MODES, (self.p00, self.p01, self.p10, self.p11)))
 
 
 @dataclass(frozen=True)
@@ -304,11 +303,12 @@ def closed_loop(plant: Plant, gain: Gain, k: int, schedule: Schedule) -> ClosedL
         raise DimensionMismatch(
             f"gain must be {plant.m2}x{plant.n} for this plant, got {K.shape}"
         )
-    s1k, s2k = selector_matrices(schedule, k, plant.p2, plant.m2)
-    feed = plant.B2 @ (s2k @ s2k.T) @ K @ (s1k.T @ s1k)
-    feed_z = plant.D12 @ (s2k @ s2k.T) @ K @ (s1k.T @ s1k)
-    a_loops = (plant.A + 0.0 * feed, plant.A + 1.0 * feed)
-    c_loops = (plant.C1 + 0.0 * feed_z, plant.C1 + 1.0 * feed_z)
+    if not schedule.full_packet:  # identity selectors change no entry, nor a zero's sign
+        s1k, s2k = selector_matrices(schedule, k, plant.p2, plant.m2)
+        K = (s2k @ s2k.T) @ K @ (s1k.T @ s1k)
+    feed, feed_z = plant.B2 @ K, plant.D12 @ K
+    a_loops = (plant.A + 0.0 * feed, plant.A + feed)
+    c_loops = (plant.C1 + 0.0 * feed_z, plant.C1 + feed_z)
     return ClosedLoopFamily(a_modes={(i, j): a_loops[i * j] for i, j in MODES},
                             c_modes={(i, j): c_loops[i * j] for i, j in MODES},
                             b=plant.B1, d=plant.D11)

@@ -8,6 +8,7 @@ there are no sparse or iterative paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,18 @@ def symmetrize(value, name: str = "matrix") -> np.ndarray:
 
 def fro_norm(m) -> float:
     """||M||_F, rescaled by the largest |entry| only where the plain sum of squares overflows."""
-    m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
-    if norm == np.inf and np.isfinite(m).all():
-        scale = float(np.abs(m).max())
-        norm = scale * float(np.linalg.norm(m / scale))
-    return norm
+    return _fro_norms([np.asarray(m, dtype=float)])[0]
+
+
+def _fro_norms(ms) -> list:
+    """fro_norm of each float array: np.linalg.norm's one dot product each, under one errstate."""
+    with np.errstate(over="ignore"):  # numpy's dot warns on overflow
+        norms = [math.sqrt(flat.dot(flat)) for flat in (m.ravel(order="K") for m in ms)]
+    for i, m in enumerate(ms):
+        if norms[i] == math.inf and np.isfinite(m).all():
+            scale = float(np.abs(m).max())
+            norms[i] = scale * float(np.linalg.norm(m / scale))
+    return norms
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,22 @@ def sym_eigvals(m) -> np.ndarray:
 
 def is_neg_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     """True iff lambda_max(sym(M)) clears the margin threshold."""
-    s = symmetrize(m)
-    return bool(sym_eigvals(s)[-1] <= margin.threshold(s))
+    (lam,), (norm,) = _eigen_norms([symmetrize(m)], -1)
+    return bool(lam <= -margin.epsilon_rel * (1.0 + norm))  # margin.threshold
+
+
+def _eigen_norms(ms, end: int) -> tuple[list, list]:
+    """sym_eigvals(M)[end] and fro_norm(M) of each M = sym(M) exactly, one eigensolve per size."""
+    norms, sizes, lams = _fro_norms(ms), {}, [0.0] * len(ms)
+    for i, (m, norm) in enumerate(zip(ms, norms)):
+        if not math.isfinite(norm):
+            as_matrix(m)  # refuses a non-finite M, as symmetrizing it does
+        sizes.setdefault(m.shape[0], []).append(i)
+    for rows in sizes.values():
+        stack = ms[rows[0]][None] if len(rows) == 1 else np.stack([ms[i] for i in rows])
+        for i, lam in zip(rows, np.linalg.eigvalsh(stack)[:, end].tolist()):
+            lams[i] = lam
+    return lams, norms
 
 
 def spectral_radius(m) -> float:

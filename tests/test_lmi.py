@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ncspassive import lmi
-from ncspassive.errors import DimensionMismatch, UnboundVariable, VerificationFailed
+from ncspassive.analysis import passivity_problem, stability_problem
+from ncspassive.errors import (
+    DimensionMismatch,
+    InvalidMatrix,
+    UnboundVariable,
+    VerificationFailed,
+)
 from ncspassive.lmi import (
     AffineExpr,
     Indeterminate,
@@ -12,7 +18,9 @@ from ncspassive.lmi import (
     verify,
     verify_dual,
 )
-from ncspassive.numerics import DefinitenessMargin, sym_eigvals
+from ncspassive.model import Gain, LossModel, Plant, Schedule, mode_distribution
+from ncspassive.numerics import DefinitenessMargin, fro_norm, sym_eigvals, symmetrize
+from ncspassive.synthesis import build_synthesis_lmi
 
 
 def scalar_lyapunov_problem(a: float) -> LmiProblem:
@@ -639,3 +647,112 @@ class TestVerifyDual:
         with pytest.raises(DimensionMismatch):
             verify_dual(scalar_lyapunov_problem(2.0),
                         {"lyapunov": np.eye(2), "P_pos_def": [[0.75]]})
+
+
+
+def verify_reference(prob: LmiProblem, assignment: dict) -> list:
+    """(name, lambda_max, threshold, norm) per constraint: one eigvalsh and np.linalg.norm each."""
+    eps = prob.margin.epsilon_rel
+    out = []
+    for name, expr in prob.constraints:
+        m = expr.assemble(assignment)
+        norm = float(np.linalg.norm(m))
+        out.append((name, float(np.linalg.eigvalsh(m)[-1]), -eps * (1.0 + norm), norm))
+    return out
+
+
+def verify_dual_reference(prob: LmiProblem, multipliers: dict) -> tuple:
+    """verify_dual's four fields, one multiplier, eigensolve and norm at a time."""
+    eps = prob.margin.epsilon_rel
+    psd_slack, trace, constant, grads = np.inf, 0.0, 0.0, {}
+    for name, expr in prob.constraints:
+        z = symmetrize(multipliers[name])
+        psd_slack = min(psd_slack, float(sym_eigvals(z)[0]) + eps * (1.0 + fro_norm(z)))
+        trace += float(np.trace(z))
+        constant += float(np.sum(z * expr.constant()))
+        for vname in expr.variables():
+            grads.setdefault(vname, []).append(expr.grad(vname, z, prob.variables[vname].shape))
+    gradient_slack = np.inf
+    for vname, parts in grads.items():
+        total = sum(parts)
+        if prob.variables[vname].kind == "symmetric":
+            total = 0.5 * (total + total.T)
+        allowance = eps * (1.0 + sum(fro_norm(g) for g in parts))
+        gradient_slack = min(gradient_slack, allowance - fro_norm(total))
+    return psd_slack, trace, gradient_slack, constant
+
+
+def random_symmetric(rng, n: int) -> np.ndarray:
+    m = rng.standard_normal((n, n))
+    return m + m.T + 2.0 * n * np.eye(n) * rng.random()
+
+
+def random_stability_problems(rng):
+    """stability_problem of a random loop at n = 1-6 on schedules of periods 1, 2 and 3."""
+    for n in range(1, 7):
+        plant = Plant(A=rng.standard_normal((n, n)), B1=rng.standard_normal((n, 1)),
+                      B2=rng.standard_normal((n, 2)), C1=rng.standard_normal((1, n)),
+                      D11=[[1.0]], D12=rng.standard_normal((1, 2)))
+        gain = Gain(rng.standard_normal((2, n)))
+        dist = mode_distribution(LossModel(float(rng.random()), float(rng.random())))
+        for schedule in (Schedule(period=1, s1=(0,), s2=(0,), full_packet=True),
+                         Schedule(period=2, s1=(n, 0), s2=(0, 1)),
+                         Schedule(period=3, s1=(1, 0, 0), s2=(0, 2, 0))):
+            yield n, stability_problem(plant, gain, schedule, dist)
+
+
+class TestBatchedVerify:
+    """verify's stacked eigensolves against one eigensolve per constraint, bit for bit."""
+
+    @staticmethod
+    def assert_matches(prob: LmiProblem, assignment: dict) -> None:
+        checks = [(c.name, c.lambda_max, c.threshold, c.norm) for c in verify(prob, assignment).checks]
+        assert checks == verify_reference(prob, assignment)
+
+    def test_stability_forms_periods_1_to_3(self):
+        rng = np.random.default_rng(36)
+        for n, prob in random_stability_problems(rng):
+            for _ in range(3):
+                self.assert_matches(prob, {name: random_symmetric(rng, n) for name in prob.variables})
+
+    def test_synthesis_and_dissipation_forms_mix_block_sizes(self):
+        rng = np.random.default_rng(63)
+        for n, m1 in ((1, 1), (2, 1), (3, 2), (5, 3)):
+            plant = Plant(A=rng.standard_normal((n, n)), B1=rng.standard_normal((n, m1)),
+                          B2=rng.standard_normal((n, 2)), C1=rng.standard_normal((m1, n)),
+                          D11=2.0 * np.eye(m1), D12=rng.standard_normal((m1, 2)))
+            dist = mode_distribution(LossModel(0.1, 0.2))
+            synthesis = build_synthesis_lmi(plant, dist, 0.3)
+            dissipation = passivity_problem(plant, Gain(rng.standard_normal((2, n))), dist, 0.3)
+            assert len({expr.dim for _, expr in synthesis.constraints}) == 2
+            assert len({expr.dim for _, expr in dissipation.constraints}) == 2
+            for _ in range(3):
+                self.assert_matches(synthesis, {"X": random_symmetric(rng, n),
+                                                "Y": rng.standard_normal((2, n))})
+                self.assert_matches(dissipation, {"P": random_symmetric(rng, n)})
+
+    def test_non_finite_assembly_raises(self):
+        prob = lyapunov_problem(np.array([[1e200, 0.0], [0.0, 0.5]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                verify(prob, {"P": np.array([[np.inf, 0.0], [0.0, 1.0]])})
+            # a finite P whose product A' P A overflows
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                verify(prob, {"P": np.eye(2)})
+
+    def test_overflowing_squares_are_rescaled(self):
+        # entries of 1e160: their squares overflow, the matrices do not
+        report = verify(lyapunov_problem(np.array([[0.5]])), {"P": np.array([[1e160]])})
+        for check, entry in zip(report.checks, (-1e160, 0.25e160 - 1e160)):
+            assert check.lambda_max == entry and check.norm == abs(entry)
+
+
+class TestBatchedVerifyDual:
+    def test_matches_one_eigensolve_per_multiplier(self):
+        rng = np.random.default_rng(8)
+        for n, prob in random_stability_problems(rng):
+            for _ in range(2):
+                zs = {name: random_symmetric(rng, expr.dim) / n for name, expr in prob.constraints}
+                report = verify_dual(prob, zs)
+                fields = (report.psd_slack, report.trace, report.gradient_slack, report.constant)
+                assert fields == verify_dual_reference(prob, zs)

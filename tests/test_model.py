@@ -205,3 +205,48 @@ def test_plant_dimension_checks():
     with pytest.raises(DimensionMismatch, match="^A must be square, got 2x3$"):
         Plant(A=np.ones((2, 3)), B1=np.ones((2, 1)), B2=np.ones((2, 1)),
               C1=np.ones((1, 2)), D11=[[1.0]], D12=[[0.0]])
+
+
+class TestFullPacketFeed:
+    """Full-packet closed loops form B2 K and D12 K without the identity selectors, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m2", [1, 2, 3])
+    def test_matches_selector_products_and_sign_of_zero(self, n, m2):
+        rng = np.random.default_rng([n, m2])
+        for _ in range(20):
+            def draw(rows, cols):
+                m = rng.standard_normal((rows, cols))
+                m[rng.random((rows, cols)) < 0.3] = 0.0
+                m[rng.random((rows, cols)) < 0.3] = -0.0
+                return m
+            plant = Plant(A=draw(n, n), B1=draw(n, 1), B2=draw(n, m2), C1=draw(2, n),
+                          D11=draw(2, 1), D12=draw(2, m2))
+            gain = Gain(draw(m2, n))
+            fam = closed_loop(plant, gain, 0, full_packet_schedule())
+            s1k, s2k = selector_matrices(full_packet_schedule(), 0, plant.p2, plant.m2)
+            feed = plant.B2 @ (s2k @ s2k.T) @ gain.K @ (s1k.T @ s1k)
+            feed_z = plant.D12 @ (s2k @ s2k.T) @ gain.K @ (s1k.T @ s1k)
+            for i, j in MODES:
+                fb = float(i * j)
+                for got, want in ((fam.a(i, j), plant.A + fb * feed),
+                                  (fam.c(i, j), plant.C1 + fb * feed_z)):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestModeDistributionValues:
+    def test_items_and_prob_give_the_four_fields(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            d = mode_distribution(LossModel(float(rng.random()), float(rng.random())))
+            fields = {(0, 0): d.p00, (0, 1): d.p01, (1, 0): d.p10, (1, 1): d.p11}
+            assert d.items() == tuple((mode, fields[mode]) for mode in MODES)
+            for mode in MODES:
+                assert d.prob(*mode) == fields[mode]
+            assert d.prob(True, np.int64(1)) == d.p11
+
+    def test_unknown_mode_raises_key_error(self):
+        d = mode_distribution(LossModel(0.2, 0.1))
+        with pytest.raises(KeyError):
+            d.prob(2, 0)

@@ -4,6 +4,7 @@ import pytest
 from ncspassive.errors import DimensionMismatch, InvalidMatrix
 from ncspassive.numerics import (
     DefinitenessMargin,
+    fro_norm,
     is_neg_definite,
     schur_complement,
     schur_neg_def,
@@ -144,3 +145,52 @@ def test_symmetrize_requires_square():
 def test_symmetrize_averages():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     np.testing.assert_allclose(symmetrize(m), [[1.0, 1.0], [1.0, 1.0]])
+
+
+class TestFroNorm:
+    """fro_norm is np.linalg.norm's one dot product, and rescales only where it overflows."""
+
+    def test_bit_for_bit_with_numpy_norm(self):
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            m = rng.standard_normal((int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+            m *= 10.0 ** rng.uniform(-100, 100)
+            for view in (m, np.asfortranarray(m), m[::2], m[:, ::-1], m.T, m[1:, ::3]):
+                assert fro_norm(view) == float(np.linalg.norm(view))
+
+    def test_overflowing_squares_rescale(self):
+        m = np.array([[1e200, -3e200], [2e199, 0.0]])
+        assert np.linalg.norm(m / 3e200) < 2.0
+        assert fro_norm(m) == 3e200 * float(np.linalg.norm(m / 3e200))
+
+    def test_non_finite_entries(self):
+        assert fro_norm([[np.inf, 1.0]]) == np.inf
+        assert np.isnan(fro_norm([[np.nan, 1.0]]))
+
+
+def is_neg_definite_reference(m, margin=DefinitenessMargin()) -> bool:
+    """Symmetrize, then sym_eigvals (which symmetrizes again) against margin.threshold."""
+    s = symmetrize(m)
+    return bool(sym_eigvals(s)[-1] <= margin.threshold(s))
+
+
+class TestIsNegDefiniteOverflow:
+    @pytest.mark.parametrize("m", [
+        [[-1e200, 1e199], [1e199, -1e200]],
+        [[-1e200, 3e200], [-1e200, -1e200]],
+        [[1e200, 0.0], [0.0, -1e200]],
+        [[-1e160, 0.0], [5e159, -2e160]],
+    ])
+    def test_large_entries_match_the_double_symmetrization(self, m):
+        assert is_neg_definite(m) == is_neg_definite_reference(m)
+
+    @pytest.mark.parametrize("m", [
+        [[-1e308, -1e308], [-1e308, -1e308]],
+        [[-1.0, 1.5e308], [1.5e308, -1.0]],
+    ])
+    def test_overflowing_symmetrization_raises(self, m):
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                is_neg_definite_reference(m)
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                is_neg_definite(m)
