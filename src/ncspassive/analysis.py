@@ -23,10 +23,10 @@ exactly when rho < 1, and then the coupled Lyapunov equation
 P_k - L_k(P_{k+1}) = I has a positive definite solution (Costa, Fragoso
 & Marques, *Discrete-Time Markov Jump Linear Systems*, Springer 2005).
 ``stability_lmi`` solves that linear equation and verifies the solution
-against the coupled Lyapunov LMIs. When it does not verify, the Perron
-eigenvector of the period's adjoint operator gives multipliers that
-``lmi.verify_dual`` checks as a proof that no P exists; they are offered
-only where the SMS oracle also finds rho >= 1.
+against the coupled Lyapunov LMIs. When it does not verify and the SMS
+oracle's rho is >= 1, the Perron eigenvector of the period's adjoint
+operator, two resolvent solves at that rho^N, gives multipliers that
+``lmi.verify_dual`` checks as a proof that no P exists.
 
 Strict passivity with dissipation eta is certified through the averaged
 dissipation form
@@ -214,8 +214,7 @@ def _lyapunov_block(expr: lmi.AffineExpr, fam: ClosedLoopFamily, weights, nxt, n
     """Add sum_m w_m A_m' nxt A_m - now at block (0, 0), one term per distinct loop of (mode, w_m)."""
     for a, _, w in fam.loops(weights):
         expr.add_term(0, 0, a.T, nxt, a, weight=w)
-    eye = np.eye(fam.a(0, 0).shape[0])
-    expr.add_term(0, 0, -eye, now, eye)
+    expr.add_negated(0, now)
 
 
 def stability_lmi(
@@ -230,9 +229,9 @@ def stability_lmi(
     Solves the coupled Lyapunov equation P_k - L_k(P_{k+1 mod N}) = I and
     returns a :class:`StabilityCertificate` when the solution verifies.
     Otherwise returns an Indeterminate whose ``dual`` holds multipliers
-    that passed ``lmi.verify_dual``, offered only when :func:`sms_oracle`'s
+    that passed ``lmi.verify_dual``, sought only when :func:`sms_oracle`'s
     rho^N, the spectral radius of the period operator solved with, is >= 1.
-    Never raises for a singular or ill-conditioned system.
+    Never raises for a singular, ill-conditioned or overflowing system.
     """
     period = schedule.period
     n = plant.n
@@ -268,15 +267,15 @@ def stability_lmi(
     # The adjoint period operator is T'; its Perron eigenvalue is rho^N. The
     # forms are homogeneous in P, so verify_dual's allowance alone can pass a
     # dual of a stable loop in badly scaled coordinates: rho(T) = rho^N must be >= 1.
-    z0 = _perron_vector(t.T, n)
-    dual = None if z0 is None else _stability_dual(adjoint, z0)
-    if (dual is not None and lmi.verify_dual(prob, dual).passed
-            and spectral_radius(t) >= 1.0):
-        return lmi.Indeterminate(
-            message="refuted: the Perron multiplier of the period's second-moment "
-            "operator proves that no P satisfies the coupled Lyapunov LMIs",
-            dual=dual,
-        )
+    if np.isfinite(t).all() and (rho := spectral_radius(t)) >= 1.0:
+        z0 = _perron_vector(t.T, n, rho)
+        dual = None if z0 is None else _stability_dual(adjoint, z0)
+        if dual is not None and lmi.verify_dual(prob, dual).passed:
+            return lmi.Indeterminate(
+                message="refuted: the Perron multiplier of the period's second-moment "
+                "operator proves that no P satisfies the coupled Lyapunov LMIs",
+                dual=dual,
+            )
     if ps is not None:
         reason = _build(prob, ps)[1]
     return lmi.Indeterminate(message=f"{reason}; no dual certificate found")
@@ -290,28 +289,28 @@ def _build(prob: lmi.LmiProblem, ps: dict) -> tuple:
         return None, f"the coupled Lyapunov equation's solution does not verify: {exc}"
 
 
-# Squarings in the power iteration: op / s + I raised to 2**40.
-POWER_SQUARINGS = 40
+# mu / rho - 1 of the resolvent: clears the eigensolve's rounding of rho on non-normal operators.
+RESOLVENT_SHIFT = 1e-10
 
 
-def _perron_vector(op: np.ndarray, n: int) -> np.ndarray | None:
+def _perron_vector(op: np.ndarray, n: int, rho: float) -> np.ndarray | None:
     """Trace-one Perron eigenvector of the svec operator ``op``, as n x n, or None.
 
-    Power iteration from I, which stays in the PSD cone because ``op``
-    maps the cone into itself. It runs on op / s + I, with s the largest
-    absolute row sum (at least 1), which bounds every eigenvalue's
-    modulus: the Perron eigenvalue then strictly dominates even when
-    others share its modulus (as on periodic schedules). Repeated
-    squaring lets a slow ratio still converge.
+    Two steps of inverse iteration (Ipsen, *SIAM Review* 39, 1997) from I
+    at mu = rho (1 + RESOLVENT_SHIFT), rho being ``op``'s spectral radius.
+    For mu > rho the resolvent sum_k op^k / mu^(k+1) maps the PSD cone
+    into itself, as ``op`` does, and favours the eigenvalue nearest mu
+    over any other of the same modulus (as on periodic schedules). Should
+    rounding put mu below rho, the solves change sign; the trace undoes it.
     """
-    if not np.isfinite(op).all():
+    shifted = rho * (1.0 + RESOLVENT_SHIFT) * np.eye(op.shape[0]) - op
+    try:
+        z = np.linalg.solve(shifted, _svec(np.eye(n)))
+        z = _unsvec(np.linalg.solve(shifted, z / np.abs(z).max()), n)
+    except np.linalg.LinAlgError:
         return None
-    power = op / max(float(np.abs(op).sum(axis=1).max()), 1.0) + np.eye(op.shape[0])
-    for _ in range(POWER_SQUARINGS):
-        power = power @ power
-        power /= np.abs(power).max()  # nonzero: power has a positive eigenvalue
-    z = _unsvec(power @ _svec(np.eye(n)), n)
-    return z / np.trace(z) if np.trace(z) > 0.0 else None
+    trace = np.trace(z)
+    return z / trace if np.isfinite(z).all() and trace != 0.0 else None
 
 
 def _stability_dual(adjoint: list, z0: np.ndarray) -> dict | None:

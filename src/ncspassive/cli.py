@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, lmi, sim, synthesis
-from .errors import AssumptionViolated, ConfigError, NcsPassiveError
+from .errors import AssumptionViolated, ConfigError, InvalidMatrix, NcsPassiveError
 from .model import (
     Gain,
     LossModel,
@@ -375,9 +375,19 @@ def _write_report(out_path, command: str, config: ScenarioConfig, results: dict,
 
 
 def _sms(config: ScenarioConfig, gain: Gain, dist) -> analysis.SmsReport:
+    """The SMS oracle's report, else ConfigError where the second moments overflow float64.
+
+    Such a plant is an input problem, as an entry above ENTRY_BOUND is; analyze
+    calls this first, so no later product of the same operators warns.
+    """
     families = [closed_loop(config.plant, gain, k, config.schedule)
                 for k in range(config.schedule.period)]
-    return analysis.sms_oracle(families, dist)
+    with np.errstate(over="raise"):
+        try:
+            return analysis.sms_oracle(families, dist)
+        except FloatingPointError:
+            raise ConfigError("plant: the closed loop's second moments overflow float64 "
+                              "within one period of the schedule") from None
 
 
 def cmd_analyze(config: ScenarioConfig) -> dict:
@@ -494,14 +504,35 @@ def _recheck(label: str, entry: dict, build, assignment) -> tuple[list[str], lis
     ``lmi.verify_dual``; a section holding neither has nothing to check.
     """
     if entry.get("status") == "certified":
-        if lmi.verify(build(), assignment()).passed:
+        if _passes(lmi.verify, build(), assignment()):
             return [], [label]
         return [f"{label}: stored certificate no longer verifies"], [label]
     if entry.get("dual") is None:
         return [], []
-    if lmi.verify_dual(build(), entry["dual"]).passed:
+    problem = build()
+    dual = _stored_dual(entry["dual"], f"results.{label}.dual", problem)
+    if _passes(lmi.verify_dual, problem, dual):
         return [], [f"{label} dual"]
     return [f"{label}: stored dual certificate no longer verifies"], [f"{label} dual"]
+
+
+def _passes(check, problem: lmi.LmiProblem, values: dict) -> bool:
+    """``check(problem, values).passed``, False where a form overflows: it cannot verify."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return check(problem, values).passed
+        except InvalidMatrix:  # the non-finite form
+            return False
+
+
+def _stored_dual(dual, where: str, problem: lmi.LmiProblem) -> dict:
+    """A report's multiplier for each of ``problem``'s constraints, else ConfigError naming the field."""
+    if not isinstance(dual, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for name, _ in problem.constraints:
+        if name not in dual:
+            raise ConfigError(f"{where}.{name}: missing multiplier")
+    return {name: _matrix(dual[name], f"{where}.{name}") for name, _ in problem.constraints}
 
 
 def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list[str], list[str]]:
@@ -512,13 +543,14 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
     plant, dist, margin = config.plant, mode_distribution(config.loss), config.margin
 
     def level(label):
-        return _number(results.get(label, {}).get("eta"), f"results.{label}.eta", minimum=0)
+        return _number(results.get(label, {}).get("eta"), f"results.{label}.eta", minimum=0,
+                       magnitude=ENTRY_BOUND)
 
     if command == "synthesize":
         synth = results.get("synthesis", {})
 
         def stored(key):
-            return _matrix(synth.get(key), f"results.synthesis.{key}")
+            return _matrix(synth.get(key), f"results.synthesis.{key}", ENTRY_BOUND)
 
         if synth.get("status") != "certified":  # a refusal: only a stored dual, on the synthesis LMI
             return _recheck("synthesis", synth, lambda: synthesis.build_synthesis_lmi(
@@ -532,7 +564,7 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
         if not np.allclose(recovered, np.asarray(stored("K"), dtype=float), rtol=1e-8, atol=1e-10):
             problems.append("synthesis: stored K is not Y X^{-1} of the stored transform")
         return problems, checked
-    gain = Gain(_matrix(results.get("gain"), "results.gain"))
+    gain = Gain(_matrix(results.get("gain"), "results.gain", ENTRY_BOUND))
     stab, pas = results.get("stability", {}), results.get("passivity", {})
     ps = stab.get("P", [])
     if not isinstance(ps, list):
@@ -544,7 +576,8 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
         problems, checked = _recheck(
             "stability", stab,
             lambda: analysis.stability_problem(plant, gain, config.schedule, dist, margin),
-            lambda: {f"P{k}": _matrix(p, f"results.stability.P[{k}]") for k, p in enumerate(ps)})
+            lambda: {f"P{k}": _matrix(p, f"results.stability.P[{k}]", ENTRY_BOUND)
+                     for k, p in enumerate(ps)})
         if "stability dual" in checked:  # a refutation needs the SMS oracle's rho >= 1 too
             rho = _sms(config, gain, dist).rho
             if not rho >= 1.0:
@@ -553,7 +586,7 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
     found, seen = _recheck(
         "passivity", pas,
         lambda: analysis.passivity_problem(plant, gain, dist, level("passivity"), margin),
-        lambda: {"P": _matrix(pas.get("P"), "results.passivity.P")})
+        lambda: {"P": _matrix(pas.get("P"), "results.passivity.P", ENTRY_BOUND)})
     return problems + found, checked + seen
 
 
@@ -563,6 +596,21 @@ def _shown(entry: dict, path: str, spec: str, nulled) -> str:
     if value is None and isinstance(nulled, list) and path in nulled:
         return "n/a"
     return format(_number(value, f"results.{path}", finite=False), spec)
+
+
+def _worst_slack(entry: dict, section: str) -> float:
+    """min over a certified section's stored checks of threshold - lambda_max, else ConfigError naming the field."""
+    where = f"results.{section}.verify.constraints"
+    checks = entry["verify"].get("constraints") if isinstance(entry["verify"], dict) else None
+    if not (isinstance(checks, list) and checks):
+        raise ConfigError(f"{where}: expected a non-empty array")
+    slacks = []
+    for i, check in enumerate(checks):
+        if not isinstance(check, dict):
+            raise ConfigError(f"{where}[{i}]: expected an object")
+        slacks.append(_number(check.get("threshold"), f"{where}[{i}].threshold")
+                      - _number(check.get("lambda_max"), f"{where}[{i}].lambda_max"))
+    return min(slacks)
 
 
 # Report sections that are objects when present; report reads them by key.
@@ -609,11 +657,7 @@ def cmd_report(report_path) -> int:
                     entry = results[section]
                     lines.append(f"{section}: {entry.get('status')}")
                     if entry.get("status") == "certified" and "verify" in entry:
-                        worst = max(
-                            c["lambda_max"] - c["threshold"]
-                            for c in entry["verify"]["constraints"]
-                        )
-                        lines.append(f"  worst margin slack: {-worst:.3e}")
+                        lines.append(f"  worst margin slack: {_worst_slack(entry, section):.3e}")
                     if entry.get("reason"):
                         lines.append(f"  reason: {entry['reason']}")
                     if section == "passivity" and entry.get("eta") is not None:

@@ -193,6 +193,11 @@ class AffineExpr:
         self._check_block(row, col, (left.shape[0], right.shape[1]), f"term on {var!r}")
         self._terms.append(_Term(row, col, left, var, right, float(weight)))
 
+    def add_negated(self, row: int, var: str) -> None:
+        """Add -V at block (row, row): the term -I V I, its cached read-only arrays valid by construction."""
+        neg, eye = _identity(self.block_dims[row])
+        self._terms.append(_Term(row, row, neg, var, eye, 1.0))
+
     def variables(self) -> set[str]:
         return {t.var for t in self._terms}
 
@@ -302,8 +307,7 @@ class LmiProblem:
         self._add_variable(LmiVariable(name, "symmetric", dim, dim))
         if positive_definite:
             expr = AffineExpr([dim], name=f"{name}_pos_def")
-            neg, eye = _identity(dim)  # -I V I, its arrays valid by construction
-            expr._terms.append(_Term(0, 0, neg, name, eye, 1.0))
+            expr.add_negated(0, name)
             self.add_constraint(expr, name=f"{name}_pos_def")
         return name
 
@@ -735,7 +739,7 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=64)
 def _identity(dim: int) -> tuple:
-    """(-I, I) of size dim, read-only: the term of each positive-definite side condition."""
+    """(-I, I) of size dim, read-only: the term of each ``AffineExpr.add_negated``."""
     return _read_only(-np.eye(dim), np.eye(dim))
 
 

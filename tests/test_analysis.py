@@ -25,7 +25,7 @@ from ncspassive.model import (
     full_packet_schedule,
     mode_distribution,
 )
-from ncspassive.numerics import DefinitenessMargin
+from ncspassive.numerics import DefinitenessMargin, spectral_radius
 
 
 def scalar_family(a_open: float, a_closed: float, loss: LossModel):
@@ -285,7 +285,7 @@ class TestStabilityLmi:
 
     def test_without_a_dual_the_build_still_names_the_failed_constraint(self, monkeypatch):
         calls = self.count_builds(monkeypatch)
-        monkeypatch.setattr(analysis, "_perron_vector", lambda op, n: None)
+        monkeypatch.setattr(analysis, "_perron_vector", lambda op, n, rho: None)
         plant, gain, _, dist = scalar_family(2.0, 2.0, LossModel(0.0, 0.0))
         result = stability_lmi(plant, gain, full_packet_schedule(), dist)
         assert result.dual is None and len(calls) == 1
@@ -417,6 +417,96 @@ class TestStabilityLmi:
                 pytest.fail(f"no certificate for clearly stable rho = {rho}")
             checked += 1
         assert checked == 30
+
+
+def rotation_like(rng, n: int, r: float) -> np.ndarray:
+    """r times 2 x 2 rotations down the diagonal, and -r last for odd n: every eigenvalue of modulus r."""
+    a = np.zeros((n, n))
+    for i in range(0, n - 1, 2):
+        theta = rng.uniform(0.0, np.pi)
+        a[i:i + 2, i:i + 2] = r * np.array([[np.cos(theta), -np.sin(theta)],
+                                            [np.sin(theta), np.cos(theta)]])
+    if n % 2:
+        a[-1, -1] = -r
+    return a
+
+
+def perron_loop(kind: str, k: int, n_max: int = 6, period_max: int = 4):
+    """(plant, gain, schedule, dist) of loop k of a kind: generic, reducible or rotation-like A."""
+    rng = np.random.default_rng([61, ("generic", "reducible", "rotation").index(kind), k])
+    n = int(rng.integers(2, n_max + 1))
+    period = int(rng.integers(1, period_max + 1))
+    r = float(rng.uniform(0.5, 1.5))
+    b2 = rng.standard_normal((n, 1))
+    if kind == "generic":
+        a = random_plant(rng, n, spectral_scale=r).A
+    elif kind == "reducible":  # block-diagonal A, its second block out of the actuator's reach
+        m = int(rng.integers(1, n))
+        a = np.zeros((n, n))
+        a[:m, :m] = random_plant(rng, m, spectral_scale=r).A
+        a[m:, m:] = random_plant(rng, n - m, spectral_scale=r).A
+        b2[m:] = 0.0
+    else:
+        a = rotation_like(rng, n, r)
+    plant = Plant(A=a, B1=np.ones((n, 1)), B2=b2, C1=np.ones((1, n)), D11=[[1.0]], D12=[[0.0]])
+    # each slot sends one sensor reading, drives the actuator, or idles
+    kinds = rng.integers(0, 3, size=period)
+    sched = Schedule(period=period,
+                     s1=tuple(int(rng.integers(1, n + 1)) if c == 0 else 0 for c in kinds),
+                     s2=tuple(int(c == 1) for c in kinds))
+    return plant, Gain(0.3 * rng.standard_normal((1, n))), sched, mode_distribution(random_loss(rng))
+
+
+class TestPerronVector:
+    """The refuting multiplier: two resolvent solves at the radius the guard computed."""
+
+    @pytest.mark.parametrize("kind", ["generic", "reducible", "rotation"])
+    def test_resolvent_gives_a_psd_perron_eigenvector(self, kind):
+        for k in range(20):
+            plant, gain, sched, dist = perron_loop(kind, k)
+            ops = [analysis._second_moment_operator(closed_loop(plant, gain, j, sched), dist)
+                   for j in range(sched.period)]
+            t = np.eye(ops[0].shape[0])
+            for op in ops:
+                t = t @ op.T
+            rho = spectral_radius(t)
+            z = analysis._perron_vector(t.T, plant.n, rho)
+            assert np.trace(z) == pytest.approx(1.0, rel=1e-14)
+            assert np.linalg.eigvalsh(z)[0] >= -1e-12
+            v = analysis._svec(z)
+            assert np.linalg.norm(t.T @ v - rho * v) <= 1e-10 * rho * np.linalg.norm(v)
+
+    def test_a_stable_loop_is_never_offered_a_dual(self, monkeypatch):
+        # rho = 0.488 < 1, and no solution clears a margin of 0.9: no dual is sought
+        def no_dual(*args):
+            raise AssertionError("a dual was sought for a stable loop")
+
+        monkeypatch.setattr(analysis, "_perron_vector", no_dual)
+        monkeypatch.setattr(lmi, "verify_dual", no_dual)
+        plant, gain, _, dist = scalar_family(1.2, 0.5, LossModel(0.0, 0.2))
+        result = stability_lmi(plant, gain, full_packet_schedule(), dist, DefinitenessMargin(0.9))
+        assert isinstance(result, Indeterminate) and result.dual is None
+        assert result.message.startswith("the coupled Lyapunov equation's solution does not verify")
+
+    def test_every_refuted_random_loop_carries_a_dual(self):
+        refuted = k = 0
+        while refuted < 200:
+            plant, gain, sched, dist = perron_loop(("generic", "reducible", "rotation")[k % 3], k,
+                                                   n_max=6, period_max=3)
+            k += 1
+            families = [closed_loop(plant, gain, j, sched) for j in range(sched.period)]
+            if sms_oracle(families, dist).rho >= 1.0:
+                refuted += 1
+                assert_refuted(stability_lmi(plant, gain, sched, dist), plant, gain, sched, dist)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sched", [full_packet_schedule(), Schedule(period=2, s1=(1, 0), s2=(0, 1))],
+                             ids=["period-1", "period-2"])
+    def test_an_overflowing_loop_is_indeterminate(self, sched):
+        # its second moments overflow float64: no radius, no dual, and no exception
+        plant = Plant(A=[[1e200]], B1=[[1.0]], B2=[[1.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
+        result = stability_lmi(plant, Gain.zero(1, 1), sched, mode_distribution(LossModel(0.0, 0.0)))
+        assert isinstance(result, Indeterminate) and result.dual is None
 
 
 class TestPassivityLmi:

@@ -1031,6 +1031,65 @@ def test_overflowing_numerics_end_in_an_exit_code(tmp_path, command, fields, cod
                      "--out", str(out)]) == code
 
 
+def test_overflowing_second_moments_are_an_input_error(tmp_path, capsys):
+    # entries within ENTRY_BOUND whose period product of second moments overflows float64
+    # (1e150^4 per slot); numpy's overflow warning would be an error here
+    config = with_field(PERIODIC, "plant.A", [[1e150, 0.0], [0.0, 1e150]])
+    out = tmp_path / "r.json"
+    assert cli.main(["analyze", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == ("error: plant: the closed loop's second moments overflow "
+                                       "float64 within one period of the schedule\n")
+    assert not out.exists()
+
+
+def _update(section, **fields):
+    return lambda results: results[section].update(fields)
+
+
+UNSTABLE = with_field(scenario(), "plant.A", [[2.0]])
+UNSTABLE.pop("eta")
+
+
+# A tampered report (its digest rewritten), its edit, report's exit code and what stderr
+# must name: a stored entry beyond ENTRY_BOUND or an unreadable field exits 1 naming the
+# field, and a certificate whose form overflows cannot verify (exit 3); no numpy
+# RuntimeWarning (an error under pytest) reaches stderr.
+@pytest.mark.parametrize("command,config,edit,code,names", [
+    ("synthesize", scenario(), _update("synthesis", K=[[1e300]]), cli.EXIT_INPUT,
+     "malformed report: results.synthesis.K[0][0]: magnitude must be <= 1e+150"),
+    ("synthesize", scenario(), _update("synthesis", X=[[1e300]], Y=[[1e300]]), cli.EXIT_INPUT,
+     "malformed report: results.synthesis.X[0][0]: magnitude must be <= 1e+150"),
+    ("synthesize", scenario(), _update("synthesis", K=[[1e150]], P=[[1e150]]), cli.EXIT_VERIFY,
+     "synthesis: stored certificate no longer verifies"),
+    ("analyze", scenario(gain=[[-0.9]]), lambda results: results.update(gain=[[1e200]]),
+     cli.EXIT_INPUT, "malformed report: results.gain[0][0]"),
+    ("analyze", scenario(gain=[[-0.9]]), _update("stability", P=[[[1e200]]]), cli.EXIT_INPUT,
+     "malformed report: results.stability.P[0][0][0]"),
+    ("analyze", UNSTABLE, lambda results: results["stability"]["dual"].pop("P0_pos_def"),
+     cli.EXIT_INPUT, "malformed report: results.stability.dual.P0_pos_def: missing multiplier"),
+    ("analyze", UNSTABLE, _update("stability", dual=[[1.0]]), cli.EXIT_INPUT,
+     "malformed report: results.stability.dual: expected an object"),
+    ("analyze", scenario(gain=[[-0.9]]),
+     lambda results: results["stability"]["verify"].update(constraints=[]), cli.EXIT_INPUT,
+     "malformed report: results.stability.verify.constraints: expected a non-empty array"),
+    ("analyze", scenario(gain=[[-0.9]]),
+     lambda results: results["passivity"]["verify"]["constraints"][0].update(lambda_max="x"),
+     cli.EXIT_INPUT, "malformed report: results.passivity.verify.constraints[0].lambda_max"),
+], ids=["K-1e300", "XY-1e300", "KP-1e150", "gain-1e200", "stability-P-1e200",
+        "missing-multiplier", "dual-list", "empty-constraints", "text-lambda-max"])
+def test_tampered_report_names_its_field_quietly(tmp_path, capsys, command, config, edit, code,
+                                                 names):
+    out = tmp_path / "report.json"
+    cli.main([command, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    bad = rewrite_results(out, tmp_path / "tampered.json", edit)
+    capsys.readouterr()
+    assert cli.main(["report", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert names in err
+    assert "digest" not in err and "Warning" not in err
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_zero(capsys, flag):
     with pytest.raises(SystemExit) as exc:
