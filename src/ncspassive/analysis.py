@@ -23,10 +23,10 @@ exactly when rho < 1, and then the coupled Lyapunov equation
 P_k - L_k(P_{k+1}) = I has a positive definite solution (Costa, Fragoso
 & Marques, *Discrete-Time Markov Jump Linear Systems*, Springer 2005).
 ``stability_lmi`` solves that linear equation and verifies the solution
-against the coupled Lyapunov LMIs. When it does not verify and the SMS
-oracle's rho is >= 1, the Perron eigenvector of the period's adjoint
-operator, two resolvent solves at that rho^N, gives multipliers that
-``lmi.verify_dual`` checks as a proof that no P exists.
+against the coupled Lyapunov LMIs. When it does not verify and the
+period product's radius rho^N, on which the SMS oracle decides, is >= 1,
+its Perron eigenvector, two resolvent solves at rho^N, gives multipliers
+that ``lmi.verify_dual`` checks as a proof that no P exists.
 
 Strict passivity with dissipation eta is certified through the averaged
 dissipation form
@@ -51,7 +51,7 @@ and finds the largest certifiable eta in one barrier run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -105,17 +105,22 @@ def sms_oracle(family, dist: ModeDistribution) -> SmsReport:
     them covering one period. The per-step operator is the mode-averaged
     Z -> sum_m a_m A_m Z A_m' on symmetric Z, a d x d matrix in svec
     coordinates (:func:`_second_moment_operator`, d = n(n+1)/2); for a
-    period the operators compose, and rho is the per-step geometric mean
-    of the product's spectral radius, that of the full n^2 operator.
+    period the operators compose. ``stable`` is decided on the product's
+    spectral radius rho^N, the float :func:`stability_lmi`'s guard reads;
+    rho is its N-th root, the per-step radius of the full n^2 operator.
     """
     families = [family] if isinstance(family, ClosedLoopFamily) else list(family)
     if not families:
         raise ValueError("need at least one closed-loop family")
-    product = _second_moment_operator(families[0], dist)
-    for fam in families[1:]:
-        product = _second_moment_operator(fam, dist) @ product
-    rho = spectral_radius(product) ** (1.0 / len(families))
-    return SmsReport(rho=rho, stable=rho < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
+    radius = spectral_radius(_period_operators(families, dist)[1])
+    rho = radius ** (1.0 / len(families))
+    return SmsReport(rho=rho, stable=radius < 1.0, borderline=abs(rho - 1.0) < BORDERLINE_BAND)
+
+
+def _period_operators(families: list, dist: ModeDistribution) -> tuple[list, np.ndarray]:
+    """Each slot's :func:`_second_moment_operator` and their period product, last slot leftmost."""
+    ops = [_second_moment_operator(fam, dist) for fam in families]
+    return ops, reduce(lambda product, op: op @ product, ops)
 
 
 def _second_moment_operator(fam: ClosedLoopFamily, dist: ModeDistribution) -> np.ndarray:
@@ -229,8 +234,8 @@ def stability_lmi(
     Solves the coupled Lyapunov equation P_k - L_k(P_{k+1 mod N}) = I and
     returns a :class:`StabilityCertificate` when the solution verifies.
     Otherwise returns an Indeterminate whose ``dual`` holds multipliers
-    that passed ``lmi.verify_dual``, sought only when :func:`sms_oracle`'s
-    rho^N, the spectral radius of the period operator solved with, is >= 1.
+    that passed ``lmi.verify_dual``, sought only where :func:`sms_oracle`
+    finds the loop not stable: its period product's radius is >= 1.
     Never raises for a singular, ill-conditioned or overflowing system.
     """
     period = schedule.period
@@ -238,17 +243,15 @@ def stability_lmi(
     d = _svec_dim(n)
     families = [closed_loop(plant, gain, k, schedule) for k in range(period)]
     prob = _lyapunov_problem(families, dist, margin)
-    # adjoint[k] maps svec Z_k to svec Z_{k+1}; adjoint[k].T is the Lyapunov map L_k
-    adjoint = [_second_moment_operator(fam, dist) for fam in families]
-    # Close the cycle at P_0: P_0 = c + T P_0, with T = L_0 L_1 ... L_{N-1}.
+    # adjoint[k] maps svec Z_k to svec Z_{k+1}; adjoint[k].T is the Lyapunov map L_k. Close the
+    # cycle at P_0: P_0 = c + T P_0, T = product' = L_0 ... L_{N-1}, c = I + L_0(... L_{N-2}(I)).
+    adjoint, product = _period_operators(families, dist)
     svec_i = _svec(np.eye(n))
-    t = np.eye(d)
-    c = np.zeros(d)
-    for op in adjoint:
-        c += t @ svec_i
-        t = t @ op.T
+    c = svec_i
+    for op in reversed(adjoint[:-1]):
+        c = svec_i + op.T @ c
     try:
-        p0 = np.linalg.solve(np.eye(d) - t, c)
+        p0 = np.linalg.solve(np.eye(d) - product.T, c)
     except np.linalg.LinAlgError:
         p0 = np.full(d, np.nan)
     reason, ps = "the coupled Lyapunov equation has no finite solution", None
@@ -264,11 +267,11 @@ def stability_lmi(
             (certificate, reason), ps = _build(prob, ps), None
             if certificate is not None:
                 return certificate
-    # The adjoint period operator is T'; its Perron eigenvalue is rho^N. The
-    # forms are homogeneous in P, so verify_dual's allowance alone can pass a
-    # dual of a stable loop in badly scaled coordinates: rho(T) = rho^N must be >= 1.
-    if np.isfinite(t).all() and (rho := spectral_radius(t)) >= 1.0:
-        z0 = _perron_vector(t.T, n, rho)
+    # The product is the adjoint period operator, its Perron eigenvalue rho^N. The forms are
+    # homogeneous in P, so verify_dual's allowance alone can pass a dual of a stable loop in
+    # badly scaled coordinates: sms_oracle's radius rho^N must be >= 1.
+    if np.isfinite(product).all() and (radius := spectral_radius(product)) >= 1.0:
+        z0 = _perron_vector(product, n, radius)
         dual = None if z0 is None else _stability_dual(adjoint, z0)
         if dual is not None and lmi.verify_dual(prob, dual).passed:
             return lmi.Indeterminate(
@@ -413,14 +416,14 @@ def passivity_lmi(
     ``lmi.LmiCertificate``, its ``eta`` the certified level and its
     assignment's ``"P"`` the storage matrix, or an Indeterminate. A
     certificate's top-left block sum_m a_m A_m' P A_m - P < 0 forces
-    rho < 1, so when the SMS oracle gives rho >= 1 the Indeterminate names
+    rho < 1, so when the SMS oracle finds the loop not stable the Indeterminate names
     that bound and no search runs; :func:`passivity_problem`'s checks come first.
     """
     problem = passivity_problem(plant, gain, dist, 0.0 if eta == "maximize" else eta, margin)
-    rho = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist).rho
-    if rho >= 1.0:
+    sms = sms_oracle(closed_loop(plant, gain, 0, full_packet_schedule()), dist)
+    if not sms.stable:
         return lmi.Indeterminate(
-            message=f"second-moment radius rho = {rho:.6g} >= 1: the dissipation form's "
+            message=f"second-moment radius rho = {sms.rho:.6g} >= 1: the dissipation form's "
             "top-left block needs rho < 1",
         )
     return lmi.certify(problem, eta, max_iters)

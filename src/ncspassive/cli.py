@@ -578,11 +578,11 @@ def _reverify(command: str, config: ScenarioConfig, results: dict) -> tuple[list
             lambda: analysis.stability_problem(plant, gain, config.schedule, dist, margin),
             lambda: {f"P{k}": _matrix(p, f"results.stability.P[{k}]", ENTRY_BOUND)
                      for k, p in enumerate(ps)})
-        if "stability dual" in checked:  # a refutation needs the SMS oracle's rho >= 1 too
-            rho = _sms(config, gain, dist).rho
-            if not rho >= 1.0:
+        if "stability dual" in checked:  # a refutation needs the SMS oracle's verdict too
+            sms = _sms(config, gain, dist)
+            if sms.stable:
                 problems.append(
-                    f"stability: a stored dual refutes a loop whose rho = {rho:.6g} < 1")
+                    f"stability: a stored dual refutes a loop whose rho = {sms.rho!r} < 1")
     found, seen = _recheck(
         "passivity", pas,
         lambda: analysis.passivity_problem(plant, gain, dist, level("passivity"), margin),

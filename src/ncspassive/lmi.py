@@ -36,7 +36,8 @@ either way.
 
 A problem owns its definiteness margin: ``verify``, ``verify_dual``,
 ``LmiCertificate.build`` and ``solve`` all read ``problem.margin``, so a
-certificate is always checked at the margin its problem was posed with.
+certificate is always checked at the margin its problem was posed with;
+a dual's allowance caps it at the default (``_dual_tolerance``).
 
 ``verify_dual`` is the other half of the theorem of alternatives (Boyd
 et al., *Linear Matrix Inequalities in System and Control Theory*, SIAM
@@ -380,12 +381,17 @@ def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
         for (name, _), lam, norm in zip(problem.constraints, lams, norms)))
 
 
+def _dual_tolerance(margin: DefinitenessMargin) -> float:
+    """A dual's allowance, epsilon_rel capped at the default's: its claim has no margin in it."""
+    return min(margin.epsilon_rel, DEFAULT_MARGIN.epsilon_rel)
+
+
 @dataclass(frozen=True)
 class DualReport:
     """Outcome of :func:`verify_dual`; each field passes as commented."""
 
     psd_slack: float  # min over c of lambda_min(Z_c) + allowance: >= 0
-    trace: float  # sum_c tr Z_c: 1 within epsilon_rel
+    trace: float  # sum_c tr Z_c: 1 within the dual tolerance
     gradient_slack: float  # min over variables of allowance - ||gradient||: >= 0
     constant: float  # sum_c <Z_c, M_c(0)>: >= 0
     margin: DefinitenessMargin
@@ -394,7 +400,7 @@ class DualReport:
     def passed(self) -> bool:
         return (
             self.psd_slack >= 0.0
-            and abs(self.trace - 1.0) <= self.margin.epsilon_rel
+            and abs(self.trace - 1.0) <= _dual_tolerance(self.margin)
             and self.gradient_slack >= 0.0
             and self.constant >= 0.0
         )
@@ -406,13 +412,14 @@ def verify_dual(problem: LmiProblem, multipliers: dict) -> DualReport:
     If every Z_c >= 0, sum_c tr Z_c = 1, sum_c <Z_c, M_c(V)> does not
     depend on any variable V, and its constant part sum_c <Z_c, M_c(0)>
     is >= 0, then no assignment makes every M_c negative definite: the
-    sum would then be negative. Semidefiniteness allows
-    epsilon_rel * (1 + ||Z_c||_F); a variable's summed gradient allows
-    epsilon_rel * (1 + the sum of its per-constraint gradient norms).
+    sum would then be negative. That claim has no margin in it, so with
+    tol = min(epsilon_rel, 1e-8) semidefiniteness allows tol * (1 + ||Z_c||_F),
+    the trace tol, and a variable's summed gradient tol * (1 + the sum of
+    its per-constraint gradient norms).
     Like :func:`verify`, this recomputes everything from the problem data,
-    at ``problem.margin``, one eigensolve per block size.
+    one eigensolve per block size.
     """
-    eps = problem.margin.epsilon_rel
+    eps = _dual_tolerance(problem.margin)
     zs = [symmetrize(multipliers[name], f"multiplier {name!r}") for name, _ in problem.constraints]
     for (name, expr), z in zip(problem.constraints, zs):
         if z.shape != (expr.dim, expr.dim):
@@ -887,7 +894,7 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
         total, constant = multipliers(z)
         # the gradient along y is the multipliers' residual, times total
         residual = np.linalg.norm(grad + total * t_of) / total
-        if constant >= 0.0 and residual <= problem.margin.epsilon_rel:
+        if constant >= 0.0 and residual <= _dual_tolerance(problem.margin):
             dual = {name: z[block, block] / total
                     for (name, _), block in zip(problem.constraints, barrier.blocks)}
             if verify_dual(problem, dual).passed:

@@ -128,6 +128,18 @@ __all__ = [
 ]
 
 
+def oscillator(degrees: float) -> Plant:
+    """An undamped rotation by ``degrees``, actuated on its second state.
+
+    At zero gain every mode's closed loop is the rotation A, so the
+    second-moment radius is exactly 1 at any loss rates, and its float lands
+    on either side of 1.
+    """
+    theta = np.deg2rad(degrees)
+    return Plant(A=[[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
+                 B1=[[1.0], [0.0]], B2=[[0.0], [1.0]], C1=[[1.0, 0.0]], D11=[[1.0]], D12=[[0.0]])
+
+
 def random_sweep_loop(k: int):
     """Plant k of the 200-plant random sweep: n = 1 + k % 6, A at spectral radius 0.5 to 1.1."""
     rng = np.random.default_rng([19, k])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import riccati_oracle
-from conftest import random_loss, random_plant, scalar_grid_eta_star
+from conftest import oscillator, random_loss, random_plant, scalar_grid_eta_star
 from ncspassive import analysis, lmi, sim
 from ncspassive.analysis import (
     dissipation_identity_check,
@@ -507,6 +507,42 @@ class TestPerronVector:
         plant = Plant(A=[[1e200]], B1=[[1.0]], B2=[[1.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
         result = stability_lmi(plant, Gain.zero(1, 1), sched, mode_distribution(LossModel(0.0, 0.0)))
         assert isinstance(result, Indeterminate) and result.dual is None
+
+
+class TestOneRadius:
+    """A dual is offered exactly where ``sms_oracle`` finds the loop not stable.
+
+    Both read the radius of one period product, so a loop at rho = 1 exactly,
+    whose float radius may land on either side of 1, gets one verdict.
+    """
+
+    @staticmethod
+    def assert_dual_iff_unstable(plant, gain, sched, dist):
+        families = [closed_loop(plant, gain, j, sched) for j in range(sched.period)]
+        stable = sms_oracle(families, dist).stable
+        result = stability_lmi(plant, gain, sched, dist)
+        if not result.feasible:
+            assert (result.dual is not None) == (not stable), result.message
+
+    @pytest.mark.parametrize("loss", [LossModel(0.0, 0.0), LossModel(0.3, 0.0)],
+                             ids=["lossless", "sensor-loss"])
+    def test_undamped_oscillators(self, loss):
+        for degrees in range(1, 180):
+            self.assert_dual_iff_unstable(oscillator(degrees), Gain.zero(1, 2),
+                                          full_packet_schedule(), mode_distribution(loss))
+
+    @pytest.mark.parametrize("sched", [full_packet_schedule(), Schedule(period=2, s1=(1, 0), s2=(0, 1))],
+                             ids=["period-1", "period-2"])
+    def test_orthogonal_loops(self, sched):
+        # at zero gain every mode's loop is the orthogonal A: rho = 1 exactly
+        for k in range(60):
+            rng = np.random.default_rng([5, sched.period, k])
+            n = int(rng.integers(2, 5))
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            plant = Plant(A=q, B1=np.ones((n, 1)), B2=rng.standard_normal((n, 1)),
+                          C1=np.ones((1, n)), D11=[[1.0]], D12=[[0.0]])
+            self.assert_dual_iff_unstable(plant, Gain.zero(1, n), sched,
+                                          mode_distribution(random_loss(rng)))
 
 
 class TestPassivityLmi:

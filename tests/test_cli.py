@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_sweep_loop
+from conftest import oscillator, random_sweep_loop
 from ncspassive import analysis, cli, lmi, sim, synthesis
 from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
 
@@ -536,6 +536,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert "stability: a stored dual refutes a loop whose rho = 0.2954" in err
         assert "no longer verifies" not in err and "digest" not in err
+
+    def test_an_oscillator_at_rho_one_has_one_verdict(self, tmp_path, capsys):
+        # at 5 degrees the float radius of the rotation's second moments is just below 1,
+        # and its transpose's was not: a dual offered on the one failed report's guard
+        config = scenario(plant={key: value.tolist() for key, value in vars(oscillator(5)).items()},
+                          loss={"alpha1": 0.0, "alpha2": 0.0})
+        config.pop("eta")
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 2
+        results = json.loads(out.read_text())["results"]
+        assert results["sms"]["stable"] and results["stability"]["dual"] is None
+        assert cli.main(["report", str(out)]) == 0
+        assert "VERIFICATION FAILURE" not in capsys.readouterr().err
 
     def test_tampered_stability_dual_detected(self, tmp_path, capsys):
         config = scenario()

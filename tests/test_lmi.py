@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_sweep_loop
 from ncspassive import lmi
 from ncspassive.analysis import passivity_problem, stability_problem
 from ncspassive.errors import (
@@ -647,6 +648,23 @@ class TestVerifyDual:
         with pytest.raises(DimensionMismatch):
             verify_dual(scalar_lyapunov_problem(2.0),
                         {"lyapunov": np.eye(2), "P_pos_def": [[0.75]]})
+
+    def test_a_wide_margin_does_not_widen_the_allowance(self, monkeypatch):
+        # sweep plant 129's synthesis LMI at eta 0.1 and margin 0.05: with an allowance of
+        # 5%, the margin, the barrier stops at multipliers whose gradient residual is 1e-2
+        plant, loss = random_sweep_loop(129)
+        dist = mode_distribution(loss)
+        problem = build_synthesis_lmi(plant, dist, 0.1, DefinitenessMargin(0.05))
+        with monkeypatch.context() as patch:
+            patch.setattr(lmi, "_dual_tolerance", lambda margin: margin.epsilon_rel)
+            dual = solve(problem).dual
+            assert dual is not None and verify_dual(problem, dual).passed
+        report = verify_dual(problem, dual)
+        assert report.gradient_slack < 0.0 and not report.passed
+        # the allowance is the default margin's: the same report at margin 1e-8
+        default = verify_dual(build_synthesis_lmi(plant, dist, 0.1), dual)
+        assert (default.psd_slack, default.trace, default.gradient_slack, default.constant) == (
+            report.psd_slack, report.trace, report.gradient_slack, report.constant)
 
 
 

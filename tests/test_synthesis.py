@@ -480,6 +480,16 @@ def test_a_search_at_the_gain_certifies_where_x_inverse_misses(k, eta, epsilon_r
     assert result.passivity.assignment["P"].tobytes() != np.linalg.inv(result.x).tobytes()
 
 
+def test_a_wide_margin_does_not_widen_a_refutation():
+    # sweep plant 129 certifies eta 0.1 at margin 1e-8, so no dual may refute it at 0.05;
+    # a dual allowance that followed the margin passed a gradient residual of 1e-2 there
+    plant, loss = random_sweep_loop(129)
+    assert synthesize(plant, loss, 0.1).feasible
+    result = synthesize(plant, loss, 0.1, DefinitenessMargin(0.05))
+    assert isinstance(result, Indeterminate) and result.dual is None
+    assert not result.message.startswith("refuted")
+
+
 def test_maximize_returns_the_next_iterate_when_the_top_one_fails_to_build(monkeypatch):
     problem = build_synthesis_lmi(README_LOOP, mode_distribution(LossModel(0.0, 0.2)), 0.0)
     first = lmi.solve(problem)
