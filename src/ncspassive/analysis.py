@@ -1,12 +1,13 @@
 """Second-moment stability and strict passivity certification.
 
-Two independent routes are kept deliberately separate:
-
-* the LMI route poses the coupled Lyapunov / passivity inequalities and
-  certifies feasibility through eigenvalue verification (``lmi.verify``);
-* the second-moment-spectral (SMS) oracle computes the spectral radius
-  of the mode-averaged second-moment operator, which characterizes
-  second-moment stability exactly and never touches the LMI machinery.
+The second-moment-spectral (SMS) oracle computes the spectral radius
+of the mode-averaged second-moment operator, which characterizes
+second-moment stability exactly. ``stability_lmi`` solves on the same
+period product (``_period_operators``) and its dual guard reads that
+product's radius, so the oracle and the solve share their numerics. The
+independent part is the check: ``lmi.verify`` and ``lmi.verify_dual``
+recompute every certificate and dual on the posed LMIs (the coupled
+Lyapunov and passivity inequalities) from the problem data alone.
 
 The second-moment operator Z -> sum_m a_m A_m Z A_m' maps symmetric
 matrices to symmetric matrices, so it is held in orthonormal svec

@@ -391,6 +391,8 @@ def _sms(config: ScenarioConfig, gain: Gain, dist) -> analysis.SmsReport:
 
 
 def cmd_analyze(config: ScenarioConfig) -> dict:
+    if config.eta is not None and not config.schedule.full_packet:
+        raise ConfigError("passivity analysis requires the full-packet schedule")
     gain = config.gain or Gain.zero(config.plant.m2, config.plant.n)
     dist = mode_distribution(config.loss)
     results: dict = {"gain": _mat(gain.K)}
@@ -409,8 +411,6 @@ def cmd_analyze(config: ScenarioConfig) -> dict:
         }
 
     if config.eta is not None:
-        if not config.schedule.full_packet:
-            raise ConfigError("passivity analysis requires the full-packet schedule")
         pas = analysis.passivity_lmi(config.plant, gain, dist, config.eta, config.margin, config.budget)
         if pas.feasible:
             # rho is the full-packet loop's, which passivity requires
@@ -727,17 +727,17 @@ def _parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="scenario config JSON")
-        p.add_argument("--out", default="ncspassive-report.json", help="report output path")
-        p.add_argument("--eta", help='override config eta (number or "max")')
-        p.add_argument("--margin", help="override margin epsilon")
-        p.add_argument("--budget", help="override solver iteration budget")
-
-    add_common(sub.add_parser("analyze", help="certify stability and passivity of a given gain"))
-    add_common(sub.add_parser("synthesize", help="solve for a passivating gain"))
-    p_sim = sub.add_parser("simulate", help="Monte Carlo ensemble for a gain")
-    add_common(p_sim)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="scenario config JSON")
+    common.add_argument("--out", default="ncspassive-report.json", help="report output path")
+    common.add_argument("--eta", help='override config eta (number or "max")')
+    solver = argparse.ArgumentParser(add_help=False)  # simulate reads neither field
+    solver.add_argument("--margin", help="override margin epsilon")
+    solver.add_argument("--budget", help="override solver iteration budget")
+    sub.add_parser("analyze", parents=[common, solver],
+                   help="certify stability and passivity of a given gain")
+    sub.add_parser("synthesize", parents=[common, solver], help="solve for a passivating gain")
+    p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo ensemble for a gain")
     p_sim.add_argument("--gain", help="gain source: report JSON path or inline matrix")
     p_sim.add_argument("--dump-traces", action="store_true", help="write per-trace CSVs")
     p_rep = sub.add_parser("report", help="summarize and re-verify a report file")
@@ -790,7 +790,7 @@ def _flag_value(text: str):
 
 
 def _apply_overrides(args) -> ScenarioConfig:
-    """The config file with --eta/--margin/--budget merged in.
+    """The config file with --eta, and for analyze and synthesize --margin/--budget, merged in.
 
     Each flag is checked against its config field's bounds, so an error
     names the flag; the merged config is then parsed again, in memory.
@@ -805,7 +805,7 @@ def _apply_overrides(args) -> ScenarioConfig:
     solver = {
         key: _number(_flag_value(getattr(args, key)), f"--{key}", **_SOLVER_FIELDS[key][1])
         for key in ("margin", "budget")
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
     if solver:
         data["solver"] = {**data.get("solver", {}), **solver}

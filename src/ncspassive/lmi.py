@@ -373,11 +373,9 @@ def verify(problem: LmiProblem, assignment: dict) -> VerifyReport:
     Pure recomputation from the problem data, at ``problem.margin``, one
     eigensolve per block size; shares no state with the solver.
     """
-    eps = problem.margin.epsilon_rel
     lams, norms = _eigen_norms([expr.assemble(assignment) for _, expr in problem.constraints], -1)
     return VerifyReport(checks=tuple(
-        # the threshold is problem.margin.threshold(M)
-        ConstraintCheck(name=name, lambda_max=lam, threshold=-eps * (1.0 + norm), norm=norm)
+        ConstraintCheck(name=name, lambda_max=lam, threshold=problem.margin.cutoff(norm), norm=norm)
         for (name, _), lam, norm in zip(problem.constraints, lams, norms)))
 
 
@@ -620,7 +618,6 @@ class _Barrier:
 
         dims = tuple(expr.dim for _, expr in problem.constraints)
         self.size = sum(dims)
-        self.dims = np.array(dims)
         (self.blocks, self.starts, self.index, self.eye, self.diagonal_at, self.one_hot,
          self.diagonal) = _block_layout(dims)
 
@@ -714,8 +711,7 @@ class _Barrier:
             norms = np.sqrt(np.add.reduceat(m * m, self.starts))
         if not np.isfinite(norms).all():  # as fro_norm does, rescale where the squares overflow
             norms = np.array([fro_norm(part) for part in np.split(m, self.starts[1:])])
-        thresholds = -margin.epsilon_rel * (1.0 + norms)  # margin.threshold of each M_c
-        return _positive_definite(self._full(self.diagonal @ thresholds - m))
+        return _positive_definite(self._full(self.diagonal @ margin.cutoff(norms) - m))
 
     def derivatives(self, y: np.ndarray, point: tuple):
         """Gradient and Hessian in y of the barrier at ``factor``'s point, and Z = S^-1."""

@@ -90,9 +90,13 @@ class DefinitenessMargin:
         if not (0 < self.epsilon_rel < 1):
             raise ValueError(f"epsilon_rel must be in (0, 1), got {self.epsilon_rel}")
 
+    def cutoff(self, norm):
+        """-epsilon_rel (1 + norm): :meth:`threshold` at ||M||_F = ``norm``, a number or array."""
+        return -self.epsilon_rel * (1.0 + norm)
+
     def threshold(self, m) -> float:
         """Largest eigenvalue still accepted as 'strictly negative' for M."""
-        return -self.epsilon_rel * (1.0 + fro_norm(m))
+        return self.cutoff(fro_norm(m))
 
 
 DEFAULT_MARGIN = DefinitenessMargin()
@@ -106,7 +110,7 @@ def sym_eigvals(m) -> np.ndarray:
 def is_neg_definite(m, margin: DefinitenessMargin = DEFAULT_MARGIN) -> bool:
     """True iff lambda_max(sym(M)) clears the margin threshold."""
     (lam,), (norm,) = _eigen_norms([symmetrize(m)], -1)
-    return bool(lam <= -margin.epsilon_rel * (1.0 + norm))  # margin.threshold
+    return bool(lam <= margin.cutoff(norm))
 
 
 def _eigen_norms(ms, end: int) -> tuple[list, list]:

@@ -36,6 +36,10 @@ def scalar_family(a_open: float, a_closed: float, loss: LossModel):
 
 
 class TestSmsOracle:
+    def test_no_family_is_refused(self):
+        with pytest.raises(ValueError, match="need at least one closed-loop family"):
+            sms_oracle([], mode_distribution(LossModel(0.0, 0.0)))
+
     def test_uniform_contraction(self):
         _, _, fam, dist = scalar_family(0.5, 0.5, LossModel(0.0, 0.0))
         report = sms_oracle(fam, dist)
@@ -816,6 +820,13 @@ class TestDissipationIdentity:
             scalar_passive_plant, Gain.zero(1, 1), mode_distribution(lossless),
             np.array([[1.0]]), 0.4, trace)
         assert res == 0.0
+
+    def test_empty_trace_has_no_residual(self, scalar_passive_plant, lossless):
+        trace = sim.simulate(scalar_passive_plant, Gain.zero(1, 1), full_packet_schedule(),
+                             lossless, sim.InputSignal.white_noise(1), 0, seed=1)
+        assert trace.horizon == 0
+        assert dissipation_identity_check(scalar_passive_plant, Gain.zero(1, 1),
+                                          mode_distribution(lossless), [[1.0]], 0.4, trace) == 0.0
 
     def test_certificate_trace_pair(self, scalar_passive_plant, lossless):
         dist = mode_distribution(lossless)

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import oscillator, random_sweep_loop
 from ncspassive import analysis, cli, lmi, sim, synthesis
-from ncspassive.model import Gain, LossModel, Plant, full_packet_schedule, mode_distribution
+from ncspassive.errors import SingularTransform
+from ncspassive.model import (
+    Gain, LossModel, Plant, closed_loop, full_packet_schedule, mode_distribution)
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,6 +92,14 @@ C3_LOOP = scenario(
 )
 
 
+def sweep_config(k: int) -> dict:
+    """The README scenario on plant k of the random sweep (``random_sweep_loop``)."""
+    plant, loss = random_sweep_loop(k)
+    return scenario(plant={name: getattr(plant, name).tolist()
+                           for name in ("A", "B1", "B2", "C1", "D11", "D12")},
+                    loss={"alpha1": loss.alpha1, "alpha2": loss.alpha2})
+
+
 def scaling_sweep_config(k: int, c: float) -> dict:
     """Loop k of the scaling sweep, in coordinates x = T x~, T = Q diag(logspace(0, log10 c, n))."""
     rng = np.random.default_rng([77, k])
@@ -153,6 +163,20 @@ class TestAnalyze:
         assert pas["status"] == "indeterminate"
         assert pas["iterations"] == 0
         assert "rho = 4 >= 1" in pas["reason"]
+
+    def test_eta_on_a_periodic_schedule_is_refused_before_any_numerics(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_numerics(*args, **kwargs):
+            raise AssertionError("analyze ran numerics on a config it refuses")
+
+        monkeypatch.setattr(analysis, "sms_oracle", no_numerics)
+        monkeypatch.setattr(analysis, "stability_lmi", no_numerics)
+        cfg = write_config(tmp_path, PERIODIC)
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out), "--eta", "0.1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: passivity analysis requires the full-packet schedule\n")
+        assert not out.exists()
 
     def test_zero_feedthrough_with_passivity_is_input_error(self, tmp_path, capsys):
         config = scenario()
@@ -265,30 +289,32 @@ class TestSynthesize:
                          "--out", str(out)]) == 0
         assert cli.main(["report", str(out)]) == 0
 
-    def test_a_margin_below_the_default_certifies_and_re_verifies(self, tmp_path):
-        # sweep plant 35 at margin 1e-9: P = X^-1 verifies at the configured margin
-        plant, loss = random_sweep_loop(35)
-        config = scenario(plant={name: getattr(plant, name).tolist()
-                                 for name in ("A", "B1", "B2", "C1", "D11", "D12")},
-                          loss={"alpha1": loss.alpha1, "alpha2": loss.alpha2})
-        out = tmp_path / "synth.json"
-        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
-                         "--out", str(out), "--margin", "1e-9"]) == 0
-        assert cli.main(["report", str(out)]) == 0
-
     # sweep plant 35 at eta 0.1 and sweep plant 7 at "maximize" and margin 0.05: a
     # synthesis form with one row per mode ended Indeterminate on the first (exit 2) and
-    # with a gain whose P = X^-1 did not verify on the second (exit 3)
-    @pytest.mark.parametrize("k,flags", [(35, []), (7, ["--margin", "0.05", "--eta", "maximize"])])
-    def test_sweep_plants_certify_and_re_verify(self, tmp_path, k, flags):
-        plant, loss = random_sweep_loop(k)
-        config = scenario(plant={name: getattr(plant, name).tolist()
-                                 for name in ("A", "B1", "B2", "C1", "D11", "D12")},
-                          loss={"alpha1": loss.alpha1, "alpha2": loss.alpha2})
+    # with a gain whose P = X^-1 did not verify on the second (exit 3); plant 35 at margin
+    # 1e-9, below the default, at which alone P = X^-1 must verify; plant 109 at margin 0.1
+    # and eta 0.05, where P = X^-1 misses the passivity form and a search at the gain must
+    # find a P that report re-verifies
+    @pytest.mark.parametrize("k,flags", [(35, []), (7, ["--margin", "0.05", "--eta", "maximize"]),
+                                         (35, ["--margin", "1e-9"]),
+                                         (109, ["--margin", "0.1", "--eta", "0.05"])])
+    def test_sweep_plants_certify_and_re_verify(self, tmp_path, capsys, k, flags):
         out = tmp_path / "synth.json"
-        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, config)),
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, sweep_config(k))),
                          "--out", str(out), *flags]) == 0
         assert cli.main(["report", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("certificates re-verified: synthesis\n")
+
+    def test_a_sweep_plant_refused_at_a_wide_margin_stores_no_dual(self, tmp_path, capsys):
+        # sweep plant 129 certifies eta 0.1 at margin 1e-8; at 0.05 nothing certifies it,
+        # and a dual allowance that followed the margin (5%) refuted it
+        out = tmp_path / "synth.json"
+        assert cli.main(["synthesize", "--config", str(write_config(tmp_path, sweep_config(129))),
+                         "--out", str(out), "--margin", "0.05"]) == 2
+        assert json.loads(out.read_text())["results"]["synthesis"]["dual"] is None
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        assert "nothing to re-verify" in capsys.readouterr().out
 
     def test_d11_dominated_margin_certifies_by_a_search_at_the_gain(self, tmp_path):
         # README loop with D11 = 1e8 at eta 0.1: P = X^-1 misses the relative margin on the
@@ -460,12 +486,17 @@ class TestSimulate:
 
 
 class TestReport:
-    def test_fresh_report_reverifies(self, tmp_path, capsys):
+    # the README loop at its config, at a margin of 0.1, where P = X^-1 at the fixed eta's
+    # first point certifies no gain, and maximized, where phase II re-levels the one posed
+    # problem and the gain is certified at the level its certificate was verified at
+    @pytest.mark.parametrize("flags", [[], ["--margin", "0.1"], ["--eta", "maximize"]],
+                             ids=["config", "margin-0.1", "maximize"])
+    def test_fresh_report_reverifies(self, tmp_path, capsys, flags):
         cfg = write_config(tmp_path, scenario())
         out = tmp_path / "synth.json"
-        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out), *flags]) == 0
         assert cli.main(["report", str(out)]) == 0
-        assert "re-verified" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("certificates re-verified: synthesis\n")
 
     def test_indeterminate_synthesis_report_claims_nothing_reverified(self, tmp_path, capsys):
         config = scenario(eta=0.0)
@@ -550,6 +581,32 @@ class TestReport:
         assert results["sms"]["stable"] and results["stability"]["dual"] is None
         assert cli.main(["report", str(out)]) == 0
         assert "VERIFICATION FAILURE" not in capsys.readouterr().err
+
+    def test_oscillators_the_oracle_calls_unstable_keep_a_certificate_that_re_verifies(
+            self, tmp_path, capsys):
+        # every undamped rotation has rho exactly 1; where its float lands at or above 1 while
+        # the Lyapunov solution still verifies, the oracle and the certificate disagree, and
+        # analyze reports the certificate, which report re-verifies
+        schedule, gain = full_packet_schedule(), Gain.zero(1, 2)
+        disagree = []
+        for loss in ({"alpha1": 0.0, "alpha2": 0.0}, {"alpha1": 0.3, "alpha2": 0.0}):
+            dist = mode_distribution(LossModel(**loss))
+            for degrees in range(1, 180):
+                plant = oscillator(degrees)
+                if (analysis.stability_lmi(plant, gain, schedule, dist).feasible and not
+                        analysis.sms_oracle(closed_loop(plant, gain, 0, schedule), dist).stable):
+                    disagree.append((degrees, loss))
+        assert disagree  # 44 of the 358 loops on numpy 2.4, 22 at each loss
+        for degrees, loss in disagree:
+            plant = {key: value.tolist() for key, value in vars(oscillator(degrees)).items()}
+            config = scenario(loss=loss, plant=plant)
+            config.pop("eta")
+            out = tmp_path / "analyze.json"
+            assert cli.main(["analyze", "--config", str(write_config(tmp_path, config)),
+                             "--out", str(out)]) == 0, (degrees, loss)
+            assert json.loads(out.read_text())["results"]["sms"]["stable"] is False
+            assert cli.main(["report", str(out)]) == 0
+            assert capsys.readouterr().out.endswith("certificates re-verified: stability\n")
 
     def test_tampered_stability_dual_detected(self, tmp_path, capsys):
         config = scenario()
@@ -670,12 +727,15 @@ class TestReport:
         assert "synthesis: stored K is not Y X^{-1} of the stored transform" in err
         assert "digest" not in err
 
-    def test_decay_fit_from_nonzero_x0_is_printed(self, tmp_path, capsys):
-        config = scenario(gain=[[-0.9]])
-        config["simulation"]["x0"] = [1.0]
+    # the scalar loop, and the 2-periodic loop with its traces dumped
+    @pytest.mark.parametrize("config,flags", [
+        (with_field(scenario(gain=[[-0.9]]), "simulation.x0", [1.0]), []),
+        (with_field(PERIODIC, "simulation.x0", [1.0, 1.0]), ["--dump-traces"]),
+    ], ids=["scalar", "periodic-traced"])
+    def test_decay_fit_from_nonzero_x0_is_printed(self, tmp_path, capsys, config, flags):
         out = tmp_path / "sim.json"
         assert cli.main(["simulate", "--config", str(write_config(tmp_path, config)),
-                         "--out", str(out)]) == 0
+                         "--out", str(out), *flags]) == 0
         assert json.loads(out.read_text())["results"]["ensemble"]["decay_fit"] is not None
         capsys.readouterr()
         assert cli.main(["report", str(out)]) == 0
@@ -886,10 +946,10 @@ BAD_INPUTS = [
     # 2 eta I would overflow in the dissipation form
     ("eta-huge", "eta", 1e308, [], "json.eta: magnitude must be <= 1e+150, got 1e+308"),
     ("flag-eta-huge", None, None, ["--eta", "1.7e308"], "--eta: magnitude must be <= 1e+150"),
-    ("flag-margin-zero", None, None, ["--margin", "0"], "--margin"),
-    ("flag-margin-text", None, None, ["--margin", "abc"], "--margin"),
-    ("flag-margin-two", None, None, ["--margin", "2"], "--margin: must be < 1.0, got 2"),
-    ("flag-budget-fraction", None, None, ["--budget", "1.5"], "--budget"),
+    ("flag-margin-zero", None, None, ["analyze", "--margin", "0"], "--margin"),
+    ("flag-margin-text", None, None, ["synthesize", "--margin", "abc"], "--margin"),
+    ("flag-margin-two", None, None, ["analyze", "--margin", "2"], "--margin: must be < 1.0, got 2"),
+    ("flag-budget-fraction", None, None, ["synthesize", "--budget", "1.5"], "--budget"),
     ("flag-gain-not-a-report", None, None, ["--gain", '{"results": 3}'], "--gain"),
     ("flag-gain-non-finite", None, None, ["--gain", "[[NaN]]"], "--gain[0][0]"),
     ("gain-non-finite", "gain", [[float("nan")]], [], "gain[0][0]"),
@@ -948,6 +1008,19 @@ def test_non_square_d11_still_analyzes_stability_and_simulates(tmp_path, capsys,
     assert cli.main(["report", str(anal)]) == 0
     assert cli.main(["report", str(sim)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_failed_internal_check_exits_three(tmp_path, capsys, monkeypatch):
+    # an NcsPassiveError that is neither a config nor an assumption error
+    def singular(*args):
+        raise SingularTransform("X is singular within tolerance")
+
+    monkeypatch.setattr(synthesis, "synthesize", singular)
+    out = tmp_path / "r.json"
+    assert cli.main(["synthesize", "--config", str(write_config(tmp_path, scenario())),
+                     "--out", str(out)]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err == "verification failure: X is singular within tolerance\n"
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_one_naming_the_path(tmp_path, capsys):
@@ -1016,7 +1089,13 @@ def test_diverging_simulation_writes_strict_json_quietly(tmp_path):
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     (["synthesize", "--config", "scenario.json", "--seed", "5"],
      "unrecognized arguments: --seed 5"),
-], ids=["unknown-flag", "missing-config", "unknown-subcommand", "removed-seed-flag"])
+    # simulate reads neither the margin nor the budget
+    (["simulate", "--config", "scenario.json", "--margin", "0.1"],
+     "unrecognized arguments: --margin 0.1"),
+    (["simulate", "--config", "scenario.json", "--budget", "5"],
+     "unrecognized arguments: --budget 5"),
+], ids=["unknown-flag", "missing-config", "unknown-subcommand", "removed-seed-flag",
+        "simulate-margin", "simulate-budget"])
 def test_usage_error_exits_one_with_argparse_message(capsys, argv, names):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -1171,6 +1250,8 @@ def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys):
     assert reports["synth.json"]["config"]["eta"] == "maximize"
     assert reports["sim-dump.json"]["results"]["traces_dir"] == "sim-dump.json.traces"
     assert "traces_dir" not in reports["sim.json"]["results"]
+    assert (reports["sim.json"]["results"]["ensemble"]
+            == reports["sim-dump.json"]["results"]["ensemble"])
     assert not (here / "sim.json.traces").exists()
     traces = sorted(p.name for p in (here / "sim-dump.json.traces").iterdir())
     assert len(traces) == 20

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,31 @@ class TestAffineExpr:
         expr = AffineExpr([2, 1])
         with pytest.raises(DimensionMismatch):
             expr.add_const(0, 0, np.ones((1, 1)))
+
+
+def duplicate_variable():
+    prob = LmiProblem()
+    prob.add_rectangular("Y", 1, 2)
+    prob.add_symmetric("Y", 1)
+
+
+def undeclared_variable():
+    expr = AffineExpr([1], name="lyapunov")
+    expr.add_term(0, 0, [[1.0]], "Q", [[1.0]])
+    LmiProblem().add_constraint(expr)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: AffineExpr([0]), ValueError, "block dims must be positive, got (0,)"),
+    (lambda: AffineExpr([1], name="e").add_const(1, 0, [[1.0]]), ValueError,
+     "e const: block (1, 0) outside 1x1 grid"),
+    (duplicate_variable, ValueError, "variable 'Y' already declared"),
+    (undeclared_variable, UnboundVariable,
+     "constraint 'lyapunov' references undeclared variable 'Q'"),
+], ids=["empty-block", "block-outside-grid", "duplicate-variable", "undeclared-variable"])
+def test_malformed_problem_is_refused_naming_its_part(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestSolve:
@@ -336,12 +363,17 @@ def random_barrier(seed: int, radii: bool):
     return prob, lmi._Barrier(prob, start, slopes, 0.0, rs), slopes
 
 
+def block_dims(barrier) -> list:
+    """Each constraint's dim, from the slack's diagonal blocks."""
+    return [block.stop - block.start for block in barrier.blocks]
+
+
 def per_constraint(barrier, y):
     """The barrier's value, gradient, Hessian and S_c^-1 at y, one constraint at a time."""
     k = len(y)
     value, grad, hess, inverses = 0.0, np.zeros(k), np.zeros((k, k)), []
     e2 = barrier.eps ** 2
-    for c, (start, d) in enumerate(zip(barrier.starts, barrier.dims)):
+    for c, (start, d) in enumerate(zip(barrier.starts, block_dims(barrier))):
         f = barrier.flat[:, start:start + d * d]
         s = (barrier.base[start:start + d * d] + y @ f).reshape(d, d)
         chol = np.linalg.cholesky(s)
@@ -380,7 +412,7 @@ class TestBlockDiagonalBarrier:
         rng = np.random.default_rng(19)
         for seed in range(40):
             prob, barrier, _ = random_barrier(seed, radii)
-            assert len(set(barrier.dims)) == len(barrier.dims)  # unequal dims
+            assert len(set(block_dims(barrier))) == len(block_dims(barrier))  # unequal dims
             y = inside(barrier, rng)
             point, value = barrier.factor(y)
             grad, hess, z = barrier.derivatives(y, point)
@@ -421,7 +453,7 @@ class TestBlockDiagonalBarrier:
             entries, _, cones = barrier.factor(y)[0]
             x, v = barrier.x(y), barrier.assignment(y)
             for c, ((_, expr), start, d) in enumerate(zip(prob.constraints, barrier.starts,
-                                                           barrier.dims)):
+                                                           block_dims(barrier))):
                 s = x[-1] * last[c] - expr.assemble(v)
                 if radii:
                     s -= (barrier.eps + cones[0][c]) * np.eye(d)
@@ -438,7 +470,7 @@ class TestBlockDiagonalBarrier:
                 point = barrier.factor(y)[0]
                 entries, t = point[0], barrier.x(y)[-1]
                 expect = True
-                for start, d in zip(barrier.starts, barrier.dims):
+                for start, d in zip(barrier.starts, block_dims(barrier)):
                     m = t * np.eye(d) - entries[start:start + d * d].reshape(d, d)
                     try:
                         np.linalg.cholesky(prob.margin.threshold(m) * np.eye(d) - m)
@@ -504,7 +536,7 @@ class TestBlockDiagonalBarrier:
         assert result.message.startswith("refuted") and verify_dual(prob, result.dual).passed
         barrier, entries = seen
         inverses = [np.linalg.inv(entries[s:s + d * d].reshape(d, d))
-                    for s, d in zip(barrier.starts, barrier.dims)]
+                    for s, d in zip(barrier.starts, block_dims(barrier))]
         total = sum(z.trace() for z in inverses)
         assert list(result.dual) == ["P_pos_def", "lyapunov"]
         for (name, _), z in zip(prob.constraints, inverses):

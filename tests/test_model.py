@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,17 @@ class TestModeDistribution:
     def test_distribution_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ModeDistribution(0.5, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Schedule(period=0, s1=(), s2=()), "period must be >= 1, got 0"),
+    (lambda: ModeDistribution(1.5, -0.5, 0.0, 0.0), "p00 must lie in [0, 1], got 1.5"),
+    (lambda: selector_matrices(Schedule(period=1, s1=(0,), s2=(2,)), 0, p2=2, m2=1),
+     "slot 0: actuator index 2 exceeds actuator count 1"),
+], ids=["schedule-period-zero", "mode-probability-above-one", "actuator-index-above-m2"])
+def test_out_of_range_argument_is_refused_naming_it(call, message):
+    with pytest.raises((ValueError, DimensionMismatch), match=re.escape(message)):
+        call()
 
 
 class TestClosedLoop:

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from ncspassive.errors import DimensionMismatch, InvalidMatrix
 from ncspassive.numerics import (
     DefinitenessMargin,
+    as_matrix,
     fro_norm,
     is_neg_definite,
     schur_complement,
@@ -12,6 +15,20 @@ from ncspassive.numerics import (
     sym_eigvals,
     symmetrize,
 )
+
+
+@pytest.mark.parametrize("value,shape", [(2.5, (1, 1)), ([1.0, 2.0, 3.0], (1, 3))],
+                         ids=["scalar", "1-d"])
+def test_as_matrix_lifts_a_scalar_and_a_vector_to_one_row(value, shape):
+    m = as_matrix(value)
+    assert (m.shape, m.dtype) == (shape, np.float64)
+    np.testing.assert_array_equal(m.ravel(), np.ravel(value))
+
+
+def test_as_matrix_refuses_a_3d_array():
+    message = "stack: expected a 2-d array, got shape (2, 1, 1)"
+    with pytest.raises(InvalidMatrix, match=re.escape(message)):
+        as_matrix(np.zeros((2, 1, 1)), "stack")
 
 
 class TestSymEigvals:
@@ -77,6 +94,9 @@ class TestSpectralRadius:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             spectral_radius(np.ones((2, 3)))
+
+    def test_empty_matrix_has_radius_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
 
     def test_kron_square_identity(self):
         rng = np.random.default_rng(1)

@@ -67,6 +67,29 @@ def stats_bytes(stats) -> list[bytes]:
     return [np.asarray(getattr(stats, f.name)).tobytes() for f in dataclasses.fields(stats)]
 
 
+def diverged_stats():
+    """An ensemble from x0 = 1 whose loop x+ = 1e30 x overflows to inf within the horizon."""
+    plant = Plant(A=[[1e30]], B1=[[1.0]], B2=[[1.0]], C1=[[1.0]], D11=[[1.0]], D12=[[0.0]])
+    return ensemble(plant, Gain.zero(1, 1), full_packet_schedule(), LossModel(0.0, 0.0),
+                    InputSignal.zero(1), 20, trials=2, base_seed=0, x0=[1.0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: InputSignal("zero", 0), ValueError, "signal dimension must be >= 1"),
+    (lambda: InputSignal("white-noise", 1, sigma=np.inf), ValueError, "sigma must be finite"),
+    (lambda: InputSignal("sinusoid", 1, period=0), ValueError, "sinusoid period must be >= 1"),
+    (lambda: ensemble(TWO_STATE, Gain([[-0.4, 0.3]]), full_packet_schedule(), LossModel(0.1, 0.2),
+                      InputSignal.zero(1), 10, trials=0, base_seed=0),
+     ValueError, "need at least one trial"),
+    (lambda: decay_fit(diverged_stats()), FitUnavailable,
+     "mean-square norm is non-finite or degenerate over the fitted range"),
+], ids=["signal-dimension-zero", "sigma-infinite", "sinusoid-period-zero", "trials-zero",
+        "decay-fit-non-finite"])
+def test_bad_argument_is_refused_saying_why(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestSimulate:
     def test_zero_input_zero_state_stays_zero(self, mixing_plant):
         trace = simulate(mixing_plant, Gain.zero(1, 1), full_packet_schedule(),

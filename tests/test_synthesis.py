@@ -208,6 +208,15 @@ class TestRecoverGain:
         with pytest.raises(SingularTransform):
             recover_gain(np.diag([1.0, 0.0]), np.array([[1.0, 1.0]]))
 
+    def test_ill_conditioned_transform_fails_the_residual_check(self):
+        # X = Q diag(1, 10^-5.5, 1e-11) Q' passes the singularity test, but K = Y X^-1,
+        # of norm near 1e11, leaves ||K X - Y|| far above 1e-8 (1 + ||Y||)
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        x = q @ np.diag([1.0, 10 ** -5.5, 1e-11]) @ q.T
+        with pytest.raises(SingularTransform, match="residual .* X too ill-conditioned"):
+            recover_gain(x, rng.standard_normal((1, 3)))
+
 
 class TestSynthesize:
     def test_lossy_scalar_scenario(self, lossy_feedback_plant):
