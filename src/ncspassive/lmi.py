@@ -231,7 +231,11 @@ class AffineExpr:
         return 0.5 * (out + out.T)
 
     def assemble(self, assignment: dict) -> np.ndarray:
-        """Numeric symmetric matrix at the given variable assignment."""
+        """Numeric symmetric matrix at the given variable assignment.
+
+        As ``_place`` on one matrix, with 2-D slices, and a weight of 1 not
+        multiplied: the same bits, for fewer numpy calls.
+        """
         out = self._constant().copy()
         values = {}
         for t in self._terms:
@@ -242,8 +246,13 @@ class AffineExpr:
                         f"expression {self.name!r} references unbound variable {t.var!r}"
                     )
                 v = values[t.var] = np.asarray(assignment[t.var], dtype=float)
-            value = t.weight * (t.left @ v @ t.right)
-            self._place(out, t.row, t.col, value)
+            value = t.left @ v @ t.right
+            if t.weight != 1.0:
+                value = t.weight * value
+            rows, cols = self._slices[t.row], self._slices[t.col]
+            out[rows, cols] += value
+            if t.row != t.col:
+                out[cols, rows] += value.T
         return 0.5 * (out + out.T)
 
     def linear(self, var: str, values: np.ndarray) -> np.ndarray:
@@ -515,7 +524,9 @@ TAU_GROWTH = 8.0
 # A point counts as centered when half its squared Newton decrement is
 # below CENTERED, or below CENTERED_DUAL while its multipliers have a
 # nonnegative constant: those may refute the problem once their
-# gradient residual is within verify_dual's allowance.
+# gradient residual is within verify_dual's allowance. ``solve``'s
+# multipliers with a negative constant cannot refute, so there it
+# centers only to FULL_STEP.
 CENTERED = 1e-6
 CENTERED_DUAL = 1e-18
 # Newton decrement below which the full step is taken without a line search.
@@ -902,8 +913,9 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
                     dual=dual,
                 )
         if spent or barrier.dim / tau <= STALL_GAP * (1.0 + abs(t)):
-            reason = spent or (f"after {step} Newton steps: t = {t:.6g} is within "
-                               f"{barrier.dim / tau:.1e} of its infimum")
+            reason = spent or (f"after {step} Newton steps: stalled at t = {t:.6g}, central-path "
+                               f"gap {barrier.dim / tau:.1e}, multipliers' gradient residual "
+                               f"{residual:.1e}")
             return Indeterminate(
                 best_value=_worst(problem, barrier.assignment(y)),
                 iterations=step,
@@ -912,9 +924,10 @@ def solve(problem: LmiProblem, max_iters: int = MAX_ITERS):
         return None
 
     # tau0 centers the start in t; the multipliers may refute once centered
-    # closely while their constant is >= 0
+    # closely while their constant is >= 0, and cannot while it is < 0
+    # (Boyd & Vandenberghe, sec. 11.3: the path need not be followed closely)
     result = _newton(barrier, 1.0, lambda z: multipliers(z)[0], visit, max_iters,
-                     lambda z: CENTERED_DUAL if multipliers(z)[1] >= 0.0 else CENTERED)
+                     lambda z: CENTERED_DUAL if multipliers(z)[1] >= 0.0 else 0.5 * FULL_STEP ** 2)
     if result is not None:
         return result
     return Indeterminate(

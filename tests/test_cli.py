@@ -1,8 +1,11 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -899,6 +902,72 @@ class TestPipelineDeterminism:
         assert stab["verify"]["margin_epsilon_rel"] == 0.1
         assert cli.main(["report", str(loose)]) == 0
         assert cli.main(["report", str(tight)]) == 0
+
+
+class TestReportFile:
+    """``--out`` is rewritten in place, with the bytes, mode and links of a fresh write."""
+
+    def test_a_shorter_report_over_a_longer_one_leaves_no_stale_tail(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario())
+        out = tmp_path / "r.json"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--gain", "[[-0.9]]"]) == 0
+        longer = out.stat().st_size
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert out.stat().st_size == len(text) < longer
+        assert json.loads(text)["command"] == "synthesize"
+        assert cli.main(["report", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("certificates re-verified: synthesis\n")
+
+    def test_a_symlinked_out_is_written_through_the_link(self, tmp_path):
+        cfg = write_config(tmp_path, scenario())
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 100_000)
+        link.symlink_to(target.name)
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["command"] == "synthesize"
+
+    def test_out_dev_null_exits_zero(self, tmp_path):
+        cfg = write_config(tmp_path, scenario())
+        assert cli.main(["synthesize", "--config", str(cfg), "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("before", ["{}\n", "x" * 100_000], ids=["shorter", "longer"])
+    def test_a_rewrite_gives_the_bytes_and_mode_of_a_fresh_write(self, tmp_path, monkeypatch,
+                                                                 before):
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 0.0))  # timing 0 s
+        cfg = write_config(tmp_path, scenario())
+        fresh, rewritten = tmp_path / "fresh.json", tmp_path / "rewritten.json"
+        rewritten.write_text(before)
+        for out in (fresh, rewritten):
+            assert cli.main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert rewritten.read_bytes() == fresh.read_bytes()
+        assert json.loads(fresh.read_text())["timing"] == {"seconds": 0.0}
+        reference = tmp_path / "reference.json"
+        reference.write_text("")
+        assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+@pytest.mark.parametrize("command, parent, errno_", [
+    (["synthesize"], "missing", errno.ENOENT),
+    (["synthesize"], "file", errno.ENOTDIR),
+    (["analyze"], "missing", errno.ENOENT),
+    (["analyze"], "file", errno.ENOTDIR),
+    (["simulate", "--gain", "[[-0.9]]"], "missing", errno.ENOENT),
+    (["simulate", "--gain", "[[-0.9]]"], "file", errno.ENOTDIR),
+    # the traces directory is made with its parents, so only a file parent fails it
+    (["simulate", "--gain", "[[-0.9]]", "--dump-traces"], "file", errno.ENOTDIR),
+], ids=["synthesize-missing", "synthesize-file", "analyze-missing", "analyze-file",
+        "simulate-missing", "simulate-file", "simulate-traces-file"])
+def test_an_out_path_that_cannot_be_opened_exits_one_naming_it(tmp_path, capsys, command,
+                                                                parent, errno_):
+    cfg = write_config(tmp_path, scenario())
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "r.json"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: --out {out}: {os.strerror(errno_)}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 # The README plant with a non-square D11 (2 controlled outputs; 3 or 1 disturbance inputs):

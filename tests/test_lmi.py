@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from ncspassive.lmi import (
 from ncspassive.model import Gain, LossModel, Plant, Schedule, mode_distribution
 from ncspassive.numerics import DefinitenessMargin, fro_norm, sym_eigvals, symmetrize
 from ncspassive.synthesis import build_synthesis_lmi
+
+DATA = Path(__file__).parent / "data"
 
 
 def scalar_lyapunov_problem(a: float) -> LmiProblem:
@@ -211,6 +215,22 @@ class TestSolve:
         assert result.iterations == 0
         assert result.dual is None
         assert "outside its domain" in result.message
+
+    def test_a_stall_reports_the_residual_not_a_distance_to_the_infimum(self):
+        # sweep plant 2's synthesis LMI at eta 0.1 and margin 0.05 stops on the
+        # central-path gap at multipliers that cancel no variable
+        plant, loss = random_sweep_loop(2)
+        problem = build_synthesis_lmi(plant, mode_distribution(loss), 0.1, DefinitenessMargin(0.05))
+        result = solve(problem)
+        assert isinstance(result, Indeterminate) and result.dual is None
+        assert result.iterations < lmi.MAX_ITERS
+        assert "infimum" not in result.message
+        found = re.search(r"stalled at t = (\S+), central-path gap (\S+), "
+                          r"multipliers' gradient residual (\S+)$", result.message)
+        assert found, result.message
+        t, gap, residual = map(float, found.groups())
+        assert gap <= lmi.STALL_GAP * (1.0 + abs(t))
+        assert residual > lmi._dual_tolerance(problem.margin)
 
     def test_certificates_verify_by_construction(self):
         result = solve(scalar_lyapunov_problem(0.9))
@@ -682,14 +702,16 @@ class TestVerifyDual:
                         {"lyapunov": np.eye(2), "P_pos_def": [[0.75]]})
 
     def test_a_wide_margin_does_not_widen_the_allowance(self, monkeypatch):
-        # sweep plant 129's synthesis LMI at eta 0.1 and margin 0.05: with an allowance of
-        # 5%, the margin, the barrier stops at multipliers whose gradient residual is 1e-2
+        # sweep plant 129's synthesis LMI at eta 0.1 and margin 0.05, and multipliers
+        # whose gradient residual is 1e-2, stored from a barrier run under an allowance
+        # of 5%, the margin: that allowance would pass them
         plant, loss = random_sweep_loop(129)
         dist = mode_distribution(loss)
         problem = build_synthesis_lmi(plant, dist, 0.1, DefinitenessMargin(0.05))
+        stored = json.loads((DATA / "sweep129_wide_margin_dual.json").read_text())
+        dual = {name: np.array(z) for name, z in stored.items()}
         with monkeypatch.context() as patch:
             patch.setattr(lmi, "_dual_tolerance", lambda margin: margin.epsilon_rel)
-            dual = solve(problem).dual
             assert dual is not None and verify_dual(problem, dual).passed
         report = verify_dual(problem, dual)
         assert report.gradient_slack < 0.0 and not report.passed
